@@ -74,9 +74,6 @@ class SensorField:
     def area(self) -> float:
         return self.width * self.height
 
-    def stationary_by_id(self) -> dict[int, Sensor]:
-        return {s.id: s for s in self.stationary}
-
     def mobile_by_id(self) -> dict[int, MobileSensor]:
         return {m.id: m for m in self.mobile}
 

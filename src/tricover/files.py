@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from math import isfinite
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import InvalidInputError
 from .field import MobileSensor, Sensor, SensorField
@@ -207,26 +207,63 @@ def report_from_dict(doc: dict) -> ReportDoc:
     return report
 
 
+# JSON values are checked by exact type, so ``true`` is not a number.
+def _is_finite(value: Any) -> bool:
+    return type(value) in (int, float) and isfinite(value)
+
+
+def _valid_triangle(t: dict) -> bool:
+    v, s_h = t["vertices"], t["s_h"]
+    return (
+        type(t["id"]) is int
+        and type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is int
+        and type(t["case"]) is type(t["method"]) is str
+        and _is_finite(s_h) and s_h >= 0
+        and type(t["is_hole"]) is bool
+    )
+
+
+def _valid_plan(p: dict) -> bool:
+    return (
+        type(p["assignments"]) is type(p["unserved"]) is list
+        and all(type(cid) is int for cid in p["unserved"])
+        and _is_finite(p["total_movement"])
+    )
+
+
+def _valid_assignment(a: dict) -> bool:
+    target = a["target"]
+    return (
+        type(a["cell_id"]) is type(a["mobile_id"]) is int
+        and type(a["kind"]) is str
+        and _is_finite(a["distance"])
+        and type(target) is dict and _is_finite(target.get("x")) and _is_finite(target.get("y"))
+    )
+
+
+def _check_record(record: Any, valid: Callable[[dict], bool], what: str) -> None:
+    if type(record) is not dict:
+        raise InvalidInputError(f"{what} must be an object")
+    try:
+        ok = valid(record)
+    except KeyError as exc:
+        raise InvalidInputError(f"{what} is missing key {exc}") from None
+    if not ok:
+        raise InvalidInputError(f"malformed {what}: {record!r}")
+
+
 def _validate_report(report: ReportDoc) -> None:
     cell_ids: set[int] = set()
     if report.triangles is not None:
         if not isinstance(report.triangles, list):
             raise InvalidInputError("report 'triangles' must be a list")
         for entry in report.triangles:
-            for key in ("id", "vertices", "case", "s_h", "method", "is_hole"):
-                if key not in entry:
-                    raise InvalidInputError(
-                        f"report triangle entry is missing key {key!r}"
-                    )
-            if entry["s_h"] < 0:
-                raise InvalidInputError(
-                    f"report triangle {entry['id']} has negative hole area"
-                )
+            _check_record(entry, _valid_triangle, "report triangle entry")
             cell_ids.add(entry["id"])
     if report.plan is not None:
-        for key in ("assignments", "total_movement", "unserved"):
-            if key not in report.plan:
-                raise InvalidInputError(f"report plan is missing key {key!r}")
+        _check_record(report.plan, _valid_plan, "report plan")
+        for a in report.plan["assignments"]:
+            _check_record(a, _valid_assignment, "report plan assignment")
         referenced = [a["cell_id"] for a in report.plan["assignments"]]
         referenced.extend(report.plan["unserved"])
         for cid in referenced:

@@ -1,7 +1,7 @@
 """Closed-form planar geometry for disk coverage analysis.
 
-Everything here is pure and deterministic: triangles, circular sectors and
-segments, two-circle lenses, triangle centers, and exact triangle/disk
+Everything here is pure and deterministic: triangles, circular segments,
+two-circle lenses, triangle centers, and exact triangle/disk
 intersection areas computed by boundary integration (no sampling).
 
 Angles are radians, lengths are plain floats, areas are length squared.
@@ -75,16 +75,6 @@ class LensGeom:
     area: float
 
 
-@dataclass(frozen=True)
-class TriangleCenters:
-    """Circumcenter/incenter pair for a triangle."""
-
-    circumcenter: Point
-    circumradius: float
-    incenter: Point
-    inradius: float
-
-
 def _require_finite(p: Point) -> None:
     if not (isfinite(p.x) and isfinite(p.y)):
         raise InvalidInputError(f"non-finite coordinate: {p!r}")
@@ -145,15 +135,6 @@ def triangle_from_vertices(p1: Point, p2: Point, p3: Point) -> TriangleGeom:
         area=area,
         degenerate=degenerate,
     )
-
-
-def sector_area(angle: float, radius: float) -> float:
-    """Area of a circular sector of the given central angle."""
-    if not 0.0 <= angle <= _TWO_PI:
-        raise InvalidInputError(f"sector angle must be in [0, 2*pi], got {angle}")
-    if radius < 0:
-        raise InvalidInputError(f"radius must be >= 0, got {radius}")
-    return 0.5 * angle * radius * radius
 
 
 def segment_area(radius: float, dist_from_center: float) -> float:
@@ -248,13 +229,6 @@ def incenter(tri: TriangleGeom) -> tuple[Point, float]:
     cx = (tri.a * p1.x + tri.b * p2.x + tri.c * p3.x) / w
     cy = (tri.a * p1.y + tri.b * p2.y + tri.c * p3.y) / w
     return Point(cx, cy), tri.area / tri.s
-
-
-def triangle_centers(tri: TriangleGeom) -> TriangleCenters:
-    """Both classic centers in one record."""
-    cc, cr = circumcenter(tri)
-    ic, ir = incenter(tri)
-    return TriangleCenters(cc, cr, ic, ir)
 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> float:

@@ -16,7 +16,6 @@ from scipy.optimize import linear_sum_assignment
 from .errors import InconsistentInputError, InvalidInputError
 from .field import MobileSensor, SensorField
 from .geometry import Point, TriangleGeom, circumcenter, incenter
-from .holes import HoleReport
 
 CIRCUMCENTER = "circumcenter"
 INCENTER = "incenter"
@@ -51,12 +50,13 @@ class HealingPlan:
 
 
 def select_target(
-    report: HoleReport,
+    cell_id: int,
+    hole_area: float,
     tri: TriangleGeom,
     mobile_radius: float,
     bounds: tuple[float, float] | None = None,
 ) -> TargetLocation:
-    """Pick the patch point for one hole.
+    """Pick the patch point for the hole of cell ``cell_id``.
 
     Holes no larger than the mobile's disk (``area <= pi * R_m**2``) are
     patched at the circumcenter (equidistant from all three sensors);
@@ -68,7 +68,7 @@ def select_target(
         raise InvalidInputError(
             f"mobile sensing radius must be > 0, got {mobile_radius}"
         )
-    if report.hole_area <= pi * mobile_radius * mobile_radius:
+    if hole_area <= pi * mobile_radius * mobile_radius:
         kind = CIRCUMCENTER
         point, _ = circumcenter(tri)
     else:
@@ -77,9 +77,7 @@ def select_target(
     if bounds is not None:
         w, h = bounds
         point = Point(min(max(point.x, 0.0), w), min(max(point.y, 0.0), h))
-    return TargetLocation(
-        cell_id=report.cell_id, kind=kind, point=point, hole_area=report.hole_area
-    )
+    return TargetLocation(cell_id=cell_id, kind=kind, point=point, hole_area=hole_area)
 
 
 def plan_relocation(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import hypot, pi, sqrt
+from math import hypot, isfinite, pi, sqrt
 
 from .errors import DegenerateGeometryError, InconsistentInputError, InvalidInputError
 from .field import SensorField
@@ -168,7 +168,12 @@ def classify(
 ) -> CaseLabel:
     """Assign the coverage :class:`CaseLabel` for a triangle."""
     _require_analysable(tri, radius)
-    if full_coverage(tri, radius, epsilon):
+    return _label(tri, radius, full_coverage(tri, radius, epsilon))
+
+
+def _label(tri: TriangleGeom, radius: float, covered: bool) -> CaseLabel:
+    """Label from the side relations, given whether the triangle is covered."""
+    if covered:
         return CaseLabel.F
     tol = _TANGENCY_FACTOR * radius
     two_r = 2.0 * radius
@@ -352,12 +357,14 @@ def detect_holes(
     """Evaluate every mesh cell and report holes, largest first.
 
     Reports are sorted by descending hole area, ties by ascending cell id.
-    ``epsilon`` overrides the default significance threshold
+    ``epsilon`` (finite, >= 0) overrides the default significance threshold
     ``1e-9 * R^2``. The mesh must belong to the field (ids and positions
     must match), otherwise an ``inconsistent-input`` error is raised.
     """
     radius = field.sensing_radius
     eps = hole_epsilon(radius) if epsilon is None else epsilon
+    if not (isfinite(eps) and eps >= 0.0):
+        raise InvalidInputError(f"hole epsilon must be finite and >= 0, got {eps}")
     positions = {s.id: s.position for s in field.stationary}
     reports = []
     for cell in mesh.cells:
@@ -372,11 +379,14 @@ def detect_holes(
                     "from the field"
                 )
         computation = hole_area(cell.geom, radius, method=method)
-        label = classify(cell.geom, radius, epsilon)
+        uncovered = computation.s_h
+        if method == "case" and not computation.validity.all_hold():
+            # The forced case formula is inexact here; label from the exact area.
+            uncovered = exact_uncovered_area(cell.geom, radius)
         reports.append(
             HoleReport(
                 cell_id=cell.id,
-                label=label,
+                label=_label(cell.geom, radius, uncovered < eps),
                 computation=computation,
                 is_hole=computation.s_h > eps,
                 hole_area=computation.s_h,

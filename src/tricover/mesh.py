@@ -113,20 +113,3 @@ def triangulate(field: SensorField) -> TriMesh:
     )
     return TriMesh(sites=sites, cells=cells)
 
-
-def neighbors(mesh: TriMesh, cell_id: int) -> tuple[int, ...]:
-    """Cell ids sharing an edge with ``cell_id``, sorted ascending."""
-    mesh.cell(cell_id)  # raises not-found for unknown ids
-    edge_map: dict[tuple[int, int], list[int]] = {}
-    for cell in mesh.cells:
-        i, j, k = cell.sensor_ids
-        for edge in ((i, j), (i, k), (j, k)):
-            edge_map.setdefault(edge, []).append(cell.id)
-    out: set[int] = set()
-    cell = mesh.cells[cell_id]
-    i, j, k = cell.sensor_ids
-    for edge in ((i, j), (i, k), (j, k)):
-        for other in edge_map[edge]:
-            if other != cell_id:
-                out.add(other)
-    return tuple(sorted(out))

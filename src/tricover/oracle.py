@@ -43,6 +43,8 @@ def mc_coverage_fraction(field: SensorField, samples: int, seed: int) -> Coverag
     """
     if samples <= 0:
         raise InvalidInputError(f"sample count must be > 0, got {samples}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     if field.area <= 0.0:
         raise InvalidInputError("field has zero area")
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InconsistentInputError, InvalidInputError
 from .field import MobileSensor, Sensor, SensorField
 from .files import ReportDoc, ScenarioDoc, round_sig
-from .geometry import Point
+from .geometry import Point, triangle_from_vertices
 from .healing import (
     Assignment,
     HealingPlan,
@@ -52,6 +52,8 @@ def generate_scenario(
         )
     if n_mobile < 0:
         raise InvalidInputError(f"mobile count must be >= 0, got {n_mobile}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     coords = rng.random((n_stationary + n_mobile, 2))
     coords[:, 0] *= width
@@ -133,24 +135,26 @@ def _check_hash(report: ReportDoc, scenario: ScenarioDoc) -> None:
 def targets_from_report(
     report: ReportDoc, scenario: ScenarioDoc, mobile_radius: float
 ) -> list[TargetLocation]:
-    """Recompute hole targets for the report's flagged triangles."""
+    """Hole targets from the ``vertices`` and ``s_h`` of flagged report entries."""
     if report.triangles is None:
         raise InvalidInputError("report has no detection section")
     _check_hash(report, scenario)
-    mesh = triangulate(scenario.field)
-    detections = detect_holes(
-        scenario.field,
-        mesh,
-        method=report.meta.get("method", "auto"),
-        epsilon=report.meta.get("epsilon"),
-    )
+    positions = {s.id: s.position for s in scenario.field.stationary}
     bounds = (scenario.field.width, scenario.field.height)
-    cells = {c.id: c for c in mesh.cells}
-    return [
-        select_target(r, cells[r.cell_id].geom, mobile_radius, bounds=bounds)
-        for r in detections
-        if r.is_hole
-    ]
+    targets = []
+    for entry in report.triangles:
+        if not entry["is_hole"]:
+            continue
+        try:
+            tri = triangle_from_vertices(*(positions[v] for v in entry["vertices"]))
+        except KeyError as exc:
+            raise InconsistentInputError(
+                f"report references unknown sensor id {exc.args[0]}"
+            ) from exc
+        targets.append(
+            select_target(entry["id"], entry["s_h"], tri, mobile_radius, bounds=bounds)
+        )
+    return targets
 
 
 def plan_to_dict(plan: HealingPlan, mobile_radius: float) -> dict:

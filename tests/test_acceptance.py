@@ -259,7 +259,7 @@ def test_criterion_08_target_rule_conformance(sweep):
         mobile_radius = float(
             rng.uniform(0.2, 2.0)
         ) * sqrt(max(row.auto.s_h, 1e-12) / pi)
-        target = select_target(report, row.tri, mobile_radius)
+        target = select_target(report.cell_id, report.hole_area, row.tri, mobile_radius)
         if row.auto.s_h <= pi * mobile_radius**2:
             assert target.kind == "circumcenter"
         else:
@@ -273,7 +273,7 @@ def test_criterion_08_target_rule_conformance(sweep):
         is_hole=True,
         hole_area=pi * 0.25,
     )
-    assert select_target(boundary, t, 0.5).kind == "circumcenter"
+    assert select_target(boundary.cell_id, boundary.hole_area, t, 0.5).kind == "circumcenter"
     print("PASS criterion 8: target kind follows the disk-capacity rule")
 
 

@@ -384,6 +384,102 @@ def test_render_scenario_mismatch(tmp_path, capsys):
     assert_single_error_line(capsys, "inconsistent-input")
 
 
+def _set(key, value):
+    def mutate(entry):
+        entry[key] = value
+
+    return mutate
+
+
+def _drop(key):
+    return lambda entry: entry.pop(key)
+
+
+# (report to edit, edit, command that reads it, expected error kind)
+MALFORMED_REPORTS = {
+    "s_h-not-a-number": ("detect", "triangle", _set("s_h", "x"), "plan", "invalid-input"),
+    "s_h-not-finite": ("detect", "triangle", _set("s_h", float("inf")), "plan", "invalid-input"),
+    "s_h-boolean": ("detect", "triangle", _set("s_h", True), "plan", "invalid-input"),
+    "id-not-an-int": ("detect", "triangle", _set("id", "0"), "plan", "invalid-input"),
+    "vertices-not-three": ("detect", "triangle", _set("vertices", [0, 1]), "plan", "invalid-input"),
+    "vertices-not-ints": ("detect", "triangle", _set("vertices", [0, 1, 2.5]), "plan", "invalid-input"),
+    "is_hole-not-a-bool": ("detect", "triangle", _set("is_hole", 1), "plan", "invalid-input"),
+    "unknown-vertex": ("detect", "triangle", _set("vertices", [0, 1, 99]), "plan", "inconsistent-input"),
+    "triangle-not-an-object": ("detect", "triangles", _set(0, 5), "plan", "invalid-input"),
+    "assignment-without-cell_id": ("plan", "assignment", _drop("cell_id"), "verify", "invalid-input"),
+    "assignment-without-target": ("plan", "assignment", _drop("target"), "render", "invalid-input"),
+    "assignment-target-not-an-object": ("plan", "assignment", _set("target", [5, 5]), "verify", "invalid-input"),
+    "assignment-not-an-object": ("plan", "assignments", _set(0, 3), "verify", "invalid-input"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_malformed_report_is_a_single_error_line(tmp_path, capsys, case):
+    source, where, mutate, command, kind = MALFORMED_REPORTS[case]
+    scen = write_scenario(
+        tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)], radius=2.0, mobile=[(5, 5, 1.0)]
+    )
+    det, plan = tmp_path / "detect.json", tmp_path / "plan.json"
+    assert main(["detect", "--scenario", str(scen), "--out", str(det)]) == 0
+    assert main(
+        ["plan", "--scenario", str(scen), "--report", str(det),
+         "--mobile-radius", "1", "--out", str(plan)]
+    ) == 0
+    path = det if source == "detect" else plan
+    doc = json.loads(path.read_text())
+    target = {
+        "triangle": lambda: doc["triangles"][0],
+        "triangles": lambda: doc["triangles"],
+        "assignment": lambda: doc["plan"]["assignments"][0],
+        "assignments": lambda: doc["plan"]["assignments"],
+    }[where]()
+    mutate(target)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = {
+        "plan": ["plan", "--scenario", str(scen), "--report", str(path),
+                 "--mobile-radius", "1", "--out", str(tmp_path / "out.json")],
+        "verify": ["verify", "--scenario", str(scen), "--report", str(path),
+                   "--samples", "100", "--seed", "1", "--out", str(tmp_path / "out.json")],
+        "render": ["render", "--scenario", str(scen), "--report", str(path),
+                   "--out", str(tmp_path / "out.svg")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error: ") == 1
+    assert err.startswith(f"error: {kind}:")
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+def test_detect_rejects_bad_epsilon(tmp_path, capsys, epsilon):
+    scen = write_scenario(tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)], radius=2.0)
+    code = main(
+        ["detect", "--scenario", str(scen), f"--epsilon={epsilon}",
+         "--out", str(tmp_path / "d.json")]
+    )
+    assert code == 1
+    assert_single_error_line(capsys, "invalid-input")
+
+
+def test_negative_seed_is_rejected(tmp_path, capsys):
+    scen = write_scenario(tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)])
+    code = main(
+        ["verify", "--scenario", str(scen), "--samples", "100",
+         "--seed=-1", "--out", str(tmp_path / "v.json")]
+    )
+    assert code == 1
+    assert_single_error_line(capsys, "invalid-input")
+    code = main(
+        ["generate", "--width", "10", "--height", "10",
+         "--n-stationary", "5", "--n-mobile", "0",
+         "--radius", "1", "--mobile-radius", "1",
+         "--seed=-1", "--out", str(tmp_path / "g.json")]
+    )
+    assert code == 1
+    assert_single_error_line(capsys, "invalid-input")
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 1
     assert_single_error_line(capsys, "error")

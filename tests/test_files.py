@@ -39,7 +39,7 @@ def sample_report_dict():
         "triangles": [
             {
                 "id": 0,
-                "vertices": [[1.0, 1.0], [9.0, 1.0], [5.0, 7.0]],
+                "vertices": [0, 1, 2],
                 "case": "A",
                 "s_h": 2.5,
                 "method": "case-formula",

@@ -19,9 +19,7 @@ from tricover import (
     lens_area,
     make_field,
     mc_coverage_fraction,
-    sector_area,
     segment_area,
-    triangle_centers,
     triangle_disk_intersection_area,
     triangle_disks_covered_area,
     triangle_from_vertices,
@@ -119,22 +117,7 @@ def test_triangle_rejects_non_finite():
         tri((0, 0), (1, 0), (float("nan"), 1))
 
 
-# --- sector / segment ---------------------------------------------------------
-
-
-def test_sector_golden():
-    assert sector_area(pi / 3, 1.0) == pytest.approx(pi / 6, abs=1e-12)
-    assert sector_area(2 * pi, 2.0) == pytest.approx(4 * pi, abs=1e-12)
-    assert sector_area(0.0, 5.0) == 0.0
-
-
-def test_sector_rejects_bad_inputs():
-    with pytest.raises(InvalidInputError):
-        sector_area(-0.1, 1.0)
-    with pytest.raises(InvalidInputError):
-        sector_area(7.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        sector_area(1.0, -1.0)
+# --- segment --------------------------------------------------------------------
 
 
 def test_segment_golden():
@@ -263,11 +246,12 @@ def test_circumcenter_golden():
 
 def test_equilateral_centers_golden():
     t = tri((0, 0), (1, 0), (0.5, 0.8660254))
-    centers = triangle_centers(t)
-    assert centers.circumcenter == pytest.approx((0.5, 0.2886751), abs=1e-6)
-    assert centers.circumradius == pytest.approx(0.5773503, abs=1e-6)
-    assert centers.incenter == pytest.approx((0.5, 0.2886751), abs=1e-6)
-    assert centers.inradius == pytest.approx(0.2886751, abs=1e-6)
+    cc, cr = circumcenter(t)
+    ic, ir = incenter(t)
+    assert cc == pytest.approx((0.5, 0.2886751), abs=1e-6)
+    assert cr == pytest.approx(0.5773503, abs=1e-6)
+    assert ic == pytest.approx((0.5, 0.2886751), abs=1e-6)
+    assert ir == pytest.approx(0.2886751, abs=1e-6)
 
 
 def test_incenter_345_golden():

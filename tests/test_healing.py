@@ -65,7 +65,7 @@ SIDE19_EQUILATERAL = ((0.0, 0.0), (1.9, 0.0), (0.95, 1.9 * sqrt(3.0) / 2.0))
 def test_small_hole_goes_to_circumcenter():
     t, rep = report_for(SIDE19_EQUILATERAL, 1.0)
     # hole area 0.0551 <= pi * 1^2
-    target = select_target(rep, t, mobile_radius=1.0)
+    target = select_target(rep.cell_id, rep.hole_area, t, mobile_radius=1.0)
     assert target.kind == "circumcenter"
     assert target.point == pytest.approx(circumcenter(t)[0])
     assert target.cell_id == rep.cell_id
@@ -75,7 +75,7 @@ def test_small_hole_goes_to_circumcenter():
 def test_large_hole_goes_to_incenter():
     t, rep = report_for(SIDE19_EQUILATERAL, 1.0)
     # hole area 0.0551 > pi * 0.1^2 = 0.0314
-    target = select_target(rep, t, mobile_radius=0.1)
+    target = select_target(rep.cell_id, rep.hole_area, t, mobile_radius=0.1)
     assert target.kind == "incenter"
     assert target.point == pytest.approx(incenter(t)[0])
 
@@ -89,7 +89,7 @@ def test_boundary_equality_is_circumcenter():
         is_hole=True,
         hole_area=pi * 0.25,
     )
-    target = select_target(rep, t, mobile_radius=0.5)  # pi * R_m^2 == hole area
+    target = select_target(rep.cell_id, rep.hole_area, t, mobile_radius=0.5)  # pi * R_m^2 == hole area
     assert target.kind == "circumcenter"
 
 
@@ -105,9 +105,10 @@ def test_target_kind_scale_invariant():
         t_obj, rep = report_for([tuple(p) for p in pts], R)
         rm = float(rng.uniform(0.05, 1.0)) * max(t.sides)
         k = float(rng.uniform(0.1, 10.0))
-        kind = select_target(rep, t_obj, rm).kind
+        kind = select_target(rep.cell_id, rep.hole_area, t_obj, rm).kind
         t_scaled, rep_scaled = report_for([(k * x, k * y) for x, y in pts], k * R)
-        assert select_target(rep_scaled, t_scaled, k * rm).kind == kind
+        scaled = select_target(rep_scaled.cell_id, rep_scaled.hole_area, t_scaled, k * rm)
+        assert scaled.kind == kind
 
 
 def test_circumcenter_clamped_to_bounds():
@@ -115,18 +116,18 @@ def test_circumcenter_clamped_to_bounds():
     t, rep = report_for(((0, 0.1), (4, 0.1), (2, 0.4)), 3.0)
     raw = circumcenter(t)[0]
     assert raw.y < 0.0
-    target = select_target(rep, t, mobile_radius=5.0, bounds=(10.0, 5.0))
+    target = select_target(rep.cell_id, rep.hole_area, t, mobile_radius=5.0, bounds=(10.0, 5.0))
     assert target.kind == "circumcenter"
     assert target.point.y == 0.0
     assert target.point.x == pytest.approx(raw.x)
-    unclamped = select_target(rep, t, mobile_radius=5.0)
+    unclamped = select_target(rep.cell_id, rep.hole_area, t, mobile_radius=5.0)
     assert unclamped.point == pytest.approx(raw)
 
 
 def test_select_target_rejects_bad_radius():
     t, rep = report_for(SIDE19_EQUILATERAL, 1.0)
     with pytest.raises(InvalidInputError):
-        select_target(rep, t, mobile_radius=0.0)
+        select_target(rep.cell_id, rep.hole_area, t, mobile_radius=0.0)
 
 
 # --- plan_relocation ----------------------------------------------------------
@@ -316,8 +317,9 @@ def test_healing_improves_coverage_paired_seed():
     mesh = triangulate(field)
     reports = [r for r in detect_holes(field, mesh) if r.is_hole]
     assert len(reports) == 1
+    rep = reports[0]
     target = select_target(
-        reports[0], mesh.cell(reports[0].cell_id).geom, mobile_radius=1.5
+        rep.cell_id, rep.hole_area, mesh.cell(rep.cell_id).geom, mobile_radius=1.5
     )
     plan = plan_relocation([target], field)
     healed = apply_plan(field, plan)

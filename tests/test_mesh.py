@@ -16,7 +16,6 @@ from tricover import (
     SensorField,
     circumcenter,
     make_field,
-    neighbors,
     triangulate,
 )
 
@@ -151,34 +150,6 @@ def test_no_degenerate_cells_on_random_input():
     rng = np.random.default_rng(37)
     mesh = triangulate(field_from(rng.uniform(0, 5, size=(500, 2))))
     assert not any(c.geom.degenerate for c in mesh.cells)
-
-
-# --- neighbors --------------------------------------------------------------------
-
-
-def test_neighbors_unit_square():
-    mesh = triangulate(field_from([(0, 0), (1, 0), (1, 1), (0, 1)]))
-    assert neighbors(mesh, 0) == (1,)
-    assert neighbors(mesh, 1) == (0,)
-
-
-def test_neighbors_interior_fan():
-    mesh = triangulate(field_from([(0, 0), (2, 0), (2, 2), (0, 2), (1.0, 0.9)]))
-    assert len(mesh.cells) == 4
-    assert sorted(len(neighbors(mesh, c.id)) for c in mesh.cells) == [2, 2, 2, 2]
-    for cell in mesh.cells:
-        ns = neighbors(mesh, cell.id)
-        assert ns == tuple(sorted(ns))
-        for other in ns:
-            shared = set(cell.sensor_ids) & set(mesh.cell(other).sensor_ids)
-            assert len(shared) == 2
-            assert cell.id in neighbors(mesh, other)
-
-
-def test_neighbors_missing_cell():
-    mesh = triangulate(field_from([(0, 0), (1, 0), (0, 1)]))
-    with pytest.raises(NotFoundError):
-        neighbors(mesh, 5)
 
 
 # --- errors -----------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Python-API pipeline tests: generation, plan round trips, verification."""
 from __future__ import annotations
 
-from math import sqrt
+import dataclasses
+from math import inf, nextafter, pi, sqrt
 
 import pytest
 
+import tricover.holes
+import tricover.pipeline
 from tricover import (
     InvalidInputError,
     ScenarioDoc,
@@ -96,7 +99,54 @@ def test_run_detect_report_shape():
         assert e["case"] in set("ABCDEFGHI")
 
 
+def test_detect_runs_exact_integral_once_per_exact_route_cell(monkeypatch):
+    doc = generate_scenario(100.0, 100.0, 200, 0, 5.0, 5.0, seed=42)
+    calls = []
+    original = tricover.holes.exact_uncovered_area
+
+    def counted(tri, radius):
+        calls.append(1)
+        return original(tri, radius)
+
+    monkeypatch.setattr(tricover.holes, "exact_uncovered_area", counted)
+    report = run_detect(doc)
+    exact_cells = sum(1 for e in report.triangles if e["method"] == "exact-fallback")
+    assert 0 < exact_cells < len(report.triangles)
+    assert len(calls) == exact_cells
+
+
 # --- planning round trips -----------------------------------------------------------
+
+
+def test_plan_does_not_redetect(monkeypatch):
+    doc = small_scenario()
+    report = run_detect(doc)
+    expected = run_plan(report, doc, mobile_radius=4.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("plan must build targets from the report")
+
+    monkeypatch.setattr(tricover.pipeline, "triangulate", refuse)
+    monkeypatch.setattr(tricover.pipeline, "detect_holes", refuse)
+    assert run_plan(report, doc, mobile_radius=4.0) == expected
+    assert expected.plan["assignments"]
+
+
+def test_target_kind_follows_report_hole_area():
+    doc = small_scenario()
+    report = run_detect(doc)
+    hole = next(e for e in report.triangles if e["is_hole"])
+    mobile_radius = 4.0
+    capacity = pi * mobile_radius**2
+
+    def kind_at(s_h):
+        entries = [dict(e, s_h=s_h) if e is hole else e for e in report.triangles]
+        edited = dataclasses.replace(report, triangles=entries)
+        targets = targets_from_report(edited, doc, mobile_radius)
+        return next(t.kind for t in targets if t.cell_id == hole["id"])
+
+    assert kind_at(capacity) == "circumcenter"
+    assert kind_at(nextafter(capacity, inf)) == "incenter"
 
 
 def test_targets_respect_field_bounds():
