@@ -36,12 +36,6 @@ class DuplicateSiteError(TricoverError):
     kind = "duplicate-site"
 
 
-class NotFoundError(TricoverError):
-    """An id (cell, sensor) does not resolve."""
-
-    kind = "not-found"
-
-
 class InconsistentInputError(TricoverError):
     """Two inputs that must refer to the same data do not match."""
 

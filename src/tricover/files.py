@@ -201,7 +201,7 @@ def report_from_dict(doc: dict) -> ReportDoc:
         triangles=doc.get("triangles"),
         plan=doc.get("plan"),
         verify=doc.get("verify"),
-        meta=doc.get("meta", {}) or {},
+        meta=doc.get("meta", {}),
     )
     _validate_report(report)
     return report
@@ -220,6 +220,19 @@ def _valid_triangle(t: dict) -> bool:
         and type(t["case"]) is type(t["method"]) is str
         and _is_finite(s_h) and s_h >= 0
         and type(t["is_hole"]) is bool
+    )
+
+
+def _valid_mesh(m: dict) -> bool:
+    return all(type(m[k]) is int and m[k] >= 0 for k in ("sites", "triangles"))
+
+
+def _valid_verify(v: dict) -> bool:
+    return (
+        all(_is_finite(v[k]) and 0 <= v[k] <= 1 for k in ("before", "after"))
+        and type(v["samples"]) is int and v["samples"] > 0
+        and type(v["seed"]) is int and v["seed"] >= 0
+        and _is_finite(v["half_width"])
     )
 
 
@@ -253,6 +266,12 @@ def _check_record(record: Any, valid: Callable[[dict], bool], what: str) -> None
 
 
 def _validate_report(report: ReportDoc) -> None:
+    if type(report.meta) is not dict:
+        raise InvalidInputError("report 'meta' must be an object")
+    if report.mesh is not None:
+        _check_record(report.mesh, _valid_mesh, "report mesh")
+    if report.verify is not None:
+        _check_record(report.verify, _valid_verify, "report verify section")
     cell_ids: set[int] = set()
     if report.triangles is not None:
         if not isinstance(report.triangles, list):

@@ -14,8 +14,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateGeometryError, InvalidInputError
 
-# Relative tolerance used to clamp rounding noise (radicands, acos arguments).
-_EPS = 1e-12
 # A triangle is degenerate when area < _DEGENERACY_FACTOR * (longest side)^2.
 _DEGENERACY_FACTOR = 1e-12
 
@@ -34,17 +32,13 @@ class TriangleGeom:
     """A triangle with its derived scalar geometry.
 
     Side ``a`` is opposite ``vertices[0]``, ``b`` opposite ``vertices[1]``,
-    ``c`` opposite ``vertices[2]``; ``alpha``/``beta``/``zeta`` are the
-    interior angles at those vertices. ``s`` is the semiperimeter.
+    ``c`` opposite ``vertices[2]``. ``s`` is the semiperimeter.
     """
 
     vertices: tuple[Point, Point, Point]
     a: float
     b: float
     c: float
-    alpha: float
-    beta: float
-    zeta: float
     s: float
     area: float
     degenerate: bool
@@ -52,27 +46,6 @@ class TriangleGeom:
     @property
     def sides(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
-
-
-@dataclass(frozen=True)
-class LensGeom:
-    """Intersection of two disks, with the chord construction intermediates.
-
-    ``x_chord`` is the distance from the first center to the radical chord,
-    ``d1``/``d2`` the two circular-segment heights (``d1 + d2 == d`` in the
-    partial-overlap branch). In the containment and disjoint branches there
-    is no chord; those fields are zero there.
-    """
-
-    R: float
-    r: float
-    d: float
-    x_chord: float
-    half_chord: float
-    chord_len: float
-    d1: float
-    d2: float
-    area: float
 
 
 def _require_finite(p: Point) -> None:
@@ -104,7 +77,7 @@ def triangle_from_vertices(p1: Point, p2: Point, p3: Point) -> TriangleGeom:
     """Build a :class:`TriangleGeom` from three vertices.
 
     The degeneracy flag is set when the area falls below
-    ``1e-12 * (longest side)**2``; angles are reported as zero in that case.
+    ``1e-12 * (longest side)**2``.
     """
     p1, p2, p3 = Point(*p1), Point(*p2), Point(*p3)
     for p in (p1, p2, p3):
@@ -117,52 +90,15 @@ def triangle_from_vertices(p1: Point, p2: Point, p3: Point) -> TriangleGeom:
     )
     longest = max(a, b, c)
     degenerate = longest <= 0.0 or area < _DEGENERACY_FACTOR * longest * longest
-    if degenerate:
-        alpha = beta = zeta = 0.0
-    else:
-        alpha = acos(_clamp01((b * b + c * c - a * a) / (2.0 * b * c)))
-        beta = acos(_clamp01((a * a + c * c - b * b) / (2.0 * a * c)))
-        zeta = acos(_clamp01((a * a + b * b - c * c) / (2.0 * a * b)))
     return TriangleGeom(
         vertices=(p1, p2, p3),
         a=a,
         b=b,
         c=c,
-        alpha=alpha,
-        beta=beta,
-        zeta=zeta,
         s=0.5 * (a + b + c),
         area=area,
         degenerate=degenerate,
     )
-
-
-def segment_area(radius: float, dist_from_center: float) -> float:
-    """Area of the circular segment cut off by a chord.
-
-    ``dist_from_center`` is the perpendicular distance from the circle
-    center to the chord; the segment is the smaller piece beyond the chord.
-
-    The half chord comes from ``(R - h)(R + h)`` and the half angle from
-    ``atan2``, so neither cancels near tangency (``h -> R``); the result is
-    clamped at 0, since the smaller piece is never negative.
-    """
-    if radius < 0 or dist_from_center < 0:
-        raise InvalidInputError(
-            f"segment inputs must be >= 0, got R={radius}, d={dist_from_center}"
-        )
-    if dist_from_center > radius:
-        raise InvalidInputError(
-            f"chord distance {dist_from_center} exceeds radius {radius}"
-        )
-    if radius == 0.0:
-        return 0.0
-    half_chord = sqrt((radius - dist_from_center) * (radius + dist_from_center))
-    area = (
-        radius * radius * atan2(half_chord, dist_from_center)
-        - dist_from_center * half_chord
-    )
-    return area if area > 0.0 else 0.0
 
 
 def _segment_signed(radius: float, height: float) -> float:
@@ -174,9 +110,9 @@ def _segment_signed(radius: float, height: float) -> float:
     return radius * radius * acos(ratio) - height * sqrt(radicand)
 
 
-def lens_area(R: float, r: float, d: float) -> LensGeom:
+def lens_area(R: float, r: float, d: float) -> float:
     """Intersection area of two disks of radii ``R`` and ``r`` at center
-    distance ``d``, with the chord construction intermediates.
+    distance ``d``.
 
     Branches: disjoint (``d >= R + r``) has zero area; containment
     (``d <= |R - r|``, including concentric ``d == 0``) is the smaller
@@ -189,20 +125,15 @@ def lens_area(R: float, r: float, d: float) -> LensGeom:
         raise InvalidInputError(f"center distance must be >= 0, got {d}")
     if d <= abs(R - r):
         small = min(R, r)
-        return LensGeom(R, r, d, 0.0, 0.0, 0.0, 0.0, 0.0, pi * small * small)
+        return pi * small * small
     if d >= R + r:
-        return LensGeom(R, r, d, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return 0.0
+    # x: distance from the first center to the radical chord.
     x = (d * d - r * r + R * R) / (2.0 * d)
-    radicand = R * R - x * x
-    if radicand < 0.0:
-        radicand = 0.0
-    half_chord = sqrt(radicand)
-    d1 = x
-    d2 = d - x
-    area = _segment_signed(R, d1) + _segment_signed(r, d2)
+    area = _segment_signed(R, x) + _segment_signed(r, d - x)
     if area < 0.0:
         area = 0.0
-    return LensGeom(R, r, d, x, half_chord, 2.0 * half_chord, d1, d2, area)
+    return area
 
 
 def circumcenter(tri: TriangleGeom) -> tuple[Point, float]:

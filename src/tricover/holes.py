@@ -74,18 +74,6 @@ class CaseLabel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class LensCorrection:
-    """Half-lens term added back for one overlapping edge.
-
-    ``vertex_pair`` holds local vertex indices (0..2) into the triangle.
-    """
-
-    vertex_pair: tuple[int, int]
-    distance: float
-    half_lens_area: float
-
-
-@dataclass(frozen=True)
 class ValidityFlags:
     """The three parts of the case-formula validity predicate."""
 
@@ -103,16 +91,12 @@ class ValidityFlags:
 
 @dataclass(frozen=True)
 class HoleComputation:
-    """A hole-area evaluation with its ingredients.
+    """A hole-area evaluation.
 
-    ``sector_sum`` and ``lens_corrections`` are the case-formula terms and
-    are populated for reference even when the exact fallback produced
-    ``s_h``. ``method`` records which route produced the value.
+    ``method`` records which route produced ``s_h``; ``validity`` holds the
+    case-formula predicate, evaluated on every route.
     """
 
-    s_delta: float
-    sector_sum: float
-    lens_corrections: tuple[LensCorrection, ...]
     s_h: float
     method: str
     validity: ValidityFlags
@@ -151,26 +135,6 @@ def exact_uncovered_area(tri: TriangleGeom, radius: float) -> float:
     return uncovered
 
 
-def full_coverage(
-    tri: TriangleGeom, radius: float, epsilon: float | None = None
-) -> bool:
-    """True when the three vertex disks cover the whole triangle.
-
-    "Cover" means the exact uncovered area falls below ``epsilon``
-    (default ``1e-9 * radius**2``).
-    """
-    eps = hole_epsilon(radius) if epsilon is None else epsilon
-    return exact_uncovered_area(tri, radius) < eps
-
-
-def classify(
-    tri: TriangleGeom, radius: float, epsilon: float | None = None
-) -> CaseLabel:
-    """Assign the coverage :class:`CaseLabel` for a triangle."""
-    _require_analysable(tri, radius)
-    return _label(tri, radius, full_coverage(tri, radius, epsilon))
-
-
 def _label(tri: TriangleGeom, radius: float, covered: bool) -> CaseLabel:
     """Label from the side relations, given whether the triangle is covered."""
     if covered:
@@ -197,21 +161,18 @@ def _label(tri: TriangleGeom, radius: float, covered: bool) -> CaseLabel:
 # --- validity predicate ----------------------------------------------------
 
 
-def _edge_local(tri: TriangleGeom) -> list[tuple[int, int, int]]:
-    """Local vertex index triples (i, j, k): edge i-j with opposite k."""
-    return [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
+# Local vertex index triples (i, j, k): edge i-j with opposite vertex k, so
+# the edge's length is ``tri.sides[k]``.
+_EDGES = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
 def _sectors_contained(tri: TriangleGeom, radius: float) -> bool:
     verts = tri.vertices
     slack = _PREDICATE_SLACK * radius
+    if radius > min(tri.sides) + slack:
+        return False
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        v, n1, n2 = verts[i], verts[j], verts[k]
-        if radius > hypot(n1.x - v.x, n1.y - v.y) + slack:
-            return False
-        if radius > hypot(n2.x - v.x, n2.y - v.y) + slack:
-            return False
-        if radius > point_segment_distance(v, n1, n2) + slack:
+        if radius > point_segment_distance(verts[i], verts[j], verts[k]) + slack:
             return False
     return True
 
@@ -280,12 +241,8 @@ def case_formula_validity(tri: TriangleGeom, radius: float) -> ValidityFlags:
     two_r = 2.0 * radius
     sectors = _sectors_contained(tri, radius)
     lenses = True
-    for i, j, k in _edge_local(tri):
-        d = hypot(
-            tri.vertices[j].x - tri.vertices[i].x,
-            tri.vertices[j].y - tri.vertices[i].y,
-        )
-        if d < two_r - tol and not _half_lens_contained(tri, i, j, k, radius):
+    for i, j, k in _EDGES:
+        if tri.sides[k] < two_r - tol and not _half_lens_contained(tri, i, j, k, radius):
             lenses = False
             break
     triple_empty = radius <= _min_enclosing_radius(tri) + _PREDICATE_SLACK * radius
@@ -295,22 +252,17 @@ def case_formula_validity(tri: TriangleGeom, radius: float) -> ValidityFlags:
 # --- hole area --------------------------------------------------------------
 
 
-def _case_terms(
-    tri: TriangleGeom, radius: float
-) -> tuple[float, tuple[LensCorrection, ...]]:
-    sector_sum = 0.5 * pi * radius * radius
+def _case_value(tri: TriangleGeom, radius: float) -> float:
+    """The case formula: triangle area minus the vertex sectors plus half
+    the lens over each overlapping edge, in ``_EDGES`` order."""
     tol = _TANGENCY_FACTOR * radius
     two_r = 2.0 * radius
-    corrections = []
-    for i, j, _ in _edge_local(tri):
-        d = hypot(
-            tri.vertices[j].x - tri.vertices[i].x,
-            tri.vertices[j].y - tri.vertices[i].y,
-        )
-        if d < two_r - tol:
-            half = 0.5 * lens_area(radius, radius, d).area
-            corrections.append(LensCorrection((i, j), d, half))
-    return sector_sum, tuple(corrections)
+    halves = [
+        0.5 * lens_area(radius, radius, tri.sides[k])
+        for _, _, k in _EDGES
+        if tri.sides[k] < two_r - tol
+    ]
+    return tri.area - 0.5 * pi * radius * radius + sum(halves)
 
 
 def hole_area(
@@ -329,23 +281,14 @@ def hole_area(
         )
     _require_analysable(tri, radius)
     validity = case_formula_validity(tri, radius)
-    sector_sum, corrections = _case_terms(tri, radius)
-    use_case = method == "case" or (method == "auto" and validity.all_hold())
-    if use_case:
-        value = tri.area - sector_sum + sum(c.half_lens_area for c in corrections)
+    if method == "case" or (method == "auto" and validity.all_hold()):
+        value = _case_value(tri, radius)
         chosen = CASE_FORMULA
     else:
         value = exact_uncovered_area(tri, radius)
         chosen = EXACT_FALLBACK
     value = min(max(value, 0.0), tri.area)
-    return HoleComputation(
-        s_delta=tri.area,
-        sector_sum=sector_sum,
-        lens_corrections=corrections,
-        s_h=value,
-        method=chosen,
-        validity=validity,
-    )
+    return HoleComputation(s_h=value, method=chosen, validity=validity)
 
 
 def detect_holes(

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import Delaunay
 from scipy.spatial import QhullError
 
-from .errors import DuplicateSiteError, InsufficientSitesError, NotFoundError
+from .errors import DuplicateSiteError, InsufficientSitesError
 from .field import Sensor, SensorField
 from .geometry import TriangleGeom, triangle_from_vertices
 
@@ -39,21 +39,8 @@ class TriMesh:
     sites: tuple[Sensor, ...]
     cells: tuple[TriangleCell, ...]
 
-    def cell(self, cell_id: int) -> TriangleCell:
-        if not 0 <= cell_id < len(self.cells):
-            raise NotFoundError(f"no cell with id {cell_id}")
-        return self.cells[cell_id]
-
     def summary(self) -> dict:
         return {"sites": len(self.sites), "triangles": len(self.cells)}
-
-    def to_dict(self) -> dict:
-        return {
-            "sites": len(self.sites),
-            "triangles": [
-                {"id": c.id, "vertices": list(c.sensor_ids)} for c in self.cells
-            ],
-        }
 
 
 def _collinear(points: np.ndarray) -> bool:

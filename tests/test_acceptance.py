@@ -37,7 +37,6 @@ from tricover import (
 )
 from tricover.cli import main
 from tricover.healing import TargetLocation
-from tricover.holes import HoleReport, classify
 
 SWEEP_SEED = 20260815
 SWEEP_SIZE = 500
@@ -76,12 +75,12 @@ def sweep():
 
 
 def test_criterion_01_lens_golden_values():
-    assert lens_area(1.0, 1.0, 1.0).area == pytest.approx(
+    assert lens_area(1.0, 1.0, 1.0) == pytest.approx(
         2 * acos(0.5) - sqrt(3.0) / 2, abs=1e-9
     )
-    assert lens_area(1.0, 1.0, 1.0).area == pytest.approx(1.2283697, abs=1e-6)
-    assert lens_area(1.0, 0.5, 0.0).area == pytest.approx(pi / 4, abs=1e-9)
-    assert lens_area(1.0, 1.0, 2.0).area == 0.0
+    assert lens_area(1.0, 1.0, 1.0) == pytest.approx(1.2283697, abs=1e-6)
+    assert lens_area(1.0, 0.5, 0.0) == pytest.approx(pi / 4, abs=1e-9)
+    assert lens_area(1.0, 1.0, 2.0) == 0.0
     print("PASS criterion 1: lens-area golden values")
 
 
@@ -91,12 +90,12 @@ def test_criterion_02_hole_area_golden_values():
         (((0, 0), (4, 0), (0, 3)), 6.0 - pi / 2, 4.4292037),
         (
             ((0, 0), (1.5, 0), (0.75, 2)),
-            1.5 - pi / 2 + 0.5 * lens_area(1, 1, 1.5).area,
+            1.5 - pi / 2 + 0.5 * lens_area(1, 1, 1.5),
             0.1558596,
         ),
         (
             ((0, 0), (1.9, 0), (0.95, 1.9 * sqrt(3.0) / 2)),
-            sqrt(3.0) / 4 * 1.9**2 - pi / 2 + 1.5 * lens_area(1, 1, 1.9).area,
+            sqrt(3.0) / 4 * 1.9**2 - pi / 2 + 1.5 * lens_area(1, 1, 1.9),
             0.0551486,
         ),
     ]
@@ -249,31 +248,17 @@ def test_criterion_07_healing_improves_coverage():
 def test_criterion_08_target_rule_conformance(sweep):
     rng = np.random.default_rng(SWEEP_SEED + 8)
     for row in sweep:
-        report = HoleReport(
-            cell_id=0,
-            label=classify(row.tri, row.radius),
-            computation=row.auto,
-            is_hole=True,
-            hole_area=row.auto.s_h,
-        )
         mobile_radius = float(
             rng.uniform(0.2, 2.0)
         ) * sqrt(max(row.auto.s_h, 1e-12) / pi)
-        target = select_target(report.cell_id, report.hole_area, row.tri, mobile_radius)
+        target = select_target(0, row.auto.s_h, row.tri, mobile_radius)
         if row.auto.s_h <= pi * mobile_radius**2:
             assert target.kind == "circumcenter"
         else:
             assert target.kind == "incenter"
     # exact boundary: hole area == pi * R_m^2 goes to the circumcenter
     t = triangle_from_vertices(Point(0, 0), Point(4, 0), Point(0, 3))
-    boundary = HoleReport(
-        cell_id=0,
-        label=classify(t, 1.0),
-        computation=hole_area(t, 1.0),
-        is_hole=True,
-        hole_area=pi * 0.25,
-    )
-    assert select_target(boundary.cell_id, boundary.hole_area, t, 0.5).kind == "circumcenter"
+    assert select_target(0, pi * 0.25, t, 0.5).kind == "circumcenter"
     print("PASS criterion 8: target kind follows the disk-capacity rule")
 
 

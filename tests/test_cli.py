@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tricover
-from tricover import canonical_json_bytes
+from tricover import canonical_json_bytes, load_report
 from tricover.cli import main
 
 
@@ -148,6 +148,7 @@ def test_detect_output_is_parse_serialize_stable(tmp_path):
     for path in (det, plan, ver):
         reparsed = canonical_json_bytes(json.loads(path.read_text()))
         assert reparsed == path.read_bytes()
+        load_report(path)  # every section the CLI writes passes validation
     assert canonical_json_bytes(json.loads(scen.read_text())) == scen.read_bytes()
 
 
@@ -395,6 +396,9 @@ def _drop(key):
     return lambda entry: entry.pop(key)
 
 
+# A well-formed verify section, for edits of one of its fields.
+GOOD_VERIFY = {"before": 0.5, "after": 0.75, "samples": 100, "seed": 1, "half_width": 0.1}
+
 # (report to edit, edit, command that reads it, expected error kind)
 MALFORMED_REPORTS = {
     "s_h-not-a-number": ("detect", "triangle", _set("s_h", "x"), "plan", "invalid-input"),
@@ -410,6 +414,19 @@ MALFORMED_REPORTS = {
     "assignment-without-target": ("plan", "assignment", _drop("target"), "render", "invalid-input"),
     "assignment-target-not-an-object": ("plan", "assignment", _set("target", [5, 5]), "verify", "invalid-input"),
     "assignment-not-an-object": ("plan", "assignments", _set(0, 3), "verify", "invalid-input"),
+    "meta-not-an-object": ("detect", "report", _set("meta", [1, 2]), "plan", "invalid-input"),
+    "meta-zero": ("detect", "report", _set("meta", 0), "plan", "invalid-input"),
+    "meta-null": ("plan", "report", _set("meta", None), "render", "invalid-input"),
+    "mesh-not-an-object": ("detect", "report", _set("mesh", "junk"), "plan", "invalid-input"),
+    "mesh-sites-negative": ("detect", "report", _set("mesh", {"sites": -1, "triangles": 1}), "plan", "invalid-input"),
+    "mesh-triangles-not-an-int": ("plan", "report", _set("mesh", {"sites": 3, "triangles": "1"}), "verify", "invalid-input"),
+    "mesh-without-sites": ("detect", "report", _set("mesh", {"triangles": 1}), "plan", "invalid-input"),
+    "verify-not-an-object": ("detect", "report", _set("verify", "junk"), "plan", "invalid-input"),
+    "verify-before-above-one": ("plan", "report", _set("verify", dict(GOOD_VERIFY, before=1.5)), "render", "invalid-input"),
+    "verify-after-not-finite": ("detect", "report", _set("verify", dict(GOOD_VERIFY, after=float("nan"))), "plan", "invalid-input"),
+    "verify-samples-zero": ("detect", "report", _set("verify", dict(GOOD_VERIFY, samples=0)), "plan", "invalid-input"),
+    "verify-seed-negative": ("plan", "report", _set("verify", dict(GOOD_VERIFY, seed=-1)), "verify", "invalid-input"),
+    "verify-half_width-not-a-number": ("detect", "report", _set("verify", dict(GOOD_VERIFY, half_width="0.1")), "plan", "invalid-input"),
 }
 
 
@@ -428,6 +445,7 @@ def test_malformed_report_is_a_single_error_line(tmp_path, capsys, case):
     path = det if source == "detect" else plan
     doc = json.loads(path.read_text())
     target = {
+        "report": lambda: doc,
         "triangle": lambda: doc["triangles"][0],
         "triangles": lambda: doc["triangles"],
         "assignment": lambda: doc["plan"]["assignments"][0],

@@ -35,7 +35,7 @@ def sample_report_dict():
     return {
         "schema_version": 1,
         "scenario_hash": "ab" * 32,
-        "mesh": {"cells": [{"id": 0, "sensor_ids": [0, 1, 2]}]},
+        "mesh": {"sites": 3, "triangles": 1},
         "triangles": [
             {
                 "id": 0,

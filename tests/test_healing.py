@@ -10,14 +10,12 @@ import pytest
 from tricover import (
     Assignment,
     HealingPlan,
-    HoleReport,
     InconsistentInputError,
     InvalidInputError,
     Point,
     TargetLocation,
     apply_plan,
     circumcenter,
-    classify,
     detect_holes,
     hole_area,
     incenter,
@@ -34,16 +32,9 @@ def tri(pts):
     return triangle_from_vertices(*(Point(*p) for p in pts))
 
 
-def report_for(pts, radius, cell_id=0):
+def hole_for(pts, radius):
     t = tri(pts)
-    comp = hole_area(t, radius)
-    return t, HoleReport(
-        cell_id=cell_id,
-        label=classify(t, radius),
-        computation=comp,
-        is_hole=comp.s_h > 1e-9 * radius * radius,
-        hole_area=comp.s_h,
-    )
+    return t, hole_area(t, radius).s_h
 
 
 def fake_target(cell_id, x, y, area=1.0):
@@ -63,33 +54,26 @@ SIDE19_EQUILATERAL = ((0.0, 0.0), (1.9, 0.0), (0.95, 1.9 * sqrt(3.0) / 2.0))
 
 
 def test_small_hole_goes_to_circumcenter():
-    t, rep = report_for(SIDE19_EQUILATERAL, 1.0)
+    t, s_h = hole_for(SIDE19_EQUILATERAL, 1.0)
     # hole area 0.0551 <= pi * 1^2
-    target = select_target(rep.cell_id, rep.hole_area, t, mobile_radius=1.0)
+    target = select_target(0, s_h, t, mobile_radius=1.0)
     assert target.kind == "circumcenter"
     assert target.point == pytest.approx(circumcenter(t)[0])
-    assert target.cell_id == rep.cell_id
-    assert target.hole_area == rep.hole_area
+    assert target.cell_id == 0
+    assert target.hole_area == s_h
 
 
 def test_large_hole_goes_to_incenter():
-    t, rep = report_for(SIDE19_EQUILATERAL, 1.0)
+    t, s_h = hole_for(SIDE19_EQUILATERAL, 1.0)
     # hole area 0.0551 > pi * 0.1^2 = 0.0314
-    target = select_target(rep.cell_id, rep.hole_area, t, mobile_radius=0.1)
+    target = select_target(0, s_h, t, mobile_radius=0.1)
     assert target.kind == "incenter"
     assert target.point == pytest.approx(incenter(t)[0])
 
 
 def test_boundary_equality_is_circumcenter():
-    t, rep = report_for(((0, 0), (4, 0), (0, 3)), 1.0)
-    rep = HoleReport(
-        cell_id=rep.cell_id,
-        label=rep.label,
-        computation=rep.computation,
-        is_hole=True,
-        hole_area=pi * 0.25,
-    )
-    target = select_target(rep.cell_id, rep.hole_area, t, mobile_radius=0.5)  # pi * R_m^2 == hole area
+    t = tri(((0, 0), (4, 0), (0, 3)))
+    target = select_target(0, pi * 0.25, t, mobile_radius=0.5)  # pi * R_m^2 == hole area
     assert target.kind == "circumcenter"
 
 
@@ -102,32 +86,32 @@ def test_target_kind_scale_invariant():
             if not t.degenerate and t.area >= 0.05 * max(t.sides) ** 2:
                 break
         R = float(rng.uniform(0.2, 0.7)) * max(t.sides)
-        t_obj, rep = report_for([tuple(p) for p in pts], R)
+        t_obj, s_h = hole_for([tuple(p) for p in pts], R)
         rm = float(rng.uniform(0.05, 1.0)) * max(t.sides)
         k = float(rng.uniform(0.1, 10.0))
-        kind = select_target(rep.cell_id, rep.hole_area, t_obj, rm).kind
-        t_scaled, rep_scaled = report_for([(k * x, k * y) for x, y in pts], k * R)
-        scaled = select_target(rep_scaled.cell_id, rep_scaled.hole_area, t_scaled, k * rm)
+        kind = select_target(0, s_h, t_obj, rm).kind
+        t_scaled, s_h_scaled = hole_for([(k * x, k * y) for x, y in pts], k * R)
+        scaled = select_target(0, s_h_scaled, t_scaled, k * rm)
         assert scaled.kind == kind
 
 
 def test_circumcenter_clamped_to_bounds():
     # flat obtuse triangle: circumcenter far below the field rectangle
-    t, rep = report_for(((0, 0.1), (4, 0.1), (2, 0.4)), 3.0)
+    t, s_h = hole_for(((0, 0.1), (4, 0.1), (2, 0.4)), 3.0)
     raw = circumcenter(t)[0]
     assert raw.y < 0.0
-    target = select_target(rep.cell_id, rep.hole_area, t, mobile_radius=5.0, bounds=(10.0, 5.0))
+    target = select_target(0, s_h, t, mobile_radius=5.0, bounds=(10.0, 5.0))
     assert target.kind == "circumcenter"
     assert target.point.y == 0.0
     assert target.point.x == pytest.approx(raw.x)
-    unclamped = select_target(rep.cell_id, rep.hole_area, t, mobile_radius=5.0)
+    unclamped = select_target(0, s_h, t, mobile_radius=5.0)
     assert unclamped.point == pytest.approx(raw)
 
 
 def test_select_target_rejects_bad_radius():
-    t, rep = report_for(SIDE19_EQUILATERAL, 1.0)
+    t, s_h = hole_for(SIDE19_EQUILATERAL, 1.0)
     with pytest.raises(InvalidInputError):
-        select_target(rep.cell_id, rep.hole_area, t, mobile_radius=0.0)
+        select_target(0, s_h, t, mobile_radius=0.0)
 
 
 # --- plan_relocation ----------------------------------------------------------
@@ -319,7 +303,7 @@ def test_healing_improves_coverage_paired_seed():
     assert len(reports) == 1
     rep = reports[0]
     target = select_target(
-        rep.cell_id, rep.hole_area, mesh.cell(rep.cell_id).geom, mobile_radius=1.5
+        rep.cell_id, rep.hole_area, mesh.cells[rep.cell_id].geom, mobile_radius=1.5
     )
     plan = plan_relocation([target], field)
     healed = apply_plan(field, plan)

@@ -13,10 +13,8 @@ from tricover import (
     InvalidInputError,
     Point,
     case_formula_validity,
-    classify,
     detect_holes,
     exact_uncovered_area,
-    full_coverage,
     hole_area,
     hole_epsilon,
     lens_area,
@@ -50,6 +48,19 @@ def scaled(pts, k):
     return [(k * x, k * y) for x, y in pts]
 
 
+def detected_label(pts, radius):
+    """Label ``detect_holes`` gives the one cell of a 3-sensor field on ``pts``."""
+    pts = [(float(x), float(y)) for x, y in pts]
+    field = make_field(
+        max(x for x, _ in pts),
+        max(y for _, y in pts),
+        radius,
+        [(i, x, y) for i, (x, y) in enumerate(pts)],
+    )
+    (report,) = detect_holes(field, triangulate(field))
+    return report.label
+
+
 def random_triangle(rng, span=4.0, min_shape=0.05):
     while True:
         t = tri(rng.uniform(0.0, span, size=(3, 2)))
@@ -65,33 +76,29 @@ def test_tangent_equilateral_golden():
     assert comp.s_h == pytest.approx(sqrt(3.0) - pi / 2, abs=1e-9)
     assert comp.s_h == pytest.approx(0.1612545, abs=1e-6)
     assert comp.method == "case-formula"
-    assert comp.lens_corrections == ()
 
 
 def test_separated_right_triangle_golden():
-    comp = hole_area(tri(RIGHT_345), 1.0)
+    t = tri(RIGHT_345)
+    comp = hole_area(t, 1.0)
     assert comp.s_h == pytest.approx(6.0 - pi / 2, abs=1e-9)
     assert comp.s_h == pytest.approx(4.4292037, abs=1e-6)
-    assert comp.sector_sum == pytest.approx(pi / 2, rel=1e-12)
-    assert comp.s_delta == pytest.approx(6.0, rel=1e-12)
+    assert t.area == pytest.approx(6.0, rel=1e-12)
 
 
 def test_one_overlap_golden():
     comp = hole_area(tri(ONE_OVERLAP), 1.0)
-    expected = 1.5 - pi / 2 + 0.5 * lens_area(1.0, 1.0, 1.5).area
+    expected = 1.5 - pi / 2 + 0.5 * lens_area(1.0, 1.0, 1.5)
     assert comp.s_h == pytest.approx(expected, abs=1e-12)
     assert comp.s_h == pytest.approx(0.1558596, abs=1e-6)
-    assert len(comp.lens_corrections) == 1
-    assert comp.lens_corrections[0].distance == pytest.approx(1.5)
 
 
 def test_three_overlap_equilateral_golden():
     comp = hole_area(tri(SIDE19_EQUILATERAL), 1.0)
     s_delta = sqrt(3.0) / 4 * 1.9**2
-    expected = s_delta - pi / 2 + 3 * 0.5 * lens_area(1.0, 1.0, 1.9).area
+    expected = s_delta - pi / 2 + 3 * 0.5 * lens_area(1.0, 1.0, 1.9)
     assert comp.s_h == pytest.approx(expected, abs=1e-12)
     assert comp.s_h == pytest.approx(0.0551486, abs=1e-6)
-    assert len(comp.lens_corrections) == 3
 
 
 def test_goldens_match_exact_fallback():
@@ -121,7 +128,7 @@ def test_goldens_match_exact_fallback():
     ],
 )
 def test_classify_all_labels(pts, label):
-    assert classify(tri(pts), 1.0) is label
+    assert detected_label(pts, 1.0) is label
 
 
 def test_classify_scale_invariant():
@@ -130,15 +137,15 @@ def test_classify_scale_invariant():
         t = random_triangle(rng)
         R = float(rng.uniform(0.2, 0.8)) * max(t.sides)
         k = float(rng.uniform(0.01, 100.0))
-        label = classify(t, R)
-        assert classify(tri(scaled(t.vertices, k)), k * R) is label
+        label = detected_label(t.vertices, R)
+        assert detected_label(scaled(t.vertices, k), k * R) is label
 
 
 def test_full_coverage_examples():
-    assert full_coverage(tri(((0, 0), (1, 0), (0.5, sqrt(3) / 2))), 1.0)
-    assert not full_coverage(tri(SIDE19_EQUILATERAL), 1.0)
+    assert detected_label(((0, 0), (1, 0), (0.5, sqrt(3) / 2)), 1.0) is CaseLabel.F
+    assert detected_label(SIDE19_EQUILATERAL, 1.0) is not CaseLabel.F
     # unit right triangle with circumradius sqrt(2)/2 < 1
-    assert full_coverage(tri(((0, 0), (1, 0), (0, 1))), 1.0)
+    assert detected_label(((0, 0), (1, 0), (0, 1)), 1.0) is CaseLabel.F
 
 
 def test_tangent_tolerance_is_relative():
@@ -146,7 +153,7 @@ def test_tangent_tolerance_is_relative():
     # counts as tangent, not overlapping
     delta = 1e-12
     pts = ((0, 0), (2 - delta, 0), (0, 3))
-    assert classify(tri(pts), 1.0) is CaseLabel.H
+    assert detected_label(pts, 1.0) is CaseLabel.H
 
 
 # --- case formula vs exact fallback --------------------------------------------
@@ -190,9 +197,7 @@ def test_forced_case_on_invalid_predicate_is_flagged():
     assert comp.method == "case-formula"
     assert not comp.validity.sectors_contained
     assert not comp.validity.all_hold()
-    raw = comp.s_delta - comp.sector_sum + sum(
-        c.half_lens_area for c in comp.lens_corrections
-    )
+    raw = t.area - pi / 2 + sum(0.5 * lens_area(1.0, 1.0, d) for d in t.sides if d < 2.0)
     assert raw < 0.0
     assert comp.s_h == 0.0
 
@@ -220,7 +225,7 @@ def test_hole_area_non_increasing_in_radius():
 
 def test_tangent_cases_compute_like_separated():
     # tangent pairs contribute no lens term, so B/C/H reduce to the
-    # separated-case expression s_delta - pi R^2 / 2
+    # separated-case expression: triangle area - pi R^2 / 2, to the bit
     for pts in (
         SIDE2_EQUILATERAL,
         ((0, 0), (3, 0), (1.5, sqrt(4 - 1.5**2))),
@@ -228,8 +233,8 @@ def test_tangent_cases_compute_like_separated():
     ):
         t = tri(pts)
         comp = hole_area(t, 1.0)
-        assert comp.lens_corrections == ()
-        assert comp.s_h == pytest.approx(t.area - pi / 2, abs=1e-9)
+        assert comp.method == "case-formula"
+        assert comp.s_h == t.area - 0.5 * pi
 
 
 def test_validity_predicate_parts():

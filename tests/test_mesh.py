@@ -10,7 +10,6 @@ from tricover import (
     DuplicateSiteError,
     InsufficientSitesError,
     InvalidInputError,
-    NotFoundError,
     Point,
     Sensor,
     SensorField,
@@ -85,13 +84,6 @@ def test_sites_stored_sorted_by_id():
         assert cell.sensor_ids == tuple(sorted(cell.sensor_ids))
 
 
-def test_cell_lookup_and_missing_cell():
-    mesh = triangulate(field_from([(0, 0), (1, 0), (1, 1), (0, 1)]))
-    assert mesh.cell(1).id == 1
-    with pytest.raises(NotFoundError):
-        mesh.cell(99)
-
-
 def test_triangulation_ignores_stationary_listing_order():
     rng = np.random.default_rng(101)
     coords = [tuple(p) for p in rng.uniform(0, 10, size=(40, 2))]
@@ -101,7 +93,7 @@ def test_triangulation_ignores_stationary_listing_order():
     mesh_a = triangulate(field_a)
     mesh_b = triangulate(field_b)
     assert [c.sensor_ids for c in mesh_a.cells] == [c.sensor_ids for c in mesh_b.cells]
-    assert mesh_a.to_dict() == mesh_b.to_dict()
+    assert mesh_a.cells == mesh_b.cells
 
 
 # --- Delaunay invariants ----------------------------------------------------------

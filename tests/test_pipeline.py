@@ -14,6 +14,7 @@ from tricover import (
     apply_plan,
     attach_verify,
     generate_scenario,
+    hole_epsilon,
     make_field,
     plan_from_report,
     round_sig,
@@ -22,6 +23,7 @@ from tricover import (
     run_verify,
     scenario_from_dict,
     targets_from_report,
+    triangle_from_vertices,
 )
 
 
@@ -35,6 +37,15 @@ def small_scenario(seed=42):
         mobile_radius=4.0,
         seed=seed,
     )
+
+
+def entry_triangles(report, doc):
+    """(entry, triangle) for each report entry, built from its vertex ids."""
+    positions = {s.id: s.position for s in doc.field.stationary}
+    return [
+        (e, triangle_from_vertices(*(positions[v] for v in e["vertices"])))
+        for e in report.triangles
+    ]
 
 
 # --- generate_scenario ---------------------------------------------------------
@@ -113,6 +124,38 @@ def test_detect_runs_exact_integral_once_per_exact_route_cell(monkeypatch):
     exact_cells = sum(1 for e in report.triangles if e["method"] == "exact-fallback")
     assert 0 < exact_cells < len(report.triangles)
     assert len(calls) == exact_cells
+
+
+def test_detect_builds_lens_terms_only_on_the_case_route(monkeypatch):
+    radius = 5.0
+    doc = generate_scenario(100.0, 100.0, 200, 0, radius, radius, seed=42)
+    calls = []
+    original = tricover.holes.lens_area
+
+    def counted(R, r, d):
+        calls.append(d)
+        return original(R, r, d)
+
+    monkeypatch.setattr(tricover.holes, "lens_area", counted)
+    report = run_detect(doc)
+    short = {"case-formula": [], "exact-fallback": []}
+    for e, t in entry_triangles(report, doc):
+        short[e["method"]].extend(d for d in t.sides if d < 2 * radius - 1e-9 * radius)
+    # exact-route cells have overlapping edges too, and get no lens term
+    assert short["case-formula"] and short["exact-fallback"]
+    assert sorted(calls) == sorted(short["case-formula"])
+
+
+@pytest.mark.parametrize("method", ["auto", "exact"])
+@pytest.mark.parametrize("radius", [5.0, 2.5])  # R* and R*/2 for 200 sites
+def test_detect_entry_invariants(method, radius):
+    doc = generate_scenario(100.0, 100.0, 200, 0, radius, radius, seed=42)
+    report = run_detect(doc, method=method)
+    eps = hole_epsilon(radius)
+    for e, t in entry_triangles(report, doc):
+        assert 0.0 <= e["s_h"] <= t.area
+        assert e["is_hole"] == (e["s_h"] > eps)
+        assert (e["case"] == "F") == (e["s_h"] < eps)
 
 
 # --- planning round trips -----------------------------------------------------------
