@@ -105,7 +105,7 @@ def _cmd_verify(args: argparse.Namespace) -> None:
     if args.report is not None:
         report = load_report(args.report)
         if report.plan is not None:
-            plan = plan_from_report(report, scenario)
+            plan = plan_from_report(report)
     before, after = run_verify(scenario, plan, samples=args.samples, seed=args.seed)
     save_report(attach_verify(report, scenario, before, after), args.out)
 

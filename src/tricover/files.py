@@ -15,7 +15,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import InvalidInputError
+from .errors import InconsistentInputError, InvalidInputError
 from .field import MobileSensor, Sensor, SensorField
 from .geometry import Point
 
@@ -80,6 +80,14 @@ def _get(doc: dict, key: str, what: str) -> Any:
     return doc[key]
 
 
+# JSON values are checked by exact type, so ``true`` is not a number.
+def _is_finite(value: Any) -> bool:
+    try:
+        return type(value) in (int, float) and isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 # --- scenarios ---------------------------------------------------------------
 
 
@@ -119,6 +127,18 @@ class ScenarioDoc:
         return hashlib.sha256(canonical_json_bytes(self.to_dict())).hexdigest()
 
 
+def _number(value: Any, what: str) -> float:
+    if not _is_finite(value):
+        raise TypeError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _sensor_id(value: Any) -> int:
+    if type(value) is not int:
+        raise TypeError(f"sensor id must be an integer, got {value!r}")
+    return value
+
+
 def scenario_from_dict(doc: dict) -> ScenarioDoc:
     _check_schema_version(doc, "scenario")
     fd = _get(doc, "field", "scenario")
@@ -126,21 +146,23 @@ def scenario_from_dict(doc: dict) -> ScenarioDoc:
         raise InvalidInputError("scenario 'field' must be an object")
     try:
         stationary = tuple(
-            Sensor(int(s["id"]), Point(float(s["x"]), float(s["y"])))
+            Sensor(_sensor_id(s["id"]), Point(_number(s["x"], "x"), _number(s["y"], "y")))
             for s in _get(fd, "stationary", "scenario field")
         )
         mobile = tuple(
             MobileSensor(
-                int(m["id"]),
-                Point(float(m["x"]), float(m["y"])),
-                float(m["sensing_radius"]),
+                _sensor_id(m["id"]),
+                Point(_number(m["x"], "x"), _number(m["y"], "y")),
+                _number(m["sensing_radius"], "mobile sensing_radius"),
             )
             for m in fd.get("mobile", [])
         )
         sensor_field = SensorField(
-            width=float(_get(fd, "width", "scenario field")),
-            height=float(_get(fd, "height", "scenario field")),
-            sensing_radius=float(_get(fd, "sensing_radius", "scenario field")),
+            width=_number(_get(fd, "width", "scenario field"), "width"),
+            height=_number(_get(fd, "height", "scenario field"), "height"),
+            sensing_radius=_number(
+                _get(fd, "sensing_radius", "scenario field"), "sensing_radius"
+            ),
             stationary=stationary,
             mobile=mobile,
         )
@@ -189,6 +211,15 @@ class ReportDoc:
             "meta": self.meta,
         }
 
+    def check_scenario(self, scenario: ScenarioDoc) -> None:
+        """Raise ``inconsistent-input`` unless the report names ``scenario``'s hash."""
+        actual = scenario.hash()
+        if self.scenario_hash != actual:
+            raise InconsistentInputError(
+                "report was produced from a different scenario "
+                f"(hash {self.scenario_hash[:12]}... != {actual[:12]}...)"
+            )
+
 
 def report_from_dict(doc: dict) -> ReportDoc:
     _check_schema_version(doc, "report")
@@ -205,11 +236,6 @@ def report_from_dict(doc: dict) -> ReportDoc:
     )
     _validate_report(report)
     return report
-
-
-# JSON values are checked by exact type, so ``true`` is not a number.
-def _is_finite(value: Any) -> bool:
-    return type(value) in (int, float) and isfinite(value)
 
 
 def _valid_triangle(t: dict) -> bool:

@@ -9,21 +9,20 @@ case formula whenever its validity predicate holds:
 where (pi/2)*R^2 is the total area of the three vertex sectors (interior
 angles sum to pi) and each edge shorter than 2R contributes back half the
 two-disk lens the adjoining sectors double-count. The predicate demands
-that every vertex sector fits inside the triangle, that every half-lens
-lies inside the triangle, and that the three disks share no point inside
-the triangle. When any part fails, an exact boundary-integral fallback is
-used instead; both routes are exact on their domains.
+that every vertex sector fits inside the triangle (so every half-lens does
+too) and that the three disks share no point inside the triangle. When
+either part fails, an exact boundary-integral fallback is used instead;
+both routes are exact on their domains.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import hypot, isfinite, pi, sqrt
+from math import isfinite, pi, sqrt
 
 from .errors import DegenerateGeometryError, InconsistentInputError, InvalidInputError
 from .field import SensorField
 from .geometry import (
-    Point,
     TriangleGeom,
     lens_area,
     point_segment_distance,
@@ -75,31 +74,21 @@ class CaseLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class ValidityFlags:
-    """The three parts of the case-formula validity predicate."""
+    """The two conditions of the case-formula validity predicate."""
 
     sectors_contained: bool
-    lenses_contained: bool
     triple_overlap_empty: bool
 
     def all_hold(self) -> bool:
-        return (
-            self.sectors_contained
-            and self.lenses_contained
-            and self.triple_overlap_empty
-        )
+        return self.sectors_contained and self.triple_overlap_empty
 
 
 @dataclass(frozen=True)
 class HoleComputation:
-    """A hole-area evaluation.
-
-    ``method`` records which route produced ``s_h``; ``validity`` holds the
-    case-formula predicate, evaluated on every route.
-    """
+    """A hole-area evaluation; ``method`` records which route produced ``s_h``."""
 
     s_h: float
     method: str
-    validity: ValidityFlags
 
 
 @dataclass(frozen=True)
@@ -108,7 +97,7 @@ class HoleReport:
 
     cell_id: int
     label: CaseLabel
-    computation: HoleComputation
+    method: str
     is_hole: bool
     hole_area: float
 
@@ -161,11 +150,6 @@ def _label(tri: TriangleGeom, radius: float, covered: bool) -> CaseLabel:
 # --- validity predicate ----------------------------------------------------
 
 
-# Local vertex index triples (i, j, k): edge i-j with opposite vertex k, so
-# the edge's length is ``tri.sides[k]``.
-_EDGES = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
-
-
 def _sectors_contained(tri: TriangleGeom, radius: float) -> bool:
     verts = tri.vertices
     slack = _PREDICATE_SLACK * radius
@@ -173,53 +157,6 @@ def _sectors_contained(tri: TriangleGeom, radius: float) -> bool:
         return False
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         if radius > point_segment_distance(verts[i], verts[j], verts[k]) + slack:
-            return False
-    return True
-
-
-def _half_lens_contained(
-    tri: TriangleGeom, i: int, j: int, k: int, radius: float
-) -> bool:
-    """Does the inward half of the lens over edge i-j stay inside the
-    triangle? Checked exactly via the extreme points of the half-lens
-    against the lines of the other two edges."""
-    verts = tri.vertices
-    vi, vj, vk = verts[i], verts[j], verts[k]
-    d = hypot(vj.x - vi.x, vj.y - vi.y)
-    ux, uy = (vj.x - vi.x) / d, (vj.y - vi.y) / d
-    nx, ny = -uy, ux  # one normal of the edge line
-    if (vk.x - vi.x) * nx + (vk.y - vi.y) * ny < 0.0:
-        nx, ny = -nx, -ny  # make it point inward (toward vk)
-    yc_sq = radius * radius - 0.25 * d * d
-    yc = sqrt(yc_sq) if yc_sq > 0.0 else 0.0
-    base1 = Point(vi.x + (d - radius) * ux, vi.y + (d - radius) * uy)
-    base2 = Point(vi.x + radius * ux, vi.y + radius * uy)
-    cusp = Point(
-        vi.x + 0.5 * d * ux + yc * nx,
-        vi.y + 0.5 * d * uy + yc * ny,
-    )
-    slack = _PREDICATE_SLACK * max(tri.sides)
-
-    for a, b in ((vj, vk), (vk, vi)):
-        ex, ey = b.x - a.x, b.y - a.y
-        elen = hypot(ex, ey)
-        ox, oy = ey / elen, -ex / elen
-        # orient (ox, oy) outward: positive on the side away from the triangle
-        interior = vi if (a, b) == (vj, vk) else vj
-        if (interior.x - a.x) * ox + (interior.y - a.y) * oy > 0.0:
-            ox, oy = -ox, -oy
-
-        def h(p: Point) -> float:
-            return (p.x - a.x) * ox + (p.y - a.y) * oy
-
-        reach = max(h(base1), h(base2), h(cusp))
-        for center, other in ((vi, vj), (vj, vi)):
-            ext = Point(center.x + radius * ox, center.y + radius * oy)
-            on_inner_side = (ext.x - vi.x) * nx + (ext.y - vi.y) * ny >= 0.0
-            in_other_disk = hypot(ext.x - other.x, ext.y - other.y) <= radius
-            if on_inner_side and in_other_disk:
-                reach = max(reach, h(ext))
-        if reach > slack:
             return False
     return True
 
@@ -235,18 +172,22 @@ def _min_enclosing_radius(tri: TriangleGeom) -> float:
 
 
 def case_formula_validity(tri: TriangleGeom, radius: float) -> ValidityFlags:
-    """Evaluate the three containment conditions of the case formula."""
+    """Sector containment and an empty triple overlap.
+
+    The formula also needs each inward half-lens inside the triangle, which
+    sector containment implies. Let every vertex be at least R from its
+    opposite side segment, and p be a point of the half-lens over edge AB
+    strictly outside line CA. Segment Bp crosses line CA at q on the ray
+    from A through C. If q lies on AC, dist(B, AC) <= |Bq| < |Bp| <= R,
+    against the sector condition. Otherwise p is also strictly outside line
+    BC, in the vertical angle at C, where |Ap| > |AC| >= R if C <= 90 deg,
+    and |Ap| > h_A > h_C >= R if C is obtuse (AB is then the longest side).
+    So p is not in disk A. Line BC is symmetric.
+    """
     _require_analysable(tri, radius)
-    tol = _TANGENCY_FACTOR * radius
-    two_r = 2.0 * radius
     sectors = _sectors_contained(tri, radius)
-    lenses = True
-    for i, j, k in _EDGES:
-        if tri.sides[k] < two_r - tol and not _half_lens_contained(tri, i, j, k, radius):
-            lenses = False
-            break
     triple_empty = radius <= _min_enclosing_radius(tri) + _PREDICATE_SLACK * radius
-    return ValidityFlags(sectors, lenses, triple_empty)
+    return ValidityFlags(sectors, triple_empty)
 
 
 # --- hole area --------------------------------------------------------------
@@ -254,13 +195,13 @@ def case_formula_validity(tri: TriangleGeom, radius: float) -> ValidityFlags:
 
 def _case_value(tri: TriangleGeom, radius: float) -> float:
     """The case formula: triangle area minus the vertex sectors plus half
-    the lens over each overlapping edge, in ``_EDGES`` order."""
+    the lens over each overlapping edge."""
     tol = _TANGENCY_FACTOR * radius
     two_r = 2.0 * radius
     halves = [
-        0.5 * lens_area(radius, radius, tri.sides[k])
-        for _, _, k in _EDGES
-        if tri.sides[k] < two_r - tol
+        0.5 * lens_area(radius, radius, d)
+        for d in (tri.c, tri.b, tri.a)
+        if d < two_r - tol
     ]
     return tri.area - 0.5 * pi * radius * radius + sum(halves)
 
@@ -272,23 +213,22 @@ def hole_area(
 
     ``method``: ``auto`` uses the case formula when its validity predicate
     holds and the exact fallback otherwise; ``case`` / ``exact`` force one
-    route (``case`` may be inexact when the predicate fails — the returned
-    validity flags say so). The result is clamped to ``[0, triangle area]``.
+    route without evaluating the predicate (``case`` may be inexact where it
+    fails). The result is clamped to ``[0, triangle area]``.
     """
     if method not in _METHODS:
         raise InvalidInputError(
             f"method must be one of {_METHODS}, got {method!r}"
         )
     _require_analysable(tri, radius)
-    validity = case_formula_validity(tri, radius)
-    if method == "case" or (method == "auto" and validity.all_hold()):
+    if method == "case" or (method == "auto" and case_formula_validity(tri, radius).all_hold()):
         value = _case_value(tri, radius)
         chosen = CASE_FORMULA
     else:
         value = exact_uncovered_area(tri, radius)
         chosen = EXACT_FALLBACK
     value = min(max(value, 0.0), tri.area)
-    return HoleComputation(s_h=value, method=chosen, validity=validity)
+    return HoleComputation(s_h=value, method=chosen)
 
 
 def detect_holes(
@@ -323,14 +263,14 @@ def detect_holes(
                 )
         computation = hole_area(cell.geom, radius, method=method)
         uncovered = computation.s_h
-        if method == "case" and not computation.validity.all_hold():
+        if method == "case" and not case_formula_validity(cell.geom, radius).all_hold():
             # The forced case formula is inexact here; label from the exact area.
             uncovered = exact_uncovered_area(cell.geom, radius)
         reports.append(
             HoleReport(
                 cell_id=cell.id,
                 label=_label(cell.geom, radius, uncovered < eps),
-                computation=computation,
+                method=computation.method,
                 is_hole=computation.s_h > eps,
                 hole_area=computation.s_h,
             )

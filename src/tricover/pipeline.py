@@ -97,7 +97,7 @@ def _hole_reports_to_entries(reports: Sequence[HoleReport], mesh: TriMesh) -> li
             "vertices": list(cells[r.cell_id].sensor_ids),
             "case": r.label.value,
             "s_h": r.hole_area,
-            "method": r.computation.method,
+            "method": r.method,
             "is_hole": r.is_hole,
         }
         for r in reports
@@ -124,21 +124,13 @@ def run_detect(
     )
 
 
-def _check_hash(report: ReportDoc, scenario: ScenarioDoc) -> None:
-    if report.scenario_hash != scenario.hash():
-        raise InconsistentInputError(
-            "report was produced from a different scenario "
-            f"(hash {report.scenario_hash[:12]}... != {scenario.hash()[:12]}...)"
-        )
-
-
 def targets_from_report(
     report: ReportDoc, scenario: ScenarioDoc, mobile_radius: float
 ) -> list[TargetLocation]:
     """Hole targets from the ``vertices`` and ``s_h`` of flagged report entries."""
     if report.triangles is None:
         raise InvalidInputError("report has no detection section")
-    _check_hash(report, scenario)
+    report.check_scenario(scenario)
     positions = {s.id: s.position for s in scenario.field.stationary}
     bounds = (scenario.field.width, scenario.field.height)
     targets = []
@@ -191,11 +183,10 @@ def run_plan(
     )
 
 
-def plan_from_report(report: ReportDoc, scenario: ScenarioDoc) -> HealingPlan:
+def plan_from_report(report: ReportDoc) -> HealingPlan:
     """Rebuild a HealingPlan object from a report's plan section."""
     if report.plan is None:
         raise InvalidInputError("report has no plan section")
-    _check_hash(report, scenario)
     by_cell = {}
     if report.triangles is not None:
         by_cell = {t["id"]: t for t in report.triangles}
@@ -260,10 +251,15 @@ def attach_verify(
     before: CoverageEstimate,
     after: CoverageEstimate,
 ) -> ReportDoc:
-    """Merge a verification section into a report (or start a fresh one)."""
+    """Merge a verification section into a report (or start a fresh one).
+
+    A given report must come from ``scenario``, otherwise an
+    ``inconsistent-input`` error is raised.
+    """
     section = verify_to_dict(before, after)
     if report is None:
         return ReportDoc(scenario_hash=scenario.hash(), verify=section)
+    report.check_scenario(scenario)
     return ReportDoc(
         scenario_hash=report.scenario_hash,
         mesh=report.mesh,

@@ -56,10 +56,8 @@ class _Canvas:
 def render_svg(scenario: ScenarioDoc, report: ReportDoc | None = None) -> str:
     """Draw the field; with a report, also the mesh, holes, and any plan."""
     field = scenario.field
-    if report is not None and report.scenario_hash != scenario.hash():
-        raise InconsistentInputError(
-            "report was produced from a different scenario"
-        )
+    if report is not None:
+        report.check_scenario(scenario)
     cv = _Canvas(field)
     positions = {s.id: s.position for s in field.stationary}
     mobile_pos = {m.id: m.position for m in field.mobile}

@@ -318,22 +318,32 @@ def test_detect_duplicate_sites(tmp_path, capsys):
     assert_single_error_line(capsys, "duplicate-site")
 
 
-def test_plan_scenario_mismatch(tmp_path, capsys):
-    scen_a = write_scenario(tmp_path / "a.json", [(1, 1), (9, 1), (5, 9)], radius=2.0)
-    scen_b = write_scenario(tmp_path / "b.json", [(1, 2), (9, 1), (5, 9)], radius=2.0)
-    det = tmp_path / "d.json"
+@pytest.mark.parametrize(
+    "command, source",
+    [("plan", "detect"), ("render", "detect"), ("verify", "detect"), ("verify", "plan")],
+)
+def test_report_scenario_mismatch(tmp_path, capsys, command, source):
+    mobile = [(5, 5, 1.0)]
+    scen_a = write_scenario(tmp_path / "a.json", [(1, 1), (9, 1), (5, 9)], radius=2.0, mobile=mobile)
+    scen_b = write_scenario(tmp_path / "b.json", [(1, 2), (9, 1), (5, 9)], radius=2.0, mobile=mobile)
+    det, plan, out = tmp_path / "d.json", tmp_path / "p.json", tmp_path / "out"
     assert main(["detect", "--scenario", str(scen_a), "--out", str(det)]) == 0
+    assert main(
+        ["plan", "--scenario", str(scen_a), "--report", str(det),
+         "--mobile-radius", "2", "--out", str(plan)]
+    ) == 0
+    report = det if source == "detect" else plan
+    options = {
+        "plan": ["--mobile-radius", "2"],
+        "render": [],
+        "verify": ["--samples", "100", "--seed", "1"],
+    }[command]
     code = main(
-        [
-            "plan",
-            "--scenario", str(scen_b),
-            "--report", str(det),
-            "--mobile-radius", "2",
-            "--out", str(tmp_path / "p.json"),
-        ]
+        [command, "--scenario", str(scen_b), "--report", str(report), "--out", str(out), *options]
     )
     assert code == 1
     assert_single_error_line(capsys, "inconsistent-input")
+    assert not out.exists()
 
 
 def test_plan_rejects_bad_mobile_radius(tmp_path, capsys):
@@ -368,23 +378,6 @@ def test_verify_rejects_bad_samples(tmp_path, capsys):
     assert_single_error_line(capsys, "invalid-input")
 
 
-def test_render_scenario_mismatch(tmp_path, capsys):
-    scen_a = write_scenario(tmp_path / "a.json", [(1, 1), (9, 1), (5, 9)], radius=2.0)
-    scen_b = write_scenario(tmp_path / "b.json", [(1, 2), (9, 1), (5, 9)], radius=2.0)
-    det = tmp_path / "d.json"
-    assert main(["detect", "--scenario", str(scen_a), "--out", str(det)]) == 0
-    code = main(
-        [
-            "render",
-            "--scenario", str(scen_b),
-            "--report", str(det),
-            "--out", str(tmp_path / "r.svg"),
-        ]
-    )
-    assert code == 1
-    assert_single_error_line(capsys, "inconsistent-input")
-
-
 def _set(key, value):
     def mutate(entry):
         entry[key] = value
@@ -404,6 +397,7 @@ MALFORMED_REPORTS = {
     "s_h-not-a-number": ("detect", "triangle", _set("s_h", "x"), "plan", "invalid-input"),
     "s_h-not-finite": ("detect", "triangle", _set("s_h", float("inf")), "plan", "invalid-input"),
     "s_h-boolean": ("detect", "triangle", _set("s_h", True), "plan", "invalid-input"),
+    "s_h-beyond-float-range": ("detect", "triangle", _set("s_h", 10**400), "plan", "invalid-input"),
     "id-not-an-int": ("detect", "triangle", _set("id", "0"), "plan", "invalid-input"),
     "vertices-not-three": ("detect", "triangle", _set("vertices", [0, 1]), "plan", "invalid-input"),
     "vertices-not-ints": ("detect", "triangle", _set("vertices", [0, 1, 2.5]), "plan", "invalid-input"),

@@ -192,6 +192,25 @@ def test_scenario_rejects_malformed(tmp_path):
     doc2["field"]["stationary"][0].pop("x")
     with pytest.raises(InvalidInputError):
         scenario_from_dict(doc2)
+    # JSON types are checked exactly: strings, booleans, fractional ids and ints
+    # beyond the float range are rejected, not coerced
+    for where, key, value in (
+        (("stationary", 0), "x", "3"),
+        (("stationary", 0), "id", 100.5),
+        (("stationary", 1), "id", True),  # sensor 1: True would pass as 1
+        (("mobile", 0), "sensing_radius", "5"),
+        ((), "sensing_radius", "5"),
+        ((), "sensing_radius", True),
+        ((), "height", 10**400),
+    ):
+        doc3 = ScenarioDoc(field=sample_field(), meta={}).to_dict()
+        record = doc3["field"][where[0]][where[1]] if where else doc3["field"]
+        record[key] = value
+        with pytest.raises(InvalidInputError):
+            scenario_from_dict(doc3)
+        p.write_text(json.dumps(doc3))
+        with pytest.raises(InvalidInputError):
+            load_scenario(p)
 
 
 # --- reports --------------------------------------------------------------------

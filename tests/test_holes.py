@@ -22,6 +22,7 @@ from tricover import (
     triangle_from_vertices,
     triangulate,
 )
+from tricover.geometry import point_segment_distance
 
 SIDE2_EQUILATERAL = (  # all three pairs exactly tangent at R = 1
     (0.0, 0.0),
@@ -159,20 +160,45 @@ def test_tangent_tolerance_is_relative():
 # --- case formula vs exact fallback --------------------------------------------
 
 
+def sector_bound(t):
+    """Least vertex-to-opposite-segment distance: the largest R whose
+    vertex sectors fit inside ``t``."""
+    v = t.vertices
+    return min(
+        point_segment_distance(v[k], v[i], v[j]) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    )
+
+
 def test_case_matches_exact_when_predicate_holds():
     rng = np.random.default_rng(61)
-    checked = 0
+    inputs = []
     for _ in range(1000):
         t = random_triangle(rng)
-        R = float(rng.uniform(0.15, 0.75)) * max(t.sides)
+        inputs.append((t, float(rng.uniform(0.15, 0.75)) * max(t.sides)))
+    # radii just below the sector bound, where the sectors nearly touch the
+    # opposite sides; the slivers are obtuse with overlapping short sides.
+    # Not at the bound itself: with a disk tangent to a side, the exact
+    # fallback is off by up to ~1e-7 * area (rounding of the tangent crossing).
+    shapes = [random_triangle(rng) for _ in range(200)] + [
+        tri(((0.0, 0.0), (4.0, 0.0), (4.0 * x, h)))
+        for x in (0.05, 0.2, 0.5, 0.8)
+        for h in (0.3, 0.6, 1.0)
+    ]
+    for t in shapes:
+        bound = sector_bound(t)
+        inputs += [(t, bound * (1 - 1e-12)), (t, bound * (1 - 1e-9))]
+    checked = at_bound = 0
+    for i, (t, R) in enumerate(inputs):
         validity = case_formula_validity(t, R)
         if not validity.all_hold():
             continue
         checked += 1
+        at_bound += i >= 1000
         case = hole_area(t, R, method="case").s_h
         exact = hole_area(t, R, method="exact").s_h
         assert case == pytest.approx(exact, abs=1e-9 * t.area)
     assert checked > 200  # the predicate must actually fire often enough
+    assert at_bound > 300
 
 
 def test_auto_route_matches_method_flag():
@@ -181,7 +207,7 @@ def test_auto_route_matches_method_flag():
         t = random_triangle(rng)
         R = float(rng.uniform(0.15, 0.75)) * max(t.sides)
         comp = hole_area(t, R)
-        if comp.validity.all_hold():
+        if case_formula_validity(t, R).all_hold():
             assert comp.method == "case-formula"
         else:
             assert comp.method == "exact-fallback"
@@ -195,8 +221,9 @@ def test_forced_case_on_invalid_predicate_is_flagged():
     t = tri(((0, 0), (2.2, 0), (1.1, 0.3)))
     comp = hole_area(t, 1.0, method="case")
     assert comp.method == "case-formula"
-    assert not comp.validity.sectors_contained
-    assert not comp.validity.all_hold()
+    validity = case_formula_validity(t, 1.0)
+    assert not validity.sectors_contained
+    assert not validity.all_hold()
     raw = t.area - pi / 2 + sum(0.5 * lens_area(1.0, 1.0, d) for d in t.sides if d < 2.0)
     assert raw < 0.0
     assert comp.s_h == 0.0
@@ -247,7 +274,6 @@ def test_validity_predicate_parts():
     # generous separated triangle satisfies everything
     v2 = case_formula_validity(tri(RIGHT_345), 1.0)
     assert v2.sectors_contained
-    assert v2.lenses_contained
     assert v2.triple_overlap_empty
 
 
@@ -329,6 +355,6 @@ def test_detect_method_forwarding():
     mesh = triangulate(field)
     by_case = detect_holes(field, mesh, method="case")
     by_exact = detect_holes(field, mesh, method="exact")
-    assert by_case[0].computation.method == "case-formula"
-    assert by_exact[0].computation.method == "exact-fallback"
+    assert by_case[0].method == "case-formula"
+    assert by_exact[0].method == "exact-fallback"
     assert by_case[0].hole_area == pytest.approx(by_exact[0].hole_area, rel=1e-9)

@@ -146,6 +146,21 @@ def test_detect_builds_lens_terms_only_on_the_case_route(monkeypatch):
     assert sorted(calls) == sorted(short["case-formula"])
 
 
+@pytest.mark.parametrize("method, per_cell", [("auto", 1), ("case", 1), ("exact", 0)])
+def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch, method, per_cell):
+    doc = generate_scenario(100.0, 100.0, 200, 0, 5.0, 5.0, seed=42)
+    calls = []
+    original = tricover.holes.case_formula_validity
+
+    def counted(tri, radius):
+        calls.append(1)
+        return original(tri, radius)
+
+    monkeypatch.setattr(tricover.holes, "case_formula_validity", counted)
+    report = run_detect(doc, method=method)
+    assert len(calls) == per_cell * len(report.triangles)
+
+
 @pytest.mark.parametrize("method", ["auto", "exact"])
 @pytest.mark.parametrize("radius", [5.0, 2.5])  # R* and R*/2 for 200 sites
 def test_detect_entry_invariants(method, radius):
@@ -204,7 +219,7 @@ def test_targets_respect_field_bounds():
 def test_plan_from_report_round_trip():
     doc = small_scenario()
     planned = run_plan(run_detect(doc), doc, mobile_radius=4.0)
-    rebuilt = plan_from_report(planned, doc)
+    rebuilt = plan_from_report(planned)
     assert len(rebuilt.assignments) == len(planned.plan["assignments"])
     for a, entry in zip(
         sorted(rebuilt.assignments, key=lambda x: x.mobile_id),
@@ -228,7 +243,7 @@ def test_plan_requires_detection():
     with pytest.raises(InvalidInputError):
         run_plan(bare, doc, mobile_radius=4.0)
     with pytest.raises(InvalidInputError):
-        plan_from_report(bare, doc)
+        plan_from_report(bare)
 
 
 # --- run_verify ---------------------------------------------------------------------
@@ -237,7 +252,7 @@ def test_plan_requires_detection():
 def test_run_verify_paired_and_improving():
     doc = small_scenario()
     planned = run_plan(run_detect(doc), doc, mobile_radius=4.0)
-    plan = plan_from_report(planned, doc)
+    plan = plan_from_report(planned)
     before, after = run_verify(doc, plan, samples=200_000, seed=7)
     assert before.seed == after.seed == 7
     assert before.samples == after.samples == 200_000
@@ -263,7 +278,7 @@ def test_attach_verify_without_report():
 def test_attach_verify_extends_existing_report():
     doc = small_scenario()
     planned = run_plan(run_detect(doc), doc, mobile_radius=4.0)
-    plan = plan_from_report(planned, doc)
+    plan = plan_from_report(planned)
     before, after = run_verify(doc, plan, samples=20_000, seed=9)
     extended = attach_verify(planned, doc, before, after)
     assert extended.triangles == planned.triangles
@@ -277,7 +292,7 @@ def test_healed_field_stays_valid():
     for seed in range(5):
         doc = generate_scenario(30.0, 15.0, 12, 4, 3.0, 3.0, seed=seed)
         planned = run_plan(run_detect(doc), doc, mobile_radius=3.0)
-        healed = apply_plan(doc.field, plan_from_report(planned, doc))
+        healed = apply_plan(doc.field, plan_from_report(planned))
         for m in healed.mobile:
             assert 0.0 <= m.position.x <= 30.0
             assert 0.0 <= m.position.y <= 15.0
