@@ -9,21 +9,8 @@ import argparse
 import sys
 
 from .errors import TricoverError
-from .files import (
-    ReportDoc,
-    load_report,
-    load_scenario,
-    save_report,
-    save_scenario,
-)
-from .pipeline import (
-    attach_verify,
-    generate_scenario,
-    plan_from_report,
-    run_detect,
-    run_plan,
-    run_verify,
-)
+from .files import load_report, load_scenario, save_report, save_scenario
+from .pipeline import generate_scenario, run_detect, run_plan, run_verify
 from .render import render_svg
 
 
@@ -100,14 +87,8 @@ def _cmd_plan(args: argparse.Namespace) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> None:
     scenario = load_scenario(args.scenario)
-    report: ReportDoc | None = None
-    plan = None
-    if args.report is not None:
-        report = load_report(args.report)
-        if report.plan is not None:
-            plan = plan_from_report(report)
-    before, after = run_verify(scenario, plan, samples=args.samples, seed=args.seed)
-    save_report(attach_verify(report, scenario, before, after), args.out)
+    report = load_report(args.report) if args.report is not None else None
+    save_report(run_verify(scenario, report, args.samples, args.seed), args.out)
 
 
 def _cmd_render(args: argparse.Namespace) -> None:

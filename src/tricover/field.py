@@ -74,9 +74,6 @@ class SensorField:
     def area(self) -> float:
         return self.width * self.height
 
-    def mobile_by_id(self) -> dict[int, MobileSensor]:
-        return {m.id: m for m in self.mobile}
-
 
 def make_field(
     width: float,

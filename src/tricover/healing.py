@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InconsistentInputError, InvalidInputError
-from .field import MobileSensor, SensorField
+from .errors import InvalidInputError
+from .field import SensorField
 from .geometry import Point, TriangleGeom, circumcenter, incenter
 
 CIRCUMCENTER = "circumcenter"
@@ -119,25 +119,3 @@ def plan_relocation(
     total = float(sum(a.distance for a in assignments))
     return HealingPlan(assignments=assignments, total_movement=total, unserved=unserved)
 
-
-def apply_plan(field: SensorField, plan: HealingPlan) -> SensorField:
-    """Return a new field with the plan's mobiles moved to their targets."""
-    known = field.mobile_by_id()
-    moves: dict[int, Point] = {}
-    for a in plan.assignments:
-        if a.mobile_id not in known:
-            raise InconsistentInputError(
-                f"plan references unknown mobile id {a.mobile_id}"
-            )
-        moves[a.mobile_id] = a.target.point
-    new_mobiles = tuple(
-        MobileSensor(m.id, moves.get(m.id, m.position), m.radius)
-        for m in field.mobile
-    )
-    return SensorField(
-        width=field.width,
-        height=field.height,
-        sensing_radius=field.sensing_radius,
-        stationary=field.stationary,
-        mobile=new_mobiles,
-    )

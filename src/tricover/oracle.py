@@ -7,8 +7,8 @@ plain distance comparisons on sampled or rasterized points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
-from typing import Sequence
+from math import inf, nextafter, sqrt
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,24 +22,52 @@ _Z99 = 2.5758293035489004
 
 _MIN_GRID_RESOLUTION = 16
 
+# Monte-Carlo samples are drawn and tested this many at a time, which bounds
+# memory whatever the sample count. Successive draws from one generator
+# concatenate bit for bit to a single draw, so the chunk size changes no
+# result.
+MC_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class CoverageEstimate:
-    """Monte-Carlo coverage summary for a sensor field."""
+    """Monte-Carlo coverage of a field before and after moving some mobiles.
 
-    covered_fraction: float
-    uncovered_area: float
+    The fields are the keys of a report's ``verify`` section.
+    """
+
+    before: float
+    after: float
     samples: int
-    half_width: float
     seed: int
+    half_width: float
 
 
-def mc_coverage_fraction(field: SensorField, samples: int, seed: int) -> CoverageEstimate:
-    """Fraction of the field within sensing range of any sensor.
+def _in_disks(
+    pts: np.ndarray, disks: Sequence[tuple[Point, float]], covered: np.ndarray
+) -> np.ndarray:
+    """OR into ``covered`` which of ``pts`` lie in any of ``disks``."""
+    for (cx, cy), radius in disks:
+        dx = pts[:, 0] - cx
+        dy = pts[:, 1] - cy
+        covered |= dx * dx + dy * dy <= radius * radius
+    return covered
 
-    Uniform sampling with ``numpy.random.default_rng(seed)``; the same seed
-    yields bitwise-identical results run to run. ``half_width`` is the 99%
-    binomial confidence half-width of the covered fraction.
+
+def mc_coverage_fraction(
+    field: SensorField,
+    samples: int,
+    seed: int,
+    moves: Mapping[int, Point] | None = None,
+) -> CoverageEstimate:
+    """Fraction of the field within sensing range of any sensor, before and after ``moves``.
+
+    Both fractions are counted on one set of uniform samples from
+    ``numpy.random.default_rng(seed)`` (paired sampling), so without moves
+    they are equal; the same seed yields bitwise-identical results run to
+    run. ``moves`` maps ids of ``field``'s mobiles to positions; other
+    mobiles stay put. ``half_width`` is the larger of the two 99% binomial
+    confidence half-widths.
     """
     if samples <= 0:
         raise InvalidInputError(f"sample count must be > 0, got {samples}")
@@ -47,28 +75,35 @@ def mc_coverage_fraction(field: SensorField, samples: int, seed: int) -> Coverag
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     if field.area <= 0.0:
         raise InvalidInputError("field has zero area")
-    rng = np.random.default_rng(seed)
-    pts = rng.random((samples, 2))
-    pts[:, 0] *= field.width
-    pts[:, 1] *= field.height
-    covered = np.zeros(samples, dtype=bool)
+    moves = moves or {}
+    staying = [(m.position, m.radius) for m in field.mobile if m.id not in moves]
+    leaving = [(m.position, m.radius) for m in field.mobile if m.id in moves]
+    arriving = [(moves[m.id], m.radius) for m in field.mobile if m.id in moves]
+    tree = None
     if field.stationary:
-        sites = np.array([[s.position.x, s.position.y] for s in field.stationary])
-        dist, _ = cKDTree(sites).query(pts, k=1)
-        covered |= dist <= field.sensing_radius
-    for m in field.mobile:
-        dx = pts[:, 0] - m.position.x
-        dy = pts[:, 1] - m.position.y
-        covered |= dx * dx + dy * dy <= m.radius * m.radius
-    hits = int(np.count_nonzero(covered))
-    p = hits / samples
-    half_width = _Z99 * sqrt(p * (1.0 - p) / samples)
+        tree = cKDTree([[s.position.x, s.position.y] for s in field.stationary])
+    # cKDTree's bound is strict; the next float up keeps points at exactly R.
+    bound = nextafter(field.sensing_radius, inf)
+    rng = np.random.default_rng(seed)
+    hits_before = hits_after = 0
+    for start in range(0, samples, MC_CHUNK):
+        pts = rng.random((min(MC_CHUNK, samples - start), 2))
+        pts[:, 0] *= field.width
+        pts[:, 1] *= field.height
+        if tree is None:
+            covered = np.zeros(len(pts), dtype=bool)
+        else:
+            dist, _ = tree.query(pts, distance_upper_bound=bound)
+            covered = dist <= field.sensing_radius
+        covered = _in_disks(pts, staying, covered)
+        hits_before += int(np.count_nonzero(_in_disks(pts, leaving, covered.copy())))
+        hits_after += int(np.count_nonzero(_in_disks(pts, arriving, covered)))
+    before, after = hits_before / samples, hits_after / samples
+    half_width = max(
+        _Z99 * sqrt(p * (1.0 - p) / samples) for p in (before, after)
+    )
     return CoverageEstimate(
-        covered_fraction=p,
-        uncovered_area=(1.0 - p) * field.area,
-        samples=samples,
-        half_width=half_width,
-        seed=seed,
+        before=before, after=after, samples=samples, seed=seed, half_width=half_width
     )
 
 

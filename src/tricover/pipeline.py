@@ -7,6 +7,7 @@ byte for byte.
 """
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 import numpy as np
@@ -15,17 +16,10 @@ from .errors import InconsistentInputError, InvalidInputError
 from .field import MobileSensor, Sensor, SensorField
 from .files import ReportDoc, ScenarioDoc, round_sig
 from .geometry import Point, triangle_from_vertices
-from .healing import (
-    Assignment,
-    HealingPlan,
-    TargetLocation,
-    apply_plan,
-    plan_relocation,
-    select_target,
-)
+from .healing import HealingPlan, TargetLocation, plan_relocation, select_target
 from .holes import HoleReport, detect_holes
 from .mesh import TriMesh, triangulate
-from .oracle import CoverageEstimate, mc_coverage_fraction
+from .oracle import mc_coverage_fraction
 
 # Report-metadata note for the vertex-sector total used by the case formula.
 SECTOR_SUM_CONVENTION = "0.5*pi*R^2"
@@ -173,98 +167,45 @@ def run_plan(
     """Extend a detection report with a relocation plan."""
     targets = targets_from_report(report, scenario, mobile_radius)
     plan = plan_relocation(targets, scenario.field)
-    return ReportDoc(
-        scenario_hash=report.scenario_hash,
-        mesh=report.mesh,
-        triangles=report.triangles,
-        plan=plan_to_dict(plan, mobile_radius),
-        verify=report.verify,
-        meta=report.meta,
-    )
+    return dataclasses.replace(report, plan=plan_to_dict(plan, mobile_radius))
 
 
-def plan_from_report(report: ReportDoc) -> HealingPlan:
-    """Rebuild a HealingPlan object from a report's plan section."""
-    if report.plan is None:
-        raise InvalidInputError("report has no plan section")
-    by_cell = {}
-    if report.triangles is not None:
-        by_cell = {t["id"]: t for t in report.triangles}
-    assignments = []
-    for a in report.plan["assignments"]:
-        cell_id = a["cell_id"]
-        hole = by_cell.get(cell_id, {}).get("s_h", 0.0)
-        target = TargetLocation(
-            cell_id=cell_id,
-            kind=a["kind"],
-            point=Point(a["target"]["x"], a["target"]["y"]),
-            hole_area=hole,
-        )
-        assignments.append(
-            Assignment(mobile_id=a["mobile_id"], target=target, distance=a["distance"])
-        )
-    unserved = tuple(
-        TargetLocation(cell_id=cid, kind="", point=Point(0.0, 0.0), hole_area=0.0)
-        for cid in report.plan["unserved"]
-    )
-    return HealingPlan(
-        assignments=tuple(assignments),
-        total_movement=report.plan["total_movement"],
-        unserved=unserved,
-    )
+def _moves_from_plan(plan: dict, field: SensorField) -> dict[int, Point]:
+    """A plan's assignments as ``{mobile_id: target}``, checked against ``field``."""
+    known = {m.id for m in field.mobile}
+    moves: dict[int, Point] = {}
+    for a in plan["assignments"]:
+        mobile_id, target = a["mobile_id"], a["target"]
+        if mobile_id not in known:
+            raise InconsistentInputError(f"plan references unknown mobile id {mobile_id}")
+        if mobile_id in moves:
+            raise InconsistentInputError(f"plan assigns mobile {mobile_id} more than once")
+        x, y = float(target["x"]), float(target["y"])
+        if not (0.0 <= x <= field.width and 0.0 <= y <= field.height):
+            raise InvalidInputError(
+                f"plan moves mobile {mobile_id} to ({x}, {y}), outside the "
+                f"{field.width} x {field.height} field"
+            )
+        moves[mobile_id] = Point(x, y)
+    return moves
 
 
 def run_verify(
-    scenario: ScenarioDoc,
-    plan: HealingPlan | None,
-    samples: int,
-    seed: int,
-) -> tuple[CoverageEstimate, CoverageEstimate]:
-    """Monte-Carlo coverage before and after applying a plan.
-
-    The same seed drives both estimates (paired sampling); without a plan
-    the two are identical.
-    """
-    before = mc_coverage_fraction(scenario.field, samples, seed)
-    if plan is None:
-        return before, before
-    healed = apply_plan(scenario.field, plan)
-    after = mc_coverage_fraction(healed, samples, seed)
-    return before, after
-
-
-def verify_to_dict(
-    before: CoverageEstimate, after: CoverageEstimate
-) -> dict:
-    return {
-        "before": before.covered_fraction,
-        "after": after.covered_fraction,
-        "samples": before.samples,
-        "seed": before.seed,
-        "half_width": max(before.half_width, after.half_width),
-    }
-
-
-def attach_verify(
-    report: ReportDoc | None,
-    scenario: ScenarioDoc,
-    before: CoverageEstimate,
-    after: CoverageEstimate,
+    scenario: ScenarioDoc, report: ReportDoc | None, samples: int, seed: int
 ) -> ReportDoc:
-    """Merge a verification section into a report (or start a fresh one).
+    """Add a Monte-Carlo coverage section, before and after the report's plan.
 
-    A given report must come from ``scenario``, otherwise an
-    ``inconsistent-input`` error is raised.
+    Without a report a fresh one for ``scenario`` is started; a given report
+    must come from ``scenario`` (``inconsistent-input`` otherwise), which is
+    checked before any sample is drawn. Without a plan nothing moves and the
+    two fractions are equal.
     """
-    section = verify_to_dict(before, after)
     if report is None:
-        return ReportDoc(scenario_hash=scenario.hash(), verify=section)
-    report.check_scenario(scenario)
-    return ReportDoc(
-        scenario_hash=report.scenario_hash,
-        mesh=report.mesh,
-        triangles=report.triangles,
-        plan=report.plan,
-        verify=section,
-        meta=report.meta,
-    )
+        report = ReportDoc(scenario_hash=scenario.hash())
+    else:
+        report.check_scenario(scenario)
+    moves = None
+    if report.plan is not None:
+        moves = _moves_from_plan(report.plan, scenario.field)
+    estimate = mc_coverage_fraction(scenario.field, samples, seed, moves)
+    return dataclasses.replace(report, verify=dataclasses.asdict(estimate))

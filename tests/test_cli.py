@@ -322,7 +322,7 @@ def test_detect_duplicate_sites(tmp_path, capsys):
     "command, source",
     [("plan", "detect"), ("render", "detect"), ("verify", "detect"), ("verify", "plan")],
 )
-def test_report_scenario_mismatch(tmp_path, capsys, command, source):
+def test_report_scenario_mismatch(tmp_path, capsys, monkeypatch, command, source):
     mobile = [(5, 5, 1.0)]
     scen_a = write_scenario(tmp_path / "a.json", [(1, 1), (9, 1), (5, 9)], radius=2.0, mobile=mobile)
     scen_b = write_scenario(tmp_path / "b.json", [(1, 2), (9, 1), (5, 9)], radius=2.0, mobile=mobile)
@@ -333,6 +333,12 @@ def test_report_scenario_mismatch(tmp_path, capsys, command, source):
          "--mobile-radius", "2", "--out", str(plan)]
     ) == 0
     report = det if source == "detect" else plan
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the scenario hash")
+
+    # the refusal must come before any Monte-Carlo work
+    monkeypatch.setattr(tricover.pipeline, "mc_coverage_fraction", no_sampling)
     options = {
         "plan": ["--mobile-radius", "2"],
         "render": [],
@@ -408,6 +414,9 @@ MALFORMED_REPORTS = {
     "assignment-without-target": ("plan", "assignment", _drop("target"), "render", "invalid-input"),
     "assignment-target-not-an-object": ("plan", "assignment", _set("target", [5, 5]), "verify", "invalid-input"),
     "assignment-not-an-object": ("plan", "assignments", _set(0, 3), "verify", "invalid-input"),
+    "assignment-unknown-mobile": ("plan", "assignment", _set("mobile_id", 99), "verify", "inconsistent-input"),
+    "assignment-target-outside-field": ("plan", "assignment", _set("target", {"x": 10.5, "y": 5.0}), "verify", "invalid-input"),
+    "assignment-mobile-twice": ("plan", "assignments", lambda a: a.append(dict(a[0], target={"x": 1.0, "y": 1.0})), "verify", "inconsistent-input"),
     "meta-not-an-object": ("detect", "report", _set("meta", [1, 2]), "plan", "invalid-input"),
     "meta-zero": ("detect", "report", _set("meta", 0), "plan", "invalid-input"),
     "meta-null": ("plan", "report", _set("meta", None), "render", "invalid-input"),

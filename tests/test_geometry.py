@@ -188,9 +188,9 @@ def test_lens_matches_monte_carlo_on_random_triples():
             width, height, R, [(0, *c1)], [(1, c2[0], c2[1], r)]
         )
         est = mc_coverage_fraction(field, samples, seed=9000 + k)
-        union = est.covered_fraction * width * height
+        union = est.before * width * height
         se_area = sqrt(
-            est.covered_fraction * (1 - est.covered_fraction) / samples
+            est.before * (1 - est.before) / samples
         ) * width * height
         expected = pi * R * R + pi * r * r - lens_area(R, r, d)
         assert abs(union - expected) <= 3 * se_area + 1e-9

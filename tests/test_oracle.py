@@ -15,6 +15,7 @@ from tricover import (
     triangle_disks_covered_area,
     triangle_from_vertices,
 )
+from tricover.oracle import MC_CHUNK
 
 
 def tri(*pts):
@@ -28,10 +29,8 @@ def test_mc_quarter_disk_golden():
     # unit square, one sensor at the origin corner with radius 1: pi/4 covered
     field = make_field(1.0, 1.0, 1.0, [(0, 0.0, 0.0)])
     est = mc_coverage_fraction(field, 10**6, seed=1)
-    assert abs(est.covered_fraction - pi / 4) <= 3 * est.half_width
-    assert est.uncovered_area == pytest.approx(
-        (1 - est.covered_fraction) * field.area, rel=1e-12
-    )
+    assert abs(est.before - pi / 4) <= 3 * est.half_width
+    assert est.after == est.before
     assert est.samples == 10**6
     assert est.seed == 1
 
@@ -39,32 +38,29 @@ def test_mc_quarter_disk_golden():
 def test_mc_fully_covered_is_exactly_one():
     field = make_field(2.0, 2.0, 5.0, [(0, 1.0, 1.0)])
     est = mc_coverage_fraction(field, 10**4, seed=3)
-    assert est.covered_fraction == 1.0
-    assert est.uncovered_area == 0.0
+    assert est.before == 1.0
 
 
 def test_mc_no_sensors_is_exactly_zero():
     field = make_field(2.0, 2.0, 1.0, [])
     est = mc_coverage_fraction(field, 10**4, seed=3)
-    assert est.covered_fraction == 0.0
-    assert est.uncovered_area == pytest.approx(4.0)
+    assert est.before == 0.0
 
 
 def test_mc_mobile_radii_respected():
     # mobile sensor with its own (larger) radius dominating a small field
     field = make_field(2.0, 2.0, 0.01, [(0, 0.0, 0.0)], [(1, 1.0, 1.0, 5.0)])
     est = mc_coverage_fraction(field, 10**4, seed=5)
-    assert est.covered_fraction == 1.0
+    assert est.before == 1.0
 
 
 def test_mc_same_seed_bitwise_identical():
     field = make_field(10.0, 7.0, 2.0, [(0, 2.0, 2.0), (1, 7.0, 5.0)])
     a = mc_coverage_fraction(field, 10**5, seed=42)
     b = mc_coverage_fraction(field, 10**5, seed=42)
-    assert a.covered_fraction == b.covered_fraction
-    assert a.uncovered_area == b.uncovered_area
+    assert a == b
     c = mc_coverage_fraction(field, 10**5, seed=43)
-    assert c.covered_fraction != a.covered_fraction
+    assert c.before != a.before
 
 
 def test_mc_half_width_shrinks_with_samples():
@@ -78,6 +74,71 @@ def test_mc_rejects_bad_sample_count():
     field = make_field(1.0, 1.0, 1.0, [(0, 0.5, 0.5)])
     with pytest.raises(InvalidInputError):
         mc_coverage_fraction(field, 0, seed=1)
+
+
+def _unchunked_hits(field, samples, seed, moves):
+    # One draw of all samples, brute-force distances: the estimator's
+    # definition without its chunking or kd-tree.
+    pts = np.random.default_rng(seed).random((samples, 2))
+    pts[:, 0] *= field.width
+    pts[:, 1] *= field.height
+
+    def in_disk(center, radius):
+        d2 = (pts[:, 0] - center[0]) ** 2 + (pts[:, 1] - center[1]) ** 2
+        return d2 <= radius * radius
+
+    covered = np.zeros(samples, dtype=bool)
+    for s in field.stationary:
+        covered |= in_disk(s.position, field.sensing_radius)
+    before, after = covered.copy(), covered.copy()
+    for m in field.mobile:
+        before |= in_disk(m.position, m.radius)
+        after |= in_disk(moves.get(m.id, m.position), m.radius)
+    return int(before.sum()), int(after.sum())
+
+
+@pytest.mark.parametrize(
+    "samples", [MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 2 * MC_CHUNK + 3]
+)
+def test_mc_chunking_matches_one_draw(samples):
+    field = make_field(
+        10.0, 8.0, 1.5,
+        [(0, 2.0, 2.0), (1, 7.0, 5.5), (2, 4.0, 6.0)],
+        [(3, 9.0, 1.0, 2.0), (4, 0.5, 7.5, 1.0)],
+    )
+    moves = {3: Point(5.0, 4.0)}
+    est = mc_coverage_fraction(field, samples, seed=17, moves=moves)
+    hits_before, hits_after = _unchunked_hits(field, samples, 17, moves)
+    assert est.before == hits_before / samples
+    assert est.after == hits_after / samples
+    assert est.after > est.before
+
+
+def test_mc_moves_match_hand_moved_field():
+    # mobile 3 moves, mobile 4 "moves" onto its own position, mobile 5 stays
+    stationary = [(0, 2.0, 2.0), (1, 7.0, 5.5)]
+    field = make_field(
+        10.0, 8.0, 1.5, stationary,
+        [(3, 9.0, 1.0, 2.0), (4, 0.5, 7.5, 1.0), (5, 5.0, 0.5, 1.2)],
+    )
+    moved = make_field(
+        10.0, 8.0, 1.5, stationary,
+        [(3, 4.0, 6.0, 2.0), (4, 0.5, 7.5, 1.0), (5, 5.0, 0.5, 1.2)],
+    )
+    moves = {3: Point(4.0, 6.0), 4: Point(0.5, 7.5)}
+    est = mc_coverage_fraction(field, 10**5, seed=23, moves=moves)
+    assert est.before == mc_coverage_fraction(field, 10**5, seed=23).before
+    assert est.after == mc_coverage_fraction(moved, 10**5, seed=23).before
+    assert est.after != est.before
+
+
+def test_mc_mobiles_only_field():
+    field = make_field(4.0, 4.0, 1.0, [], [(0, 0.0, 0.0, 1.0), (1, 4.0, 4.0, 1.0)])
+    est = mc_coverage_fraction(field, 10**5, seed=29, moves={0: Point(2.0, 2.0)})
+    assert est.before == _unchunked_hits(field, 10**5, 29, {})[0] / 10**5
+    # two corner quarter-disks before; one quarter and one whole disk after
+    assert abs(est.before - (pi / 2) / 16) <= 3 * est.half_width
+    assert abs(est.after - (5 * pi / 4) / 16) <= 3 * est.half_width
 
 
 # --- grid_region_uncovered ------------------------------------------------------
@@ -166,4 +227,4 @@ def test_mc_and_exact_union_agree_on_triangle_field():
         upper, [(Point(4, 0), R), (Point(0, 4), R)]
     )
     expected_fraction = (covered + upper_covered) / field.area
-    assert abs(est.covered_fraction - expected_fraction) <= 3 * est.half_width
+    assert abs(est.before - expected_fraction) <= 3 * est.half_width

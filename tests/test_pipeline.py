@@ -10,13 +10,12 @@ import tricover.holes
 import tricover.pipeline
 from tricover import (
     InvalidInputError,
+    Point,
     ScenarioDoc,
-    apply_plan,
-    attach_verify,
     generate_scenario,
     hole_epsilon,
     make_field,
-    plan_from_report,
+    mc_coverage_fraction,
     round_sig,
     run_detect,
     run_plan,
@@ -216,25 +215,6 @@ def test_targets_respect_field_bounds():
         assert 0.0 <= t.point.y <= doc.field.height
 
 
-def test_plan_from_report_round_trip():
-    doc = small_scenario()
-    planned = run_plan(run_detect(doc), doc, mobile_radius=4.0)
-    rebuilt = plan_from_report(planned)
-    assert len(rebuilt.assignments) == len(planned.plan["assignments"])
-    for a, entry in zip(
-        sorted(rebuilt.assignments, key=lambda x: x.mobile_id),
-        sorted(planned.plan["assignments"], key=lambda x: x["mobile_id"]),
-    ):
-        assert a.mobile_id == entry["mobile_id"]
-        assert a.target.cell_id == entry["cell_id"]
-        assert a.target.kind == entry["kind"]
-        assert a.target.point.x == pytest.approx(entry["target"]["x"], abs=1e-8)
-        assert a.target.point.y == pytest.approx(entry["target"]["y"], abs=1e-8)
-    assert rebuilt.total_movement == pytest.approx(
-        planned.plan["total_movement"], rel=1e-6
-    )
-
-
 def test_plan_requires_detection():
     doc = small_scenario()
     from tricover import ReportDoc
@@ -242,8 +222,6 @@ def test_plan_requires_detection():
     bare = ReportDoc(scenario_hash=doc.hash())
     with pytest.raises(InvalidInputError):
         run_plan(bare, doc, mobile_radius=4.0)
-    with pytest.raises(InvalidInputError):
-        plan_from_report(bare)
 
 
 # --- run_verify ---------------------------------------------------------------------
@@ -252,47 +230,39 @@ def test_plan_requires_detection():
 def test_run_verify_paired_and_improving():
     doc = small_scenario()
     planned = run_plan(run_detect(doc), doc, mobile_radius=4.0)
-    plan = plan_from_report(planned)
-    before, after = run_verify(doc, plan, samples=200_000, seed=7)
-    assert before.seed == after.seed == 7
-    assert before.samples == after.samples == 200_000
-    assert after.covered_fraction >= before.covered_fraction
-    # planless verify collapses to a single estimate
-    b2, a2 = run_verify(doc, None, samples=50_000, seed=7)
-    assert b2.covered_fraction == a2.covered_fraction
+    v = run_verify(doc, planned, samples=200_000, seed=7).verify
+    assert v["seed"] == 7
+    assert v["samples"] == 200_000
+    assert v["after"] >= v["before"]
+    # without a plan nothing moves: one estimate, reported twice
+    v2 = run_verify(doc, run_detect(doc), samples=200_000, seed=7).verify
+    assert v2["before"] == v2["after"] == v["before"]
 
 
-def test_attach_verify_without_report():
+def test_run_verify_without_report():
     doc = small_scenario()
-    before, after = run_verify(doc, None, samples=10_000, seed=1)
-    report = attach_verify(None, doc, before, after)
+    report = run_verify(doc, None, samples=10_000, seed=1)
     assert report.scenario_hash == doc.hash()
     assert report.triangles is None
+    assert report.plan is None
     v = report.verify
     assert v["samples"] == 10_000
     assert v["seed"] == 1
-    assert v["before"] == v["after"] == pytest.approx(before.covered_fraction)
+    assert v["before"] == v["after"]
     assert v["half_width"] > 0
 
 
-def test_attach_verify_extends_existing_report():
+def test_run_verify_extends_existing_report():
     doc = small_scenario()
     planned = run_plan(run_detect(doc), doc, mobile_radius=4.0)
-    plan = plan_from_report(planned)
-    before, after = run_verify(doc, plan, samples=20_000, seed=9)
-    extended = attach_verify(planned, doc, before, after)
+    extended = run_verify(doc, planned, samples=20_000, seed=9)
     assert extended.triangles == planned.triangles
     assert extended.plan == planned.plan
-    assert extended.verify["after"] == pytest.approx(after.covered_fraction)
-
-
-def test_healed_field_stays_valid():
-    # clamped targets keep mobiles inside the rectangle, so the healed
-    # field construction never rejects a position
-    for seed in range(5):
-        doc = generate_scenario(30.0, 15.0, 12, 4, 3.0, 3.0, seed=seed)
-        planned = run_plan(run_detect(doc), doc, mobile_radius=3.0)
-        healed = apply_plan(doc.field, plan_from_report(planned))
-        for m in healed.mobile:
-            assert 0.0 <= m.position.x <= 30.0
-            assert 0.0 <= m.position.y <= 15.0
+    assert extended.mesh == planned.mesh
+    assert extended.meta == planned.meta
+    moves = {
+        a["mobile_id"]: Point(a["target"]["x"], a["target"]["y"])
+        for a in planned.plan["assignments"]
+    }
+    est = mc_coverage_fraction(doc.field, 20_000, seed=9, moves=moves)
+    assert extended.verify == dataclasses.asdict(est)
