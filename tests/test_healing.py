@@ -1,4 +1,4 @@
-"""Relocation planning tests: target rule and optimal assignment."""
+"""Relocation planning tests: target rule, optimal assignment, application."""
 from __future__ import annotations
 
 import itertools
@@ -18,10 +18,12 @@ from tricover import (
     make_field,
     mc_coverage_fraction,
     plan_relocation,
+    plan_to_dict,
     select_target,
     triangle_from_vertices,
     triangulate,
 )
+from tricover.pipeline import _moves_from_plan
 
 
 def tri(pts):
@@ -242,6 +244,34 @@ def test_plan_never_worse_than_greedy():
             greedy += hypot(mob_pts[best][0] - x, mob_pts[best][1] - y)
             remaining.discard(best)
         assert plan.total_movement <= greedy + 1e-9
+
+
+# --- applying a plan ----------------------------------------------------------------
+
+
+def test_apply_plan_moves_assigned_mobile():
+    field = mobile_field([(0, 0.0, 0.0, 1.0)])
+    plan = plan_relocation([fake_target(0, 3.0, 4.0)], field)
+    assert plan.total_movement == pytest.approx(5.0)
+    moves = _moves_from_plan(plan_to_dict(plan, 1.0), field)
+    assert moves == {0: Point(3.0, 4.0)}
+    # the moved disk keeps its radius: counted as the hand-moved field
+    moved = mobile_field([(0, 3.0, 4.0, 1.0)])
+    est = mc_coverage_fraction(field, 10**5, seed=3, moves=moves)
+    assert est.after == mc_coverage_fraction(moved, 10**5, seed=3).before
+    assert est.after > est.before
+    # original field untouched
+    assert field.mobile[0].position == Point(0.0, 0.0)
+
+
+def test_apply_plan_zero_distance_is_fine():
+    field = mobile_field([(0, 2.0, 2.0, 1.0)])
+    plan = plan_relocation([fake_target(0, 2.0, 2.0)], field)
+    assert plan.total_movement == 0.0
+    moves = _moves_from_plan(plan_to_dict(plan, 1.0), field)
+    assert moves == {0: Point(2.0, 2.0)}
+    est = mc_coverage_fraction(field, 10**5, seed=5, moves=moves)
+    assert est.after == est.before
 
 
 def test_healing_improves_coverage_paired_seed():
