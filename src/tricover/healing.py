@@ -7,7 +7,7 @@ exact minimum-total-movement assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, pi
+from math import hypot, isfinite, pi
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +49,14 @@ class HealingPlan:
     unserved: tuple[TargetLocation, ...]
 
 
+def check_mobile_radius(mobile_radius: float) -> None:
+    """Reject a mobile sensing radius that is not finite and > 0."""
+    if not (isfinite(mobile_radius) and mobile_radius > 0):
+        raise InvalidInputError(
+            f"mobile sensing radius must be > 0, got {mobile_radius}"
+        )
+
+
 def select_target(
     cell_id: int,
     hole_area: float,
@@ -64,10 +72,7 @@ def select_target(
     optionally clamps the point into the ``[0, w] x [0, h]`` rectangle —
     circumcenters of obtuse triangles can fall outside it.
     """
-    if mobile_radius <= 0:
-        raise InvalidInputError(
-            f"mobile sensing radius must be > 0, got {mobile_radius}"
-        )
+    check_mobile_radius(mobile_radius)
     if hole_area <= pi * mobile_radius * mobile_radius:
         kind = CIRCUMCENTER
         point, _ = circumcenter(tri)

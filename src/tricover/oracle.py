@@ -46,11 +46,39 @@ class CoverageEstimate:
 def _in_disks(
     pts: np.ndarray, disks: Sequence[tuple[Point, float]], covered: np.ndarray
 ) -> np.ndarray:
-    """OR into ``covered`` which of ``pts`` lie in any of ``disks``."""
+    """OR into ``covered`` which of ``pts`` lie in any of ``disks``.
+
+    ``pts`` must be sorted by x. Each disk is tested, with the expression
+    ``dx * dx + dy * dy <= r * r``, only on the slice of points whose x lies
+    in ``[cx - reach, cx + reach)``, where ``reach = r + m`` and the margin
+    is ``m = 1e-9 * r + 1e-12 * |cx| + 2**-500``. The mask equals a test of
+    every point, because a point outside the slice fails the test in
+    floating point too. With u = 2**-53 the unit roundoff:
+
+    - The computed ends ``cx -/+ reach`` are within u * (|cx| + reach) of
+      the exact ones; the ``1e-12 * |cx|`` term outweighs that, so a point
+      outside the slice has |x - cx| > r * (1 + 9e-10) + 2**-501.
+    - ``dx = x - cx`` rounds with relative error at most u (it is exact
+      when subnormal), so |dx| > r * (1 + 8e-10) and |dx| > 2**-502.
+    - ``dy * dy >= 0`` and rounding is monotone, so the computed sum is at
+      least the computed ``dx * dx``. If ``r * r`` is a normal float, both
+      squares round with relative error at most u, and
+      ``dx * dx >= r**2 * (1 + 1.6e-9) * (1 - u) > r**2 * (1 + u) >= r * r``.
+    - If ``r * r`` is subnormal, the squares round with absolute error at
+      most 2**-1075: for r >= 2**-520, r**2 * 1.6e-9 exceeds their sum; for
+      smaller r, ``dx * dx > 2**-1004`` is far above ``r * r < 2**-1040``.
+    - If ``r * r`` overflows, every point passes the test; ``reach`` is
+      then infinite and the slice is the whole array.
+    """
+    xs = pts[:, 0]
     for (cx, cy), radius in disks:
-        dx = pts[:, 0] - cx
-        dy = pts[:, 1] - cy
-        covered |= dx * dx + dy * dy <= radius * radius
+        r2 = radius * radius
+        margin = 1e-9 * radius + 1e-12 * abs(cx) + 2.0**-500
+        reach = inf if r2 == inf else radius + margin
+        lo, hi = np.searchsorted(xs, (cx - reach, cx + reach))
+        dx = xs[lo:hi] - cx
+        dy = pts[lo:hi, 1] - cy
+        covered[lo:hi] |= dx * dx + dy * dy <= r2
     return covered
 
 
@@ -68,6 +96,10 @@ def mc_coverage_fraction(
     run. ``moves`` maps ids of ``field``'s mobiles to positions; other
     mobiles stay put. ``half_width`` is the larger of the two 99% binomial
     confidence half-widths.
+
+    Only hit counts leave the loop, so the order of the points within a
+    chunk is free: each chunk is sorted by x once, which lets every mobile
+    disk be tested on its own x-band alone (see ``_in_disks``).
     """
     if samples <= 0:
         raise InvalidInputError(f"sample count must be > 0, got {samples}")
@@ -90,6 +122,7 @@ def mc_coverage_fraction(
         pts = rng.random((min(MC_CHUNK, samples - start), 2))
         pts[:, 0] *= field.width
         pts[:, 1] *= field.height
+        pts = pts.take(np.argsort(pts[:, 0]), axis=0)
         if tree is None:
             covered = np.zeros(len(pts), dtype=bool)
         else:

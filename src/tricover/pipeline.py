@@ -16,7 +16,13 @@ from .errors import InconsistentInputError, InvalidInputError
 from .field import MobileSensor, Sensor, SensorField
 from .files import ReportDoc, ScenarioDoc, round_sig
 from .geometry import Point, triangle_from_vertices
-from .healing import HealingPlan, TargetLocation, plan_relocation, select_target
+from .healing import (
+    HealingPlan,
+    TargetLocation,
+    check_mobile_radius,
+    plan_relocation,
+    select_target,
+)
 from .holes import HoleReport, detect_holes
 from .mesh import TriMesh, triangulate
 from .oracle import mc_coverage_fraction
@@ -164,7 +170,12 @@ def plan_to_dict(plan: HealingPlan, mobile_radius: float) -> dict:
 def run_plan(
     report: ReportDoc, scenario: ScenarioDoc, mobile_radius: float
 ) -> ReportDoc:
-    """Extend a detection report with a relocation plan."""
+    """Extend a detection report with a relocation plan.
+
+    ``mobile_radius`` must be finite and > 0 (``invalid-input``); it is
+    checked before any target is built.
+    """
+    check_mobile_radius(mobile_radius)
     targets = targets_from_report(report, scenario, mobile_radius)
     plan = plan_relocation(targets, scenario.field)
     return dataclasses.replace(report, plan=plan_to_dict(plan, mobile_radius))

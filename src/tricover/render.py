@@ -61,6 +61,14 @@ def render_svg(scenario: ScenarioDoc, report: ReportDoc | None = None) -> str:
     cv = _Canvas(field)
     positions = {s.id: s.position for s in field.stationary}
     mobile_pos = {m.id: m.position for m in field.mobile}
+    if report is not None and report.triangles is not None:
+        entries = sorted(report.triangles, key=lambda t: t["id"])
+        try:
+            corners = [[positions[v] for v in entry["vertices"]] for entry in entries]
+        except KeyError as exc:
+            raise InconsistentInputError(
+                f"report references unknown sensor id {exc.args[0]}"
+            ) from exc
 
     parts: list[str] = []
     parts.append(
@@ -94,15 +102,9 @@ def render_svg(scenario: ScenarioDoc, report: ReportDoc | None = None) -> str:
 
     if report is not None and report.triangles is not None:
         parts.append('<g class="holes">')
-        for entry in sorted(report.triangles, key=lambda t: t["id"]):
+        for entry, pts in zip(entries, corners):
             if not entry["is_hole"]:
                 continue
-            try:
-                pts = [positions[v] for v in entry["vertices"]]
-            except KeyError as exc:
-                raise InconsistentInputError(
-                    f"report references unknown sensor id {exc.args[0]}"
-                ) from exc
             coords = " ".join(f"{cv.x(p.x)},{cv.y(p.y)}" for p in pts)
             case = entry["case"]
             fill = _CASE_FILL.get(case, "#7f7f7f")
@@ -114,7 +116,7 @@ def render_svg(scenario: ScenarioDoc, report: ReportDoc | None = None) -> str:
 
         parts.append('<g class="mesh">')
         edges = set()
-        for entry in sorted(report.triangles, key=lambda t: t["id"]):
+        for entry in entries:
             ids = entry["vertices"]
             for a, b in ((ids[0], ids[1]), (ids[0], ids[2]), (ids[1], ids[2])):
                 edges.add((min(a, b), max(a, b)))

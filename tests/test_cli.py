@@ -94,6 +94,7 @@ def assert_single_error_line(capsys, kind):
     body = err.rstrip("\n")
     assert "\n" not in body
     assert body.startswith(f"error: {kind}:")
+    return body
 
 
 # --- happy path -------------------------------------------------------------------
@@ -369,6 +370,33 @@ def test_plan_rejects_bad_mobile_radius(tmp_path, capsys):
     assert_single_error_line(capsys, "invalid-input")
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "0"])
+@pytest.mark.parametrize("sensing_radius", [2.0, 20.0], ids=["holes", "no-holes"])
+def test_plan_checks_mobile_radius_before_targets(
+    tmp_path, capsys, monkeypatch, radius, sensing_radius
+):
+    scen = write_scenario(
+        tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)], radius=sensing_radius
+    )
+    det, plan = tmp_path / "d.json", tmp_path / "p.json"
+    assert main(["detect", "--scenario", str(scen), "--out", str(det)]) == 0
+    holes = sum(t["is_hole"] for t in json.loads(det.read_text())["triangles"])
+    assert holes == (1 if sensing_radius == 2.0 else 0)
+
+    def no_targets(*args, **kwargs):
+        raise AssertionError("built targets before checking the mobile radius")
+
+    monkeypatch.setattr(tricover.pipeline, "targets_from_report", no_targets)
+    code = main(
+        ["plan", "--scenario", str(scen), "--report", str(det),
+         f"--mobile-radius={radius}", "--out", str(plan)]
+    )
+    assert code == 1
+    err = assert_single_error_line(capsys, "invalid-input")
+    assert "mobile sensing radius must be > 0" in err
+    assert not plan.exists()
+
+
 def test_verify_rejects_bad_samples(tmp_path, capsys):
     scen = write_scenario(tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)])
     code = main(
@@ -409,6 +437,8 @@ MALFORMED_REPORTS = {
     "vertices-not-ints": ("detect", "triangle", _set("vertices", [0, 1, 2.5]), "plan", "invalid-input"),
     "is_hole-not-a-bool": ("detect", "triangle", _set("is_hole", 1), "plan", "invalid-input"),
     "unknown-vertex": ("detect", "triangle", _set("vertices", [0, 1, 99]), "plan", "inconsistent-input"),
+    "unknown-vertex-render": ("detect", "triangle", _set("vertices", [0, 1, 99]), "render", "inconsistent-input"),
+    "non-hole-unknown-vertex-render": ("detect", "triangle", lambda t: t.update(vertices=[0, 1, 99], is_hole=False), "render", "inconsistent-input"),
     "triangle-not-an-object": ("detect", "triangles", _set(0, 5), "plan", "invalid-input"),
     "assignment-without-cell_id": ("plan", "assignment", _drop("cell_id"), "verify", "invalid-input"),
     "assignment-without-target": ("plan", "assignment", _drop("target"), "render", "invalid-input"),

@@ -1,7 +1,7 @@
 """Monte-Carlo and grid estimator tests."""
 from __future__ import annotations
 
-from math import pi, sqrt
+from math import inf, nextafter, pi, sqrt
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from tricover import (
     triangle_disks_covered_area,
     triangle_from_vertices,
 )
-from tricover.oracle import MC_CHUNK
+from tricover.oracle import MC_CHUNK, _in_disks
 
 
 def tri(*pts):
@@ -139,6 +139,100 @@ def test_mc_mobiles_only_field():
     # two corner quarter-disks before; one quarter and one whole disk after
     assert abs(est.before - (pi / 2) / 16) <= 3 * est.half_width
     assert abs(est.after - (5 * pi / 4) / 16) <= 3 * est.half_width
+
+
+def _full_scan(pts, disk):
+    (cx, cy), radius = disk
+    dx = pts[:, 0] - cx
+    dy = pts[:, 1] - cy
+    return dx * dx + dy * dy <= radius * radius
+
+
+def _near(v):
+    return [nextafter(nextafter(v, -inf), -inf), nextafter(v, -inf), v,
+            nextafter(v, inf), nextafter(nextafter(v, inf), inf)]
+
+
+# Disks with exact and inexact ends cx +/- r, one at the field corner, and
+# two near x = 1e6 whose radius times 1e-9 is below half the spacing of
+# floats there: cx + r rounds down, so only the |cx| term of the band margin
+# keeps the point at the rounded end, which lies inside the disk.
+BAND_DISKS = [
+    (Point(0.5, 0.5), 0.25),
+    (Point(0.3, 0.7), 0.1),
+    (Point(0.0, 0.0), 3.16),
+    (Point(7.1, 3.3), 3.16),
+    (Point(1e6 + 0.37, 2.0), 0.017),
+    (Point(1e6 - 0.21, 5.0), 0.007),
+]
+
+
+@pytest.mark.parametrize("disk", BAND_DISKS, ids=lambda d: f"cx={d[0].x}-r={d[1]}")
+def test_band_mask_equals_full_scan_at_the_boundary(disk):
+    (cx, cy), r = disk
+    m = 1e-9 * r + 1e-12 * abs(cx)
+    xs = [x for end in (cx - r, cx + r, cx - (r + m), cx + (r + m), cx) for x in _near(end)]
+    ys = [y for end in (cy - r, cy + r, cy) for y in _near(end)]
+    # one ulp inside and outside the circle on its diagonals
+    for sx in (-1.0, 1.0):
+        for sy in (-1.0, 1.0):
+            xs += _near(cx + sx * r / sqrt(2.0))
+            ys += _near(cy + sy * r / sqrt(2.0))
+    pts = np.array([(x, y) for x in sorted(set(xs)) for y in sorted(set(ys))])
+    full = _full_scan(pts, disk)
+    band = _in_disks(pts, [disk], np.zeros(len(pts), dtype=bool))
+    assert np.array_equal(band, full)
+    # the points on the line y = cy reach past the circle on both sides
+    axis = pts[:, 1] == cy
+    assert full[axis].any() and not full[axis].all()
+    assert pts[axis, 0].min() < cx - r and pts[axis, 0].max() > cx + r
+
+
+@pytest.mark.parametrize(
+    "radius, xs, inside",
+    [
+        # r * r overflows, so every point passes the test
+        (1e160, [0.0, 1e150, 1e160, 2e160, 1e200, 1e300], [True] * 6),
+        # r * r underflows to 0, and so does dx * dx up to |dx| ~ 1e-162
+        (1e-170, [0.0, 1e-171, 1e-170, 2e-170, 1e-165, 1e-162, 1e-160, 1e-150],
+         [True] * 6 + [False] * 2),
+    ],
+)
+def test_band_mask_equals_full_scan_at_extreme_radii(radius, xs, inside):
+    disk = (Point(0.0, 0.0), radius)
+    pts = np.array([(x, 0.0) for x in xs])
+    with np.errstate(over="ignore"):
+        full = _full_scan(pts, disk)
+        band = _in_disks(pts, [disk], np.zeros(len(pts), dtype=bool))
+    assert full.tolist() == inside
+    assert np.array_equal(band, full)
+
+
+def test_band_masks_match_one_draw_on_a_crowded_field():
+    rng = np.random.default_rng(5)
+    width, height = 30.0, 20.0
+    mobile = [
+        (10 + i, float(rng.uniform(0, width)), float(rng.uniform(0, height)),
+         float(rng.choice([0.3, 1.0, 2.5, 6.0])))
+        for i in range(39)
+    ]
+    # disks crossing the field edges, and one wider than the field
+    mobile += [(49, 0.0, 10.0, 3.0), (50, 30.0, 0.0, 4.0), (51, 0.0, 0.0, 18.0)]
+    field = make_field(
+        width, height, 2.0, [(0, 5.0, 5.0), (1, 25.0, 15.0), (2, 12.0, 18.0)], mobile
+    )
+    moves = {
+        i: Point(float(rng.uniform(0, width)), float(rng.uniform(0, height)))
+        for i in range(10, 50, 2)
+    }
+    moves[51] = Point(width, height)
+    for samples in (MC_CHUNK + 1, 3 * MC_CHUNK + 5):
+        est = mc_coverage_fraction(field, samples, seed=31, moves=moves)
+        hits_before, hits_after = _unchunked_hits(field, samples, 31, moves)
+        assert est.before == hits_before / samples
+        assert est.after == hits_after / samples
+        assert 0.0 < est.before < 1.0 and 0.0 < est.after < 1.0
+        assert est.after != est.before
 
 
 # --- grid_region_uncovered ------------------------------------------------------
