@@ -26,6 +26,16 @@ class MobileSensor:
     radius: float
 
 
+def check_field_size(width: float, height: float, sensing_radius: float) -> None:
+    """Reject a field width, height or sensing radius that is not finite and > 0."""
+    if not (isfinite(width) and width > 0):
+        raise InvalidInputError(f"field width must be > 0, got {width}")
+    if not (isfinite(height) and height > 0):
+        raise InvalidInputError(f"field height must be > 0, got {height}")
+    if not (isfinite(sensing_radius) and sensing_radius > 0):
+        raise InvalidInputError(f"sensing radius must be > 0, got {sensing_radius}")
+
+
 @dataclass(frozen=True)
 class SensorField:
     """A rectangular deployment region ``[0, width] x [0, height]``.
@@ -43,14 +53,7 @@ class SensorField:
     def __post_init__(self) -> None:
         object.__setattr__(self, "stationary", tuple(self.stationary))
         object.__setattr__(self, "mobile", tuple(self.mobile))
-        if not (isfinite(self.width) and self.width > 0):
-            raise InvalidInputError(f"field width must be > 0, got {self.width}")
-        if not (isfinite(self.height) and self.height > 0):
-            raise InvalidInputError(f"field height must be > 0, got {self.height}")
-        if not (isfinite(self.sensing_radius) and self.sensing_radius > 0):
-            raise InvalidInputError(
-                f"sensing radius must be > 0, got {self.sensing_radius}"
-            )
+        check_field_size(self.width, self.height, self.sensing_radius)
         seen: set[int] = set()
         for sensor in (*self.stationary, *self.mobile):
             if sensor.id in seen:

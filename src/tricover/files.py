@@ -2,15 +2,21 @@
 
 Serialization is canonical so identical inputs produce byte-identical
 files: keys sorted, two-space indentation, floats quantized to nine
-significant digits, trailing newline. ``parse -> serialize`` is the
-identity on canonical files, and the scenario hash is the SHA-256 of the
-canonical bytes of the parsed scenario (formatting-insensitive).
+significant digits, ASCII with ``\\uXXXX`` escapes, trailing newline.
+``parse -> serialize`` is the identity on canonical files, and the
+scenario hash is the SHA-256 of the canonical bytes of the parsed
+scenario (formatting-insensitive).
+
+The text is written in one direct pass by ``_encode``; it is the text
+``json.dumps(tree, sort_keys=True, indent=2)`` gives for the tree with
+every float quantized, tuples as lists and keys as ``str(key)``.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
 from typing import Any, Callable
@@ -25,34 +31,69 @@ SCHEMA_VERSION = 1
 _FLOAT_DIGITS = 9
 
 
-def round_sig(value: float) -> float:
-    """Quantize to nine significant digits (the file precision)."""
-    v = float(value)
+def _quantize(v: float) -> float:
     if not isfinite(v):
         raise InvalidInputError(f"non-finite value cannot be serialized: {v!r}")
     return float(f"{v:.{_FLOAT_DIGITS}g}")
 
 
-def _canonize(obj: Any) -> Any:
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return round_sig(obj)
-    if isinstance(obj, dict):
-        return {str(k): _canonize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonize(v) for v in obj]
+def round_sig(value: float) -> float:
+    """Quantize to nine significant digits (the file precision)."""
+    return _quantize(float(value))
+
+
+def _number_text(value: Any) -> str:
     try:
-        return round_sig(float(obj))  # numpy scalars
+        v = float(value)  # numpy scalars too
     except (TypeError, ValueError):
-        raise InvalidInputError(f"unserializable value: {obj!r}")
+        raise InvalidInputError(f"unserializable value: {value!r}")
+    return float.__repr__(_quantize(v))
+
+
+# Scalar writers by exact type; subclasses and other types take the
+# isinstance tests in ``_encode``.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _number_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj: Any, indent: str) -> str:
+    """The canonical text of ``obj``, nested at the depth indented by ``indent``.
+
+    A dict's values are encoded in insertion order and written in key
+    order, so of several bad values the first in insertion order is the
+    one reported.
+    """
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        parts = {str(k): _encode(v, inner) for k, v in obj.items()}
+        items = [f"{encode_basestring_ascii(k)}: {t}" for k, t in sorted(parts.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = [_encode(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return _number_text(obj)
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
     """Canonical serialized form of a JSON-able object."""
-    return (
-        json.dumps(_canonize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    ).encode("utf-8")
+    return (_encode(obj, "") + "\n").encode("ascii")
 
 
 def _parse_json(text: bytes | str, what: str) -> dict:

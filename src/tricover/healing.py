@@ -1,14 +1,15 @@
 """Relocation planning for mobile sensors to patch detected holes.
 
-Each hole gets a target point inside (or for the circumcenter rule,
-associated with) its triangle; mobiles are then assigned to targets by an
-exact minimum-total-movement assignment.
+Holes are ranked by area and the largest, one per mobile, are served.
+Each served hole gets a target point inside (or for the circumcenter
+rule, associated with) its triangle; mobiles are then assigned to targets
+by an exact minimum-total-movement assignment.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import hypot, isfinite, pi
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -42,11 +43,11 @@ class Assignment:
 
 @dataclass(frozen=True)
 class HealingPlan:
-    """A full relocation plan: assignments plus any unserved targets."""
+    """A full relocation plan: assignments plus the cell ids of unserved holes."""
 
     assignments: tuple[Assignment, ...]
     total_movement: float
-    unserved: tuple[TargetLocation, ...]
+    unserved: tuple[int, ...]
 
 
 def check_mobile_radius(mobile_radius: float) -> None:
@@ -85,25 +86,40 @@ def select_target(
     return TargetLocation(cell_id=cell_id, kind=kind, point=point, hole_area=hole_area)
 
 
-def plan_relocation(
-    targets: Sequence[TargetLocation], field: SensorField
-) -> HealingPlan:
-    """Assign mobiles to targets minimizing the total travel distance.
+def rank_holes(holes: Iterable[tuple], n_mobiles: int) -> tuple[list[tuple], tuple[int, ...]]:
+    """Split holes into the ones ``n_mobiles`` mobiles serve and the rest.
 
-    With more targets than mobiles, the largest-area targets are served
-    (ties broken by cell id) and the rest reported unserved; with more
-    mobiles than targets, the surplus stays put. The assignment among the
-    served targets is exactly optimal (Hungarian method).
+    Each hole is a tuple that starts ``(cell_id, hole_area, ...)``. Larger
+    holes rank first, ties broken by cell id. Returns the first
+    ``n_mobiles`` holes and the cell ids of the others, both in rank order.
+    """
+    ranked = sorted(holes, key=lambda h: (-h[1], h[0]))
+    return ranked[:n_mobiles], tuple(h[0] for h in ranked[n_mobiles:])
+
+
+def plan_relocation(
+    targets: Sequence[TargetLocation],
+    field: SensorField,
+    unserved: Sequence[int] = (),
+) -> HealingPlan:
+    """Assign mobiles to the targets of served holes, minimizing total travel.
+
+    ``targets`` are those of the holes :func:`rank_holes` serves, at most
+    one per mobile; ``unserved`` holds the cell ids of the other holes and
+    is copied into the plan. Surplus mobiles stay put. The assignment is
+    exactly optimal (Hungarian method).
     """
     mobiles = sorted(field.mobile, key=lambda m: m.id)
-    ranked = sorted(targets, key=lambda t: (-t.hole_area, t.cell_id))
-    served = ranked[: len(mobiles)]
-    unserved = tuple(ranked[len(mobiles) :])
-    if not served:
+    if len(targets) > len(mobiles):
+        raise ValueError(
+            f"{len(targets)} targets for {len(mobiles)} mobiles; rank the holes first"
+        )
+    unserved = tuple(unserved)
+    if not targets:
         return HealingPlan(assignments=(), total_movement=0.0, unserved=unserved)
     cost = np.array(
         [
-            [hypot(m.position.x - t.point.x, m.position.y - t.point.y) for t in served]
+            [hypot(m.position.x - t.point.x, m.position.y - t.point.y) for t in targets]
             for m in mobiles
         ]
     )
@@ -113,7 +129,7 @@ def plan_relocation(
             (
                 Assignment(
                     mobile_id=mobiles[r].id,
-                    target=served[c],
+                    target=targets[c],
                     distance=float(cost[r, c]),
                 )
                 for r, c in zip(rows, cols)
@@ -123,4 +139,3 @@ def plan_relocation(
     )
     total = float(sum(a.distance for a in assignments))
     return HealingPlan(assignments=assignments, total_movement=total, unserved=unserved)
-

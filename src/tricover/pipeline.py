@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InconsistentInputError, InvalidInputError
-from .field import MobileSensor, Sensor, SensorField
+from .field import MobileSensor, Sensor, SensorField, check_field_size
 from .files import ReportDoc, ScenarioDoc, round_sig
 from .geometry import Point, triangle_from_vertices
 from .healing import (
@@ -21,6 +21,7 @@ from .healing import (
     TargetLocation,
     check_mobile_radius,
     plan_relocation,
+    rank_holes,
     select_target,
 )
 from .holes import HoleReport, detect_holes
@@ -54,6 +55,7 @@ def generate_scenario(
         raise InvalidInputError(f"mobile count must be >= 0, got {n_mobile}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    check_field_size(width, height, sensing_radius)
     rng = np.random.default_rng(seed)
     coords = rng.random((n_stationary + n_mobile, 2))
     coords[:, 0] *= width
@@ -126,27 +128,39 @@ def run_detect(
 
 def targets_from_report(
     report: ReportDoc, scenario: ScenarioDoc, mobile_radius: float
-) -> list[TargetLocation]:
-    """Hole targets from the ``vertices`` and ``s_h`` of flagged report entries."""
+) -> tuple[list[TargetLocation], tuple[int, ...]]:
+    """Targets of the holes the scenario's mobiles serve, and the other holes' cell ids.
+
+    Every entry's ``vertices`` must name stationary sensors of ``scenario``
+    (``inconsistent-input``). Holes are ranked by their ``s_h``
+    (:func:`rank_holes`); only the served ones get a triangle and a target.
+    """
     if report.triangles is None:
         raise InvalidInputError("report has no detection section")
     report.check_scenario(scenario)
-    positions = {s.id: s.position for s in scenario.field.stationary}
-    bounds = (scenario.field.width, scenario.field.height)
-    targets = []
+    field = scenario.field
+    positions = {s.id: s.position for s in field.stationary}
+    holes = []
     for entry in report.triangles:
-        if not entry["is_hole"]:
-            continue
-        try:
-            tri = triangle_from_vertices(*(positions[v] for v in entry["vertices"]))
-        except KeyError as exc:
-            raise InconsistentInputError(
-                f"report references unknown sensor id {exc.args[0]}"
-            ) from exc
-        targets.append(
-            select_target(entry["id"], entry["s_h"], tri, mobile_radius, bounds=bounds)
+        vertices = entry["vertices"]
+        for v in vertices:
+            if v not in positions:
+                raise InconsistentInputError(f"report references unknown sensor id {v}")
+        if entry["is_hole"]:
+            holes.append((entry["id"], entry["s_h"], vertices))
+    served, unserved = rank_holes(holes, len(field.mobile))
+    bounds = (field.width, field.height)
+    targets = [
+        select_target(
+            cell_id,
+            s_h,
+            triangle_from_vertices(*(positions[v] for v in vertices)),
+            mobile_radius,
+            bounds=bounds,
         )
-    return targets
+        for cell_id, s_h, vertices in served
+    ]
+    return targets, unserved
 
 
 def plan_to_dict(plan: HealingPlan, mobile_radius: float) -> dict:
@@ -163,7 +177,7 @@ def plan_to_dict(plan: HealingPlan, mobile_radius: float) -> dict:
             for a in plan.assignments
         ],
         "total_movement": plan.total_movement,
-        "unserved": [t.cell_id for t in plan.unserved],
+        "unserved": list(plan.unserved),
     }
 
 
@@ -176,8 +190,8 @@ def run_plan(
     checked before any target is built.
     """
     check_mobile_radius(mobile_radius)
-    targets = targets_from_report(report, scenario, mobile_radius)
-    plan = plan_relocation(targets, scenario.field)
+    targets, unserved = targets_from_report(report, scenario, mobile_radius)
+    plan = plan_relocation(targets, scenario.field, unserved)
     return dataclasses.replace(report, plan=plan_to_dict(plan, mobile_radius))
 
 

@@ -27,6 +27,7 @@ from tricover import (
     lens_area,
     mc_coverage_fraction,
     plan_relocation,
+    rank_holes,
     run_detect,
     run_plan,
     run_verify,
@@ -281,8 +282,11 @@ def test_criterion_09_assignment_optimality():
             )
             for j, (x, y) in enumerate(tgt_pts)
         ]
-        plan = plan_relocation(targets, field)
-        served = sorted(targets, key=lambda t: (-t.hole_area, t.cell_id))[:n_mob]
+        ranked, unserved = rank_holes([(t.cell_id, t.hole_area, t) for t in targets], n_mob)
+        plan = plan_relocation([h[2] for h in ranked], field, unserved)
+        by_area = sorted(targets, key=lambda t: (-t.hole_area, t.cell_id))
+        served = by_area[:n_mob]
+        assert plan.unserved == tuple(t.cell_id for t in by_area[n_mob:])
         best = min(
             (
                 sum(

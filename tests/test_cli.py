@@ -278,6 +278,43 @@ def test_generate_rejects_too_few_sites(tmp_path, capsys):
     assert_single_error_line(capsys, "invalid-input")
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--width", "inf", "field width must be > 0, got inf"),
+        ("--width", "nan", "field width must be > 0, got nan"),
+        ("--height", "-inf", "field height must be > 0, got -inf"),
+        ("--height", "0", "field height must be > 0, got 0.0"),
+        ("--radius", "nan", "sensing radius must be > 0, got nan"),
+    ],
+)
+def test_generate_reports_bad_field_size(tmp_path, capsys, flag, value, message):
+    options = {"--width": "10", "--height": "10", "--radius": "1", flag: value}
+    out = tmp_path / "s.json"
+    code = main(
+        ["generate", *(f"{k}={v}" for k, v in options.items()),
+         "--n-stationary", "5", "--n-mobile", "1", "--mobile-radius", "1",
+         "--seed", "1", "--out", str(out)]
+    )
+    assert code == 1
+    assert assert_single_error_line(capsys, "invalid-input") == f"error: invalid-input: {message}"
+    assert not out.exists()
+
+
+def test_detect_non_finite_meta(tmp_path, capsys):
+    scen = write_scenario(tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)])
+    doc = json.loads(scen.read_text())
+    doc["meta"] = {"note": float("nan")}
+    scen.write_text(json.dumps(doc))  # json writes the NaN token
+    out = tmp_path / "d.json"
+    code = main(["detect", "--scenario", str(scen), "--out", str(out)])
+    assert code == 1
+    assert assert_single_error_line(capsys, "invalid-input") == (
+        "error: invalid-input: non-finite value cannot be serialized: nan"
+    )
+    assert not out.exists()
+
+
 def test_detect_missing_file(tmp_path, capsys):
     code = main(
         ["detect", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d.json")]
@@ -438,6 +475,7 @@ MALFORMED_REPORTS = {
     "is_hole-not-a-bool": ("detect", "triangle", _set("is_hole", 1), "plan", "invalid-input"),
     "unknown-vertex": ("detect", "triangle", _set("vertices", [0, 1, 99]), "plan", "inconsistent-input"),
     "unknown-vertex-render": ("detect", "triangle", _set("vertices", [0, 1, 99]), "render", "inconsistent-input"),
+    "non-hole-unknown-vertex": ("detect", "triangle", lambda t: t.update(vertices=[0, 1, 99], is_hole=False), "plan", "inconsistent-input"),
     "non-hole-unknown-vertex-render": ("detect", "triangle", lambda t: t.update(vertices=[0, 1, 99], is_hole=False), "render", "inconsistent-input"),
     "triangle-not-an-object": ("detect", "triangles", _set(0, 5), "plan", "invalid-input"),
     "assignment-without-cell_id": ("plan", "assignment", _drop("cell_id"), "verify", "invalid-input"),

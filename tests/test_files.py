@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricover import (
     InvalidInputError,
@@ -90,6 +94,138 @@ def test_round_sig_rejects_non_finite():
 
 
 # --- canonical JSON -----------------------------------------------------------
+
+
+def oracle_round_sig(value):
+    v = float(value)
+    if not math.isfinite(v):
+        raise InvalidInputError(f"non-finite value cannot be serialized: {v!r}")
+    return float(f"{v:.9g}")
+
+
+def oracle_canonize(obj):
+    """The tree ``json.dumps`` is given to write a canonical file: the reference."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        return oracle_round_sig(obj)
+    if isinstance(obj, dict):
+        return {str(k): oracle_canonize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_canonize(v) for v in obj]
+    try:
+        return oracle_round_sig(float(obj))  # numpy scalars
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"unserializable value: {obj!r}")
+
+
+def oracle_bytes(obj):
+    text = json.dumps(oracle_canonize(obj), sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
+def error_of(fn, obj):
+    with pytest.raises(InvalidInputError) as info:
+        fn(obj)
+    return str(info.value)
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+_keys = st.text() | st.integers(-5, 5) | st.booleans()
+_trees = st.recursive(
+    _scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_keys, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees)
+def test_canonical_bytes_match_stdlib_oracle(obj):
+    assert canonical_json_bytes(obj) == oracle_bytes(obj)
+
+
+class _Str(str):
+    def __str__(self):
+        return "overridden"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "overridden"
+
+
+EDGE_CASES = {
+    "negative-zero": -0.0,
+    "smallest-subnormal": 5e-324,
+    "largest-float": 1.7976931348623157e308,
+    "quantized-float": 0.1234567891234,
+    "float-with-exponent": [1e-7 / 3, 123456789123.0, 1e22],
+    "big-int": 10**30,
+    "bool-vs-int": [True, False, 1, 0, 1.0],
+    "int-and-bool-keys": {1: "a", True: "b", -2: "c", "10": "d", "9": "e"},
+    "str-key-equal-to-int-key": {1: "int", "1": "str"},
+    "quotes-backslashes": {'k"\\': 'v"\\/'},
+    "brackets-commas-colons": {"[a], {b}": "x, y: z", ":": ","},
+    "control-characters": {"\x00\x1f\n\t": "\r\x7f\b\f"},
+    "non-ascii": {"\u00e9\u4e2d": "\U0001f600 \u00ff \u2028"},
+    "empty-containers": {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {}}], "e": ()},
+    "empty-top-dict": {},
+    "empty-top-list": [],
+    "tuples": (1, (2.5, ("x",)), {"t": (None,)}),
+    "numpy-scalars": {"f": np.float64(0.1234567891234), "i": np.int64(3), "b": np.bool_(True)},
+    "numpy-float32": np.float32(0.1),
+    "str-and-int-subclasses": {"s": _Str("raw"), "i": _Int(7), _Str("k"): 1},
+    "top-level-string": "\u00e9",
+    "top-level-int": 42,
+    "top-level-float": 2.0,
+    "top-level-none": None,
+    "top-level-true": True,
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_canonical_bytes_edge_cases(case):
+    obj = EDGE_CASES[case]
+    assert canonical_json_bytes(obj) == oracle_bytes(obj)
+
+
+def test_canonical_bytes_hand_checked_text():
+    raw = canonical_json_bytes({"b": [1, {}], "a": {"\u00e9": np.int64(3)}, "c": []})
+    assert raw == (
+        b'{\n  "a": {\n    "\\u00e9": 3.0\n  },\n'
+        b'  "b": [\n    1,\n    {}\n  ],\n  "c": []\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), float("-inf"), np.float64("nan"), object(), {1, 2}],
+    ids=["nan", "inf", "-inf", "numpy-nan", "object", "set"],
+)
+@pytest.mark.parametrize(
+    "wrap", [lambda v: v, lambda v: {"k": [1, v]}, lambda v: (v,)], ids=["bare", "nested", "tuple"]
+)
+def test_canonical_bytes_errors_match_oracle(bad, wrap):
+    obj = wrap(bad)
+    assert error_of(canonical_json_bytes, obj) == error_of(oracle_bytes, obj)
+
+
+def test_canonical_bytes_first_bad_value_in_insertion_order_is_reported():
+    obj = {"b": float("nan"), "a": object(), "c": float("inf")}
+    message = error_of(canonical_json_bytes, obj)
+    assert message == error_of(oracle_bytes, obj)
+    assert message == "non-finite value cannot be serialized: nan"
 
 
 def test_canonical_bytes_sorted_indented_terminated():

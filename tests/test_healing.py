@@ -19,6 +19,7 @@ from tricover import (
     mc_coverage_fraction,
     plan_relocation,
     plan_to_dict,
+    rank_holes,
     select_target,
     triangle_from_vertices,
     triangulate,
@@ -43,6 +44,14 @@ def fake_target(cell_id, x, y, area=1.0):
 
 def mobile_field(mobiles, width=20.0, height=20.0):
     return make_field(width, height, 1.0, [], mobiles)
+
+
+def plan_largest(targets, field):
+    """Plan as ``run_plan`` does: rank the holes, then serve the largest."""
+    served, unserved = rank_holes(
+        [(t.cell_id, t.hole_area, t) for t in targets], len(field.mobile)
+    )
+    return plan_relocation([h[2] for h in served], field, unserved)
 
 
 SIDE19_EQUILATERAL = ((0.0, 0.0), (1.9, 0.0), (0.95, 1.9 * sqrt(3.0) / 2.0))
@@ -135,12 +144,18 @@ def test_plan_no_targets():
     assert plan.unserved == ()
 
 
+def test_plan_refuses_more_targets_than_mobiles():
+    field = mobile_field([(0, 0.0, 0.0, 1.0)])
+    with pytest.raises(ValueError):
+        plan_relocation([fake_target(0, 1, 1), fake_target(1, 2, 2)], field)
+
+
 def test_plan_no_mobiles_all_unserved():
     field = mobile_field([])
     targets = [fake_target(2, 1, 1, area=0.5), fake_target(0, 2, 2, area=2.0)]
-    plan = plan_relocation(targets, field)
+    plan = plan_largest(targets, field)
     assert plan.assignments == ()
-    assert [t.cell_id for t in plan.unserved] == [0, 2]  # largest area first
+    assert plan.unserved == (0, 2)  # largest area first
 
 
 def test_plan_scarce_mobiles_serve_largest_areas():
@@ -150,10 +165,10 @@ def test_plan_scarce_mobiles_serve_largest_areas():
         fake_target(1, 6, 6, area=3.0),
         fake_target(2, 7, 7, area=2.0),
     ]
-    plan = plan_relocation(targets, field)
+    plan = plan_largest(targets, field)
     served_cells = {a.target.cell_id for a in plan.assignments}
     assert served_cells == {1, 2}
-    assert [t.cell_id for t in plan.unserved] == [0]
+    assert plan.unserved == (0,)
 
 
 def test_plan_equal_areas_tie_by_cell_id():
@@ -163,9 +178,9 @@ def test_plan_equal_areas_tie_by_cell_id():
         fake_target(3, 6, 6, area=1.0),
         fake_target(5, 7, 7, area=1.0),
     ]
-    plan = plan_relocation(targets, field)
+    plan = plan_largest(targets, field)
     assert {a.target.cell_id for a in plan.assignments} == {3, 5}
-    assert [t.cell_id for t in plan.unserved] == [7]
+    assert plan.unserved == (7,)
 
 
 def test_plan_surplus_mobiles_stay_put():
@@ -215,7 +230,7 @@ def test_plan_matches_brute_force_optimum():
             fake_target(j, x, y, area=float(rng.uniform(0.5, 5.0)))
             for j, (x, y) in enumerate(tgt_pts)
         ]
-        plan = plan_relocation(targets, field)
+        plan = plan_largest(targets, field)
         served = sorted(
             targets, key=lambda t: (-t.hole_area, t.cell_id)
         )[: len(mob_pts)]

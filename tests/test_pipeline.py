@@ -9,6 +9,7 @@ import pytest
 import tricover.holes
 import tricover.pipeline
 from tricover import (
+    DegenerateGeometryError,
     InvalidInputError,
     Point,
     ScenarioDoc,
@@ -21,6 +22,7 @@ from tricover import (
     run_plan,
     run_verify,
     scenario_from_dict,
+    select_target,
     targets_from_report,
     triangle_from_vertices,
 )
@@ -199,7 +201,7 @@ def test_target_kind_follows_report_hole_area():
     def kind_at(s_h):
         entries = [dict(e, s_h=s_h) if e is hole else e for e in report.triangles]
         edited = dataclasses.replace(report, triangles=entries)
-        targets = targets_from_report(edited, doc, mobile_radius)
+        targets, _ = targets_from_report(edited, doc, mobile_radius)
         return next(t.kind for t in targets if t.cell_id == hole["id"])
 
     assert kind_at(capacity) == "circumcenter"
@@ -207,12 +209,73 @@ def test_target_kind_follows_report_hole_area():
 
 
 def test_targets_respect_field_bounds():
-    doc = small_scenario()
+    # small_scenario's sites with a mobile for each of its 24 holes
+    doc = generate_scenario(40.0, 40.0, 20, 30, 4.0, 4.0, seed=42)
     report = run_detect(doc)
-    targets = targets_from_report(report, doc, mobile_radius=4.0)
+    targets, unserved = targets_from_report(report, doc, mobile_radius=4.0)
+    assert len(targets) == 24 and unserved == ()
     for t in targets:
         assert 0.0 <= t.point.x <= doc.field.width
         assert 0.0 <= t.point.y <= doc.field.height
+
+
+@pytest.mark.parametrize("n_mobile", [0, 3, 30])  # 24 holes
+def test_plan_builds_targets_only_for_served_holes(monkeypatch, n_mobile):
+    doc = generate_scenario(40.0, 40.0, 20, n_mobile, 4.0, 4.0, seed=42)
+    report = run_detect(doc)
+    bounds = (doc.field.width, doc.field.height)
+    # every hole's target, built as the plan builds a served one
+    every = {
+        e["id"]: select_target(e["id"], e["s_h"], t, 4.0, bounds=bounds)
+        for e, t in entry_triangles(report, doc)
+        if e["is_hole"]
+    }
+    assert len(every) == 24
+    ranked = sorted(
+        (e for e in report.triangles if e["is_hole"]), key=lambda e: (-e["s_h"], e["id"])
+    )
+    served = [e["id"] for e in ranked[:n_mobile]]
+    calls = {"select_target": [], "triangle_from_vertices": []}
+
+    def counting(name):
+        original = getattr(tricover.pipeline, name)
+
+        def counted(*args, **kwargs):
+            calls[name].append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tricover.pipeline, name, counted)
+
+    counting("select_target")
+    counting("triangle_from_vertices")
+    plan = run_plan(report, doc, mobile_radius=4.0).plan
+    assert calls["select_target"] == served
+    assert len(calls["triangle_from_vertices"]) == len(served)
+    assert plan["unserved"] == [e["id"] for e in ranked[n_mobile:]]
+    assert sorted(a["cell_id"] for a in plan["assignments"]) == sorted(served)
+    for a in plan["assignments"]:
+        target = every[a["cell_id"]]
+        assert a["kind"] == target.kind
+        assert a["target"] == {"x": target.point.x, "y": target.point.y}
+
+
+@pytest.mark.parametrize("served", [True, False])
+def test_degenerate_hole_vertices_fail_only_when_served(served):
+    doc = small_scenario()  # 3 mobiles, 24 holes
+    report = run_detect(doc)
+    holes = [e for e in report.triangles if e["is_hole"]]  # largest first
+    victim = holes[0] if served else holes[-1]
+    a, b, _ = victim["vertices"]
+    entries = [dict(e, vertices=[a, b, a]) if e is victim else e for e in report.triangles]
+    edited = dataclasses.replace(report, triangles=entries)
+    if served:
+        with pytest.raises(DegenerateGeometryError):
+            run_plan(edited, doc, mobile_radius=4.0)
+    else:
+        # an unserved hole gets no triangle, so its vertices are only resolved
+        expected = run_plan(report, doc, mobile_radius=4.0).plan
+        assert run_plan(edited, doc, mobile_radius=4.0).plan == expected
+        assert expected["unserved"][-1] == victim["id"]
 
 
 def test_plan_requires_detection():
