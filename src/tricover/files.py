@@ -253,13 +253,46 @@ class ReportDoc:
         }
 
     def check_scenario(self, scenario: ScenarioDoc) -> None:
-        """Raise ``inconsistent-input`` unless the report names ``scenario``'s hash."""
+        """Check that the report belongs to ``scenario``, before any other work.
+
+        This is the one check between a report and its scenario. In order:
+        the report names ``scenario``'s hash; every triangle entry's
+        ``vertices`` are stationary sensor ids; every plan assignment names
+        a mobile of the scenario, and none names one twice (all
+        ``inconsistent-input``); every target lies inside the field
+        (``invalid-input``).
+        """
         actual = scenario.hash()
         if self.scenario_hash != actual:
             raise InconsistentInputError(
                 "report was produced from a different scenario "
                 f"(hash {self.scenario_hash[:12]}... != {actual[:12]}...)"
             )
+        field = scenario.field
+        if self.triangles is not None:
+            stationary = {s.id for s in field.stationary}
+            for entry in self.triangles:
+                for v in entry["vertices"]:
+                    if v not in stationary:
+                        raise InconsistentInputError(f"report references unknown sensor id {v}")
+        if self.plan is None:
+            return
+        mobiles = {m.id for m in field.mobile}
+        assigned: set[int] = set()
+        for a in self.plan["assignments"]:
+            mobile_id = a["mobile_id"]
+            if mobile_id not in mobiles:
+                raise InconsistentInputError(f"plan references unknown mobile id {mobile_id}")
+            if mobile_id in assigned:
+                raise InconsistentInputError(f"plan assigns mobile {mobile_id} more than once")
+            assigned.add(mobile_id)
+        for a in self.plan["assignments"]:
+            x, y = float(a["target"]["x"]), float(a["target"]["y"])
+            if not (0.0 <= x <= field.width and 0.0 <= y <= field.height):
+                raise InvalidInputError(
+                    f"plan moves mobile {a['mobile_id']} to ({x}, {y}), outside the "
+                    f"{field.width} x {field.height} field"
+                )
 
 
 def report_from_dict(doc: dict) -> ReportDoc:

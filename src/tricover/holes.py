@@ -20,8 +20,7 @@ import enum
 from dataclasses import dataclass
 from math import isfinite, pi, sqrt
 
-from .errors import DegenerateGeometryError, InconsistentInputError, InvalidInputError
-from .field import SensorField
+from .errors import DegenerateGeometryError, InvalidInputError
 from .geometry import (
     TriangleGeom,
     lens_area,
@@ -108,7 +107,7 @@ def hole_epsilon(radius: float) -> float:
 
 
 def _require_analysable(tri: TriangleGeom, radius: float) -> None:
-    if radius <= 0:
+    if not (isfinite(radius) and radius > 0):
         raise InvalidInputError(f"sensing radius must be > 0, got {radius}")
     if tri.degenerate:
         raise DegenerateGeometryError("triangle is degenerate")
@@ -232,35 +231,22 @@ def hole_area(
 
 
 def detect_holes(
-    field: SensorField,
     mesh: TriMesh,
+    radius: float,
     method: str = "auto",
     epsilon: float | None = None,
 ) -> list[HoleReport]:
-    """Evaluate every mesh cell and report holes, largest first.
+    """Evaluate every mesh cell under vertex disks of ``radius`` and report holes, largest first.
 
     Reports are sorted by descending hole area, ties by ascending cell id.
     ``epsilon`` (finite, >= 0) overrides the default significance threshold
-    ``1e-9 * R^2``. The mesh must belong to the field (ids and positions
-    must match), otherwise an ``inconsistent-input`` error is raised.
+    ``1e-9 * R^2``.
     """
-    radius = field.sensing_radius
     eps = hole_epsilon(radius) if epsilon is None else epsilon
     if not (isfinite(eps) and eps >= 0.0):
         raise InvalidInputError(f"hole epsilon must be finite and >= 0, got {eps}")
-    positions = {s.id: s.position for s in field.stationary}
     reports = []
     for cell in mesh.cells:
-        for sid, vertex in zip(cell.sensor_ids, cell.geom.vertices):
-            if sid not in positions:
-                raise InconsistentInputError(
-                    f"mesh cell {cell.id} references unknown sensor id {sid}"
-                )
-            if positions[sid] != vertex:
-                raise InconsistentInputError(
-                    f"mesh cell {cell.id}: sensor {sid} position differs "
-                    "from the field"
-                )
         computation = hole_area(cell.geom, radius, method=method)
         uncovered = computation.s_h
         if method == "case" and not case_formula_validity(cell.geom, radius).all_hold():

@@ -164,9 +164,10 @@ def grid_region_uncovered(
     n = int(resolution)
     dx = (xmax - xmin) / n
     dy = (ymax - ymin) / n
-    xs = xmin + (np.arange(n) + 0.5) * dx
-    ys = ymin + (np.arange(n) + 0.5) * dy
-    X, Y = np.meshgrid(xs, ys)
+    # A row of x and a column of y: the expressions below broadcast to the
+    # full grid with the same per-element arithmetic as a meshgrid.
+    X = (xmin + (np.arange(n) + 0.5) * dx)[np.newaxis, :]
+    Y = (ymin + (np.arange(n) + 0.5) * dy)[:, np.newaxis]
 
     orient = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
     sign = 1.0 if orient >= 0.0 else -1.0

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InconsistentInputError, InvalidInputError
+from .errors import InvalidInputError
 from .field import MobileSensor, Sensor, SensorField, check_field_size
 from .files import ReportDoc, ScenarioDoc, round_sig
 from .geometry import Point, triangle_from_vertices
@@ -111,7 +111,7 @@ def run_detect(
 ) -> ReportDoc:
     """Triangulate, evaluate every cell, and build the detection report."""
     mesh = triangulate(scenario.field)
-    reports = detect_holes(scenario.field, mesh, method=method, epsilon=epsilon)
+    reports = detect_holes(mesh, scenario.field.sensing_radius, method=method, epsilon=epsilon)
     meta = {
         "method": method,
         "sector_sum_convention": SECTOR_SUM_CONVENTION,
@@ -131,23 +131,16 @@ def targets_from_report(
 ) -> tuple[list[TargetLocation], tuple[int, ...]]:
     """Targets of the holes the scenario's mobiles serve, and the other holes' cell ids.
 
-    Every entry's ``vertices`` must name stationary sensors of ``scenario``
-    (``inconsistent-input``). Holes are ranked by their ``s_h``
-    (:func:`rank_holes`); only the served ones get a triangle and a target.
+    The report must belong to ``scenario`` (:meth:`ReportDoc.check_scenario`).
+    Holes are ranked by their ``s_h`` (:func:`rank_holes`); only the served
+    ones get a triangle and a target.
     """
     if report.triangles is None:
         raise InvalidInputError("report has no detection section")
     report.check_scenario(scenario)
     field = scenario.field
     positions = {s.id: s.position for s in field.stationary}
-    holes = []
-    for entry in report.triangles:
-        vertices = entry["vertices"]
-        for v in vertices:
-            if v not in positions:
-                raise InconsistentInputError(f"report references unknown sensor id {v}")
-        if entry["is_hole"]:
-            holes.append((entry["id"], entry["s_h"], vertices))
+    holes = [(e["id"], e["s_h"], e["vertices"]) for e in report.triangles if e["is_hole"]]
     served, unserved = rank_holes(holes, len(field.mobile))
     bounds = (field.width, field.height)
     targets = [
@@ -195,24 +188,15 @@ def run_plan(
     return dataclasses.replace(report, plan=plan_to_dict(plan, mobile_radius))
 
 
-def _moves_from_plan(plan: dict, field: SensorField) -> dict[int, Point]:
-    """A plan's assignments as ``{mobile_id: target}``, checked against ``field``."""
-    known = {m.id for m in field.mobile}
-    moves: dict[int, Point] = {}
-    for a in plan["assignments"]:
-        mobile_id, target = a["mobile_id"], a["target"]
-        if mobile_id not in known:
-            raise InconsistentInputError(f"plan references unknown mobile id {mobile_id}")
-        if mobile_id in moves:
-            raise InconsistentInputError(f"plan assigns mobile {mobile_id} more than once")
-        x, y = float(target["x"]), float(target["y"])
-        if not (0.0 <= x <= field.width and 0.0 <= y <= field.height):
-            raise InvalidInputError(
-                f"plan moves mobile {mobile_id} to ({x}, {y}), outside the "
-                f"{field.width} x {field.height} field"
-            )
-        moves[mobile_id] = Point(x, y)
-    return moves
+def _moves_from_plan(plan: dict) -> dict[int, Point]:
+    """A plan's assignments as ``{mobile_id: target}``.
+
+    The plan is checked against its scenario first (:meth:`ReportDoc.check_scenario`).
+    """
+    return {
+        a["mobile_id"]: Point(float(a["target"]["x"]), float(a["target"]["y"]))
+        for a in plan["assignments"]
+    }
 
 
 def run_verify(
@@ -221,7 +205,7 @@ def run_verify(
     """Add a Monte-Carlo coverage section, before and after the report's plan.
 
     Without a report a fresh one for ``scenario`` is started; a given report
-    must come from ``scenario`` (``inconsistent-input`` otherwise), which is
+    must belong to ``scenario`` (:meth:`ReportDoc.check_scenario`), which is
     checked before any sample is drawn. Without a plan nothing moves and the
     two fractions are equal.
     """
@@ -231,6 +215,6 @@ def run_verify(
         report.check_scenario(scenario)
     moves = None
     if report.plan is not None:
-        moves = _moves_from_plan(report.plan, scenario.field)
+        moves = _moves_from_plan(report.plan)
     estimate = mc_coverage_fraction(scenario.field, samples, seed, moves)
     return dataclasses.replace(report, verify=dataclasses.asdict(estimate))

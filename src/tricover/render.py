@@ -7,7 +7,6 @@ yield byte-identical SVG. Elements carry class attributes (``site``,
 """
 from __future__ import annotations
 
-from .errors import InconsistentInputError
 from .field import SensorField
 from .files import ReportDoc, ScenarioDoc
 
@@ -61,14 +60,6 @@ def render_svg(scenario: ScenarioDoc, report: ReportDoc | None = None) -> str:
     cv = _Canvas(field)
     positions = {s.id: s.position for s in field.stationary}
     mobile_pos = {m.id: m.position for m in field.mobile}
-    if report is not None and report.triangles is not None:
-        entries = sorted(report.triangles, key=lambda t: t["id"])
-        try:
-            corners = [[positions[v] for v in entry["vertices"]] for entry in entries]
-        except KeyError as exc:
-            raise InconsistentInputError(
-                f"report references unknown sensor id {exc.args[0]}"
-            ) from exc
 
     parts: list[str] = []
     parts.append(
@@ -101,10 +92,12 @@ def render_svg(scenario: ScenarioDoc, report: ReportDoc | None = None) -> str:
     parts.append("</g>")
 
     if report is not None and report.triangles is not None:
+        entries = sorted(report.triangles, key=lambda t: t["id"])
         parts.append('<g class="holes">')
-        for entry, pts in zip(entries, corners):
+        for entry in entries:
             if not entry["is_hole"]:
                 continue
+            pts = (positions[v] for v in entry["vertices"])
             coords = " ".join(f"{cv.x(p.x)},{cv.y(p.y)}" for p in pts)
             case = entry["case"]
             fill = _CASE_FILL.get(case, "#7f7f7f")
@@ -132,12 +125,7 @@ def render_svg(scenario: ScenarioDoc, report: ReportDoc | None = None) -> str:
     if report is not None and report.plan is not None:
         parts.append('<g class="plan">')
         for a in report.plan["assignments"]:
-            mid = a["mobile_id"]
-            if mid not in mobile_pos:
-                raise InconsistentInputError(
-                    f"plan references unknown mobile id {mid}"
-                )
-            src = mobile_pos[mid]
+            src = mobile_pos[a["mobile_id"]]
             tx, ty = a["target"]["x"], a["target"]["y"]
             parts.append(
                 f'<line class="move-arrow" x1="{cv.x(src.x)}" y1="{cv.y(src.y)}" '

@@ -358,9 +358,15 @@ def test_detect_duplicate_sites(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, source",
-    [("plan", "detect"), ("render", "detect"), ("verify", "detect"), ("verify", "plan")],
+    [
+        ("plan", "detect"), ("render", "detect"), ("verify", "detect"), ("verify", "plan"),
+        ("verify", "unknown-vertex"), ("verify", "mobile-twice"),
+    ],
 )
 def test_report_scenario_mismatch(tmp_path, capsys, monkeypatch, command, source):
+    """A report of another scenario (source ``detect`` or ``plan``), or a plan
+    report edited to name an unknown vertex or assign a mobile twice, is
+    refused before any work."""
     mobile = [(5, 5, 1.0)]
     scen_a = write_scenario(tmp_path / "a.json", [(1, 1), (9, 1), (5, 9)], radius=2.0, mobile=mobile)
     scen_b = write_scenario(tmp_path / "b.json", [(1, 2), (9, 1), (5, 9)], radius=2.0, mobile=mobile)
@@ -371,9 +377,18 @@ def test_report_scenario_mismatch(tmp_path, capsys, monkeypatch, command, source
          "--mobile-radius", "2", "--out", str(plan)]
     ) == 0
     report = det if source == "detect" else plan
+    scenario = scen_b
+    if source in ("unknown-vertex", "mobile-twice"):
+        doc = json.loads(plan.read_text())
+        if source == "unknown-vertex":
+            doc["triangles"][0]["vertices"] = [0, 1, 99]
+        else:
+            doc["plan"]["assignments"].append(dict(doc["plan"]["assignments"][0]))
+        plan.write_text(json.dumps(doc))
+        scenario = scen_a
 
     def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before checking the scenario hash")
+        raise AssertionError("sampled before checking the report against the scenario")
 
     # the refusal must come before any Monte-Carlo work
     monkeypatch.setattr(tricover.pipeline, "mc_coverage_fraction", no_sampling)
@@ -383,7 +398,7 @@ def test_report_scenario_mismatch(tmp_path, capsys, monkeypatch, command, source
         "verify": ["--samples", "100", "--seed", "1"],
     }[command]
     code = main(
-        [command, "--scenario", str(scen_b), "--report", str(report), "--out", str(out), *options]
+        [command, "--scenario", str(scenario), "--report", str(report), "--out", str(out), *options]
     )
     assert code == 1
     assert_single_error_line(capsys, "inconsistent-input")
@@ -475,16 +490,24 @@ MALFORMED_REPORTS = {
     "is_hole-not-a-bool": ("detect", "triangle", _set("is_hole", 1), "plan", "invalid-input"),
     "unknown-vertex": ("detect", "triangle", _set("vertices", [0, 1, 99]), "plan", "inconsistent-input"),
     "unknown-vertex-render": ("detect", "triangle", _set("vertices", [0, 1, 99]), "render", "inconsistent-input"),
+    "unknown-vertex-verify": ("detect", "triangle", _set("vertices", [0, 1, 99]), "verify", "inconsistent-input"),
     "non-hole-unknown-vertex": ("detect", "triangle", lambda t: t.update(vertices=[0, 1, 99], is_hole=False), "plan", "inconsistent-input"),
     "non-hole-unknown-vertex-render": ("detect", "triangle", lambda t: t.update(vertices=[0, 1, 99], is_hole=False), "render", "inconsistent-input"),
+    "non-hole-unknown-vertex-verify": ("detect", "triangle", lambda t: t.update(vertices=[0, 1, 99], is_hole=False), "verify", "inconsistent-input"),
     "triangle-not-an-object": ("detect", "triangles", _set(0, 5), "plan", "invalid-input"),
     "assignment-without-cell_id": ("plan", "assignment", _drop("cell_id"), "verify", "invalid-input"),
     "assignment-without-target": ("plan", "assignment", _drop("target"), "render", "invalid-input"),
     "assignment-target-not-an-object": ("plan", "assignment", _set("target", [5, 5]), "verify", "invalid-input"),
     "assignment-not-an-object": ("plan", "assignments", _set(0, 3), "verify", "invalid-input"),
     "assignment-unknown-mobile": ("plan", "assignment", _set("mobile_id", 99), "verify", "inconsistent-input"),
+    "assignment-unknown-mobile-plan": ("plan", "assignment", _set("mobile_id", 99), "plan", "inconsistent-input"),
+    "assignment-unknown-mobile-render": ("plan", "assignment", _set("mobile_id", 99), "render", "inconsistent-input"),
     "assignment-target-outside-field": ("plan", "assignment", _set("target", {"x": 10.5, "y": 5.0}), "verify", "invalid-input"),
+    "assignment-target-outside-field-plan": ("plan", "assignment", _set("target", {"x": 10.5, "y": 5.0}), "plan", "invalid-input"),
+    "assignment-target-outside-field-render": ("plan", "assignment", _set("target", {"x": 10.5, "y": 5.0}), "render", "invalid-input"),
     "assignment-mobile-twice": ("plan", "assignments", lambda a: a.append(dict(a[0], target={"x": 1.0, "y": 1.0})), "verify", "inconsistent-input"),
+    "assignment-mobile-twice-plan": ("plan", "assignments", lambda a: a.append(dict(a[0], target={"x": 1.0, "y": 1.0})), "plan", "inconsistent-input"),
+    "assignment-mobile-twice-render": ("plan", "assignments", lambda a: a.append(dict(a[0], target={"x": 1.0, "y": 1.0})), "render", "inconsistent-input"),
     "meta-not-an-object": ("detect", "report", _set("meta", [1, 2]), "plan", "invalid-input"),
     "meta-zero": ("detect", "report", _set("meta", 0), "plan", "invalid-input"),
     "meta-null": ("plan", "report", _set("meta", None), "render", "invalid-input"),
@@ -525,19 +548,19 @@ def test_malformed_report_is_a_single_error_line(tmp_path, capsys, case):
     mutate(target)
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    argv = {
-        "plan": ["plan", "--scenario", str(scen), "--report", str(path),
-                 "--mobile-radius", "1", "--out", str(tmp_path / "out.json")],
-        "verify": ["verify", "--scenario", str(scen), "--report", str(path),
-                   "--samples", "100", "--seed", "1", "--out", str(tmp_path / "out.json")],
-        "render": ["render", "--scenario", str(scen), "--report", str(path),
-                   "--out", str(tmp_path / "out.svg")],
+    out = tmp_path / "out"
+    options = {
+        "plan": ["--mobile-radius", "1"],
+        "verify": ["--samples", "100", "--seed", "1"],
+        "render": [],
     }[command]
+    argv = [command, "--scenario", str(scen), "--report", str(path), "--out", str(out), *options]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("error: ") == 1
     assert err.startswith(f"error: {kind}:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])

@@ -268,7 +268,7 @@ def test_apply_plan_moves_assigned_mobile():
     field = mobile_field([(0, 0.0, 0.0, 1.0)])
     plan = plan_relocation([fake_target(0, 3.0, 4.0)], field)
     assert plan.total_movement == pytest.approx(5.0)
-    moves = _moves_from_plan(plan_to_dict(plan, 1.0), field)
+    moves = _moves_from_plan(plan_to_dict(plan, 1.0))
     assert moves == {0: Point(3.0, 4.0)}
     # the moved disk keeps its radius: counted as the hand-moved field
     moved = mobile_field([(0, 3.0, 4.0, 1.0)])
@@ -283,7 +283,7 @@ def test_apply_plan_zero_distance_is_fine():
     field = mobile_field([(0, 2.0, 2.0, 1.0)])
     plan = plan_relocation([fake_target(0, 2.0, 2.0)], field)
     assert plan.total_movement == 0.0
-    moves = _moves_from_plan(plan_to_dict(plan, 1.0), field)
+    moves = _moves_from_plan(plan_to_dict(plan, 1.0))
     assert moves == {0: Point(2.0, 2.0)}
     est = mc_coverage_fraction(field, 10**5, seed=5, moves=moves)
     assert est.after == est.before
@@ -301,7 +301,7 @@ def test_healing_improves_coverage_paired_seed():
         [(3, 0.1, 3.9, 1.5)],
     )
     mesh = triangulate(field)
-    reports = [r for r in detect_holes(field, mesh) if r.is_hole]
+    reports = [r for r in detect_holes(mesh, field.sensing_radius) if r.is_hole]
     assert len(reports) == 1
     rep = reports[0]
     target = select_target(
