@@ -106,9 +106,13 @@ def hole_epsilon(radius: float) -> float:
     return _HOLE_EPSILON_FACTOR * radius * radius
 
 
-def _require_analysable(tri: TriangleGeom, radius: float) -> None:
+def _require_radius(radius: float) -> None:
     if not (isfinite(radius) and radius > 0):
         raise InvalidInputError(f"sensing radius must be > 0, got {radius}")
+
+
+def _require_analysable(tri: TriangleGeom, radius: float) -> None:
+    _require_radius(radius)
     if tri.degenerate:
         raise DegenerateGeometryError("triangle is degenerate")
 
@@ -242,6 +246,7 @@ def detect_holes(
     ``epsilon`` (finite, >= 0) overrides the default significance threshold
     ``1e-9 * R^2``.
     """
+    _require_radius(radius)
     eps = hole_epsilon(radius) if epsilon is None else epsilon
     if not (isfinite(eps) and eps >= 0.0):
         raise InvalidInputError(f"hole epsilon must be finite and >= 0, got {eps}")

@@ -28,6 +28,12 @@ _MIN_GRID_RESOLUTION = 16
 # result.
 MC_CHUNK = 1 << 16
 
+# States of a stationary-coverage raster cell (see ``_coverage_raster``).
+_UNCOVERED, _COVERED, _MIXED = 0, 1, 2
+
+# Half the diagonal of a unit cell, widened by 1e-9.
+_HALF_DIAGONAL = sqrt(0.5) * (1.0 + 1e-9)
+
 
 @dataclass(frozen=True)
 class CoverageEstimate:
@@ -82,6 +88,118 @@ def _in_disks(
     return covered
 
 
+@dataclass(frozen=True)
+class _Raster:
+    """Square cells of side ``h``, ``nx`` by ``ny``, from the origin.
+
+    ``state[j * nx + i]`` is the state of the cell
+    ``[i * h, (i + 1) * h] x [j * h, (j + 1) * h]``.
+    """
+
+    h: float
+    nx: int
+    ny: int
+    state: np.ndarray
+
+
+def _coverage_raster(
+    tree: cKDTree, radius: float, width: float, height: float, samples: int
+) -> _Raster:
+    """Classify raster cells over ``[0, width] x [0, height]`` by the disks of ``tree``'s sensors.
+
+    The raster has ``cells = min(samples // 8, MC_CHUNK)`` cells or fewer,
+    and at least one: ``nx`` columns near ``sqrt(cells * width / height)``,
+    ``ny = cells // nx`` rows and side ``h = max(width / nx, height / ny)``.
+    Building it costs about one query per eight samples, and its memory is
+    bounded whatever ``samples`` is.
+
+    With ``R = radius`` and ``δ = h * sqrt(1/2) * (1 + 1e-9)``, one
+    ``tree.query`` gives each cell centre ``c`` the distance ``d0`` to its
+    nearest sensor, or ``inf`` when no sensor is nearer than
+    ``B = R * (1 + 1e-9) + δ``. A cell is *covered* if
+    ``d0 + δ <= R * (1 - 1e-9)``, *uncovered* if ``d0 - δ >= R * (1 + 1e-9)``
+    and *mixed* otherwise.
+
+    A point ``p`` of the field in a covered (uncovered) cell, as
+    ``_stationary_covered`` assigns it, passes (fails) the plain test
+    ``tree.query(p, distance_upper_bound=nextafter(R, inf))[0] <= R``. With
+    u = 2**-53 the unit roundoff, and the field's sides and R in
+    [2**-400, 2**400] (no square below overflows, and one that underflows
+    moves a distance by at most 2**-537, far below 1e-11 * h):
+
+    - A distance computed by scipy (the root of a rounded sum of rounded
+      squares of rounded differences) is within a relative 3.01u of the true
+      one. The kd search returns the least computed distance below its
+      bound; as it prunes on rounded rectangle distances, it can miss only a
+      sensor whose computed distance is within a relative 1e-12 of the bound.
+    - ``_stationary_covered`` puts p in column ``min(floor(x * (1/h)), nx - 1)``.
+      ``x * (1/h)`` is within a relative 2.01u of x / h, and
+      x <= width <= nx * h * (1 + 1.01u), so x lies in the column widened by
+      2.02u * nx * h <= 2.02 * 2**-37 * h on each side (nx <= 2**16): a
+      point can land one cell off by a few ulps. The computed centre
+      ``(i + 0.5) * h`` is within u * nx * h <= 2**-37 * h of the true one.
+      So |x - cx| <= h/2 * (1 + 4.4e-11), likewise for y, and
+      |p - c| <= h/sqrt(2) * (1 + 4.4e-11). The computed δ is at least
+      h/sqrt(2) * (1 + 1e-9) * (1 - 4u), so |p - c| <= δ - 9.5e-10 * h/sqrt(2).
+    - Covered: some sensor s has computed distance d0 from c, so
+      |c - s| <= d0 * (1 + 3.01u) and |p - s| <= (d0 + δ) * (1 + 3.01u)
+      <= R * (1 - 1e-9) * (1 + u)**2 * (1 + 3.01u) < R * (1 - 1e-9 + 5.1u).
+      p's computed distance to s is below R * (1 - 1e-9 + 8.2u), far below
+      R and the bound, so the plain query finds a distance <= R.
+    - Uncovered: let m = min(d0, B) (both rounded), so that every sensor's
+      computed distance from c is at least m * (1 - 1e-12), and the rounded
+      ``d0 - δ`` or ``B - δ`` >= R' = R * (1 + 1e-9) (rounded) gives
+      m - δ >= R' - 1.02u * (R' + 2δ). Then every sensor s has
+      |p - s| >= |c - s| - |p - c|
+      >= m - δ - 1.02e-12 * m + 9.5e-10 * h/sqrt(2)
+      >= R' * (1 - 1.03e-12) + h/sqrt(2) * (9.5e-10 - 2.1e-12)
+      > R * (1 + 9.9e-10), as m <= (R' + δ) * (1 + u) and δ <= 1.01 * h/sqrt(2).
+      p's computed distance to every sensor exceeds R * (1 + 9.8e-10), so
+      the plain query finds none within ``nextafter(R, inf)``.
+
+    The margin on R absorbs the rounding in terms of R's size; the widening
+    of δ absorbs the cell-index rounding, which scales with h and matters on
+    the uncovered side when R is far below h.
+    """
+    cells = max(1, min(samples // 8, MC_CHUNK))
+    nx = int(min(cells, max(1.0, sqrt(cells * (width / height)))))
+    ny = cells // nx
+    h = max(width / nx, height / ny)
+    delta = h * _HALF_DIAGONAL
+    centres = np.empty((ny, nx, 2))
+    centres[:, :, 0] = (np.arange(nx) + 0.5) * h
+    centres[:, :, 1] = ((np.arange(ny) + 0.5) * h)[:, np.newaxis]
+    d0, _ = tree.query(
+        centres.reshape(-1, 2), distance_upper_bound=radius * (1.0 + 1e-9) + delta
+    )
+    state = np.full(nx * ny, _MIXED, dtype=np.int8)
+    state[d0 + delta <= radius * (1.0 - 1e-9)] = _COVERED
+    state[d0 - delta >= radius * (1.0 + 1e-9)] = _UNCOVERED
+    return _Raster(h, nx, ny, state)
+
+
+def _stationary_covered(
+    pts: np.ndarray, tree: cKDTree, raster: _Raster, radius: float
+) -> np.ndarray:
+    """Which of ``pts`` (points of the raster's field) lie within ``radius`` of a sensor of ``tree``.
+
+    A point in a covered or uncovered cell of ``raster`` takes the cell's
+    state, which is the plain query's answer (see ``_coverage_raster``); the
+    points in mixed cells are queried.
+    """
+    inv_h = 1.0 / raster.h
+    col = np.minimum((pts[:, 0] * inv_h).astype(np.intp), raster.nx - 1)
+    row = np.minimum((pts[:, 1] * inv_h).astype(np.intp), raster.ny - 1)
+    state = raster.state[row * raster.nx + col]
+    covered = state == _COVERED
+    mixed = np.flatnonzero(state == _MIXED)
+    if len(mixed):
+        # cKDTree's bound is strict; the next float up keeps points at exactly R.
+        dist, _ = tree.query(pts[mixed], distance_upper_bound=nextafter(radius, inf))
+        covered[mixed] = dist <= radius
+    return covered
+
+
 def mc_coverage_fraction(
     field: SensorField,
     samples: int,
@@ -98,8 +216,13 @@ def mc_coverage_fraction(
     confidence half-widths.
 
     Only hit counts leave the loop, so the order of the points within a
-    chunk is free: each chunk is sorted by x once, which lets every mobile
-    disk be tested on its own x-band alone (see ``_in_disks``).
+    chunk is free. For the stationary disks, each sample takes the state of
+    its cell in a raster of the field built once per call, and only the
+    samples in cells that the raster cannot decide are queried in the
+    kd-tree (see ``_coverage_raster``, which shows that the decided samples
+    get the query's answer). If the field has mobiles, each chunk is sorted
+    by x once, which lets every mobile disk be tested on its own x-band
+    alone (see ``_in_disks``).
     """
     if samples <= 0:
         raise InvalidInputError(f"sample count must be > 0, got {samples}")
@@ -111,23 +234,23 @@ def mc_coverage_fraction(
     staying = [(m.position, m.radius) for m in field.mobile if m.id not in moves]
     leaving = [(m.position, m.radius) for m in field.mobile if m.id in moves]
     arriving = [(moves[m.id], m.radius) for m in field.mobile if m.id in moves]
-    tree = None
+    radius = field.sensing_radius
+    tree = raster = None
     if field.stationary:
         tree = cKDTree([[s.position.x, s.position.y] for s in field.stationary])
-    # cKDTree's bound is strict; the next float up keeps points at exactly R.
-    bound = nextafter(field.sensing_radius, inf)
+        raster = _coverage_raster(tree, radius, field.width, field.height, samples)
     rng = np.random.default_rng(seed)
     hits_before = hits_after = 0
     for start in range(0, samples, MC_CHUNK):
         pts = rng.random((min(MC_CHUNK, samples - start), 2))
         pts[:, 0] *= field.width
         pts[:, 1] *= field.height
-        pts = pts.take(np.argsort(pts[:, 0]), axis=0)
+        if field.mobile:
+            pts = pts.take(np.argsort(pts[:, 0]), axis=0)
         if tree is None:
             covered = np.zeros(len(pts), dtype=bool)
         else:
-            dist, _ = tree.query(pts, distance_upper_bound=bound)
-            covered = dist <= field.sensing_radius
+            covered = _stationary_covered(pts, tree, raster, radius)
         covered = _in_disks(pts, staying, covered)
         hits_before += int(np.count_nonzero(_in_disks(pts, leaving, covered.copy())))
         hits_after += int(np.count_nonzero(_in_disks(pts, arriving, covered)))

@@ -347,3 +347,12 @@ def test_detect_method_forwarding():
     assert by_case[0].method == "case-formula"
     assert by_exact[0].method == "exact-fallback"
     assert by_case[0].hole_area == pytest.approx(by_exact[0].hole_area, rel=1e-9)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0])
+def test_detect_rejects_bad_radius_before_deriving_epsilon(radius):
+    field = make_field(
+        4.0, 4.0, 1.0, [(0, 0.5, 0.5), (1, 3.5, 0.5), (2, 2.0, 0.5 + 3 * sqrt(3) / 2)]
+    )
+    with pytest.raises(InvalidInputError, match="^sensing radius must be > 0, got "):
+        detect_holes(triangulate(field), radius)

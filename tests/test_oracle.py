@@ -1,10 +1,12 @@
 """Monte-Carlo and grid estimator tests."""
 from __future__ import annotations
 
+from fractions import Fraction
 from math import inf, nextafter, pi, sqrt
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from tricover import (
     InvalidInputError,
@@ -15,7 +17,16 @@ from tricover import (
     triangle_disks_covered_area,
     triangle_from_vertices,
 )
-from tricover.oracle import MC_CHUNK, _in_disks
+from tricover.oracle import (
+    _COVERED,
+    _HALF_DIAGONAL,
+    _MIXED,
+    _UNCOVERED,
+    MC_CHUNK,
+    _coverage_raster,
+    _in_disks,
+    _stationary_covered,
+)
 
 
 def tri(*pts):
@@ -233,6 +244,171 @@ def test_band_masks_match_one_draw_on_a_crowded_field():
         assert est.after == hits_after / samples
         assert 0.0 < est.before < 1.0 and 0.0 < est.after < 1.0
         assert est.after != est.before
+
+
+# --- stationary coverage raster ------------------------------------------------
+
+
+def _plain_covered(tree, pts, radius):
+    dist, _ = tree.query(pts, distance_upper_bound=nextafter(radius, inf))
+    return dist <= radius
+
+
+def _raster_matches_plain_query(sensors, radius, width, height, samples, pts):
+    """The raster's answer for ``pts`` equals the plain query's; returns the raster."""
+    tree = cKDTree(sensors)
+    raster = _coverage_raster(tree, radius, width, height, samples)
+    pts = np.array(pts, dtype=float)
+    got = _stationary_covered(pts, tree, raster, radius)
+    assert np.array_equal(got, _plain_covered(tree, pts, radius))
+    return raster
+
+
+def _cell_points(h, i, j, width, height):
+    """Corners and edge midpoints of cell (i, j), each one and two ulps off, in the field."""
+    xs = [x for v in (i * h, (i + 0.5) * h, (i + 1) * h) for x in _near(v)]
+    ys = [y for v in (j * h, (j + 0.5) * h, (j + 1) * h) for y in _near(v)]
+    return [(x, y) for x in xs for y in ys if 0.0 <= x <= width and 0.0 <= y <= height]
+
+
+def _ulp_steps(v, k=3):
+    out = [v]
+    up = down = v
+    for _ in range(k):
+        up, down = nextafter(up, inf), nextafter(down, -inf)
+        out += [up, down]
+    return out
+
+
+def _state_of(raster, i, j):
+    return int(raster.state[j * raster.nx + i])
+
+
+# An 8 x 8 field and 512 samples give an 8 x 8 raster of unit cells.
+UNIT = dict(width=8.0, height=8.0, samples=512)
+
+
+@pytest.mark.parametrize("offset", [2.0, 2.0**24 + 3.0, 2.0**26 + 5.0])
+@pytest.mark.parametrize("side", ["covered", "uncovered"])
+def test_raster_matches_plain_query_at_the_thresholds(offset, side):
+    # One sensor on the diagonal through the centre of cell (5, 5), so that
+    # a corner of the cell lies as far from it, or as near to it, as any
+    # point of the cell can. The radius runs over a few ulps around the
+    # thresholds of the raster's rule, and around the same thresholds
+    # without the margins on R; far sensors make the rounding of R-sized
+    # distances exceed the widening of δ.
+    h = 1.0
+    c = 5.5
+    sensor = c - offset if side == "covered" else c + offset
+    d0 = sqrt(2.0) * offset
+    tree = cKDTree([(sensor, sensor)])
+    assert tree.query([(c, c)])[0][0] == d0
+    delta = h * _HALF_DIAGONAL
+    if side == "covered":
+        bare = d0 + delta
+        radii = _ulp_steps(bare) + _ulp_steps(bare / (1.0 - 1e-9))
+    else:
+        bare = d0 - delta
+        radii = _ulp_steps(bare) + _ulp_steps(bare / (1.0 + 1e-9))
+    pts = _cell_points(h, 5, 5, UNIT["width"], UNIT["height"])
+    states = set()
+    for radius in radii:
+        # points at sensor distance R * (1 +/- k * 2**-53) on the diagonal
+        for scale in _ulp_steps(radius / sqrt(2.0)):
+            t = sensor + scale if side == "covered" else sensor - scale
+            if 0.0 <= t <= UNIT["width"]:
+                pts.append((t, t))
+        raster = _raster_matches_plain_query([(sensor, sensor)], radius, pts=pts, **UNIT)
+        assert raster.h == h
+        states.add(_state_of(raster, 5, 5))
+    assert states == {_MIXED, _COVERED if side == "covered" else _UNCOVERED}
+
+
+def test_raster_matches_plain_query_one_cell_off():
+    # 80000 samples on a 3 x 3 field give a 100 x 100 raster whose side h
+    # rounds down, so the field corner lies outside the last cell by about
+    # 33 ulps of h on each axis, and is put in that cell. A sensor at the
+    # corner and a tiny radius: the corner is covered, and the cell is
+    # decided only if δ is wide enough to reach past the corner.
+    width = height = 3.0
+    raster = _raster_matches_plain_query(
+        [(width, height)], 1e-100, width, height, 80000,
+        _cell_points(0.03, 99, 99, width, height) + [(width, height)],
+    )
+    assert raster.nx == raster.ny == 100
+    assert Fraction(width) > 100 * Fraction(raster.h)
+    assert _state_of(raster, 99, 99) == _MIXED
+    assert _state_of(raster, 97, 97) == _UNCOVERED
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.9, 1.7, 3.5])
+def test_raster_matches_plain_query_on_cell_edges_and_corners(radius):
+    # sensors on cell corners, edges and centres of the unit raster, and at
+    # random points; every corner and edge midpoint of every cell, an ulp
+    # or two off
+    rng = np.random.default_rng(11)
+    sensors = [(1.0, 1.0), (3.0, 2.5), (5.5, 5.5), (8.0, 0.0), (6.0, 8.0)]
+    sensors += [tuple(p) for p in rng.uniform(0.0, 8.0, size=(6, 2))]
+    pts = [p for i in range(8) for j in range(8) for p in _cell_points(1.0, i, j, 8.0, 8.0)]
+    # points at sensor distance R * (1 +/- k * 2**-53) along the axes
+    for sx, sy in sensors:
+        for r in _ulp_steps(radius):
+            pts += [(sx + r, sy), (sx - r, sy), (sx, sy + r), (sx, sy - r)]
+    pts = [(x, y) for x, y in pts if 0.0 <= x <= 8.0 and 0.0 <= y <= 8.0]
+    raster = _raster_matches_plain_query(sensors, radius, pts=pts, **UNIT)
+    decided = np.count_nonzero(raster.state != _MIXED)
+    assert decided > 0
+
+
+@pytest.mark.parametrize(
+    "width, height, samples",
+    [(100.0, 100.0, 10**7), (1000.0, 1.0, 10**7), (1.0, 1000.0, 10**7),
+     (1e6, 1e-3, 10**7), (100.0, 100.0, 8 * MC_CHUNK - 1), (5.0, 3.0, 7)],
+)
+def test_raster_size_is_bounded_and_covers_the_field(width, height, samples):
+    tree = cKDTree([(0.5 * width, 0.5 * height)])
+    raster = _coverage_raster(tree, 1.0, width, height, samples)
+    assert raster.state.size == raster.nx * raster.ny
+    assert 1 <= raster.state.size <= min(MC_CHUNK, max(1, samples // 8))
+    assert raster.nx * raster.h >= width * (1.0 - 2.0**-52)
+    assert raster.ny * raster.h >= height * (1.0 - 2.0**-52)
+
+
+def _edge_field(name):
+    # (field, samples, moves) on which the raster is exercised at an edge;
+    # the fields without mobiles also check that skipping the x-sort keeps
+    # the counts
+    if name == "one-stationary":
+        return make_field(6.0, 4.0, 1.3, [(0, 2.0, 1.5)], [(1, 5.0, 3.0, 0.8)]), 50_000, {1: Point(2.5, 2.0)}
+    if name == "radius-wider-than-field":
+        return make_field(3.0, 2.0, 7.0, [(0, 3.0, 2.0), (1, 0.0, 1.0)]), 50_000, None
+    if name == "radius-far-below-cell":
+        # 40 samples: a 5-cell raster with cells of side 2, and R = 1e-3
+        return make_field(10.0, 2.0, 1e-3, [(0, 1.0, 1.0), (1, 5.0, 0.5)]), 40, None
+    if name == "elongated":
+        rng = np.random.default_rng(19)
+        stationary = [(i, float(rng.uniform(0, 1000)), float(rng.uniform(0, 1))) for i in range(300)]
+        return make_field(1000.0, 1.0, 0.7, stationary, [(300, 10.0, 0.5, 2.0)]), 200_000, {300: Point(900.0, 0.5)}
+    if name == "fewer-than-8-samples":
+        return make_field(2.0, 2.0, 0.9, [(0, 0.5, 0.5), (1, 1.5, 1.2)]), 7, None
+    if name == "raster-at-cap":
+        rng = np.random.default_rng(23)
+        stationary = [(i, float(rng.uniform(0, 20)), float(rng.uniform(0, 20))) for i in range(60)]
+        return make_field(20.0, 20.0, 1.1, stationary), 8 * MC_CHUNK + 9, None
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["one-stationary", "radius-wider-than-field", "radius-far-below-cell", "elongated",
+     "fewer-than-8-samples", "raster-at-cap"],
+)
+def test_mc_with_raster_matches_one_draw_on_edge_fields(name):
+    field, samples, moves = _edge_field(name)
+    est = mc_coverage_fraction(field, samples, seed=37, moves=moves)
+    hits_before, hits_after = _unchunked_hits(field, samples, 37, moves or {})
+    assert est.before == hits_before / samples
+    assert est.after == hits_after / samples
 
 
 # --- grid_region_uncovered ------------------------------------------------------
