@@ -146,10 +146,11 @@ def _coverage_raster(
       <= R * (1 - 1e-9) * (1 + u)**2 * (1 + 3.01u) < R * (1 - 1e-9 + 5.1u).
       p's computed distance to s is below R * (1 - 1e-9 + 8.2u), far below
       R and the bound, so the plain query finds a distance <= R.
-    - Uncovered: let m = min(d0, B) (both rounded), so that every sensor's
-      computed distance from c is at least m * (1 - 1e-12), and the rounded
-      ``d0 - δ`` or ``B - δ`` >= R' = R * (1 + 1e-9) (rounded) gives
-      m - δ >= R' - 1.02u * (R' + 2δ). Then every sensor s has
+    - Uncovered: let R' and B be the rounded ``R * (1 + 1e-9)`` and
+      ``R' + δ``, and m = min(d0, B), so that every sensor's computed
+      distance from c is at least m * (1 - 1e-12). Either d0 < B and the
+      rounded ``d0 - δ`` is at least R', or m = B >= (R' + δ) * (1 - u);
+      both give m - δ >= R' - 1.02u * (R' + 2δ). Then every sensor s has
       |p - s| >= |c - s| - |p - c|
       >= m - δ - 1.02e-12 * m + 9.5e-10 * h/sqrt(2)
       >= R' * (1 - 1.03e-12) + h/sqrt(2) * (9.5e-10 - 2.1e-12)
