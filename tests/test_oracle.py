@@ -374,27 +374,32 @@ def test_raster_size_is_bounded_and_covers_the_field(width, height, samples):
     assert raster.ny * raster.h >= height * (1.0 - 2.0**-52)
 
 
+def _random_sensors(seed, n, width, height):
+    rng = np.random.default_rng(seed)
+    return [(i, float(rng.uniform(0, width)), float(rng.uniform(0, height))) for i in range(n)]
+
+
 def _edge_field(name):
     # (field, samples, moves) on which the raster is exercised at an edge;
     # the fields without mobiles also check that skipping the x-sort keeps
     # the counts
     if name == "one-stationary":
-        return make_field(6.0, 4.0, 1.3, [(0, 2.0, 1.5)], [(1, 5.0, 3.0, 0.8)]), 50_000, {1: Point(2.5, 2.0)}
+        field = make_field(6.0, 4.0, 1.3, [(0, 2.0, 1.5)], [(1, 5.0, 3.0, 0.8)])
+        return field, 50_000, {1: Point(2.5, 2.0)}
     if name == "radius-wider-than-field":
         return make_field(3.0, 2.0, 7.0, [(0, 3.0, 2.0), (1, 0.0, 1.0)]), 50_000, None
     if name == "radius-far-below-cell":
-        # 40 samples: a 5-cell raster with cells of side 2, and R = 1e-3
-        return make_field(10.0, 2.0, 1e-3, [(0, 1.0, 1.0), (1, 5.0, 0.5)]), 40, None
+        # 800 samples: 22 x 4 cells of side 0.5, ten times R
+        return make_field(10.0, 2.0, 0.05, _random_sensors(17, 200, 10.0, 2.0)), 800, None
     if name == "elongated":
-        rng = np.random.default_rng(19)
-        stationary = [(i, float(rng.uniform(0, 1000)), float(rng.uniform(0, 1))) for i in range(300)]
-        return make_field(1000.0, 1.0, 0.7, stationary, [(300, 10.0, 0.5, 2.0)]), 200_000, {300: Point(900.0, 0.5)}
+        stationary = _random_sensors(19, 300, 1000.0, 1.0)
+        field = make_field(1000.0, 1.0, 0.7, stationary, [(300, 10.0, 0.5, 2.0)])
+        return field, 200_000, {300: Point(900.0, 0.5)}
     if name == "fewer-than-8-samples":
         return make_field(2.0, 2.0, 0.9, [(0, 0.5, 0.5), (1, 1.5, 1.2)]), 7, None
     if name == "raster-at-cap":
-        rng = np.random.default_rng(23)
-        stationary = [(i, float(rng.uniform(0, 20)), float(rng.uniform(0, 20))) for i in range(60)]
-        return make_field(20.0, 20.0, 1.1, stationary), 8 * MC_CHUNK + 9, None
+        field = make_field(20.0, 20.0, 1.1, _random_sensors(23, 60, 20.0, 20.0))
+        return field, 8 * MC_CHUNK + 9, None
     raise AssertionError(name)
 
 
@@ -409,6 +414,7 @@ def test_mc_with_raster_matches_one_draw_on_edge_fields(name):
     hits_before, hits_after = _unchunked_hits(field, samples, 37, moves or {})
     assert est.before == hits_before / samples
     assert est.after == hits_after / samples
+    assert hits_before > 0
 
 
 # --- grid_region_uncovered ------------------------------------------------------
