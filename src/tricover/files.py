@@ -92,14 +92,22 @@ def _encode(obj: Any, indent: str) -> str:
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
-    """Canonical serialized form of a JSON-able object."""
-    return (_encode(obj, "") + "\n").encode("ascii")
+    """Canonical serialized form of a JSON-able object.
+
+    An object nested too deeply for the encoder's recursion is ``invalid-input``.
+    """
+    try:
+        return (_encode(obj, "") + "\n").encode("ascii")
+    except RecursionError:
+        raise InvalidInputError("value is nested too deeply to serialize") from None
 
 
 def _parse_json(text: bytes | str, what: str) -> dict:
+    # ``ValueError`` covers ``JSONDecodeError``, bytes that are not UTF-8 and
+    # integers beyond Python's digit limit; deep nesting overflows the decoder.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{what} must be a JSON object")

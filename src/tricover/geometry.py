@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import acos, atan2, cos, hypot, isfinite, pi, sin, sqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateGeometryError, InvalidInputError
 
@@ -55,22 +55,6 @@ def _require_finite(p: Point) -> None:
 
 def _clamp01(v: float, lo: float = -1.0, hi: float = 1.0) -> float:
     return lo if v < lo else hi if v > hi else v
-
-
-def heron_area(a: float, b: float, c: float) -> float:
-    """Triangle area from its three side lengths.
-
-    Returns 0.0 for degenerate (collinear) triples, including triples that
-    violate the triangle inequality; tiny negative radicands produced by
-    rounding are clamped to zero.
-    """
-    if a < 0 or b < 0 or c < 0:
-        raise InvalidInputError(f"side lengths must be >= 0, got ({a}, {b}, {c})")
-    s = 0.5 * (a + b + c)
-    radicand = s * (s - a) * (s - b) * (s - c)
-    if radicand <= 0.0:
-        return 0.0
-    return sqrt(radicand)
 
 
 def triangle_from_vertices(p1: Point, p2: Point, p3: Point) -> TriangleGeom:
@@ -181,69 +165,6 @@ def _ccw_vertices(tri: TriangleGeom) -> tuple[Point, Point, Point]:
     return p1, p2, p3
 
 
-def triangle_disk_intersection_area(
-    tri: TriangleGeom, center: Point, radius: float
-) -> float:
-    """Exact area of ``triangle ∩ disk``.
-
-    Per-edge boundary integration: portions of an edge inside the disk
-    contribute straight-line terms, portions outside contribute the arc
-    subtended at the disk center. Degenerate triangles have zero area.
-    """
-    if radius < 0:
-        raise InvalidInputError(f"radius must be >= 0, got {radius}")
-    center = Point(*center)
-    _require_finite(center)
-    if tri.degenerate or radius == 0.0:
-        return 0.0
-    verts = _ccw_vertices(tri)
-    total = 0.0
-    for i in range(3):
-        u, v = verts[i], verts[(i + 1) % 3]
-        total += _edge_disk_term(
-            u.x - center.x, u.y - center.y, v.x - center.x, v.y - center.y, radius
-        )
-    cap = min(tri.area, pi * radius * radius)
-    return _clamp01(total, 0.0, cap)
-
-
-def _edge_disk_term(ax: float, ay: float, bx: float, by: float, R: float) -> float:
-    """Contribution of directed segment a→b to the disk-at-origin boundary
-    integral: chord (triangle) terms inside the disk, sector terms outside."""
-
-    def tri_term(x1: float, y1: float, x2: float, y2: float) -> float:
-        return 0.5 * (x1 * y2 - y1 * x2)
-
-    def arc_term(x1: float, y1: float, x2: float, y2: float) -> float:
-        ang = atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2)
-        return 0.5 * R * R * ang
-
-    dx, dy = bx - ax, by - ay
-    A = dx * dx + dy * dy
-    if A == 0.0:
-        return 0.0
-    B = ax * dx + ay * dy
-    C = ax * ax + ay * ay - R * R
-    disc = B * B - A * C
-    if disc <= 0.0:
-        return arc_term(ax, ay, bx, by)
-    sq = sqrt(disc)
-    t1 = (-B - sq) / A
-    t2 = (-B + sq) / A
-    if t2 <= 0.0 or t1 >= 1.0:
-        return arc_term(ax, ay, bx, by)
-    ta = t1 if t1 > 0.0 else 0.0
-    tb = t2 if t2 < 1.0 else 1.0
-    pax, pay = ax + ta * dx, ay + ta * dy
-    pbx, pby = ax + tb * dx, ay + tb * dy
-    total = tri_term(pax, pay, pbx, pby)
-    if ta > 0.0:
-        total += arc_term(ax, ay, pax, pay)
-    if tb < 1.0:
-        total += arc_term(pbx, pby, bx, by)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Triangle ∩ (union of disks): exact boundary integral.
 #
@@ -292,10 +213,11 @@ def _ivals_complement(A: _IvalSet) -> _IvalSet:
     return out
 
 
-def _ivals_union(sets: Iterable[_IvalSet]) -> _IvalSet:
-    flat = sorted(iv for s in sets for iv in s)
+def _ivals_union(ivals: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The union of ``ivals`` as disjoint intervals in order; sorts ``ivals`` in place."""
+    ivals.sort()
     out: list[tuple[float, float]] = []
-    for lo, hi in flat:
+    for lo, hi in ivals:
         if out and lo <= out[-1][1]:
             if hi > out[-1][1]:
                 out[-1] = (out[-1][0], hi)
@@ -342,9 +264,9 @@ def triangle_disks_covered_area(
 ) -> float:
     """Exact area of ``triangle ∩ (disk_1 ∪ ... ∪ disk_n)``.
 
-    Complements :func:`triangle_disk_intersection_area` for several disks;
-    with a single disk the two agree to rounding. Degenerate triangles and
-    empty disk lists give zero.
+    Degenerate triangles and empty disk lists give zero. The tests check
+    it against a single-disk boundary integral and a grid rasterizer
+    (``tests/oracles.py``).
     """
     if tri.degenerate:
         return 0.0
@@ -388,15 +310,7 @@ def triangle_disks_covered_area(
             t2 = min((-B + sq) / A, 1.0)
             if t2 > t1:
                 spans.append((t1, t2))
-        spans.sort()
-        merged: list[tuple[float, float]] = []
-        for lo, hi in spans:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        for lo, hi in merged:
+        for lo, hi in _ivals_union(spans):
             x1, y1 = u.x + lo * dx, u.y + lo * dy
             x2, y2 = u.x + hi * dx, u.y + hi * dy
             total += 0.5 * (x1 * y2 - y1 * x2)
@@ -410,11 +324,12 @@ def triangle_disks_covered_area(
                 break
         if not inside:
             continue
-        others = _ivals_union(
-            _circle_in_disk(cx, cy, R, ox, oy, Ro)
+        others = _ivals_union([
+            iv
             for j, (ox, oy, Ro) in enumerate(circles)
             if j != k
-        )
+            for iv in _circle_in_disk(cx, cy, R, ox, oy, Ro)
+        ])
         exposed = _ivals_intersect(inside, _ivals_complement(others))
         for th1, th2 in exposed:
             total += 0.5 * (

@@ -1,8 +1,11 @@
-"""Independent coverage estimators: seeded Monte Carlo and grid rasterization.
+"""Verify's Monte-Carlo coverage estimator.
 
-These are the arbiters for the closed-form geometry elsewhere in the
-package, so they deliberately share no code with it: coverage is decided by
-plain distance comparisons on sampled or rasterized points.
+``mc_coverage_fraction`` measures how much of a field its sensors cover,
+before and after a plan moves some mobiles, on seeded uniform samples.
+Coverage is decided by plain distance comparisons: a raster of the
+stationary disks settles most samples, and a kd-tree query the rest. It
+shares no code with the closed-form geometry of ``detect``, so it also
+serves the tests as an independent check of the hole areas.
 """
 from __future__ import annotations
 
@@ -15,12 +18,10 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
 from .field import SensorField
-from .geometry import Point, TriangleGeom
+from .geometry import Point
 
 # Two-sided 99% normal quantile for binomial confidence half-widths.
 _Z99 = 2.5758293035489004
-
-_MIN_GRID_RESOLUTION = 16
 
 # Monte-Carlo samples are drawn and tested this many at a time, which bounds
 # memory whatever the sample count. Successive draws from one generator
@@ -263,48 +264,3 @@ def mc_coverage_fraction(
         before=before, after=after, samples=samples, seed=seed, half_width=half_width
     )
 
-
-def grid_region_uncovered(
-    tri: TriangleGeom,
-    disks: Sequence[tuple[Point, float]],
-    resolution: int = 1024,
-) -> float:
-    """Deterministic grid estimate of the triangle area not covered by any disk.
-
-    The triangle's bounding box is rasterized into ``resolution x resolution``
-    cells; a cell counts as uncovered when its center lies inside the triangle
-    and outside every disk. Error shrinks roughly linearly with resolution.
-    """
-    if int(resolution) != resolution or resolution < _MIN_GRID_RESOLUTION:
-        raise InvalidInputError(
-            f"grid resolution must be an integer >= {_MIN_GRID_RESOLUTION}, "
-            f"got {resolution}"
-        )
-    if tri.degenerate:
-        return 0.0
-    (x1, y1), (x2, y2), (x3, y3) = tri.vertices
-    xmin, xmax = min(x1, x2, x3), max(x1, x2, x3)
-    ymin, ymax = min(y1, y2, y3), max(y1, y2, y3)
-    n = int(resolution)
-    dx = (xmax - xmin) / n
-    dy = (ymax - ymin) / n
-    # A row of x and a column of y: the expressions below broadcast to the
-    # full grid with the same per-element arithmetic as a meshgrid.
-    X = (xmin + (np.arange(n) + 0.5) * dx)[np.newaxis, :]
-    Y = (ymin + (np.arange(n) + 0.5) * dy)[:, np.newaxis]
-
-    orient = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-    sign = 1.0 if orient >= 0.0 else -1.0
-    e1 = sign * ((x2 - x1) * (Y - y1) - (y2 - y1) * (X - x1))
-    e2 = sign * ((x3 - x2) * (Y - y2) - (y3 - y2) * (X - x2))
-    e3 = sign * ((x1 - x3) * (Y - y3) - (y1 - y3) * (X - x3))
-    inside = (e1 >= 0.0) & (e2 >= 0.0) & (e3 >= 0.0)
-
-    covered = np.zeros_like(inside)
-    for center, radius in disks:
-        if radius < 0:
-            raise InvalidInputError(f"radius must be >= 0, got {radius}")
-        cx, cy = center
-        covered |= (X - cx) ** 2 + (Y - cy) ** 2 <= radius * radius
-    uncovered_cells = int(np.count_nonzero(inside & ~covered))
-    return uncovered_cells * dx * dy

@@ -92,11 +92,11 @@ def generate_scenario(
 
 
 def _hole_reports_to_entries(reports: Sequence[HoleReport], mesh: TriMesh) -> list:
-    cells = {c.id: c for c in mesh.cells}
+    # ``triangulate`` numbers the cells by position: ``mesh.cells[i].id == i``.
     return [
         {
             "id": r.cell_id,
-            "vertices": list(cells[r.cell_id].sensor_ids),
+            "vertices": list(mesh.cells[r.cell_id].sensor_ids),
             "case": r.label.value,
             "s_h": r.hole_area,
             "method": r.method,
@@ -191,7 +191,8 @@ def run_plan(
 def _moves_from_plan(plan: dict) -> dict[int, Point]:
     """A plan's assignments as ``{mobile_id: target}``.
 
-    The plan is checked against its scenario first (:meth:`ReportDoc.check_scenario`).
+    The plan is not checked here; ``run_verify`` checks it against its
+    scenario first (:meth:`ReportDoc.check_scenario`).
     """
     return {
         a["mobile_id"]: Point(float(a["target"]["x"]), float(a["target"]["y"]))

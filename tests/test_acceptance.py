@@ -14,6 +14,7 @@ from math import acos, hypot, pi, sqrt
 import numpy as np
 import pytest
 
+from oracles import grid_region_uncovered
 from tricover import (
     HoleComputation,
     Point,
@@ -21,7 +22,6 @@ from tricover import (
     case_formula_validity,
     circumcenter,
     generate_scenario,
-    grid_region_uncovered,
     hole_area,
     incenter,
     lens_area,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -475,6 +476,50 @@ def _drop(key):
     return lambda entry: entry.pop(key)
 
 
+@dataclass(frozen=True)
+class _Raw:
+    """JSON text that ``_dump`` writes verbatim in place of a value."""
+
+    text: bytes
+
+
+def _dump(doc) -> bytes:
+    """``doc`` as JSON, with its one ``_Raw`` value, if any, written verbatim."""
+    raw = []
+    text = json.dumps(doc, default=lambda r: raw.append(r.text) or "\0raw").encode()
+    return text.replace(b'"\\u0000raw"', raw[0]) if raw else text
+
+
+# Values that ``json.loads`` refuses without a ``JSONDecodeError``, and one
+# that it accepts but that nests too deeply to be encoded again.
+NOT_UTF8 = _Raw(b'"\xff"')
+DIGITS_5000 = _Raw(b"1" * 5000)
+NESTED_100000 = _Raw(b"[" * 100_000 + b"]" * 100_000)
+NESTED_700 = _Raw(b"[" * 700 + b"]" * 700)
+
+# (part of the scenario to edit, edit); ``detect`` reads the scenario.
+MALFORMED_SCENARIOS = {
+    "meta-not-utf-8": ("meta", _set("note", NOT_UTF8)),
+    "meta-integer-of-5000-digits": ("meta", _set("note", DIGITS_5000)),
+    "sensor-id-of-5000-digits": ("sensor", _set("id", DIGITS_5000)),
+    "meta-arrays-nested-100000-deep": ("meta", _set("note", NESTED_100000)),
+    "meta-nested-700-deep": ("meta", _set("note", NESTED_700)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_is_a_single_error_line(tmp_path, capsys, case):
+    where, mutate = MALFORMED_SCENARIOS[case]
+    scen = write_scenario(tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)])
+    doc = json.loads(scen.read_text())
+    mutate({"meta": doc["meta"], "sensor": doc["field"]["stationary"][0]}[where])
+    scen.write_bytes(_dump(doc))
+    out = tmp_path / "d.json"
+    assert main(["detect", "--scenario", str(scen), "--out", str(out)]) == 1
+    assert_single_error_line(capsys, "invalid-input")
+    assert not out.exists()
+
+
 # A well-formed verify section, for edits of one of its fields.
 GOOD_VERIFY = {"before": 0.5, "after": 0.75, "samples": 100, "seed": 1, "half_width": 0.1}
 
@@ -521,6 +566,11 @@ MALFORMED_REPORTS = {
     "verify-samples-zero": ("detect", "report", _set("verify", dict(GOOD_VERIFY, samples=0)), "plan", "invalid-input"),
     "verify-seed-negative": ("plan", "report", _set("verify", dict(GOOD_VERIFY, seed=-1)), "verify", "invalid-input"),
     "verify-half_width-not-a-number": ("detect", "report", _set("verify", dict(GOOD_VERIFY, half_width="0.1")), "plan", "invalid-input"),
+    "meta-not-utf-8": ("detect", "meta", _set("note", NOT_UTF8), "plan", "invalid-input"),
+    "meta-integer-of-5000-digits": ("detect", "meta", _set("note", DIGITS_5000), "plan", "invalid-input"),
+    "vertex-id-of-5000-digits": ("detect", "triangle", _set("vertices", [DIGITS_5000, 1, 2]), "plan", "invalid-input"),
+    "meta-arrays-nested-100000-deep": ("detect", "meta", _set("note", NESTED_100000), "plan", "invalid-input"),
+    "meta-nested-700-deep": ("detect", "meta", _set("note", NESTED_700), "plan", "invalid-input"),
 }
 
 
@@ -540,13 +590,14 @@ def test_malformed_report_is_a_single_error_line(tmp_path, capsys, case):
     doc = json.loads(path.read_text())
     target = {
         "report": lambda: doc,
+        "meta": lambda: doc["meta"],
         "triangle": lambda: doc["triangles"][0],
         "triangles": lambda: doc["triangles"],
         "assignment": lambda: doc["plan"]["assignments"][0],
         "assignments": lambda: doc["plan"]["assignments"],
     }[where]()
     mutate(target)
-    path.write_text(json.dumps(doc))
+    path.write_bytes(_dump(doc))
     capsys.readouterr()
     out = tmp_path / "out"
     options = {

@@ -254,6 +254,14 @@ def test_canonical_bytes_rejects_unserializable():
         canonical_json_bytes({"x": object()})
 
 
+def test_canonical_bytes_rejects_deep_nesting():
+    obj: list = []
+    for _ in range(10_000):
+        obj = [obj]
+    with pytest.raises(InvalidInputError, match="nested too deeply"):
+        canonical_json_bytes(obj)
+
+
 # --- scenarios ------------------------------------------------------------------
 
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from oracles import grid_region_uncovered
 from tricover import (
     InvalidInputError,
     Point,
-    grid_region_uncovered,
     make_field,
     mc_coverage_fraction,
     triangle_disks_covered_area,
