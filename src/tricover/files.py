@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
+import sys
 from dataclasses import dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii
 from math import isfinite
@@ -24,11 +26,31 @@ from typing import Any, Callable
 from .errors import InconsistentInputError, InvalidInputError
 from .field import MobileSensor, Sensor, SensorField
 from .geometry import Point
+from .healing import CIRCUMCENTER, INCENTER
+from .holes import CaseLabel
 
 SCHEMA_VERSION = 1
 
 # Every float in a file is quantized to this many significant digits.
 _FLOAT_DIGITS = 9
+
+# The labels and target kinds a report may hold; ``render`` writes both
+# into SVG attributes, so nothing else may pass the reader.
+_CASES = frozenset(label.value for label in CaseLabel)
+_KINDS = frozenset((CIRCUMCENTER, INCENTER))
+
+# Error messages echo a bad value through ``_brief``: elided inside by
+# these limits, then cut to ``_BRIEF_CHARS``, so an error line stays short
+# whatever the file holds.
+_REPR = reprlib.Repr()
+_REPR.maxlevel, _REPR.maxdict, _REPR.maxlist = 3, 8, 6
+_REPR.maxstring = _REPR.maxlong = _REPR.maxother = 40
+_BRIEF_CHARS = 200
+
+
+def _brief(value: Any) -> str:
+    text = _REPR.repr(value)
+    return text if len(text) <= _BRIEF_CHARS else text[: _BRIEF_CHARS - 3] + "..."
 
 
 def _quantize(v: float) -> float:
@@ -108,6 +130,11 @@ def _parse_json(text: bytes | str, what: str) -> dict:
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
+        if type(exc) is ValueError:  # the digit limit; its text names a Python call
+            raise InvalidInputError(
+                f"{what} holds an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from exc
         raise InvalidInputError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{what} must be a JSON object")
@@ -118,7 +145,7 @@ def _check_schema_version(doc: dict, what: str) -> None:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise InvalidInputError(
-            f"{what} has unsupported schema_version {version!r} "
+            f"{what} has unsupported schema_version {_brief(version)} "
             f"(expected {SCHEMA_VERSION})"
         )
 
@@ -178,13 +205,13 @@ class ScenarioDoc:
 
 def _number(value: Any, what: str) -> float:
     if not _is_finite(value):
-        raise TypeError(f"{what} must be a finite number, got {value!r}")
+        raise TypeError(f"{what} must be a finite number, got {_brief(value)}")
     return float(value)
 
 
 def _sensor_id(value: Any) -> int:
     if type(value) is not int:
-        raise TypeError(f"sensor id must be an integer, got {value!r}")
+        raise TypeError(f"sensor id must be an integer, got {_brief(value)}")
     return value
 
 
@@ -325,7 +352,8 @@ def _valid_triangle(t: dict) -> bool:
     return (
         type(t["id"]) is int
         and type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is int
-        and type(t["case"]) is type(t["method"]) is str
+        and type(t["case"]) is str and t["case"] in _CASES
+        and type(t["method"]) is str
         and _is_finite(s_h) and s_h >= 0
         and type(t["is_hole"]) is bool
     )
@@ -356,7 +384,7 @@ def _valid_assignment(a: dict) -> bool:
     target = a["target"]
     return (
         type(a["cell_id"]) is type(a["mobile_id"]) is int
-        and type(a["kind"]) is str
+        and type(a["kind"]) is str and a["kind"] in _KINDS
         and _is_finite(a["distance"])
         and type(target) is dict and _is_finite(target.get("x")) and _is_finite(target.get("y"))
     )
@@ -370,7 +398,7 @@ def _check_record(record: Any, valid: Callable[[dict], bool], what: str) -> None
     except KeyError as exc:
         raise InvalidInputError(f"{what} is missing key {exc}") from None
     if not ok:
-        raise InvalidInputError(f"malformed {what}: {record!r}")
+        raise InvalidInputError(f"malformed {what}: {_brief(record)}")
 
 
 def _validate_report(report: ReportDoc) -> None:

@@ -179,13 +179,16 @@ def run_plan(
 ) -> ReportDoc:
     """Extend a detection report with a relocation plan.
 
+    Any earlier ``verify`` section is dropped: it measured the plan this one
+    replaces.
+
     ``mobile_radius`` must be finite and > 0 (``invalid-input``); it is
     checked before any target is built.
     """
     check_mobile_radius(mobile_radius)
     targets, unserved = targets_from_report(report, scenario, mobile_radius)
     plan = plan_relocation(targets, scenario.field, unserved)
-    return dataclasses.replace(report, plan=plan_to_dict(plan, mobile_radius))
+    return dataclasses.replace(report, plan=plan_to_dict(plan, mobile_radius), verify=None)
 
 
 def _moves_from_plan(plan: dict) -> dict[int, Point]:

@@ -1,13 +1,16 @@
 """Deterministic SVG rendering of scenarios, detections, and plans.
 
 Plain string assembly with fixed-precision coordinates: identical inputs
-yield byte-identical SVG. Elements carry class attributes (``site``,
-``mobile``, ``disk``, ``mesh-edge``, ``hole case-X``, ``target``,
-``move-arrow``) so renders are machine-checkable.
+yield byte-identical SVG. Each sensor's coordinates are formatted once,
+into one ``{sensor_id: (x, y)}`` table that every disk, marker, hole
+polygon, mesh edge and move arrow reads; each plan target, the canvas
+size and the stationary radius are formatted once too. Elements carry
+class attributes (``site``, ``mobile``, ``disk``, ``mesh-edge``,
+``hole case-X``, ``target``, ``move-arrow``) so renders are
+machine-checkable.
 """
 from __future__ import annotations
 
-from .field import SensorField
 from .files import ReportDoc, ScenarioDoc
 
 _CASE_FILL = {
@@ -31,61 +34,48 @@ def _fmt(v: float) -> str:
     return "0.000" if out == "-0.000" else out
 
 
-class _Canvas:
-    """Maps field coordinates (y up) to SVG coordinates (y down)."""
-
-    def __init__(self, field: SensorField):
-        margin = _MARGIN_FACTOR * max(field.width, field.height)
-        self.scale = _VIEW / (max(field.width, field.height) + 2.0 * margin)
-        self.margin = margin
-        self.height = field.height
-        self.w = (field.width + 2.0 * margin) * self.scale
-        self.h = (field.height + 2.0 * margin) * self.scale
-
-    def x(self, v: float) -> str:
-        return _fmt((v + self.margin) * self.scale)
-
-    def y(self, v: float) -> str:
-        return _fmt((self.height - v + self.margin) * self.scale)
-
-    def r(self, v: float) -> str:
-        return _fmt(v * self.scale)
-
-
 def render_svg(scenario: ScenarioDoc, report: ReportDoc | None = None) -> str:
     """Draw the field; with a report, also the mesh, holes, and any plan."""
     field = scenario.field
     if report is not None:
         report.check_scenario(scenario)
-    cv = _Canvas(field)
-    positions = {s.id: s.position for s in field.stationary}
-    mobile_pos = {m.id: m.position for m in field.mobile}
+    margin = _MARGIN_FACTOR * max(field.width, field.height)
+    scale = _VIEW / (max(field.width, field.height) + 2.0 * margin)
+
+    def xy(x: float, y: float) -> tuple[str, str]:
+        """Field coordinates (y up) as SVG coordinate text (y down)."""
+        return _fmt((x + margin) * scale), _fmt((field.height - y + margin) * scale)
+
+    at = {s.id: xy(s.position.x, s.position.y) for s in (*field.stationary, *field.mobile)}
+    w = _fmt((field.width + 2.0 * margin) * scale)
+    h = _fmt((field.height + 2.0 * margin) * scale)
+    fx, fy = xy(0.0, field.height)
+    r = _fmt(field.sensing_radius * scale)
 
     parts: list[str] = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="0 0 {_fmt(cv.w)} {_fmt(cv.h)}" '
-        f'width="{_fmt(cv.w)}" height="{_fmt(cv.h)}">'
+        f'viewBox="0 0 {w} {h}" width="{w}" height="{h}">'
     )
-    parts.append(f'<rect class="background" width="{_fmt(cv.w)}" height="{_fmt(cv.h)}" fill="#ffffff"/>')
+    parts.append(f'<rect class="background" width="{w}" height="{h}" fill="#ffffff"/>')
     parts.append(
-        f'<rect class="field" x="{cv.x(0.0)}" y="{cv.y(field.height)}" '
-        f'width="{cv.r(field.width)}" height="{cv.r(field.height)}" '
+        f'<rect class="field" x="{fx}" y="{fy}" '
+        f'width="{_fmt(field.width * scale)}" height="{_fmt(field.height * scale)}" '
         f'fill="none" stroke="#333333" stroke-width="1.5"/>'
     )
 
     parts.append('<g class="disks">')
     for s in field.stationary:
+        x, y = at[s.id]
         parts.append(
-            f'<circle class="disk disk-stationary" cx="{cv.x(s.position.x)}" '
-            f'cy="{cv.y(s.position.y)}" r="{cv.r(field.sensing_radius)}" '
+            f'<circle class="disk disk-stationary" cx="{x}" cy="{y}" r="{r}" '
             f'fill="#1f77b4" fill-opacity="0.08" stroke="#1f77b4" '
             f'stroke-opacity="0.35" stroke-width="0.6"/>'
         )
     for m in field.mobile:
+        x, y = at[m.id]
         parts.append(
-            f'<circle class="disk disk-mobile" cx="{cv.x(m.position.x)}" '
-            f'cy="{cv.y(m.position.y)}" r="{cv.r(m.radius)}" '
+            f'<circle class="disk disk-mobile" cx="{x}" cy="{y}" r="{_fmt(m.radius * scale)}" '
             f'fill="#2ca02c" fill-opacity="0.06" stroke="#2ca02c" '
             f'stroke-opacity="0.35" stroke-width="0.6" stroke-dasharray="4 3"/>'
         )
@@ -97,13 +87,11 @@ def render_svg(scenario: ScenarioDoc, report: ReportDoc | None = None) -> str:
         for entry in entries:
             if not entry["is_hole"]:
                 continue
-            pts = (positions[v] for v in entry["vertices"])
-            coords = " ".join(f"{cv.x(p.x)},{cv.y(p.y)}" for p in pts)
+            coords = " ".join(",".join(at[v]) for v in entry["vertices"])
             case = entry["case"]
-            fill = _CASE_FILL.get(case, "#7f7f7f")
             parts.append(
                 f'<polygon class="hole case-{case}" points="{coords}" '
-                f'fill="{fill}" fill-opacity="0.45" stroke="none"/>'
+                f'fill="{_CASE_FILL[case]}" fill-opacity="0.45" stroke="none"/>'
             )
         parts.append("</g>")
 
@@ -114,45 +102,40 @@ def render_svg(scenario: ScenarioDoc, report: ReportDoc | None = None) -> str:
             for a, b in ((ids[0], ids[1]), (ids[0], ids[2]), (ids[1], ids[2])):
                 edges.add((min(a, b), max(a, b)))
         for a, b in sorted(edges):
-            pa, pb = positions[a], positions[b]
+            (x1, y1), (x2, y2) = at[a], at[b]
             parts.append(
-                f'<line class="mesh-edge" x1="{cv.x(pa.x)}" y1="{cv.y(pa.y)}" '
-                f'x2="{cv.x(pb.x)}" y2="{cv.y(pb.y)}" '
+                f'<line class="mesh-edge" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                 f'stroke="#555555" stroke-width="0.8"/>'
             )
         parts.append("</g>")
 
     if report is not None and report.plan is not None:
+        assignments = report.plan["assignments"]
+        targets = [xy(a["target"]["x"], a["target"]["y"]) for a in assignments]
         parts.append('<g class="plan">')
-        for a in report.plan["assignments"]:
-            src = mobile_pos[a["mobile_id"]]
-            tx, ty = a["target"]["x"], a["target"]["y"]
+        for a, (tx, ty) in zip(assignments, targets):
+            x, y = at[a["mobile_id"]]
             parts.append(
-                f'<line class="move-arrow" x1="{cv.x(src.x)}" y1="{cv.y(src.y)}" '
-                f'x2="{cv.x(tx)}" y2="{cv.y(ty)}" stroke="#d62728" '
-                f'stroke-width="1.4" marker-end="url(#arrowhead)"/>'
+                f'<line class="move-arrow" x1="{x}" y1="{y}" x2="{tx}" y2="{ty}" '
+                f'stroke="#d62728" stroke-width="1.4" marker-end="url(#arrowhead)"/>'
             )
-        for a in report.plan["assignments"]:
-            tx, ty = a["target"]["x"], a["target"]["y"]
-            kind = a["kind"]
+        for a, (tx, ty) in zip(assignments, targets):
             parts.append(
-                f'<circle class="target target-{kind}" cx="{cv.x(tx)}" '
-                f'cy="{cv.y(ty)}" r="5.0" fill="#d62728" stroke="#7f0000" '
-                f'stroke-width="1.0"/>'
+                f'<circle class="target target-{a["kind"]}" cx="{tx}" cy="{ty}" '
+                f'r="5.0" fill="#d62728" stroke="#7f0000" stroke-width="1.0"/>'
             )
         parts.append("</g>")
 
     parts.append('<g class="sensors">')
     for s in field.stationary:
-        parts.append(
-            f'<circle class="site" cx="{cv.x(s.position.x)}" '
-            f'cy="{cv.y(s.position.y)}" r="3.0" fill="#1f77b4"/>'
-        )
+        x, y = at[s.id]
+        parts.append(f'<circle class="site" cx="{x}" cy="{y}" r="3.0" fill="#1f77b4"/>')
     for m in field.mobile:
+        # Offset from the formatted centre, which is rounded before the subtraction.
+        x, y = at[m.id]
         parts.append(
-            f'<rect class="mobile" x="{_fmt(float(cv.x(m.position.x)) - 3.0)}" '
-            f'y="{_fmt(float(cv.y(m.position.y)) - 3.0)}" width="6.000" '
-            f'height="6.000" fill="#2ca02c"/>'
+            f'<rect class="mobile" x="{_fmt(float(x) - 3.0)}" y="{_fmt(float(y) - 3.0)}" '
+            f'width="6.000" height="6.000" fill="#2ca02c"/>'
         )
     parts.append("</g>")
 

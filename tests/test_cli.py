@@ -172,6 +172,19 @@ def test_verify_without_report_before_equals_after(tmp_path):
     assert v["before"] == v["after"]
 
 
+def test_plan_from_verify_report_drops_verify_section(tmp_path):
+    scen, _, plan, ver, _ = run_pipeline(tmp_path)
+    replan = tmp_path / "replan.json"
+    for radius in ("3", "4"):
+        assert main(
+            ["plan", "--scenario", str(scen), "--report", str(ver),
+             "--mobile-radius", radius, "--out", str(replan)]
+        ) == 0
+        assert json.loads(replan.read_text())["verify"] is None
+    # Same radius: the plan written from the detect report, byte for byte.
+    assert replan.read_bytes() == plan.read_bytes()
+
+
 def test_detect_method_flag(tmp_path):
     scen = write_scenario(tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)], radius=2.0)
     out_case = tmp_path / "case.json"
@@ -504,7 +517,18 @@ MALFORMED_SCENARIOS = {
     "sensor-id-of-5000-digits": ("sensor", _set("id", DIGITS_5000)),
     "meta-arrays-nested-100000-deep": ("meta", _set("note", NESTED_100000)),
     "meta-nested-700-deep": ("meta", _set("note", NESTED_700)),
+    "sensor-id-string-of-50000-chars": ("sensor", _set("id", "x" * 50_000)),
 }
+
+
+def assert_short_error_line(err, case):
+    """One error line that echoes no long value and names no Python call."""
+    assert "Traceback" not in err
+    assert err.count("error: ") == 1
+    assert len(err.rstrip("\n")) <= 500
+    assert "set_int_max_str_digits" not in err
+    if case.endswith("-of-5000-digits"):
+        assert f"integer of more than {sys.get_int_max_str_digits()} digits" in err
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
@@ -516,9 +540,13 @@ def test_malformed_scenario_is_a_single_error_line(tmp_path, capsys, case):
     scen.write_bytes(_dump(doc))
     out = tmp_path / "d.json"
     assert main(["detect", "--scenario", str(scen), "--out", str(out)]) == 1
-    assert_single_error_line(capsys, "invalid-input")
+    assert_short_error_line(assert_single_error_line(capsys, "invalid-input"), case)
     assert not out.exists()
 
+
+# Strings that would break out of the SVG attributes ``render`` writes them into.
+CASE_INJECTION = 'A" onmouseover="alert(1)'
+KIND_INJECTION = 'x"/><script>alert(2)</script><g class="'
 
 # A well-formed verify section, for edits of one of its fields.
 GOOD_VERIFY = {"before": 0.5, "after": 0.75, "samples": 100, "seed": 1, "half_width": 0.1}
@@ -571,6 +599,13 @@ MALFORMED_REPORTS = {
     "vertex-id-of-5000-digits": ("detect", "triangle", _set("vertices", [DIGITS_5000, 1, 2]), "plan", "invalid-input"),
     "meta-arrays-nested-100000-deep": ("detect", "meta", _set("note", NESTED_100000), "plan", "invalid-input"),
     "meta-nested-700-deep": ("detect", "meta", _set("note", NESTED_700), "plan", "invalid-input"),
+    "case-list-of-20000": ("detect", "triangle", _set("case", list(range(20_000))), "plan", "invalid-input"),
+    "case-not-a-label": ("detect", "triangle", _set("case", CASE_INJECTION), "plan", "invalid-input"),
+    "case-not-a-label-verify": ("detect", "triangle", _set("case", CASE_INJECTION), "verify", "invalid-input"),
+    "case-not-a-label-render": ("detect", "triangle", _set("case", CASE_INJECTION), "render", "invalid-input"),
+    "kind-not-a-target-kind": ("plan", "assignment", _set("kind", KIND_INJECTION), "plan", "invalid-input"),
+    "kind-not-a-target-kind-verify": ("plan", "assignment", _set("kind", KIND_INJECTION), "verify", "invalid-input"),
+    "kind-not-a-target-kind-render": ("plan", "assignment", _set("kind", KIND_INJECTION), "render", "invalid-input"),
 }
 
 
@@ -608,8 +643,7 @@ def test_malformed_report_is_a_single_error_line(tmp_path, capsys, case):
     argv = [command, "--scenario", str(scen), "--report", str(path), "--out", str(out), *options]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.count("error: ") == 1
+    assert_short_error_line(err, case)
     assert err.startswith(f"error: {kind}:")
     assert not out.exists()
 

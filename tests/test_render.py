@@ -1,10 +1,12 @@
-"""SVG rendering tests: determinism and element inventory."""
+"""SVG rendering tests: determinism, element inventory and formatting work."""
 from __future__ import annotations
 
+import hashlib
 from math import sqrt
 
 import pytest
 
+import tricover.render
 from tricover import (
     InconsistentInputError,
     ScenarioDoc,
@@ -72,8 +74,8 @@ def test_svg_no_arrows_without_mobiles():
     assert 'class="target' not in svg
 
 
-def test_svg_deterministic():
-    scenario = generate_scenario(
+def seeded_scenario():
+    return generate_scenario(
         width=30.0,
         height=20.0,
         n_stationary=12,
@@ -82,20 +84,16 @@ def test_svg_deterministic():
         mobile_radius=3.0,
         seed=5,
     )
+
+
+def test_svg_deterministic():
+    scenario = seeded_scenario()
     report = run_plan(run_detect(scenario), scenario, mobile_radius=3.0)
     assert render_svg(scenario, report) == render_svg(scenario, report)
 
 
 def test_svg_counts_scale_with_scenario():
-    scenario = generate_scenario(
-        width=30.0,
-        height=20.0,
-        n_stationary=12,
-        n_mobile=2,
-        sensing_radius=3.0,
-        mobile_radius=3.0,
-        seed=5,
-    )
+    scenario = seeded_scenario()
     report = run_detect(scenario)
     svg = render_svg(scenario, report)
     assert svg.count('class="site"') == 12
@@ -117,3 +115,41 @@ def test_svg_no_negative_zero_coordinates():
     report = run_plan(run_detect(scenario), scenario, mobile_radius=1.0)
     svg = render_svg(scenario, report)
     assert "-0.000" not in svg
+
+
+def test_svg_formats_each_coordinate_once(monkeypatch):
+    scenario = seeded_scenario()
+    report = run_plan(run_detect(scenario), scenario, mobile_radius=3.0)
+    calls = 0
+    fmt = tricover.render._fmt
+
+    def counting_fmt(v):
+        nonlocal calls
+        calls += 1
+        return fmt(v)
+
+    monkeypatch.setattr(tricover.render, "_fmt", counting_fmt)
+    render_svg(scenario, report)
+    field = scenario.field
+    sensors, mobiles = len(field.stationary) + len(field.mobile), len(field.mobile)
+    assignments = len(report.plan["assignments"])
+    assert assignments > 0
+    # x and y per sensor; radius and marker corner per mobile; x and y per
+    # target; canvas size, field frame and stationary radius.
+    assert calls <= 2 * sensors + 3 * mobiles + 2 * assignments + 8
+
+
+# SHA-256 of the renders without a plan, which the benchmark's pinned
+# outputs do not cover.
+PINNED_RENDERS = {
+    "scenario": "c22776f049e0331542351c1d8323d02c0b146696a65831c983b1bce61fa6b53f",
+    "detect": "31e0d7a505de5443013ad1e477dc8ffcaad7e019287d953d2a3c14bdaa712f32",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_RENDERS))
+def test_svg_without_plan_matches_pinned_digest(mode):
+    scenario = seeded_scenario()
+    report = run_detect(scenario) if mode == "detect" else None
+    svg = render_svg(scenario, report)
+    assert hashlib.sha256(svg.encode()).hexdigest() == PINNED_RENDERS[mode]
