@@ -35,7 +35,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("detect", help="triangulate and measure every hole")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--method", choices=("auto", "case", "exact"), default="auto")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--out", required=True)
 
@@ -75,7 +74,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 
 def _cmd_detect(args: argparse.Namespace) -> None:
     scenario = load_scenario(args.scenario)
-    report = run_detect(scenario, method=args.method, epsilon=args.epsilon)
+    report = run_detect(scenario, epsilon=args.epsilon)
     save_report(report, args.out)
 
 

@@ -414,6 +414,8 @@ def _validate_report(report: ReportDoc) -> None:
             raise InvalidInputError("report 'triangles' must be a list")
         for entry in report.triangles:
             _check_record(entry, _valid_triangle, "report triangle entry")
+            if entry["id"] in cell_ids:
+                raise InvalidInputError(f"report lists triangle id {_brief(entry['id'])} twice")
             cell_ids.add(entry["id"])
     if report.plan is not None:
         _check_record(report.plan, _valid_plan, "report plan")

@@ -12,7 +12,8 @@ two-disk lens the adjoining sectors double-count. The predicate demands
 that every vertex sector fits inside the triangle (so every half-lens does
 too) and that the three disks share no point inside the triangle. When
 either part fails, an exact boundary-integral fallback is used instead;
-both routes are exact on their domains.
+both routes are exact on their domains. The predicate alone picks each
+cell's route (:func:`hole_area`); there is no override.
 """
 from __future__ import annotations
 
@@ -38,8 +39,6 @@ _PREDICATE_SLACK = 1e-12
 
 CASE_FORMULA = "case-formula"
 EXACT_FALLBACK = "exact-fallback"
-
-_METHODS = ("auto", "case", "exact")
 
 
 class CaseLabel(enum.Enum):
@@ -118,13 +117,11 @@ def _require_analysable(tri: TriangleGeom, radius: float) -> None:
 
 
 def exact_uncovered_area(tri: TriangleGeom, radius: float) -> float:
-    """Exact triangle area outside all three vertex disks."""
+    """Exact triangle area outside all three vertex disks, in ``[0, area]``
+    because the covered area is clamped to it."""
     _require_analysable(tri, radius)
     covered = triangle_disks_covered_area(tri, [(v, radius) for v in tri.vertices])
-    uncovered = tri.area - covered
-    if uncovered < 0.0:
-        uncovered = 0.0
-    return uncovered
+    return tri.area - covered
 
 
 def _label(tri: TriangleGeom, radius: float, covered: bool) -> CaseLabel:
@@ -209,22 +206,14 @@ def _case_value(tri: TriangleGeom, radius: float) -> float:
     return tri.area - 0.5 * pi * radius * radius + sum(halves)
 
 
-def hole_area(
-    tri: TriangleGeom, radius: float, method: str = "auto"
-) -> HoleComputation:
+def hole_area(tri: TriangleGeom, radius: float) -> HoleComputation:
     """Uncovered area of a triangle under its three vertex disks.
 
-    ``method``: ``auto`` uses the case formula when its validity predicate
-    holds and the exact fallback otherwise; ``case`` / ``exact`` force one
-    route without evaluating the predicate (``case`` may be inexact where it
-    fails). The result is clamped to ``[0, triangle area]``.
+    The case formula is used where its validity predicate holds, the exact
+    fallback everywhere else. The result is clamped to ``[0, triangle area]``.
     """
-    if method not in _METHODS:
-        raise InvalidInputError(
-            f"method must be one of {_METHODS}, got {method!r}"
-        )
     _require_analysable(tri, radius)
-    if method == "case" or (method == "auto" and case_formula_validity(tri, radius).all_hold()):
+    if case_formula_validity(tri, radius).all_hold():
         value = _case_value(tri, radius)
         chosen = CASE_FORMULA
     else:
@@ -235,10 +224,7 @@ def hole_area(
 
 
 def detect_holes(
-    mesh: TriMesh,
-    radius: float,
-    method: str = "auto",
-    epsilon: float | None = None,
+    mesh: TriMesh, radius: float, epsilon: float | None = None
 ) -> list[HoleReport]:
     """Evaluate every mesh cell under vertex disks of ``radius`` and report holes, largest first.
 
@@ -252,15 +238,11 @@ def detect_holes(
         raise InvalidInputError(f"hole epsilon must be finite and >= 0, got {eps}")
     reports = []
     for cell in mesh.cells:
-        computation = hole_area(cell.geom, radius, method=method)
-        uncovered = computation.s_h
-        if method == "case" and not case_formula_validity(cell.geom, radius).all_hold():
-            # The forced case formula is inexact here; label from the exact area.
-            uncovered = exact_uncovered_area(cell.geom, radius)
+        computation = hole_area(cell.geom, radius)
         reports.append(
             HoleReport(
                 cell_id=cell.id,
-                label=_label(cell.geom, radius, uncovered < eps),
+                label=_label(cell.geom, radius, computation.s_h < eps),
                 method=computation.method,
                 is_hole=computation.s_h > eps,
                 hole_area=computation.s_h,

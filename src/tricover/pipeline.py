@@ -106,14 +106,16 @@ def _hole_reports_to_entries(reports: Sequence[HoleReport], mesh: TriMesh) -> li
     ]
 
 
-def run_detect(
-    scenario: ScenarioDoc, method: str = "auto", epsilon: float | None = None
-) -> ReportDoc:
-    """Triangulate, evaluate every cell, and build the detection report."""
+def run_detect(scenario: ScenarioDoc, epsilon: float | None = None) -> ReportDoc:
+    """Triangulate, evaluate every cell, and build the detection report.
+
+    ``meta.method`` is always ``"auto"``: each cell's route is picked by the
+    case formula's validity predicate alone.
+    """
     mesh = triangulate(scenario.field)
-    reports = detect_holes(mesh, scenario.field.sensing_radius, method=method, epsilon=epsilon)
+    reports = detect_holes(mesh, scenario.field.sensing_radius, epsilon=epsilon)
     meta = {
-        "method": method,
+        "method": "auto",
         "sector_sum_convention": SECTOR_SUM_CONVENTION,
     }
     if epsilon is not None:

@@ -21,6 +21,7 @@ from tricover import (
     TriangleGeom,
     case_formula_validity,
     circumcenter,
+    exact_uncovered_area,
     generate_scenario,
     hole_area,
     incenter,
@@ -37,6 +38,7 @@ from tricover import (
 )
 from tricover.cli import main
 from tricover.healing import TargetLocation
+from tricover.holes import _case_value
 
 SWEEP_SEED = 20260815
 SWEEP_SIZE = 500
@@ -65,8 +67,9 @@ def sweep():
             continue
         radius = float(rng.uniform(0.15, 0.75)) * max(t.sides)
         auto = hole_area(t, radius)
-        case_value = hole_area(t, radius, method="case").s_h
-        exact_value = hole_area(t, radius, method="exact").s_h
+        # the case formula clamped as ``hole_area`` clamps it, on every instance
+        case_value = min(max(_case_value(t, radius), 0.0), t.area)
+        exact_value = exact_uncovered_area(t, radius)
         grid_value = grid_region_uncovered(
             t, [(v, radius) for v in t.vertices], GRID_RESOLUTION
         )

@@ -185,23 +185,17 @@ def test_plan_from_verify_report_drops_verify_section(tmp_path):
     assert replan.read_bytes() == plan.read_bytes()
 
 
-def test_detect_method_flag(tmp_path):
+@pytest.mark.parametrize("method", ["auto", "case", "exact"])
+def test_detect_has_no_method_option(tmp_path, capsys, method):
+    # the validity predicate alone picks each cell's route
     scen = write_scenario(tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)], radius=2.0)
-    out_case = tmp_path / "case.json"
-    out_exact = tmp_path / "exact.json"
+    out = tmp_path / "d.json"
     assert main(
-        ["detect", "--scenario", str(scen), "--method", "case", "--out", str(out_case)]
-    ) == 0
-    assert main(
-        ["detect", "--scenario", str(scen), "--method", "exact", "--out", str(out_exact)]
-    ) == 0
-    case_doc = json.loads(out_case.read_text())
-    exact_doc = json.loads(out_exact.read_text())
-    assert case_doc["meta"]["method"] == "case"
-    assert {t["method"] for t in case_doc["triangles"]} == {"case-formula"}
-    assert {t["method"] for t in exact_doc["triangles"]} == {"exact-fallback"}
-    for a, b in zip(case_doc["triangles"], exact_doc["triangles"]):
-        assert a["s_h"] == pytest.approx(b["s_h"], rel=1e-6, abs=1e-9)
+        ["detect", "--scenario", str(scen), "--method", method, "--out", str(out)]
+    ) == 1
+    body = assert_single_error_line(capsys, "error")
+    assert body.startswith("error: error: usage: unrecognized arguments: --method")
+    assert not out.exists()
 
 
 def test_detect_epsilon_flag(tmp_path):
@@ -568,6 +562,9 @@ MALFORMED_REPORTS = {
     "non-hole-unknown-vertex-render": ("detect", "triangle", lambda t: t.update(vertices=[0, 1, 99], is_hole=False), "render", "inconsistent-input"),
     "non-hole-unknown-vertex-verify": ("detect", "triangle", lambda t: t.update(vertices=[0, 1, 99], is_hole=False), "verify", "inconsistent-input"),
     "triangle-not-an-object": ("detect", "triangles", _set(0, 5), "plan", "invalid-input"),
+    "triangle-id-twice": ("detect", "triangles", lambda ts: ts.append(dict(ts[0])), "plan", "invalid-input"),
+    "triangle-id-twice-verify": ("detect", "triangles", lambda ts: ts.append(dict(ts[0])), "verify", "invalid-input"),
+    "triangle-id-twice-render": ("detect", "triangles", lambda ts: ts.append(dict(ts[0])), "render", "invalid-input"),
     "assignment-without-cell_id": ("plan", "assignment", _drop("cell_id"), "verify", "invalid-input"),
     "assignment-without-target": ("plan", "assignment", _drop("target"), "render", "invalid-input"),
     "assignment-target-not-an-object": ("plan", "assignment", _set("target", [5, 5]), "verify", "invalid-input"),

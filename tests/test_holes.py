@@ -22,6 +22,7 @@ from tricover import (
     triangulate,
 )
 from tricover.geometry import point_segment_distance
+from tricover.holes import _case_value
 
 SIDE2_EQUILATERAL = (  # all three pairs exactly tangent at R = 1
     (0.0, 0.0),
@@ -59,6 +60,11 @@ def detected_label(pts, radius):
     )
     (report,) = detect_holes(triangulate(field), field.sensing_radius)
     return report.label
+
+
+def case_route(t, radius):
+    """The case formula, clamped as ``hole_area`` clamps it, whatever the predicate says."""
+    return min(max(_case_value(t, radius), 0.0), t.area)
 
 
 def random_triangle(rng, span=4.0, min_shape=0.05):
@@ -105,9 +111,8 @@ def test_goldens_match_exact_fallback():
     for pts in (SIDE2_EQUILATERAL, RIGHT_345, ONE_OVERLAP, SIDE19_EQUILATERAL):
         t = tri(pts)
         auto = hole_area(t, 1.0)
-        exact = hole_area(t, 1.0, method="exact")
-        assert auto.s_h == pytest.approx(exact.s_h, rel=1e-9, abs=1e-12)
-        assert exact.method == "exact-fallback"
+        exact = exact_uncovered_area(t, 1.0)
+        assert auto.s_h == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
 
 # --- classification ----------------------------------------------------------
@@ -193,8 +198,8 @@ def test_case_matches_exact_when_predicate_holds():
             continue
         checked += 1
         at_bound += i >= 1000
-        case = hole_area(t, R, method="case").s_h
-        exact = hole_area(t, R, method="exact").s_h
+        case = case_route(t, R)
+        exact = exact_uncovered_area(t, R)
         assert case == pytest.approx(exact, abs=1e-9 * t.area)
     assert checked > 200  # the predicate must actually fire often enough
     assert at_bound > 300
@@ -215,17 +220,17 @@ def test_auto_route_matches_method_flag():
 
 def test_forced_case_on_invalid_predicate_is_flagged():
     # thin obtuse sliver: the raw case expression goes negative
-    # (0.33 - pi/2 + lens terms < 0), the clamp keeps it at zero, and the
-    # validity flags say the formula did not apply
+    # (0.33 - pi/2 + lens terms < 0), the clamp would keep it at zero, and
+    # the validity flags say the formula does not apply, so the exact
+    # fallback measures the cell
     t = tri(((0, 0), (2.2, 0), (1.1, 0.3)))
-    comp = hole_area(t, 1.0, method="case")
-    assert comp.method == "case-formula"
     validity = case_formula_validity(t, 1.0)
     assert not validity.sectors_contained
     assert not validity.all_hold()
     raw = t.area - pi / 2 + sum(0.5 * lens_area(1.0, 1.0, d) for d in t.sides if d < 2.0)
     assert raw < 0.0
-    assert comp.s_h == 0.0
+    assert case_route(t, 1.0) == 0.0
+    assert hole_area(t, 1.0).method == "exact-fallback"
 
 
 def test_hole_area_scales_quadratically():
@@ -284,8 +289,6 @@ def test_degenerate_and_bad_radius_errors():
     for radius in (0.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInputError):
             hole_area(good, radius)
-    with pytest.raises(InvalidInputError):
-        hole_area(good, 1.0, method="fastest")
 
 
 # --- detect_holes ----------------------------------------------------------------
@@ -335,18 +338,6 @@ def test_detect_epsilon_override():
     assert detect_holes(mesh, field.sensing_radius)[0].is_hole
     assert not detect_holes(mesh, field.sensing_radius, epsilon=100.0)[0].is_hole
     assert hole_epsilon(2.0) == pytest.approx(4e-9)
-
-
-def test_detect_method_forwarding():
-    field = make_field(
-        4.0, 4.0, 1.0, [(0, 0.5, 0.5), (1, 3.5, 0.5), (2, 2.0, 0.5 + 3 * sqrt(3) / 2)]
-    )
-    mesh = triangulate(field)
-    by_case = detect_holes(mesh, field.sensing_radius, method="case")
-    by_exact = detect_holes(mesh, field.sensing_radius, method="exact")
-    assert by_case[0].method == "case-formula"
-    assert by_exact[0].method == "exact-fallback"
-    assert by_case[0].hole_area == pytest.approx(by_exact[0].hole_area, rel=1e-9)
 
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0])

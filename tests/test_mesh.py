@@ -1,10 +1,11 @@
 """Triangulation tests: canonical ordering, structural invariants, errors."""
 from __future__ import annotations
 
-from math import hypot
+from math import fsum, hypot, sqrt
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from tricover import (
     DuplicateSiteError,
@@ -14,6 +15,7 @@ from tricover import (
     Sensor,
     SensorField,
     circumcenter,
+    generate_scenario,
     make_field,
     triangulate,
 )
@@ -132,10 +134,23 @@ def test_cells_tile_convex_hull_area():
     rng = np.random.default_rng(31)
     coords = rng.uniform(0, 20, size=(300, 2))
     mesh = triangulate(field_from(coords))
-    from scipy.spatial import ConvexHull
-
     hull_area = ConvexHull(coords).volume  # 2-d: volume is the area
     assert sum(c.geom.area for c in mesh.cells) == pytest.approx(hull_area, rel=1e-9)
+
+
+# (stationary sites, mobiles, radius / R*) of the benchmark's three workloads,
+# with R* = 10 * sqrt(50 / sites) on a 100 x 100 field.
+@pytest.mark.parametrize("seed", [42, 1042])
+@pytest.mark.parametrize(
+    "n_stationary, n_mobile, radius_factor", [(2000, 50, 1.0), (2000, 50, 0.5), (500, 100, 1.0)]
+)
+def test_generated_field_cells_sum_to_hull_area(n_stationary, n_mobile, radius_factor, seed):
+    radius = radius_factor * 10.0 * sqrt(50.0 / n_stationary)
+    doc = generate_scenario(100.0, 100.0, n_stationary, n_mobile, radius, radius, seed)
+    mesh = triangulate(doc.field)
+    points = [(s.position.x, s.position.y) for s in doc.field.stationary]
+    hull_area = ConvexHull(points).volume
+    assert fsum(c.geom.area for c in mesh.cells) == pytest.approx(hull_area, rel=1e-12)
 
 
 def test_no_degenerate_cells_on_random_input():

@@ -147,7 +147,8 @@ def test_detect_builds_lens_terms_only_on_the_case_route(monkeypatch):
     assert sorted(calls) == sorted(short["case-formula"])
 
 
-@pytest.mark.parametrize("method, per_cell", [("auto", 1), ("case", 1), ("exact", 0)])
+# ``method`` is the report's constant ``meta.method``.
+@pytest.mark.parametrize("method, per_cell", [("auto", 1)])
 def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch, method, per_cell):
     doc = generate_scenario(100.0, 100.0, 200, 0, 5.0, 5.0, seed=42)
     calls = []
@@ -158,15 +159,17 @@ def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch, me
         return original(tri, radius)
 
     monkeypatch.setattr(tricover.holes, "case_formula_validity", counted)
-    report = run_detect(doc, method=method)
+    report = run_detect(doc)
+    assert report.meta["method"] == method
     assert len(calls) == per_cell * len(report.triangles)
 
 
-@pytest.mark.parametrize("method", ["auto", "exact"])
+@pytest.mark.parametrize("method", ["auto"])  # the report's constant ``meta.method``
 @pytest.mark.parametrize("radius", [5.0, 2.5])  # R* and R*/2 for 200 sites
 def test_detect_entry_invariants(method, radius):
     doc = generate_scenario(100.0, 100.0, 200, 0, radius, radius, seed=42)
-    report = run_detect(doc, method=method)
+    report = run_detect(doc)
+    assert report.meta["method"] == method
     eps = hole_epsilon(radius)
     for e, t in entry_triangles(report, doc):
         assert 0.0 <= e["s_h"] <= t.area
