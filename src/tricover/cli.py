@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import TricoverError
+from .errors import TricoverError, UsageError
 from .files import load_report, load_scenario, save_report, save_scenario
 from .pipeline import generate_scenario, run_detect, run_plan, run_verify
 from .render import render_svg
@@ -16,7 +16,7 @@ from .render import render_svg
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # single-line, machine-parsable
-        raise TricoverError(f"usage: {message}")
+        raise UsageError(message)
 
 
 def _build_parser() -> _Parser:

@@ -25,7 +25,7 @@ class DegenerateGeometryError(TricoverError):
 
 
 class InsufficientSitesError(TricoverError):
-    """Fewer than three sites, or all sites collinear."""
+    """Fewer than three sites, or a layout too flat to triangulate."""
 
     kind = "insufficient-sites"
 
@@ -40,3 +40,9 @@ class InconsistentInputError(TricoverError):
     """Two inputs that must refer to the same data do not match."""
 
     kind = "inconsistent-input"
+
+
+class UsageError(TricoverError):
+    """A command line the CLI parser cannot read (unknown flag, missing value, ...)."""
+
+    kind = "usage"

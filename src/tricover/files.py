@@ -41,9 +41,10 @@ _KINDS = frozenset((CIRCUMCENTER, INCENTER))
 
 # Error messages echo a bad value through ``_brief``: elided inside by
 # these limits, then cut to ``_BRIEF_CHARS``, so an error line stays short
-# whatever the file holds.
+# whatever the file holds. Two levels show a record's own keys and values
+# even when it holds long lists, as the scenario field does.
 _REPR = reprlib.Repr()
-_REPR.maxlevel, _REPR.maxdict, _REPR.maxlist = 3, 8, 6
+_REPR.maxlevel, _REPR.maxdict, _REPR.maxlist = 2, 8, 6
 _REPR.maxstring = _REPR.maxlong = _REPR.maxother = 40
 _BRIEF_CHARS = 200
 
@@ -164,6 +165,17 @@ def _is_finite(value: Any) -> bool:
         return False
 
 
+def _check_record(record: Any, valid: Callable[[dict], bool], what: str) -> None:
+    if type(record) is not dict:
+        raise InvalidInputError(f"{what} must be an object")
+    try:
+        ok = valid(record)
+    except KeyError as exc:
+        raise InvalidInputError(f"{what} is missing key {exc}") from None
+    if not ok:
+        raise InvalidInputError(f"malformed {what}: {_brief(record)}")
+
+
 # --- scenarios ---------------------------------------------------------------
 
 
@@ -203,47 +215,40 @@ class ScenarioDoc:
         return hashlib.sha256(canonical_json_bytes(self.to_dict())).hexdigest()
 
 
-def _number(value: Any, what: str) -> float:
-    if not _is_finite(value):
-        raise TypeError(f"{what} must be a finite number, got {_brief(value)}")
-    return float(value)
+def _valid_field(f: dict) -> bool:
+    return (
+        _is_finite(f["width"]) and _is_finite(f["height"]) and _is_finite(f["sensing_radius"])
+        and type(f["stationary"]) is list and type(f.get("mobile", [])) is list
+    )
 
 
-def _sensor_id(value: Any) -> int:
-    if type(value) is not int:
-        raise TypeError(f"sensor id must be an integer, got {_brief(value)}")
-    return value
+def _valid_sensor(s: dict) -> bool:
+    return type(s["id"]) is int and _is_finite(s["x"]) and _is_finite(s["y"])
+
+
+def _valid_mobile(m: dict) -> bool:
+    return _valid_sensor(m) and _is_finite(m["sensing_radius"])
 
 
 def scenario_from_dict(doc: dict) -> ScenarioDoc:
     _check_schema_version(doc, "scenario")
     fd = _get(doc, "field", "scenario")
-    if not isinstance(fd, dict):
-        raise InvalidInputError("scenario 'field' must be an object")
-    try:
-        stationary = tuple(
-            Sensor(_sensor_id(s["id"]), Point(_number(s["x"], "x"), _number(s["y"], "y")))
-            for s in _get(fd, "stationary", "scenario field")
-        )
-        mobile = tuple(
-            MobileSensor(
-                _sensor_id(m["id"]),
-                Point(_number(m["x"], "x"), _number(m["y"], "y")),
-                _number(m["sensing_radius"], "mobile sensing_radius"),
-            )
-            for m in fd.get("mobile", [])
-        )
-        sensor_field = SensorField(
-            width=_number(_get(fd, "width", "scenario field"), "width"),
-            height=_number(_get(fd, "height", "scenario field"), "height"),
-            sensing_radius=_number(
-                _get(fd, "sensing_radius", "scenario field"), "sensing_radius"
-            ),
-            stationary=stationary,
-            mobile=mobile,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed scenario field: {exc}") from exc
+    _check_record(fd, _valid_field, "scenario field")
+    stationary, mobile = fd["stationary"], fd.get("mobile", [])
+    for s in stationary:
+        _check_record(s, _valid_sensor, "scenario stationary sensor")
+    for m in mobile:
+        _check_record(m, _valid_mobile, "scenario mobile sensor")
+    sensor_field = SensorField(
+        width=float(fd["width"]),
+        height=float(fd["height"]),
+        sensing_radius=float(fd["sensing_radius"]),
+        stationary=tuple(Sensor(s["id"], Point(float(s["x"]), float(s["y"]))) for s in stationary),
+        mobile=tuple(
+            MobileSensor(m["id"], Point(float(m["x"]), float(m["y"])), float(m["sensing_radius"]))
+            for m in mobile
+        ),
+    )
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise InvalidInputError("scenario 'meta' must be an object")
@@ -368,7 +373,7 @@ def _valid_verify(v: dict) -> bool:
         all(_is_finite(v[k]) and 0 <= v[k] <= 1 for k in ("before", "after"))
         and type(v["samples"]) is int and v["samples"] > 0
         and type(v["seed"]) is int and v["seed"] >= 0
-        and _is_finite(v["half_width"])
+        and _is_finite(v["half_width"]) and v["half_width"] >= 0
     )
 
 
@@ -376,7 +381,8 @@ def _valid_plan(p: dict) -> bool:
     return (
         type(p["assignments"]) is type(p["unserved"]) is list
         and all(type(cid) is int for cid in p["unserved"])
-        and _is_finite(p["total_movement"])
+        and _is_finite(p["total_movement"]) and p["total_movement"] >= 0
+        and _is_finite(p["mobile_radius"]) and p["mobile_radius"] > 0
     )
 
 
@@ -385,20 +391,9 @@ def _valid_assignment(a: dict) -> bool:
     return (
         type(a["cell_id"]) is type(a["mobile_id"]) is int
         and type(a["kind"]) is str and a["kind"] in _KINDS
-        and _is_finite(a["distance"])
+        and _is_finite(a["distance"]) and a["distance"] >= 0
         and type(target) is dict and _is_finite(target.get("x")) and _is_finite(target.get("y"))
     )
-
-
-def _check_record(record: Any, valid: Callable[[dict], bool], what: str) -> None:
-    if type(record) is not dict:
-        raise InvalidInputError(f"{what} must be an object")
-    try:
-        ok = valid(record)
-    except KeyError as exc:
-        raise InvalidInputError(f"{what} is missing key {exc}") from None
-    if not ok:
-        raise InvalidInputError(f"malformed {what}: {_brief(record)}")
 
 
 def _validate_report(report: ReportDoc) -> None:

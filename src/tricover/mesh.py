@@ -43,26 +43,12 @@ class TriMesh:
         return {"sites": len(self.sites), "triangles": len(self.cells)}
 
 
-def _collinear(points: np.ndarray) -> bool:
-    base = points[0]
-    direction = None
-    for p in points[1:]:
-        v = p - base
-        if direction is None:
-            if v[0] != 0.0 or v[1] != 0.0:
-                direction = v
-            continue
-        if direction[0] * v[1] - direction[1] * v[0] != 0.0:
-            return False
-    return True
-
-
 def triangulate(field: SensorField) -> TriMesh:
     """Delaunay-triangulate the stationary sensors of ``field``.
 
-    Raises ``insufficient-sites`` for fewer than three sites or an
-    all-collinear layout, and ``duplicate-site`` (naming the ids) when two
-    stationary sensors share exact coordinates.
+    Raises ``insufficient-sites`` for fewer than three sites or a layout
+    that Qhull finds flat (collinear, or nearly so), and ``duplicate-site``
+    (naming the ids) when two stationary sensors share exact coordinates.
     """
     sites = tuple(sorted(field.stationary, key=lambda s: s.id))
     if len(sites) < 3:
@@ -78,12 +64,11 @@ def triangulate(field: SensorField) -> TriMesh:
             )
         seen[key] = s.id
     points = np.array([[s.position.x, s.position.y] for s in sites])
-    if _collinear(points):
-        raise InsufficientSitesError("all sites are collinear")
     try:
         delaunay = Delaunay(points)
-    except QhullError as exc:
-        raise InsufficientSitesError(f"triangulation failed: {exc}") from exc
+    except QhullError as exc:  # the first line names the fault; the rest is Qhull's report
+        first_line = str(exc).partition("\n")[0].rstrip()
+        raise InsufficientSitesError(f"triangulation failed: {first_line}") from exc
 
     triples = sorted(
         tuple(sorted(sites[i].id for i in simplex))

@@ -193,8 +193,8 @@ def test_detect_has_no_method_option(tmp_path, capsys, method):
     assert main(
         ["detect", "--scenario", str(scen), "--method", method, "--out", str(out)]
     ) == 1
-    body = assert_single_error_line(capsys, "error")
-    assert body.startswith("error: error: usage: unrecognized arguments: --method")
+    body = assert_single_error_line(capsys, "usage")
+    assert body == f"error: usage: unrecognized arguments: --method {method}"
     assert not out.exists()
 
 
@@ -346,13 +346,27 @@ def test_detect_insufficient_sites(tmp_path, capsys):
     assert_single_error_line(capsys, "insufficient-sites")
 
 
+# (sites, field side, sensing radius) of layouts Qhull finds flat: four on a
+# diagonal, horizontal and vertical line, 50 on y = 2x, and three sites whose
+# third lies 1e-15 off the line through the other two.
+FLAT_LAYOUTS = {
+    "diagonal": ([(1, 1), (3, 3), (5, 5), (7, 7)], 10.0, 1.0),
+    "horizontal": ([(1, 5), (3, 5), (5, 5), (7, 5)], 10.0, 1.0),
+    "vertical": ([(5, 1), (5, 3), (5, 5), (5, 7)], 10.0, 1.0),
+    "50-on-y=2x": ([(x, 2 * x) for x in range(50)], 100.0, 1.0),
+    "near-flat": ([(0, 0), (10, 0), (5, 1e-15)], 20.0, 3.0),
+}
+
+
 def test_detect_collinear_sites(tmp_path, capsys):
-    scen = write_scenario(
-        tmp_path / "s.json", [(1, 1), (3, 3), (5, 5), (7, 7)]
-    )
-    code = main(["detect", "--scenario", str(scen), "--out", str(tmp_path / "d.json")])
-    assert code == 1
-    assert_single_error_line(capsys, "insufficient-sites")
+    out = tmp_path / "d.json"
+    for name, (sites, side, radius) in FLAT_LAYOUTS.items():
+        scen = write_scenario(tmp_path / "s.json", sites, width=side, height=side, radius=radius)
+        assert main(["detect", "--scenario", str(scen), "--out", str(out)]) == 1, name
+        body = assert_single_error_line(capsys, "insufficient-sites")
+        assert body.startswith("error: insufficient-sites: triangulation failed: QH"), name
+        assert len(body) <= 200, name
+        assert not out.exists(), name
 
 
 def test_detect_duplicate_sites(tmp_path, capsys):
@@ -603,6 +617,12 @@ MALFORMED_REPORTS = {
     "kind-not-a-target-kind": ("plan", "assignment", _set("kind", KIND_INJECTION), "plan", "invalid-input"),
     "kind-not-a-target-kind-verify": ("plan", "assignment", _set("kind", KIND_INJECTION), "verify", "invalid-input"),
     "kind-not-a-target-kind-render": ("plan", "assignment", _set("kind", KIND_INJECTION), "render", "invalid-input"),
+    "plan-mobile_radius-not-a-number": ("plan", "plan", _set("mobile_radius", "x"), "verify", "invalid-input"),
+    "plan-mobile_radius-negative": ("plan", "plan", _set("mobile_radius", -5), "render", "invalid-input"),
+    "plan-mobile_radius-zero": ("plan", "plan", _set("mobile_radius", 0), "verify", "invalid-input"),
+    "plan-total_movement-negative": ("plan", "plan", _set("total_movement", -1.0), "verify", "invalid-input"),
+    "assignment-distance-negative": ("plan", "assignment", _set("distance", -1.0), "verify", "invalid-input"),
+    "verify-half_width-negative": ("plan", "report", _set("verify", dict(GOOD_VERIFY, half_width=-0.1)), "render", "invalid-input"),
 }
 
 
@@ -625,6 +645,7 @@ def test_malformed_report_is_a_single_error_line(tmp_path, capsys, case):
         "meta": lambda: doc["meta"],
         "triangle": lambda: doc["triangles"][0],
         "triangles": lambda: doc["triangles"],
+        "plan": lambda: doc["plan"],
         "assignment": lambda: doc["plan"]["assignments"][0],
         "assignments": lambda: doc["plan"]["assignments"],
     }[where]()
@@ -676,12 +697,12 @@ def test_negative_seed_is_rejected(tmp_path, capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 1
-    assert_single_error_line(capsys, "error")
+    assert_single_error_line(capsys, "usage")
 
 
 def test_missing_required_flag(tmp_path, capsys):
     assert main(["detect", "--out", str(tmp_path / "d.json")]) == 1
-    assert_single_error_line(capsys, "error")
+    assert_single_error_line(capsys, "usage")
 
 
 def test_unwritable_output(tmp_path, capsys):

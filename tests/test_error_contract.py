@@ -1,11 +1,14 @@
-"""Error-contract fuzzing: every command exits 0 or prints one error line.
+"""Error-contract tests: every command exits 0 or prints one error line.
 
-One key of a valid scenario, plan report or verify report is dropped,
-retyped or negated. The commands that read that kind of document then run
-on it through ``main()``: ``detect``, ``plan``, ``verify`` and ``render``
-for a scenario, the last three for a report. Each must exit 0, or exit 1
-with a single ``error:`` line and no output file; any other exception
-fails the test.
+The fuzz test drops, retypes or negates one key of a valid scenario, plan
+report or verify report. The commands that read that kind of document then
+run on it through ``main()``: ``detect``, ``plan``, ``verify`` and
+``render`` for a scenario, the last three for a report. Each must exit 0,
+or exit 1 with a single ``error:`` line and no output file; any other
+exception fails the test.
+
+The key-coverage test drops each key of each record the program writes, in
+turn, and requires a single ``invalid-input`` line unless the key is optional.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tricover import load_report, load_scenario
 from tricover.cli import main
 
 # Replacement values for a retyped key; each edit uses one of another type.
@@ -57,6 +61,13 @@ def key_paths(node, path=()):
             yield from key_paths(value, path + (i,))
 
 
+def at(doc, path):
+    """The value at ``path`` (keys and list indexes) inside ``doc``."""
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
 def negated(value):
     if type(value) is bool:
         return not value
@@ -93,9 +104,7 @@ def test_one_edited_key_gives_exit_0_or_one_error_line(valid, data):
     name = data.draw(st.sampled_from(sorted(docs)), label="document")
     doc = copy.deepcopy(docs[name])
     path = data.draw(st.sampled_from(list(key_paths(doc))), label="key")
-    parent = doc
-    for step in path[:-1]:
-        parent = parent[step]
+    parent = at(doc, path[:-1])
     key, old = path[-1], parent[path[-1]]
     edits = ["drop", "retype"] + (["negate"] if negated(old) is not None else [])
     edit = data.draw(st.sampled_from(edits), label="edit")
@@ -122,3 +131,43 @@ def test_one_edited_key_gives_exit_0_or_one_error_line(valid, data):
         assert text.endswith("\n") and "\n" not in text.rstrip("\n"), (argv, text)
         assert text.startswith("error: "), (argv, text)
         assert not out.exists(), argv
+
+
+# The records each written file holds, as paths into the file; the command
+# that reads the file; and the keys a reader accepts a file without.
+RECORDS = {
+    "scenario": ((), ("field",), ("field", "stationary", 0), ("field", "mobile", 0)),
+    "detect": ((), ("mesh",), ("triangles", 0)),
+    "plan": ((), ("plan",), ("plan", "assignments", 0), ("plan", "assignments", 0, "target")),
+    "verify": ((), ("verify",)),
+}
+READER = {"scenario": ["detect"], "detect": REPORT_COMMANDS[0], "plan": REPORT_COMMANDS[1], "verify": REPORT_COMMANDS[2]}
+OPTIONAL = {("field", "mobile"), ("meta",), ("mesh",), ("triangles",), ("plan",), ("verify",)}
+
+
+def test_every_written_key_is_required_unless_optional(valid):
+    work, paths, _ = valid
+    edited, out = work / "dropped.json", work / "out"
+    failures = []
+    for name, records in RECORDS.items():
+        written = json.loads(paths[name].read_text())
+        for record_path in records:
+            assert type(at(written, record_path)) is dict, (name, record_path)
+            for key in at(written, record_path):
+                doc = copy.deepcopy(written)
+                del at(doc, record_path)[key]
+                edited.write_text(json.dumps(doc))
+                if record_path + (key,) in OPTIONAL:
+                    (load_scenario if name == "scenario" else load_report)(edited)
+                    continue
+                scen, report = (edited, []) if name == "scenario" else (paths["scenario"], ["--report", str(edited)])
+                out.unlink(missing_ok=True)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([*READER[name], "--scenario", str(scen), *report, "--out", str(out)])
+                text = err.getvalue()
+                one_line = text.endswith("\n") and "\n" not in text.rstrip("\n")
+                if not (code == 1 and one_line and text.startswith("error: invalid-input: ")
+                        and not out.exists()):
+                    failures.append((name, record_path + (key,), code, text))
+    assert failures == []

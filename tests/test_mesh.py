@@ -168,8 +168,36 @@ def test_too_few_sites():
 
 
 def test_collinear_sites():
-    with pytest.raises(InsufficientSitesError):
-        triangulate(field_from([(0, 0), (1, 1), (2, 2), (3, 3)]))
+    # exactly collinear: diagonal, horizontal, vertical, 50 sites on y = 2x;
+    # then a third site 1e-15 off the line through the other two
+    for coords in (
+        [(0, 0), (1, 1), (2, 2), (3, 3)],
+        [(0, 2), (1, 2), (2, 2), (3, 2)],
+        [(2, 0), (2, 1), (2, 2), (2, 3)],
+        [(x, 2 * x) for x in range(50)],
+        [(0, 0), (10, 0), (5, 1e-15)],
+    ):
+        with pytest.raises(InsufficientSitesError, match="^triangulation failed: QH") as exc:
+            triangulate(field_from(coords))
+        assert "\n" not in str(exc.value)
+
+
+def test_exactly_collinear_sweep_is_refused():
+    """Qhull alone refuses flat layouts: 200 seeded layouts of 3 to 500
+    distinct sites on lines of exact rational slope p/q, horizontal and
+    vertical ones included, at dyadic spacings so every coordinate is exact."""
+    rng = np.random.default_rng(1402)
+    for k in range(200):
+        if k % 4 < 2:
+            p, q = ((0, 1), (1, 0))[k % 2]
+        else:
+            p, q = int(rng.integers(-50, 51)), int(rng.integers(1, 51))
+        step = 2.0 ** int(rng.integers(-6, 1))
+        steps = rng.choice(2001, size=int(rng.integers(3, 501)), replace=False)
+        offset = 2000 * max(-p, 0)  # keeps y >= 0 on falling lines
+        coords = [(q * t * step, (p * t + offset) * step) for t in steps.tolist()]
+        with pytest.raises(InsufficientSitesError, match="^triangulation failed: QH"):
+            triangulate(field_from(coords))
 
 
 def test_duplicate_coordinates_reports_ids():
