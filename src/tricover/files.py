@@ -10,18 +10,29 @@ scenario (formatting-insensitive).
 The text is written in one direct pass by ``_encode``; it is the text
 ``json.dumps(tree, sort_keys=True, indent=2)`` gives for the tree with
 every float quantized, tuples as lists and keys as ``str(key)``.
+
+What was just read is not encoded again where the file is canonical (see
+"verbatim text" below): a loaded scenario whose file is the canonical
+text of its value hashes as the SHA-256 of the file's bytes, and a report
+written after ``load_report`` copies its ``triangles`` section from the
+file it was read from when that section is, at write time, the canonical
+text of the triangles being written. Either proof fails on any other
+file, and the bytes are then encoded as before; the result is the same.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import reprlib
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import InconsistentInputError, InvalidInputError
 from .field import MobileSensor, Sensor, SensorField
@@ -176,6 +187,153 @@ def _check_record(record: Any, valid: Callable[[dict], bool], what: str) -> None
         raise InvalidInputError(f"malformed {what}: {_brief(record)}")
 
 
+# --- verbatim text -------------------------------------------------------------
+#
+# A document read from a file keeps the file's bytes (``_source``). Where
+# they are canonical they are reused instead of encoded again: a scenario
+# hashes as its file, and a report's ``triangles`` section is copied from
+# the file the report was read from. Each reuse is proved when it happens
+# (at ``hash()`` or at write time, never when reading), against the value
+# as it is then, so an edit after loading or a changed list put in with
+# ``dataclasses.replace`` takes the encoder. The proof encodes no large list:
+#
+# 1. the rest of the document is encoded with ``_MARK`` in place of each
+#    large list, and the file must hold that text around the lists;
+# 2. each list's text must be rows of one canonical layout (``_Rows``),
+#    which leaves only the value tokens free;
+# 3. each token must be the canonical text of its value, checked a column
+#    at a time with C-level maps: ints by ``repr``, strings and booleans by
+#    equality, floats by ``repr`` and by being already quantized (so
+#    ``_number_text`` gives that same ``repr``).
+#
+# Anything else, a file that is not canonical included, takes the encoder,
+# which gives the same bytes.
+
+# Stands in for a large list in the encoded rest of a document; a document
+# that holds this string itself is not reused.
+_MARK = "\x00verbatim\x00"
+_MARK_TEXT = encode_basestring_ascii(_MARK).encode("ascii")
+_QUANTIZED = f".{_FLOAT_DIGITS}g"
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _only(values: Sequence, kind: type) -> bool:
+    return set(map(type, values)) <= {kind}
+
+
+def _ints_match(values: Sequence, tokens: list) -> bool:
+    return _only(values, int) and list(map(int.__repr__, values)) == tokens[0]
+
+
+def _floats_match(values: Sequence, tokens: list) -> bool:
+    return (
+        _only(values, float)
+        and list(map(float.__repr__, values)) == tokens[0]
+        and list(map(float, map(format, values, repeat(_QUANTIZED)))) == list(values)
+    )
+
+
+def _strs_match(values: Sequence, tokens: list) -> bool:
+    return _only(values, str) and list(values) == tokens[0]
+
+
+def _bools_match(values: Sequence, tokens: list) -> bool:
+    return _only(values, bool) and list(map(_BOOL_TEXT.__getitem__, values)) == tokens[0]
+
+
+def _int_triples_match(values: Sequence, tokens: list) -> bool:
+    return (
+        _only(values, list) and set(map(len, values)) == {3}
+        and all(_ints_match(column, [text]) for column, text in zip(zip(*values), tokens))
+    )
+
+
+class _Token(NamedTuple):
+    """A value's place in a row: a pattern with one group per scalar (its
+    lines indented relative to the key's line) and the check that a column
+    of values has the captured texts."""
+
+    pattern: str
+    check: Callable[[Sequence, list], bool]
+
+
+_INT = _Token(r"(-?[0-9]+)", _ints_match)
+_FLOAT = _Token(r"([-+.0-9e]+)", _floats_match)
+# Printable ASCII but '"' and '\': the strings ``encode_basestring_ascii`` leaves as they are.
+_STR = _Token(r'"([ !#-\[\]-~]*)"', _strs_match)
+_BOOL = _Token(r"(true|false)", _bools_match)
+_INT_TRIPLE = _Token(r"\[" + ",".join([r"\n  (-?[0-9]+)"] * 3) + r"\n\]", _int_triples_match)
+
+
+class _Rows:
+    """The canonical text of a list of records with the same keys.
+
+    ``indent`` is the indentation of the list's closing bracket, and
+    ``fields`` pairs each key, in sorted order, with its token.
+    """
+
+    def __init__(self, indent: str, *fields: tuple[str, _Token]) -> None:
+        self.keys = tuple(key for key, _ in fields)
+        assert list(self.keys) == sorted(self.keys)
+        inner, key_indent = indent + "  ", indent + "    "
+        lines = [
+            f'{key_indent}"{key}": ' + token.pattern.replace(r"\n", r"\n" + key_indent)
+            for key, token in fields
+        ]
+        self.row = re.compile(r"\{\n" + r",\n".join(lines) + r"\n" + inner + r"\}")
+        self.checks = [(token.check, re.compile(token.pattern).groups) for _, token in fields]
+        self.opening, self.separator, self.closing = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+
+    def spell(self, span: bytes, columns: Sequence[Sequence]) -> bool:
+        """Whether ``span`` is the canonical text of the records whose values,
+        key by key, are ``columns``.
+
+        ``row.split`` cuts ``span`` into the gaps between rows and the tokens
+        of each row. With the gaps those of a canonical list, ``span`` is the
+        rows' literal text with the tokens filled in, and so the canonical
+        text once every token is its value's.
+        """
+        n = len(columns[0])
+        if n == 0:
+            return span == b"[]"
+        try:
+            text = span.decode("ascii")
+        except UnicodeDecodeError:
+            return False
+        parts = self.row.split(text)
+        step = self.row.groups + 1
+        gaps = parts[::step]
+        if not (
+            len(gaps) == n + 1 and gaps[0] == self.opening and gaps[-1] == self.closing
+            and gaps.count(self.separator) == n - 1
+        ):
+            return False
+        first = 1
+        for (check, groups), values in zip(self.checks, columns):
+            if not check(values, [parts[first + g::step] for g in range(groups)]):
+                return False
+            first += groups
+        return True
+
+
+# Rows of a scenario's ``field.stationary`` and ``field.mobile``, and of a
+# report's ``triangles``.
+_SENSOR_ROWS = _Rows("    ", ("id", _INT), ("x", _FLOAT), ("y", _FLOAT))
+_MOBILE_ROWS = _Rows("    ", ("id", _INT), ("sensing_radius", _FLOAT), ("x", _FLOAT), ("y", _FLOAT))
+_TRIANGLE_ROWS = _Rows(
+    "  ",
+    ("case", _STR),
+    ("id", _INT),
+    ("is_hole", _BOOL),
+    ("method", _STR),
+    ("s_h", _FLOAT),
+    ("vertices", _INT_TRIPLE),
+)
+_SENSOR_COLUMNS = tuple(map(attrgetter, ("id", "position.x", "position.y")))
+_MOBILE_COLUMNS = tuple(map(attrgetter, ("id", "radius", "position.x", "position.y")))
+_TRIANGLES_KEY = b'\n  "triangles": '
+
+
 # --- scenarios ---------------------------------------------------------------
 
 
@@ -185,8 +343,20 @@ class ScenarioDoc:
 
     field: SensorField
     meta: dict = dc_field(default_factory=dict)
+    # The bytes of the file the scenario was read from (see "verbatim text").
+    _source: bytes | None = dc_field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
+        f = self.field
+        return self._tree(
+            [{"id": s.id, "x": s.position.x, "y": s.position.y} for s in f.stationary],
+            [
+                {"id": m.id, "x": m.position.x, "y": m.position.y, "sensing_radius": m.radius}
+                for m in f.mobile
+            ],
+        )
+
+    def _tree(self, stationary: Any, mobile: Any) -> dict:
         f = self.field
         return {
             "schema_version": SCHEMA_VERSION,
@@ -194,25 +364,45 @@ class ScenarioDoc:
                 "width": f.width,
                 "height": f.height,
                 "sensing_radius": f.sensing_radius,
-                "stationary": [
-                    {"id": s.id, "x": s.position.x, "y": s.position.y}
-                    for s in f.stationary
-                ],
-                "mobile": [
-                    {
-                        "id": m.id,
-                        "x": m.position.x,
-                        "y": m.position.y,
-                        "sensing_radius": m.radius,
-                    }
-                    for m in f.mobile
-                ],
+                "stationary": stationary,
+                "mobile": mobile,
             },
             "meta": self.meta,
         }
 
     def hash(self) -> str:
-        return hashlib.sha256(canonical_json_bytes(self.to_dict())).hexdigest()
+        """SHA-256 of the canonical bytes: those of the file the scenario was
+        read from when it is canonical, else a fresh encoding."""
+        data = self._canonical_source()
+        if data is None:
+            data = canonical_json_bytes(self.to_dict())
+        return hashlib.sha256(data).hexdigest()
+
+    def _canonical_source(self) -> bytes | None:
+        """The file's bytes, if they are the canonical text of the scenario as it is now."""
+        source = self._source
+        if source is None:
+            return None
+        try:
+            pieces = canonical_json_bytes(self._tree(_MARK, _MARK)).split(_MARK_TEXT)
+        except InvalidInputError:
+            return None
+        if len(pieces) != 3:
+            return None
+        head, middle, tail = pieces  # "mobile" sorts before "stationary"
+        end = len(source) - len(tail)
+        cut = source.find(middle, len(head), end)
+        if cut < 0 or not (source.startswith(head) and source.endswith(tail)):
+            return None
+        f = self.field
+        lists = (
+            (_MOBILE_ROWS, source[len(head):cut], f.mobile, _MOBILE_COLUMNS),
+            (_SENSOR_ROWS, source[cut + len(middle):end], f.stationary, _SENSOR_COLUMNS),
+        )
+        for rows, span, items, getters in lists:
+            if not rows.spell(span, [tuple(map(get, items)) for get in getters]):
+                return None
+        return source
 
 
 def _valid_field(f: dict) -> bool:
@@ -256,7 +446,8 @@ def scenario_from_dict(doc: dict) -> ScenarioDoc:
 
 
 def load_scenario(path: str | Path) -> ScenarioDoc:
-    return scenario_from_dict(_parse_json(Path(path).read_bytes(), f"scenario {path}"))
+    data = Path(path).read_bytes()
+    return replace(scenario_from_dict(_parse_json(data, f"scenario {path}")), _source=data)
 
 
 def save_scenario(doc: ScenarioDoc, path: str | Path) -> None:
@@ -280,6 +471,8 @@ class ReportDoc:
     plan: dict | None = None
     verify: dict | None = None
     meta: dict = dc_field(default_factory=dict)
+    # The bytes of the file the report was read from (see "verbatim text").
+    _source: bytes | None = dc_field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -296,7 +489,8 @@ class ReportDoc:
         """Check that the report belongs to ``scenario``, before any other work.
 
         This is the one check between a report and its scenario. In order:
-        the report names ``scenario``'s hash; every triangle entry's
+        the report names ``scenario``'s hash; its mesh counts the
+        scenario's stationary sensors as sites; every triangle entry's
         ``vertices`` are stationary sensor ids; every plan assignment names
         a mobile of the scenario, and none names one twice (all
         ``inconsistent-input``); every target lies inside the field
@@ -309,6 +503,11 @@ class ReportDoc:
                 f"(hash {self.scenario_hash[:12]}... != {actual[:12]}...)"
             )
         field = scenario.field
+        if self.mesh is not None and self.mesh["sites"] != len(field.stationary):
+            raise InconsistentInputError(
+                f"report mesh counts {self.mesh['sites']} sites, but the scenario has "
+                f"{len(field.stationary)} stationary sensors"
+            )
         if self.triangles is not None:
             stationary = {s.id for s in field.stationary}
             for entry in self.triangles:
@@ -412,6 +611,11 @@ def _validate_report(report: ReportDoc) -> None:
             if entry["id"] in cell_ids:
                 raise InvalidInputError(f"report lists triangle id {_brief(entry['id'])} twice")
             cell_ids.add(entry["id"])
+        if report.mesh is not None and report.mesh["triangles"] != len(report.triangles):
+            raise InvalidInputError(
+                f"report mesh counts {report.mesh['triangles']} triangles, "
+                f"but the report lists {len(report.triangles)}"
+            )
     if report.plan is not None:
         _check_record(report.plan, _valid_plan, "report plan")
         for a in report.plan["assignments"]:
@@ -426,8 +630,41 @@ def _validate_report(report: ReportDoc) -> None:
 
 
 def load_report(path: str | Path) -> ReportDoc:
-    return report_from_dict(_parse_json(Path(path).read_bytes(), f"report {path}"))
+    data = Path(path).read_bytes()
+    return replace(report_from_dict(_parse_json(data, f"report {path}")), _source=data)
+
+
+def _verbatim_triangles(doc: ReportDoc) -> bytes | None:
+    """The text of ``doc.triangles`` in the file ``doc`` was read from, if it
+    is their canonical text."""
+    source, entries = doc._source, doc.triangles
+    keys = _TRIANGLE_ROWS.keys
+    if source is None or type(entries) is not list:
+        return None
+    if not (_only(entries, dict) and set(map(len, entries)) <= {len(keys)}):
+        return None
+    start = source.find(_TRIANGLES_KEY)
+    end = source.find(b"\n  ]", start)  # the first line back at the key's depth
+    if start < 0 or end < 0:
+        return None
+    span = source[start + len(_TRIANGLES_KEY):end + 4]
+    try:
+        columns = [tuple(map(itemgetter(key), entries)) for key in keys]
+    except KeyError:
+        return None
+    return span if _TRIANGLE_ROWS.spell(span, columns) else None
 
 
 def save_report(doc: ReportDoc, path: str | Path) -> None:
-    Path(path).write_bytes(canonical_json_bytes(doc.to_dict()))
+    """Write ``doc`` canonically; its triangles are copied from the file it
+    was read from when that file holds their canonical text."""
+    tree = doc.to_dict()
+    span = _verbatim_triangles(doc)
+    if span is not None:
+        tree["triangles"] = _MARK
+        pieces = canonical_json_bytes(tree).split(_MARK_TEXT)
+        if len(pieces) == 2:
+            Path(path).write_bytes(pieces[0] + span + pieces[1])
+            return
+        tree["triangles"] = doc.triangles
+    Path(path).write_bytes(canonical_json_bytes(tree))

@@ -230,7 +230,8 @@ def detect_holes(
 
     Reports are sorted by descending hole area, ties by ascending cell id.
     ``epsilon`` (finite, >= 0) overrides the default significance threshold
-    ``1e-9 * R^2``.
+    ``1e-9 * R^2``. A degenerate cell is reported as label ``F`` with
+    ``s_h = 0``, not a hole, without a hole-area evaluation.
     """
     _require_radius(radius)
     eps = hole_epsilon(radius) if epsilon is None else epsilon
@@ -238,6 +239,13 @@ def detect_holes(
         raise InvalidInputError(f"hole epsilon must be finite and >= 0, got {eps}")
     reports = []
     for cell in mesh.cells:
+        if cell.geom.degenerate:
+            # A sliver such as Qhull keeps on the hull, of area below the
+            # degeneracy bound 1e-12 * (longest side)^2: reported as covered
+            # with s_h = 0 (a closed-form value, hence CASE_FORMULA) and never
+            # measured, since the exact integral is not meaningful on it.
+            reports.append(HoleReport(cell.id, CaseLabel.F, CASE_FORMULA, False, 0.0))
+            continue
         computation = hole_area(cell.geom, radius)
         reports.append(
             HoleReport(

@@ -133,18 +133,31 @@ def grid_region_uncovered(
     X = (xmin + (np.arange(n) + 0.5) * dx)[np.newaxis, :]
     Y = (ymin + (np.arange(n) + 0.5) * dy)[:, np.newaxis]
 
+    # Each edge expression e is tested as ``e >= 0`` on a counter-clockwise
+    # triangle and as ``e <= 0`` on a clockwise one, the same test as
+    # ``-e >= 0`` since negation is exact.
     orient = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-    sign = 1.0 if orient >= 0.0 else -1.0
-    e1 = sign * ((x2 - x1) * (Y - y1) - (y2 - y1) * (X - x1))
-    e2 = sign * ((x3 - x2) * (Y - y2) - (y3 - y2) * (X - x2))
-    e3 = sign * ((x1 - x3) * (Y - y3) - (y1 - y3) * (X - x3))
-    inside = (e1 >= 0.0) & (e2 >= 0.0) & (e3 >= 0.0)
+    side = np.greater_equal if orient >= 0.0 else np.less_equal
+    inside = side((x2 - x1) * (Y - y1) - (y2 - y1) * (X - x1), 0.0)
+    inside &= side((x3 - x2) * (Y - y2) - (y3 - y2) * (X - x2), 0.0)
+    inside &= side((x1 - x3) * (Y - y3) - (y1 - y3) * (X - x3), 0.0)
 
+    # A disk is tested only on the box of the columns and rows whose own
+    # term passes, ``(X - cx) ** 2 <= r * r`` and ``(Y - cy) ** 2 <= r * r``.
+    # No centre outside the box passes: a rounded sum of two non-negative
+    # terms is at least each term. Inside the box the arithmetic is the full
+    # grid's, element for element, so every count is unchanged.
     covered = np.zeros_like(inside)
     for center, radius in disks:
         if radius < 0:
             raise InvalidInputError(f"radius must be >= 0, got {radius}")
         cx, cy = center
-        covered |= (X - cx) ** 2 + (Y - cy) ** 2 <= radius * radius
+        rr = radius * radius
+        cols = np.flatnonzero((X[0] - cx) ** 2 <= rr)
+        rows = np.flatnonzero((Y[:, 0] - cy) ** 2 <= rr)
+        if cols.size == 0 or rows.size == 0:
+            continue
+        c0, c1, r0, r1 = cols[0], cols[-1] + 1, rows[0], rows[-1] + 1
+        covered[r0:r1, c0:c1] |= (X[:, c0:c1] - cx) ** 2 + (Y[r0:r1] - cy) ** 2 <= rr
     uncovered_cells = int(np.count_nonzero(inside & ~covered))
     return uncovered_cells * dx * dy

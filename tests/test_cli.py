@@ -369,6 +369,23 @@ def test_detect_collinear_sites(tmp_path, capsys):
         assert not out.exists(), name
 
 
+def test_hull_sliver_is_reported_covered(tmp_path):
+    # Qhull keeps (0,0)-(10,0)-(5,1e-11), of area 5e-11, as a cell on the hull.
+    scen = write_scenario(
+        tmp_path / "s.json", [(0, 0), (10, 0), (5, 1e-11), (5, 5)],
+        width=20.0, height=20.0, radius=3.0, mobile=[(1, 1, 3.0)],
+    )
+    det, plan = tmp_path / "d.json", tmp_path / "p.json"
+    assert main(["detect", "--scenario", str(scen), "--out", str(det)]) == 0
+    [sliver] = [e for e in load_report(det).triangles if e["vertices"] == [0, 1, 2]]
+    assert (sliver["case"], sliver["s_h"], sliver["is_hole"]) == ("F", 0.0, False)
+    assert main(["plan", "--scenario", str(scen), "--report", str(det),
+                 "--mobile-radius", "3", "--out", str(plan)]) == 0
+    assert sliver["id"] not in load_report(plan).plan["unserved"]
+    assert main(["render", "--scenario", str(scen), "--report", str(plan),
+                 "--out", str(tmp_path / "f.svg")]) == 0
+
+
 def test_detect_duplicate_sites(tmp_path, capsys):
     scen = write_scenario(
         tmp_path / "s.json", [(1, 1), (1, 1), (5, 9), (9, 1)]

@@ -9,6 +9,10 @@ exception fails the test.
 
 The key-coverage test drops each key of each record the program writes, in
 turn, and requires a single ``invalid-input`` line unless the key is optional.
+
+The mesh-summary test edits a detect report's ``mesh`` counts: a triangle
+count other than the entries listed is ``invalid-input``, and a site count
+other than the scenario's stationary sensors is ``inconsistent-input``.
 """
 from __future__ import annotations
 
@@ -171,3 +175,24 @@ def test_every_written_key_is_required_unless_optional(valid):
                         and not out.exists()):
                     failures.append((name, record_path + (key,), code, text))
     assert failures == []
+
+
+@pytest.mark.parametrize(
+    "field, kind",
+    [("triangles", "invalid-input"), ("sites", "inconsistent-input")],
+)
+def test_mesh_summary_must_count_the_report_and_scenario(valid, field, kind):
+    work, paths, _ = valid
+    doc = json.loads(paths["detect"].read_text())
+    doc["mesh"][field] += 1
+    edited, out = work / "mesh.json", work / "out"
+    edited.write_text(json.dumps(doc))
+    for cmd in REPORT_COMMANDS:
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*cmd, "--scenario", str(paths["scenario"]), "--report", str(edited), "--out", str(out)])
+        text = err.getvalue()
+        assert code == 1, cmd
+        assert text.startswith(f"error: {kind}: report mesh counts ") and text.count("\n") == 1, (cmd, text)
+        assert not out.exists(), cmd

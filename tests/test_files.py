@@ -1,8 +1,12 @@
 """Canonical file format tests: quantization, round trips, validation."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
+import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from tricover import (
     save_scenario,
     scenario_from_dict,
 )
+from tricover import files
+from tricover.cli import main
 
 
 def sample_field():
@@ -432,3 +438,245 @@ def test_report_doc_to_dict_shape():
         "meta",
     }
     assert d["schema_version"] == 1
+
+
+# --- verbatim text --------------------------------------------------------------
+
+
+def floats_in(node):
+    """How many float values ``node`` holds, nested ones included."""
+    if type(node) is float:
+        return 1
+    if isinstance(node, dict):
+        return sum(map(floats_in, node.values()))
+    if isinstance(node, list):
+        return sum(map(floats_in, node))
+    return 0
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A scenario and its detect and plan reports, as the CLI writes them."""
+    work = tmp_path_factory.mktemp("verbatim")
+    paths = {name: work / f"{name}.json" for name in ("scenario", "detect", "plan")}
+    scen = str(paths["scenario"])
+    for argv in (
+        ["generate", "--width", "40", "--height", "40", "--n-stationary", "30", "--n-mobile", "3",
+         "--radius", "4", "--mobile-radius", "4", "--seed", "5", "--out", scen],
+        ["detect", "--scenario", scen, "--out", str(paths["detect"])],
+        ["plan", "--scenario", scen, "--report", str(paths["detect"]), "--mobile-radius", "4",
+         "--out", str(paths["plan"])],
+    ):
+        assert main(argv) == 0
+    return work, paths
+
+
+def counting_floats(monkeypatch):
+    """Count the floats the encoder writes from now on."""
+    count = [0]
+    number_text = files._SCALAR_TEXT[float]
+
+    def counted(value):
+        count[0] += 1
+        return number_text(value)
+
+    monkeypatch.setitem(files._SCALAR_TEXT, float, counted)
+    return count
+
+
+@pytest.mark.parametrize("stage", ["plan", "verify"])
+def test_stages_encode_no_float_of_what_they_copy(written, tmp_path, monkeypatch, stage):
+    work, paths = written
+    scen, out = str(paths["scenario"]), tmp_path / "out.json"
+    argv = {
+        "plan": ["plan", "--scenario", scen, "--report", str(paths["detect"]),
+                 "--mobile-radius", "4", "--out", str(out)],
+        "verify": ["verify", "--scenario", scen, "--report", str(paths["plan"]),
+                   "--samples", "1000", "--seed", "1", "--out", str(out)],
+    }[stage]
+    count = counting_floats(monkeypatch)
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    scenario = json.loads(paths["scenario"].read_text())
+    # the scenario hash encodes the field's three numbers and its meta; the
+    # report writer everything but the triangles
+    expected = 3 + floats_in(scenario["meta"]) + floats_in(dict(doc, triangles=None))
+    assert count[0] == expected < floats_in(doc["triangles"])
+    monkeypatch.undo()
+    assert out.read_bytes() == canonical_json_bytes(load_report(out).to_dict())
+
+
+def test_loaded_canonical_scenario_hashes_its_bytes(written):
+    _, paths = written
+    doc = load_scenario(paths["scenario"])
+    assert doc._canonical_source() == paths["scenario"].read_bytes()
+    assert doc.hash() == hashlib.sha256(paths["scenario"].read_bytes()).hexdigest()
+
+
+# One line holding a key and a scalar, of a canonical file.
+_SCALAR_LINE = re.compile(rb'^( *)("[a-z_]+"): ([^\[{\n]+?)(,?)$', re.MULTILINE)
+_FLOAT_TOKEN = re.compile(rb"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?$")
+
+
+def respelled(token, how):
+    """A float token spelled another way; the value is kept unless ``how`` is "unquantized"."""
+    value = float(token)
+    if how == "zero":
+        mantissa, e, exponent = token.partition(b"e")
+        return mantissa + (b"0" if b"." in mantissa else b".0") + e + exponent
+    if how == "exponent":
+        sign, digits, exponent = Decimal(token.decode()).as_tuple()
+        return ("-" * sign + "".join(map(str, digits)) + f"e{exponent}").encode()
+    if how == "int" and value.is_integer() and abs(value) < 1e15:
+        return str(int(value)).encode()
+    if how == "e0" and token.endswith(b".0"):  # as long as the canonical text
+        return token[:-2] + b"e0"
+    return repr(value * (1.0 + 2.0**-40) or 1.000000000001).encode()  # unquantized
+
+
+def perturbed(data, how, pick, section):
+    """``data`` with one perturbation ``how`` inside ``section`` (a byte range)."""
+    start, end = section
+    if how in ("reindent", "reorder"):
+        doc = json.loads(data)
+        if how == "reorder":
+            def reverse(node):
+                if isinstance(node, dict):
+                    return {k: reverse(node[k]) for k in reversed(node)}
+                if isinstance(node, list):
+                    return [reverse(v) for v in node]
+                return node
+            return (json.dumps(reverse(doc), indent=2) + "\n").encode()
+        return (json.dumps(doc, indent=pick([None, 0, 1, 4]), sort_keys=True) + "\n").encode()
+    lines = [m for m in _SCALAR_LINE.finditer(data) if start <= m.start() and m.end() <= end]
+    if how in ("zero", "exponent", "int", "e0", "unquantized"):
+        lines = [m for m in lines if _FLOAT_TOKEN.match(m[3]) and (b"." in m[3] or b"e" in m[3])]
+        m = pick(lines)
+        return data[:m.start(3)] + respelled(m[3], how) + data[m.end(3):]
+    if how == "escape":
+        m = pick(lines)
+        key = m[2]  # "k...": the first letter escaped
+        return data[:m.start(2)] + b'"\\u%04x' % key[1] + key[2:] + data[m.end(2):]
+    if how == "-0":  # the other spelling of an int
+        m = pick([m for m in lines if m[3] == b"0"] or lines)
+        return data[:m.start(3)] + b"-" + data[m.start(3):]
+    if how == "swap":  # two neighbour keys of one record, in the same bytes
+        pairs = [(a, b) for a, b in zip(lines, lines[1:]) if b.start() == a.end() + 1 and a[1] == b[1]]
+        a, b = pick(pairs)
+        swapped = a[1] + b[2] + b": " + b[3] + a[4] + b"\n" + b[1] + a[2] + b": " + a[3] + b[4]
+        return data[:a.start()] + swapped + data[b.end():]
+    if how == "space":  # one line break and indent before a bracket
+        breaks = [m.start() for m in re.finditer(rb"\n +(?=[{}\]])", data[start:end])]
+        at = start + pick(breaks)
+        return data[:at] + b" " + data[at:].lstrip(b"\n ")
+    m = pick(lines)  # a duplicate key before the line; JSON keeps the last
+    return data[:m.start()] + m[1] + m[2] + b": null,\n" + data[m.start():]
+
+
+TEXT_PERTURBATIONS = [
+    "reindent", "reorder", "swap", "zero", "exponent", "int", "e0", "unquantized", "escape", "duplicate",
+    "-0", "space",
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_perturbed_files_take_the_encoder_with_the_same_bytes(written, data):
+    work, paths = written
+    name = data.draw(st.sampled_from(["scenario", "detect", "plan"]), label="file")
+    how = data.draw(st.sampled_from(TEXT_PERTURBATIONS), label="perturbation")
+    original = paths[name].read_bytes()
+    if name == "scenario":
+        section = (0, len(original))
+    else:  # the triangles section, the one copied
+        start = original.index(b'\n  "triangles": [')
+        section = (start, original.index(b"\n  ]", start))
+
+    def pick(xs):  # the ends of a file often, as they frame its lists
+        where = data.draw(st.sampled_from(["first", "last", "any"]), label="where")
+        return xs[0] if where == "first" else xs[-1] if where == "last" else data.draw(st.sampled_from(xs))
+
+    text = perturbed(original, how, pick, section)
+    assert text != original
+    edited = work / "edited.json"
+    edited.write_bytes(text)
+    if name == "scenario":
+        doc = load_scenario(edited)
+        canonical = canonical_json_bytes(doc.to_dict())
+        assert doc._canonical_source() is None
+        assert doc.hash() == hashlib.sha256(canonical).hexdigest()
+    else:
+        doc = load_report(edited)
+        assert files._verbatim_triangles(doc) is None
+        save_report(doc, work / "out.json")
+        assert (work / "out.json").read_bytes() == canonical_json_bytes(doc.to_dict())
+
+
+EDITS = {
+    "s_h": lambda e: dict(e, s_h=e["s_h"] + 0.5),
+    "case": lambda e: dict(e, case="A" if e["case"] != "A" else "B"),
+    "is_hole": lambda e: dict(e, is_hole=not e["is_hole"]),
+    "vertices": lambda e: dict(e, vertices=e["vertices"][::-1]),
+    "id": lambda e: dict(e, id=e["id"] + 10_000),
+    "method": lambda e: dict(e, method="é"),
+    "int s_h": lambda e: dict(e, s_h=1),
+    "tuple vertices": lambda e: dict(e, vertices=tuple(e["vertices"])),
+    "extra key": lambda e: dict(e, extra=1),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_edits_after_load_take_the_encoder_with_the_same_bytes(written, data):
+    work, paths = written
+    name = data.draw(st.sampled_from(["detect", "plan"]), label="file")
+    doc = load_report(paths[name])
+    index = data.draw(st.integers(0, len(doc.triangles) - 1), label="entry")
+    edit = data.draw(st.sampled_from(sorted(EDITS)), label="edit")
+    ways = ["in place", "replace", "replace unchanged", "meta", "marker in meta"]
+    way = data.draw(st.sampled_from(ways), label="way")
+    if way == "in place":
+        doc.triangles[index] = EDITS[edit](doc.triangles[index])
+    elif way == "replace":
+        entries = list(doc.triangles)
+        entries[index] = EDITS[edit](entries[index])
+        doc = dataclasses.replace(doc, triangles=entries)
+    elif way == "replace unchanged":
+        doc = dataclasses.replace(doc, triangles=[dict(e) for e in doc.triangles])
+    elif way == "meta":
+        doc.meta["edited"] = [edit, 0.25]
+    else:  # the writer's stand-in for the triangles, found twice
+        doc.meta["edited"] = files._MARK
+    assert (files._verbatim_triangles(doc) is not None) == (way not in ("in place", "replace"))
+    save_report(doc, work / "out.json")
+    assert (work / "out.json").read_bytes() == canonical_json_bytes(doc.to_dict())
+
+
+def test_edited_scenario_hashes_its_value(written):
+    _, paths = written
+    for value in (-1, files._MARK):
+        doc = load_scenario(paths["scenario"])
+        doc.meta["seed"] = value
+        assert doc._canonical_source() is None
+        assert doc.hash() == hashlib.sha256(canonical_json_bytes(doc.to_dict())).hexdigest()
+    moved = dataclasses.replace(load_scenario(paths["scenario"]), field=sample_field())
+    assert moved._canonical_source() is None
+    assert moved.hash() == ScenarioDoc(field=sample_field(), meta=moved.meta).hash()
+
+
+@pytest.mark.parametrize("name", ["scenario", "detect"])
+def test_every_break_around_a_row_is_checked(written, name):
+    """Each line break before a row or a closing bracket, joined to the line
+    before: the file is no longer canonical, and is not taken as such."""
+    work, paths = written
+    original, edited = paths[name].read_bytes(), work / f"joined-{name}.json"
+    breaks = list(re.finditer(rb"\n +(?=[{\]])", original))
+    assert len(breaks) > 30
+    for m in breaks:
+        edited.write_bytes(original[:m.start()] + b" " + original[m.end():])
+        if name == "scenario":
+            doc = load_scenario(edited)
+            assert doc._canonical_source() is None
+            assert doc.hash() == hashlib.sha256(canonical_json_bytes(doc.to_dict())).hexdigest()
+        else:
+            assert files._verbatim_triangles(load_report(edited)) is None

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import dataclasses
-from math import inf, nextafter, pi, sqrt
+from math import fsum, inf, nextafter, pi, sqrt
 
+import numpy as np
 import pytest
+from scipy.spatial import Delaunay, cKDTree
 
 import tricover.holes
 import tricover.pipeline
@@ -332,3 +334,40 @@ def test_run_verify_extends_existing_report():
     }
     est = mc_coverage_fraction(doc.field, 20_000, seed=9, moves=moves)
     assert extended.verify == dataclasses.asdict(est)
+
+
+# --- whole-field invariants -------------------------------------------------------
+
+# (stationary sites, mobiles, radius / R*, samples) of the benchmark's three
+# workloads, with R* = 10 * sqrt(50 / sites) on a 100 x 100 field.
+WORKLOAD_SHAPES = [(2000, 50, 1.0, 200_000), (2000, 50, 0.5, 200_000), (500, 100, 1.0, 500_000)]
+# The two-sided 99% normal quantile, the level of verify's half-width.
+Z99 = 2.5758293035489
+
+
+@pytest.mark.parametrize("seed", [42, 1042])
+@pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
+def test_healing_and_hole_area_invariants(shape, seed):
+    """Healing never lowers the paired covered fraction, and the Monte-Carlo
+    area inside the hull outside every stationary disk is at most the sum of
+    ``s_h`` plus the 99% half-width.
+
+    The second holds by set inclusion: each cell's ``s_h`` leaves out only
+    its own three vertex disks, and the cells tile the hull.
+    """
+    n_stationary, n_mobile, radius_factor, samples = shape
+    radius = radius_factor * 10.0 * sqrt(50.0 / n_stationary)
+    doc = generate_scenario(100.0, 100.0, n_stationary, n_mobile, radius, radius, seed)
+    report = run_detect(doc)
+    verify = run_verify(doc, run_plan(report, doc, radius), samples, seed).verify
+    assert verify["after"] >= verify["before"]
+
+    field = doc.field
+    sites = np.array([[s.position.x, s.position.y] for s in field.stationary])
+    points = np.random.default_rng(seed).random((samples, 2)) * [field.width, field.height]
+    inside = points[Delaunay(sites).find_simplex(points) >= 0]
+    distance, _ = cKDTree(sites).query(inside, distance_upper_bound=radius)
+    p = np.count_nonzero(distance > radius) / samples
+    area = field.area * p
+    half_width = Z99 * field.area * sqrt(p * (1.0 - p) / samples)
+    assert area <= fsum(e["s_h"] for e in report.triangles) + half_width
