@@ -26,14 +26,29 @@ class MobileSensor:
     radius: float
 
 
+# Every length (a field side or a sensing radius) lies in this range. Within
+# it a product of four lengths, such as the exact integral's discriminant,
+# stays a normal float, and a field scaled by a power of two that keeps it
+# in range gets the same answers from detect and verify. Outside it they
+# can return wrong answers, or refuse a valid field under a misleading kind.
+LENGTH_RANGE = (2.0**-200, 2.0**200)
+_LENGTH_RANGE_TEXT = "[2^-200, 2^200]"
+
+
+def check_length(what: str, value: float) -> None:
+    """Reject a length that is not finite and > 0, or lies outside ``LENGTH_RANGE``."""
+    if not (isfinite(value) and value > 0):
+        raise InvalidInputError(f"{what} must be > 0, got {value}")
+    low, high = LENGTH_RANGE
+    if not low <= value <= high:
+        raise InvalidInputError(f"{what} must lie in {_LENGTH_RANGE_TEXT}, got {value}")
+
+
 def check_field_size(width: float, height: float, sensing_radius: float) -> None:
-    """Reject a field width, height or sensing radius that is not finite and > 0."""
-    if not (isfinite(width) and width > 0):
-        raise InvalidInputError(f"field width must be > 0, got {width}")
-    if not (isfinite(height) and height > 0):
-        raise InvalidInputError(f"field height must be > 0, got {height}")
-    if not (isfinite(sensing_radius) and sensing_radius > 0):
-        raise InvalidInputError(f"sensing radius must be > 0, got {sensing_radius}")
+    """Reject a field width, height or sensing radius that is not a length."""
+    check_length("field width", width)
+    check_length("field height", height)
+    check_length("sensing radius", sensing_radius)
 
 
 @dataclass(frozen=True)
@@ -68,10 +83,7 @@ class SensorField:
                     f"{self.width} x {self.height} field"
                 )
         for m in self.mobile:
-            if not (isfinite(m.radius) and m.radius > 0):
-                raise InvalidInputError(
-                    f"mobile sensor {m.id}: radius must be > 0, got {m.radius}"
-                )
+            check_length(f"mobile sensor {m.id}: radius", m.radius)
 
     @property
     def area(self) -> float:

@@ -7,32 +7,27 @@ significant digits, ASCII with ``\\uXXXX`` escapes, trailing newline.
 scenario hash is the SHA-256 of the canonical bytes of the parsed
 scenario (formatting-insensitive).
 
-The text is written in one direct pass by ``_encode``; it is the text
+``canonical_json_bytes`` is the one writer. Its text is the text
 ``json.dumps(tree, sort_keys=True, indent=2)`` gives for the tree with
-every float quantized, tuples as lists and keys as ``str(key)``.
-
-What was just read is not encoded again where the file is canonical (see
-"verbatim text" below): a loaded scenario whose file is the canonical
-text of its value hashes as the SHA-256 of the file's bytes, and a report
-written after ``load_report`` copies its ``triangles`` section from the
-file it was read from when that section is, at write time, the canonical
-text of the triangles being written. Either proof fails on any other
-file, and the bytes are then encoded as before; the result is the same.
+every float quantized, tuples as lists and keys as ``str(key)``. It is
+written in one direct pass by ``_encode``, except that a list of like
+records (the sensors of a scenario, the triangles of a report) is written
+from one row template by ``_rows``, a column at a time, with the same
+bytes.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 import reprlib
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import InconsistentInputError, InvalidInputError
 from .field import MobileSensor, Sensor, SensorField
@@ -44,6 +39,7 @@ SCHEMA_VERSION = 1
 
 # Every float in a file is quantized to this many significant digits.
 _FLOAT_DIGITS = 9
+_QUANTIZED = f".{_FLOAT_DIGITS}g"
 
 # The labels and target kinds a report may hold; ``render`` writes both
 # into SVG attributes, so nothing else may pass the reader.
@@ -68,7 +64,7 @@ def _brief(value: Any) -> str:
 def _quantize(v: float) -> float:
     if not isfinite(v):
         raise InvalidInputError(f"non-finite value cannot be serialized: {v!r}")
-    return float(f"{v:.{_FLOAT_DIGITS}g}")
+    return float(format(v, _QUANTIZED))
 
 
 def round_sig(value: float) -> float:
@@ -95,6 +91,13 @@ _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
 }
 
 
+def _block(brackets: str, items: Iterable[str], indent: str) -> str:
+    """``items`` one to a line between ``brackets``, nested at the depth
+    indented by ``indent``."""
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
 def _encode(obj: Any, indent: str) -> str:
     """The canonical text of ``obj``, nested at the depth indented by ``indent``.
 
@@ -108,21 +111,81 @@ def _encode(obj: Any, indent: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = indent + "  "
-        parts = {str(k): _encode(v, inner) for k, v in obj.items()}
+        parts = {str(k): _encode(v, indent + "  ") for k, v in obj.items()}
         items = [f"{encode_basestring_ascii(k)}: {t}" for k, t in sorted(parts.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        return _block("{}", items, indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = indent + "  "
-        items = [_encode(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        rows = _rows(obj, indent) if type(obj[0]) is dict else None
+        return rows or _block("[]", [_encode(v, indent + "  ") for v in obj], indent)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, int):
         return int.__repr__(obj)
     return _number_text(obj)
+
+
+def _column(values: Sequence[Any]) -> list[str] | None:
+    """The canonical texts of ``values``, or ``None`` unless they are all of
+    one exact scalar type and none is refused."""
+    kinds = set(map(type, values))
+    kind = kinds.pop()
+    if kinds:
+        return None
+    if kind is float:  # ``_number_text``, a column at a time
+        if not all(map(isfinite, values)):
+            return None
+        return list(map(float.__repr__, map(float, map(format, values, repeat(_QUANTIZED)))))
+    text = _SCALAR_TEXT.get(kind)
+    try:
+        return None if text is None else list(map(text, values))
+    except ValueError:  # an int beyond Python's digit limit
+        return None
+
+
+def _rows(records: Sequence[Any], indent: str) -> str | None:
+    """The canonical text of ``records``, written from one row template, or
+    ``None`` unless they are rows of one layout.
+
+    Rows of one layout are dicts with the same non-empty set of ``str``
+    keys. Each key holds values of one exact scalar type, or lists of one
+    non-zero length whose items, place by place, are of one exact scalar
+    type. The layout is read from the records, so each document's
+    ``to_dict`` stays the one owner of its layout. On ``None`` the list
+    takes the recursive encoder, which reports the first bad value in
+    record order.
+    """
+    first = records[0]
+    if not (
+        first and set(map(type, first)) == {str} and set(map(type, records)) == {dict}
+        and set(map(len, records)) == {len(first)}
+    ):
+        return None
+    key_indent = indent + "    "
+    fields, columns = [], []
+    for key in sorted(first):
+        try:
+            values = list(map(itemgetter(key), records))
+        except KeyError:  # a record with as many keys, but other ones
+            return None
+        name = (encode_basestring_ascii(key) + ": ").replace("%", "%%")
+        width = len(values[0]) if type(values[0]) is list else 0
+        if width:
+            if set(map(type, values)) != {list} or set(map(len, values)) != {width}:
+                return None
+            fields.append(name + _block("[]", ["%s"] * width, key_indent))
+            places = zip(*values)
+        else:
+            fields.append(name + "%s")
+            places = [values]
+        for place in places:
+            texts = _column(place)
+            if texts is None:
+                return None
+            columns.append(texts)
+    template = _block("{}", fields, indent + "  ")
+    return _block("[]", map(template.__mod__, zip(*columns)), indent)
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
@@ -187,153 +250,6 @@ def _check_record(record: Any, valid: Callable[[dict], bool], what: str) -> None
         raise InvalidInputError(f"malformed {what}: {_brief(record)}")
 
 
-# --- verbatim text -------------------------------------------------------------
-#
-# A document read from a file keeps the file's bytes (``_source``). Where
-# they are canonical they are reused instead of encoded again: a scenario
-# hashes as its file, and a report's ``triangles`` section is copied from
-# the file the report was read from. Each reuse is proved when it happens
-# (at ``hash()`` or at write time, never when reading), against the value
-# as it is then, so an edit after loading or a changed list put in with
-# ``dataclasses.replace`` takes the encoder. The proof encodes no large list:
-#
-# 1. the rest of the document is encoded with ``_MARK`` in place of each
-#    large list, and the file must hold that text around the lists;
-# 2. each list's text must be rows of one canonical layout (``_Rows``),
-#    which leaves only the value tokens free;
-# 3. each token must be the canonical text of its value, checked a column
-#    at a time with C-level maps: ints by ``repr``, strings and booleans by
-#    equality, floats by ``repr`` and by being already quantized (so
-#    ``_number_text`` gives that same ``repr``).
-#
-# Anything else, a file that is not canonical included, takes the encoder,
-# which gives the same bytes.
-
-# Stands in for a large list in the encoded rest of a document; a document
-# that holds this string itself is not reused.
-_MARK = "\x00verbatim\x00"
-_MARK_TEXT = encode_basestring_ascii(_MARK).encode("ascii")
-_QUANTIZED = f".{_FLOAT_DIGITS}g"
-_BOOL_TEXT = {True: "true", False: "false"}
-
-
-def _only(values: Sequence, kind: type) -> bool:
-    return set(map(type, values)) <= {kind}
-
-
-def _ints_match(values: Sequence, tokens: list) -> bool:
-    return _only(values, int) and list(map(int.__repr__, values)) == tokens[0]
-
-
-def _floats_match(values: Sequence, tokens: list) -> bool:
-    return (
-        _only(values, float)
-        and list(map(float.__repr__, values)) == tokens[0]
-        and list(map(float, map(format, values, repeat(_QUANTIZED)))) == list(values)
-    )
-
-
-def _strs_match(values: Sequence, tokens: list) -> bool:
-    return _only(values, str) and list(values) == tokens[0]
-
-
-def _bools_match(values: Sequence, tokens: list) -> bool:
-    return _only(values, bool) and list(map(_BOOL_TEXT.__getitem__, values)) == tokens[0]
-
-
-def _int_triples_match(values: Sequence, tokens: list) -> bool:
-    return (
-        _only(values, list) and set(map(len, values)) == {3}
-        and all(_ints_match(column, [text]) for column, text in zip(zip(*values), tokens))
-    )
-
-
-class _Token(NamedTuple):
-    """A value's place in a row: a pattern with one group per scalar (its
-    lines indented relative to the key's line) and the check that a column
-    of values has the captured texts."""
-
-    pattern: str
-    check: Callable[[Sequence, list], bool]
-
-
-_INT = _Token(r"(-?[0-9]+)", _ints_match)
-_FLOAT = _Token(r"([-+.0-9e]+)", _floats_match)
-# Printable ASCII but '"' and '\': the strings ``encode_basestring_ascii`` leaves as they are.
-_STR = _Token(r'"([ !#-\[\]-~]*)"', _strs_match)
-_BOOL = _Token(r"(true|false)", _bools_match)
-_INT_TRIPLE = _Token(r"\[" + ",".join([r"\n  (-?[0-9]+)"] * 3) + r"\n\]", _int_triples_match)
-
-
-class _Rows:
-    """The canonical text of a list of records with the same keys.
-
-    ``indent`` is the indentation of the list's closing bracket, and
-    ``fields`` pairs each key, in sorted order, with its token.
-    """
-
-    def __init__(self, indent: str, *fields: tuple[str, _Token]) -> None:
-        self.keys = tuple(key for key, _ in fields)
-        assert list(self.keys) == sorted(self.keys)
-        inner, key_indent = indent + "  ", indent + "    "
-        lines = [
-            f'{key_indent}"{key}": ' + token.pattern.replace(r"\n", r"\n" + key_indent)
-            for key, token in fields
-        ]
-        self.row = re.compile(r"\{\n" + r",\n".join(lines) + r"\n" + inner + r"\}")
-        self.checks = [(token.check, re.compile(token.pattern).groups) for _, token in fields]
-        self.opening, self.separator, self.closing = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
-
-    def spell(self, span: bytes, columns: Sequence[Sequence]) -> bool:
-        """Whether ``span`` is the canonical text of the records whose values,
-        key by key, are ``columns``.
-
-        ``row.split`` cuts ``span`` into the gaps between rows and the tokens
-        of each row. With the gaps those of a canonical list, ``span`` is the
-        rows' literal text with the tokens filled in, and so the canonical
-        text once every token is its value's.
-        """
-        n = len(columns[0])
-        if n == 0:
-            return span == b"[]"
-        try:
-            text = span.decode("ascii")
-        except UnicodeDecodeError:
-            return False
-        parts = self.row.split(text)
-        step = self.row.groups + 1
-        gaps = parts[::step]
-        if not (
-            len(gaps) == n + 1 and gaps[0] == self.opening and gaps[-1] == self.closing
-            and gaps.count(self.separator) == n - 1
-        ):
-            return False
-        first = 1
-        for (check, groups), values in zip(self.checks, columns):
-            if not check(values, [parts[first + g::step] for g in range(groups)]):
-                return False
-            first += groups
-        return True
-
-
-# Rows of a scenario's ``field.stationary`` and ``field.mobile``, and of a
-# report's ``triangles``.
-_SENSOR_ROWS = _Rows("    ", ("id", _INT), ("x", _FLOAT), ("y", _FLOAT))
-_MOBILE_ROWS = _Rows("    ", ("id", _INT), ("sensing_radius", _FLOAT), ("x", _FLOAT), ("y", _FLOAT))
-_TRIANGLE_ROWS = _Rows(
-    "  ",
-    ("case", _STR),
-    ("id", _INT),
-    ("is_hole", _BOOL),
-    ("method", _STR),
-    ("s_h", _FLOAT),
-    ("vertices", _INT_TRIPLE),
-)
-_SENSOR_COLUMNS = tuple(map(attrgetter, ("id", "position.x", "position.y")))
-_MOBILE_COLUMNS = tuple(map(attrgetter, ("id", "radius", "position.x", "position.y")))
-_TRIANGLES_KEY = b'\n  "triangles": '
-
-
 # --- scenarios ---------------------------------------------------------------
 
 
@@ -343,20 +259,8 @@ class ScenarioDoc:
 
     field: SensorField
     meta: dict = dc_field(default_factory=dict)
-    # The bytes of the file the scenario was read from (see "verbatim text").
-    _source: bytes | None = dc_field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        f = self.field
-        return self._tree(
-            [{"id": s.id, "x": s.position.x, "y": s.position.y} for s in f.stationary],
-            [
-                {"id": m.id, "x": m.position.x, "y": m.position.y, "sensing_radius": m.radius}
-                for m in f.mobile
-            ],
-        )
-
-    def _tree(self, stationary: Any, mobile: Any) -> dict:
         f = self.field
         return {
             "schema_version": SCHEMA_VERSION,
@@ -364,45 +268,20 @@ class ScenarioDoc:
                 "width": f.width,
                 "height": f.height,
                 "sensing_radius": f.sensing_radius,
-                "stationary": stationary,
-                "mobile": mobile,
+                "stationary": [
+                    {"id": s.id, "x": s.position.x, "y": s.position.y} for s in f.stationary
+                ],
+                "mobile": [
+                    {"id": m.id, "x": m.position.x, "y": m.position.y, "sensing_radius": m.radius}
+                    for m in f.mobile
+                ],
             },
             "meta": self.meta,
         }
 
     def hash(self) -> str:
-        """SHA-256 of the canonical bytes: those of the file the scenario was
-        read from when it is canonical, else a fresh encoding."""
-        data = self._canonical_source()
-        if data is None:
-            data = canonical_json_bytes(self.to_dict())
-        return hashlib.sha256(data).hexdigest()
-
-    def _canonical_source(self) -> bytes | None:
-        """The file's bytes, if they are the canonical text of the scenario as it is now."""
-        source = self._source
-        if source is None:
-            return None
-        try:
-            pieces = canonical_json_bytes(self._tree(_MARK, _MARK)).split(_MARK_TEXT)
-        except InvalidInputError:
-            return None
-        if len(pieces) != 3:
-            return None
-        head, middle, tail = pieces  # "mobile" sorts before "stationary"
-        end = len(source) - len(tail)
-        cut = source.find(middle, len(head), end)
-        if cut < 0 or not (source.startswith(head) and source.endswith(tail)):
-            return None
-        f = self.field
-        lists = (
-            (_MOBILE_ROWS, source[len(head):cut], f.mobile, _MOBILE_COLUMNS),
-            (_SENSOR_ROWS, source[cut + len(middle):end], f.stationary, _SENSOR_COLUMNS),
-        )
-        for rows, span, items, getters in lists:
-            if not rows.spell(span, [tuple(map(get, items)) for get in getters]):
-                return None
-        return source
+        """SHA-256 of the canonical bytes (formatting-insensitive)."""
+        return hashlib.sha256(canonical_json_bytes(self.to_dict())).hexdigest()
 
 
 def _valid_field(f: dict) -> bool:
@@ -446,8 +325,7 @@ def scenario_from_dict(doc: dict) -> ScenarioDoc:
 
 
 def load_scenario(path: str | Path) -> ScenarioDoc:
-    data = Path(path).read_bytes()
-    return replace(scenario_from_dict(_parse_json(data, f"scenario {path}")), _source=data)
+    return scenario_from_dict(_parse_json(Path(path).read_bytes(), f"scenario {path}"))
 
 
 def save_scenario(doc: ScenarioDoc, path: str | Path) -> None:
@@ -471,8 +349,6 @@ class ReportDoc:
     plan: dict | None = None
     verify: dict | None = None
     meta: dict = dc_field(default_factory=dict)
-    # The bytes of the file the report was read from (see "verbatim text").
-    _source: bytes | None = dc_field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -630,41 +506,8 @@ def _validate_report(report: ReportDoc) -> None:
 
 
 def load_report(path: str | Path) -> ReportDoc:
-    data = Path(path).read_bytes()
-    return replace(report_from_dict(_parse_json(data, f"report {path}")), _source=data)
-
-
-def _verbatim_triangles(doc: ReportDoc) -> bytes | None:
-    """The text of ``doc.triangles`` in the file ``doc`` was read from, if it
-    is their canonical text."""
-    source, entries = doc._source, doc.triangles
-    keys = _TRIANGLE_ROWS.keys
-    if source is None or type(entries) is not list:
-        return None
-    if not (_only(entries, dict) and set(map(len, entries)) <= {len(keys)}):
-        return None
-    start = source.find(_TRIANGLES_KEY)
-    end = source.find(b"\n  ]", start)  # the first line back at the key's depth
-    if start < 0 or end < 0:
-        return None
-    span = source[start + len(_TRIANGLES_KEY):end + 4]
-    try:
-        columns = [tuple(map(itemgetter(key), entries)) for key in keys]
-    except KeyError:
-        return None
-    return span if _TRIANGLE_ROWS.spell(span, columns) else None
+    return report_from_dict(_parse_json(Path(path).read_bytes(), f"report {path}"))
 
 
 def save_report(doc: ReportDoc, path: str | Path) -> None:
-    """Write ``doc`` canonically; its triangles are copied from the file it
-    was read from when that file holds their canonical text."""
-    tree = doc.to_dict()
-    span = _verbatim_triangles(doc)
-    if span is not None:
-        tree["triangles"] = _MARK
-        pieces = canonical_json_bytes(tree).split(_MARK_TEXT)
-        if len(pieces) == 2:
-            Path(path).write_bytes(pieces[0] + span + pieces[1])
-            return
-        tree["triangles"] = doc.triangles
-    Path(path).write_bytes(canonical_json_bytes(tree))
+    Path(path).write_bytes(canonical_json_bytes(doc.to_dict()))

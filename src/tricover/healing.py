@@ -8,14 +8,13 @@ by an exact minimum-total-movement assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, isfinite, pi
+from math import hypot, pi
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InvalidInputError
-from .field import SensorField
+from .field import SensorField, check_length
 from .geometry import Point, TriangleGeom, circumcenter, incenter
 
 CIRCUMCENTER = "circumcenter"
@@ -51,11 +50,8 @@ class HealingPlan:
 
 
 def check_mobile_radius(mobile_radius: float) -> None:
-    """Reject a mobile sensing radius that is not finite and > 0."""
-    if not (isfinite(mobile_radius) and mobile_radius > 0):
-        raise InvalidInputError(
-            f"mobile sensing radius must be > 0, got {mobile_radius}"
-        )
+    """Reject a mobile sensing radius that is not a length (``check_length``)."""
+    check_length("mobile sensing radius", mobile_radius)
 
 
 def select_target(

@@ -309,6 +309,82 @@ def test_generate_reports_bad_field_size(tmp_path, capsys, flag, value, message)
     assert not out.exists()
 
 
+RANGE_TEXT = "must lie in [2^-200, 2^200], got "
+
+
+@pytest.mark.parametrize(
+    "flag, value, what",
+    [
+        ("--width", "1e308", "field width"),
+        ("--height", "1e-300", "field height"),
+        ("--radius", "1e307", "sensing radius"),
+        ("--mobile-radius", "1e-61", "mobile sensor 5: radius"),
+    ],
+)
+def test_generate_refuses_lengths_outside_the_range(tmp_path, capsys, flag, value, what):
+    options = {"--width": "10", "--height": "10", "--radius": "1", "--mobile-radius": "1"}
+    options[flag] = value
+    out = tmp_path / "s.json"
+    code = main(
+        ["generate", *(f"{k}={v}" for k, v in options.items()),
+         "--n-stationary", "5", "--n-mobile", "1", "--seed", "3", "--out", str(out)]
+    )
+    assert code == 1
+    assert assert_single_error_line(capsys, "invalid-input") == (
+        f"error: invalid-input: {what} {RANGE_TEXT}{float(value)}"
+    )
+    assert not out.exists()
+
+
+# (where in the scenario, key, value) of a length outside the range
+OUT_OF_RANGE_EDITS = {
+    "huge-field": ((), "width", 1e308),
+    "tiny-field": ((), "height", 1e-300),
+    "huge-radius": ((), "sensing_radius", 1e307),
+    "tiny-mobile-radius": (("mobile", 0), "sensing_radius", 1e-61),
+}
+
+
+@pytest.mark.parametrize("stage", ["detect", "plan", "verify", "render"])
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_EDITS))
+def test_stages_refuse_scenarios_with_lengths_outside_the_range(tmp_path, capsys, stage, case):
+    scen = write_scenario(tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)], radius=2.0,
+                          mobile=[(5, 5, 2.0)])
+    det = tmp_path / "d.json"
+    assert main(["detect", "--scenario", str(scen), "--out", str(det)]) == 0
+    where, key, value = OUT_OF_RANGE_EDITS[case]
+    doc = json.loads(scen.read_text())
+    record = doc["field"][where[0]][where[1]] if where else doc["field"]
+    record[key] = value
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {
+        "detect": ["detect", "--scenario", str(scen)],
+        "plan": ["plan", "--scenario", str(scen), "--report", str(det), "--mobile-radius", "2"],
+        "verify": ["verify", "--scenario", str(scen), "--samples", "100", "--seed", "1"],
+        "render": ["render", "--scenario", str(scen), "--report", str(det)],
+    }[stage]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    assert RANGE_TEXT in assert_single_error_line(capsys, "invalid-input")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["1e-61", "1e61"])
+def test_plan_refuses_a_mobile_radius_outside_the_range(tmp_path, capsys, radius):
+    scen = write_scenario(tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)], radius=2.0)
+    det, plan = tmp_path / "d.json", tmp_path / "p.json"
+    assert main(["detect", "--scenario", str(scen), "--out", str(det)]) == 0
+    capsys.readouterr()
+    code = main(["plan", "--scenario", str(scen), "--report", str(det),
+                 "--mobile-radius", radius, "--out", str(plan)])
+    assert code == 1
+    assert assert_single_error_line(capsys, "invalid-input") == (
+        f"error: invalid-input: mobile sensing radius {RANGE_TEXT}{float(radius)}"
+    )
+    assert not plan.exists()
+
+
 def test_detect_non_finite_meta(tmp_path, capsys):
     scen = write_scenario(tmp_path / "s.json", [(1, 1), (9, 1), (5, 9)])
     doc = json.loads(scen.read_text())

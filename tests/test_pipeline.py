@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
-from math import fsum, inf, nextafter, pi, sqrt
+from math import ceil, floor, fsum, inf, ldexp, log2, nextafter, pi, sqrt
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from tricover import (
     Point,
     ScenarioDoc,
     generate_scenario,
+    detect_holes,
     hole_epsilon,
     make_field,
     mc_coverage_fraction,
@@ -27,7 +28,9 @@ from tricover import (
     select_target,
     targets_from_report,
     triangle_from_vertices,
+    triangulate,
 )
+from tricover.field import LENGTH_RANGE
 
 
 def small_scenario(seed=42):
@@ -371,3 +374,98 @@ def test_healing_and_hole_area_invariants(shape, seed):
     area = field.area * p
     half_width = Z99 * field.area * sqrt(p * (1.0 - p) / samples)
     assert area <= fsum(e["s_h"] for e in report.triangles) + half_width
+
+
+# --- the length range ---------------------------------------------------------------
+
+
+def scaled(field, k):
+    """``field`` with every length and position multiplied by exactly ``2**k``."""
+    return dataclasses.replace(
+        field,
+        width=ldexp(field.width, k),
+        height=ldexp(field.height, k),
+        sensing_radius=ldexp(field.sensing_radius, k),
+        stationary=[dataclasses.replace(s, position=scaled_point(s.position, k)) for s in field.stationary],
+        mobile=[
+            dataclasses.replace(m, position=scaled_point(m.position, k), radius=ldexp(m.radius, k))
+            for m in field.mobile
+        ],
+    )
+
+
+def scaled_point(p, k):
+    return Point(ldexp(p.x, k), ldexp(p.y, k))
+
+
+def detected(field):
+    return {r.cell_id: r for r in detect_holes(triangulate(field), field.sensing_radius)}
+
+
+# The benchmark's workload shapes, reduced: (sites, mobiles, radius / R*, samples).
+SCALE_SHAPES = [(300, 10, 1.0, 20_000), (300, 10, 0.5, 20_000), (100, 20, 1.0, 50_000)]
+
+
+@pytest.mark.parametrize("shape", SCALE_SHAPES)
+def test_answers_are_the_same_at_both_ends_of_the_length_range(shape):
+    """Scaled by 2**k so that its smallest length is near the bottom of
+    ``LENGTH_RANGE``, or its largest near the top, a field gets the same
+    labels, routes and holes, hole areas times exactly 4**k, and the same
+    verify fractions."""
+    n_stationary, n_mobile, radius_factor, samples = shape
+    radius = radius_factor * 10.0 * sqrt(50.0 / n_stationary)
+    doc = generate_scenario(100.0, 100.0, n_stationary, n_mobile, radius, radius, seed=3)
+    field = doc.field
+    plan = run_plan(run_detect(doc), doc, radius).plan
+    moves = {a["mobile_id"]: Point(a["target"]["x"], a["target"]["y"]) for a in plan["assignments"]}
+    assert moves
+    base = detected(field)
+    fractions = mc_coverage_fraction(field, samples, 3, moves)
+    low, high = LENGTH_RANGE
+    lengths = [field.width, field.height, radius]
+    ks = [ceil(log2(low / min(lengths))), floor(log2(high / max(lengths)))]
+    assert ks[0] < -190 and ks[1] > 190
+    for k in ks:
+        at_k = scaled(field, k)
+        assert low <= min(lengths) * 2.0**k and max(lengths) * 2.0**k <= high
+        cells = detected(at_k)
+        assert cells.keys() == base.keys()
+        for cell_id, r in base.items():
+            s = cells[cell_id]
+            assert (s.label, s.method, s.is_hole) == (r.label, r.method, r.is_hole)
+            assert s.hole_area == ldexp(r.hole_area, 2 * k)
+        moved = {i: scaled_point(p, k) for i, p in moves.items()}
+        estimate = mc_coverage_fraction(at_k, samples, 3, moved)
+        assert (estimate.before, estimate.after) == (fractions.before, fractions.after)
+
+
+@pytest.mark.parametrize("covered", [False, True])
+def test_sides_and_radius_at_opposite_ends_of_the_length_range(covered):
+    """Disks far smaller than the cells leave every cell an ``A`` hole of
+    its own area, and nothing covered; disks far larger cover every cell."""
+    low, high = LENGTH_RANGE
+    side, radius = (low, high) if covered else (high, low)
+    doc = generate_scenario(side, side, 100, 5, radius, radius, seed=3)
+    mesh = triangulate(doc.field)
+    reports = detect_holes(mesh, radius)
+    assert {r.label.value for r in reports} == {"F" if covered else "A"}
+    assert not any(r.is_hole for r in reports) if covered else all(r.is_hole for r in reports)
+    if not covered:
+        area = {c.id: c.geom.area for c in mesh.cells}
+        assert all(r.hole_area == pytest.approx(area[r.cell_id], rel=1e-12) for r in reports)
+    estimate = mc_coverage_fraction(doc.field, 10_000, 3)
+    assert estimate.before == estimate.after == float(covered)
+
+
+@pytest.mark.parametrize("k", [-1, 1])
+def test_lengths_just_outside_the_range_are_refused(k):
+    low, high = LENGTH_RANGE
+    outside = nextafter(low, 0.0) if k < 0 else nextafter(high, inf)
+    for width, height, radius, mobile in (
+        (outside, 1.0, 1.0, 1.0), (1.0, outside, 1.0, 1.0), (1.0, 1.0, outside, 1.0),
+        (1.0, 1.0, 1.0, outside),
+    ):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[2\^-200, 2\^200\], got "):
+            make_field(width, height, radius, [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 0.0, 1.0)],
+                       [(3, 0.5, 0.5, mobile)])
+    make_field(low if k < 0 else high, 1.0, 1.0, [(0, 0.0, 0.0)], [(1, 0.0, 0.0, 1.0)])
