@@ -188,15 +188,54 @@ def _rows(records: Sequence[Any], indent: str) -> str | None:
     return _block("[]", map(template.__mod__, zip(*columns)), indent)
 
 
+def _too_long(value: int) -> bool:
+    try:
+        int.__repr__(value)
+    except ValueError:
+        return True
+    return False
+
+
+def _long_int_place(obj: Any, place: str) -> str | None:
+    """Where in ``obj``, named from ``place``, the first int (a value or a
+    dict key) beyond Python's digit limit lies, in the order ``_encode``
+    writes; ``None`` if there is none."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if isinstance(key, int) and _too_long(key):
+                return f"as a key in {place}"
+            found = _long_int_place(value, f"{place}[{_brief(key)}]")
+            if found:
+                return found
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            found = _long_int_place(value, f"{place}[{i}]")
+            if found:
+                return found
+    elif isinstance(obj, int) and _too_long(obj):
+        return f"at {place}"
+    return None
+
+
 def canonical_json_bytes(obj: Any) -> bytes:
     """Canonical serialized form of a JSON-able object.
 
-    An object nested too deeply for the encoder's recursion is ``invalid-input``.
+    An object nested too deeply for the encoder's recursion, or holding an
+    int of more digits than Python writes as text, is ``invalid-input``;
+    the second error names the int's place, such as ``at $['a'][0]``.
     """
     try:
         return (_encode(obj, "") + "\n").encode("ascii")
     except RecursionError:
         raise InvalidInputError("value is nested too deeply to serialize") from None
+    except ValueError:  # an int beyond Python's digit limit, as value or key
+        place = _long_int_place(obj, "$")
+        if place is None:
+            raise
+        raise InvalidInputError(
+            f"cannot serialize an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits {place}"
+        ) from None
 
 
 def _parse_json(text: bytes | str, what: str) -> dict:

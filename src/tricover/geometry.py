@@ -2,7 +2,10 @@
 
 Everything here is pure and deterministic: triangles, circular segments,
 two-circle lenses, triangle centers, and exact triangle/disk
-intersection areas computed by boundary integration (no sampling).
+intersection areas computed by boundary integration (no sampling). The
+integral is one function, ``triangle_disks_covered_area``, with its
+interval and arc arithmetic written inline: it runs once per exact-route
+cell, the hot path of detection.
 
 Angles are radians, lengths are plain floats, areas are length squared.
 """
@@ -174,90 +177,6 @@ def _ccw_vertices(tri: TriangleGeom) -> tuple[Point, Point, Point]:
 # 1-D interval computations; Green's theorem turns them into areas.
 # ---------------------------------------------------------------------------
 
-_IvalSet = list  # list[tuple[float, float]] on [0, 2*pi), disjoint, sorted
-
-
-def _normalize_arc(lo: float, length: float) -> _IvalSet:
-    """Arc starting at angle ``lo`` spanning ``length`` (0..2*pi) as a set."""
-    if length <= 0.0:
-        return []
-    if length >= _TWO_PI:
-        return [(0.0, _TWO_PI)]
-    lo = lo % _TWO_PI
-    hi = lo + length
-    if hi <= _TWO_PI:
-        return [(lo, hi)]
-    return [(0.0, hi - _TWO_PI), (lo, _TWO_PI)]
-
-
-def _ivals_intersect(A: _IvalSet, B: _IvalSet) -> _IvalSet:
-    out = []
-    for a0, a1 in A:
-        for b0, b1 in B:
-            lo, hi = max(a0, b0), min(a1, b1)
-            if hi > lo:
-                out.append((lo, hi))
-    out.sort()
-    return out
-
-
-def _ivals_complement(A: _IvalSet) -> _IvalSet:
-    out = []
-    cur = 0.0
-    for lo, hi in sorted(A):
-        if lo > cur:
-            out.append((cur, lo))
-        cur = max(cur, hi)
-    if cur < _TWO_PI:
-        out.append((cur, _TWO_PI))
-    return out
-
-
-def _ivals_union(ivals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """The union of ``ivals`` as disjoint intervals in order; sorts ``ivals`` in place."""
-    ivals.sort()
-    out: list[tuple[float, float]] = []
-    for lo, hi in ivals:
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _circle_in_halfplane(
-    cx: float, cy: float, R: float, nx: float, ny: float, off: float
-) -> _IvalSet:
-    """Angles where circle point lies in the half-plane ``n·p <= off``
-    (``n`` a unit vector): cos(theta - phi) <= s."""
-    s = (off - (nx * cx + ny * cy)) / R
-    if s >= 1.0:
-        return [(0.0, _TWO_PI)]
-    if s <= -1.0:
-        return []
-    phi = atan2(ny, nx)
-    alpha = acos(_clamp01(s))
-    return _normalize_arc(phi + alpha, _TWO_PI - 2.0 * alpha)
-
-
-def _circle_in_disk(
-    cx: float, cy: float, R: float, ox: float, oy: float, Ro: float
-) -> _IvalSet:
-    """Angles where circle point lies inside the other disk."""
-    dx, dy = ox - cx, oy - cy
-    D = hypot(dx, dy)
-    if D == 0.0:
-        return [(0.0, _TWO_PI)] if R <= Ro else []
-    u = (D * D + R * R - Ro * Ro) / (2.0 * R * D)
-    if u <= -1.0:
-        return [(0.0, _TWO_PI)]
-    if u >= 1.0:
-        return []
-    beta = acos(_clamp01(u))
-    psi = atan2(dy, dx)
-    return _normalize_arc(psi - beta, 2.0 * beta)
-
 
 def triangle_disks_covered_area(
     tri: TriangleGeom, disks: Sequence[tuple[Point, float]]
@@ -267,6 +186,11 @@ def triangle_disks_covered_area(
     Degenerate triangles and empty disk lists give zero. The tests check
     it against a single-disk boundary integral and a grid rasterizer
     (``tests/oracles.py``).
+
+    Angle sets are sorted lists of ``(lo, hi)`` intervals on ``[0, 2*pi]``.
+    An arc of length in ``(0, 2*pi)`` starting at angle ``lo`` is one
+    interval, or two when it wraps past ``2*pi``. Two sets intersect
+    piece by piece, keeping the pieces of positive length.
     """
     if tri.degenerate:
         return 0.0
@@ -282,55 +206,130 @@ def triangle_disks_covered_area(
         return 0.0
     verts = _ccw_vertices(tri)
 
-    # Outward unit normal and offset for each directed edge of the CCW triangle.
+    # Each directed edge of the CCW triangle: its start and direction, and
+    # the line through it as its outward unit normal (right of travel), the
+    # normal's angle and the line's offset.
     edges = []
+    lines = []
     for i in range(3):
         u, v = verts[i], verts[(i + 1) % 3]
         ex, ey = v.x - u.x, v.y - u.y
         elen = hypot(ex, ey)
-        nx, ny = ey / elen, -ex / elen  # right of travel = outside for CCW
-        edges.append((u, v, nx, ny, nx * u.x + ny * u.y))
+        nx, ny = ey / elen, -ex / elen
+        edges.append((u.x, u.y, ex, ey))
+        lines.append((nx, ny, atan2(ny, nx), nx * u.x + ny * u.y))
 
     total = 0.0
 
-    # (a) Triangle-edge pieces inside the union of disks.
-    for u, v, _, _, _ in edges:
-        dx, dy = v.x - u.x, v.y - u.y
+    # (a) Triangle-edge pieces inside the union of disks: spans of the edge
+    # parameter t in [0, 1], merged where they overlap or touch.
+    for ux, uy, dx, dy in edges:
         A = dx * dx + dy * dy
-        spans: list[tuple[float, float]] = []
+        spans = []
         for cx, cy, R in circles:
-            wx, wy = u.x - cx, u.y - cy
+            wx, wy = ux - cx, uy - cy
             B = wx * dx + wy * dy
             C = wx * wx + wy * wy - R * R
             disc = B * B - A * C
             if disc <= 0.0:
                 continue
             sq = sqrt(disc)
-            t1 = max((-B - sq) / A, 0.0)
-            t2 = min((-B + sq) / A, 1.0)
+            t1 = (-B - sq) / A
+            if t1 < 0.0:
+                t1 = 0.0
+            t2 = (-B + sq) / A
+            if t2 > 1.0:
+                t2 = 1.0
             if t2 > t1:
                 spans.append((t1, t2))
-        for lo, hi in _ivals_union(spans):
-            x1, y1 = u.x + lo * dx, u.y + lo * dy
-            x2, y2 = u.x + hi * dx, u.y + hi * dy
+        spans.sort()
+        merged: list[tuple[float, float]] = []
+        for lo, hi in spans:
+            if merged and lo <= merged[-1][1]:
+                if hi > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((lo, hi))
+        for lo, hi in merged:
+            x1, y1 = ux + lo * dx, uy + lo * dy
+            x2, y2 = ux + hi * dx, uy + hi * dy
             total += 0.5 * (x1 * y2 - y1 * x2)
 
     # (b) Circle arcs inside the triangle and outside every other disk.
     for k, (cx, cy, R) in enumerate(circles):
+        # Inside the triangle: in each edge's inner half-plane, the angles
+        # theta with cos(theta - phi) <= s.
         inside = [(0.0, _TWO_PI)]
-        for _, _, nx, ny, off in edges:
-            inside = _ivals_intersect(inside, _circle_in_halfplane(cx, cy, R, nx, ny, off))
+        for nx, ny, phi, off in lines:
+            s = (off - (nx * cx + ny * cy)) / R
+            if s >= 1.0:
+                continue  # the whole circle: the set is unchanged
+            if s <= -1.0:
+                inside = []
+                break
+            alpha = acos(s)  # in (0, pi): the arc's length lies in (0, 2*pi)
+            lo = (phi + alpha) % _TWO_PI
+            hi = lo + (_TWO_PI - 2.0 * alpha)
+            arc = [(lo, hi)] if hi <= _TWO_PI else [(0.0, hi - _TWO_PI), (lo, _TWO_PI)]
+            cut = []
+            for a0, a1 in inside:
+                for b0, b1 in arc:
+                    lo = b0 if b0 > a0 else a0
+                    hi = b1 if b1 < a1 else a1
+                    if hi > lo:
+                        cut.append((lo, hi))
+            cut.sort()
+            inside = cut
             if not inside:
                 break
         if not inside:
             continue
-        others = _ivals_union([
-            iv
-            for j, (ox, oy, Ro) in enumerate(circles)
-            if j != k
-            for iv in _circle_in_disk(cx, cy, R, ox, oy, Ro)
-        ])
-        exposed = _ivals_intersect(inside, _ivals_complement(others))
+
+        # Inside another disk: the arc of angle 2*beta about the direction
+        # of its center, the whole circle, or nothing.
+        covered = []
+        for j, (ox, oy, Ro) in enumerate(circles):
+            if j == k:
+                continue
+            dx, dy = ox - cx, oy - cy
+            D = hypot(dx, dy)
+            if D == 0.0:
+                if R <= Ro:
+                    covered.append((0.0, _TWO_PI))
+                continue
+            w = (D * D + R * R - Ro * Ro) / (2.0 * R * D)
+            if w <= -1.0:
+                covered.append((0.0, _TWO_PI))
+                continue
+            if w >= 1.0:
+                continue
+            beta = acos(w)  # in (0, pi), as alpha above
+            lo = (atan2(dy, dx) - beta) % _TWO_PI
+            hi = lo + 2.0 * beta
+            if hi <= _TWO_PI:
+                covered.append((lo, hi))
+            else:
+                covered += ((0.0, hi - _TWO_PI), (lo, _TWO_PI))
+        # The exposed angles are the gaps between the covered arcs.
+        covered.sort()
+        gaps = []
+        end = 0.0
+        for lo, hi in covered:
+            if lo > end:
+                gaps.append((end, lo))
+            if hi > end:
+                end = hi
+        if end < _TWO_PI:
+            gaps.append((end, _TWO_PI))
+
+        exposed = []
+        for a0, a1 in inside:
+            for b0, b1 in gaps:
+                lo = b0 if b0 > a0 else a0
+                hi = b1 if b1 < a1 else a1
+                if hi > lo:
+                    exposed.append((lo, hi))
+        exposed.sort()
         for th1, th2 in exposed:
             total += 0.5 * (
                 R * cx * (sin(th2) - sin(th1))

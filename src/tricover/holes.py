@@ -212,8 +212,7 @@ def hole_area(tri: TriangleGeom, radius: float) -> HoleComputation:
     The case formula is used where its validity predicate holds, the exact
     fallback everywhere else. The result is clamped to ``[0, triangle area]``.
     """
-    _require_analysable(tri, radius)
-    if case_formula_validity(tri, radius).all_hold():
+    if case_formula_validity(tri, radius).all_hold():  # checks tri and radius
         value = _case_value(tri, radius)
         chosen = CASE_FORMULA
     else:
@@ -238,19 +237,19 @@ def detect_holes(
     if not (isfinite(eps) and eps >= 0.0):
         raise InvalidInputError(f"hole epsilon must be finite and >= 0, got {eps}")
     reports = []
-    for cell in mesh.cells:
-        if cell.geom.degenerate:
+    for cell_id, geom in enumerate(mesh.geoms):
+        if geom.degenerate:
             # A sliver such as Qhull keeps on the hull, of area below the
             # degeneracy bound 1e-12 * (longest side)^2: reported as covered
             # with s_h = 0 (a closed-form value, hence CASE_FORMULA) and never
             # measured, since the exact integral is not meaningful on it.
-            reports.append(HoleReport(cell.id, CaseLabel.F, CASE_FORMULA, False, 0.0))
+            reports.append(HoleReport(cell_id, CaseLabel.F, CASE_FORMULA, False, 0.0))
             continue
-        computation = hole_area(cell.geom, radius)
+        computation = hole_area(geom, radius)
         reports.append(
             HoleReport(
-                cell_id=cell.id,
-                label=_label(cell.geom, radius, computation.s_h < eps),
+                cell_id=cell_id,
+                label=_label(geom, radius, computation.s_h < eps),
                 method=computation.method,
                 is_hole=computation.s_h > eps,
                 hole_area=computation.s_h,

@@ -82,6 +82,8 @@ def generate_scenario(
         stationary=stationary,
         mobile=mobile,
     )
+    # The field checks each mobile's radius; without mobiles, this does.
+    check_mobile_radius(mobile_radius)
     meta = {
         "seed": seed,
         "n_stationary": n_stationary,
@@ -92,11 +94,11 @@ def generate_scenario(
 
 
 def _hole_reports_to_entries(reports: Sequence[HoleReport], mesh: TriMesh) -> list:
-    # ``triangulate`` numbers the cells by position: ``mesh.cells[i].id == i``.
+    cells = mesh.cells.tolist()  # cell ``i`` is row ``i``
     return [
         {
             "id": r.cell_id,
-            "vertices": list(mesh.cells[r.cell_id].sensor_ids),
+            "vertices": cells[r.cell_id],
             "case": r.label.value,
             "s_h": r.hole_area,
             "method": r.method,

@@ -198,11 +198,11 @@ def test_criterion_06_delaunay_properties():
         centers = np.empty((len(mesh.cells), 2))
         radii = np.empty(len(mesh.cells))
         members = []
-        for k, cell in enumerate(mesh.cells):
-            c, r = circumcenter(cell.geom)
+        for k, (triple, geom) in enumerate(zip(mesh.cells.tolist(), mesh.geoms)):
+            c, r = circumcenter(geom)
             centers[k] = (c.x, c.y)
             radii[k] = r
-            members.append(cell.sensor_ids)
+            members.append(triple)
         ids = np.array([s.id for s in mesh.sites])
         dists = np.hypot(
             site_xy[None, :, 0] - centers[:, None, 0],

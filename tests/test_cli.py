@@ -336,6 +336,24 @@ def test_generate_refuses_lengths_outside_the_range(tmp_path, capsys, flag, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "radius, message",
+    [("-1", "must be > 0, got -1.0"), ("1e300", RANGE_TEXT + "1e+300")],
+)
+def test_generate_checks_the_mobile_radius_without_mobiles(tmp_path, capsys, radius, message):
+    out = tmp_path / "s.json"
+    code = main(
+        ["generate", "--width", "10", "--height", "10", "--radius", "1",
+         "--n-stationary", "5", "--n-mobile", "0", f"--mobile-radius={radius}",
+         "--seed", "3", "--out", str(out)]
+    )
+    assert code == 1
+    assert assert_single_error_line(capsys, "invalid-input") == (
+        f"error: invalid-input: mobile sensing radius {message}"
+    )
+    assert not out.exists()
+
+
 # (where in the scenario, key, value) of a length outside the range
 OUT_OF_RANGE_EDITS = {
     "huge-field": ((), "width", 1e308),

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -258,6 +259,24 @@ def test_canonical_bytes_deterministic():
 def test_canonical_bytes_rejects_unserializable():
     with pytest.raises(InvalidInputError):
         canonical_json_bytes({"x": object()})
+
+
+@pytest.mark.parametrize(
+    "obj, place",
+    [
+        ({"a": 10**5000}, "at $['a']"),
+        ({"k": [1, (2, -(10**4400))]}, "at $['k'][1][1]"),
+        ([{"id": 1, "v": 2.5}, {"id": 10**5000, "v": 3.5}], "at $[1]['id']"),
+        ({"t": [{"id": 0, "w": [1, 2]}, {"id": 1, "w": [3, 10**5000]}]}, "at $['t'][1]['w'][1]"),
+        ({"b": 1, 10**5000: 2}, "as a key in $"),
+        (10**5000, "at $"),
+    ],
+    ids=["dict-value", "nested", "record-list", "record-list-column", "key", "top-level"],
+)
+def test_canonical_bytes_names_the_place_of_an_int_beyond_the_digit_limit(obj, place):
+    assert error_of(canonical_json_bytes, obj) == (
+        f"cannot serialize an integer of more than {sys.get_int_max_str_digits()} digits {place}"
+    )
 
 
 def test_canonical_bytes_rejects_deep_nesting():

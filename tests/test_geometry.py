@@ -1,7 +1,7 @@
 """Geometry kernel tests: golden values, properties, and oracle checks."""
 from __future__ import annotations
 
-from math import cos, hypot, pi, sin, sqrt
+from math import cos, hypot, nextafter, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -329,3 +329,70 @@ def test_union_monotone_in_disk_set():
         a12 = triangle_disks_covered_area(t, disks[:2])
         a123 = triangle_disks_covered_area(t, disks)
         assert a123 >= a12 - 1e-12
+
+
+# Bits of the exact integral on inputs that reach each of its branches:
+# tangency to an edge line, half-planes that hold the whole circle or none
+# of it, arcs that wrap past angle 0, one disk inside another, concentric
+# disks, a zero radius, obtuse, right and sliver triangles, and disks off
+# the vertices. The values were recorded from the implementation with
+# separate interval and arc helpers (commit 16281ae), which this one
+# replaced with the same float operations in the same order.
+EQUILATERAL = ((0, 0), (2, 0), (1, sqrt(3.0)))
+RIGHT = ((0, 0), (10, 0), (0, 10))
+FAR = ((10000.125, -7000.5), (10003.0, -7000.25), (10001.0, -6997.75))
+TINY = ((0, 0), (3e-6, 0), (1e-6, 2e-6))
+
+
+def at_vertices(vertices, *radii):
+    return [(v, r) for v, r in zip(vertices, radii * 3 if len(radii) == 1 else radii)]
+
+
+PINNED_COVERED_AREA = [
+    # name, triangle, disks as ((x, y), radius), float.hex of the covered area
+    ("tangent-to-two-edges-inside", ((0, 0), (4, 0), (0, 4)), [((1, 1), 1.0)],
+     "0x1.921fb54442d18p+1"),
+    ("tangent-to-edge-outside", ((0, 0), (4, 0), (0, 4)), [((2, -1), 1.0)], "0x0.0p+0"),
+    ("disk-deep-inside", RIGHT, [((2, 3), 1.5)], "0x1.c463abeccb2bbp+2"),
+    ("disk-beyond-an-edge", RIGHT, [((9, 9), 2.0), ((1, 1), 0.5)], "0x1.921fb54442d17p-1"),
+    ("disk-covers-triangle", ((0, 0), (3, 0), (1, 2)), [((1.2, 0.7), 100.0)],
+     "0x1.8000000000000p+1"),
+    ("equilateral-covered", EQUILATERAL, at_vertices(EQUILATERAL, 1.5), "0x1.bb67ae8584caap+0"),
+    ("equilateral-tangent-pairs", EQUILATERAL, at_vertices(EQUILATERAL, 1.0),
+     "0x1.921fb54442d1ap+0"),
+    ("equilateral-just-overlapping", EQUILATERAL, at_vertices(EQUILATERAL, nextafter(1.0, 2.0)),
+     "0x1.921fb54442d1ap+0"),
+    ("obtuse", ((0, 0), (10, 0), (5, 1)), at_vertices(((0, 0), (10, 0), (5, 1)), 3.0),
+     "0x1.4000000000000p+2"),
+    ("sliver", ((0, 0), (10, 0), (5, 1e-3)), at_vertices(((0, 0), (10, 0), (5, 1e-3)), 2.0),
+     "0x1.0624dc77dc605p-8"),
+    ("right-345-at-circumradius", ((0, 0), (4, 0), (0, 3)),
+     at_vertices(((0, 0), (4, 0), (0, 3)), 2.5), "0x1.8000000000000p+2"),
+    ("mixed-radii-and-zero", ((0, 0), (4, 0), (1, 3)),
+     at_vertices(((0, 0), (4, 0), (1, 3)), 1.0, 0.0, 2.5), "0x1.f75c83305d806p+1"),
+    ("disk-containing-another", ((0, 0), (6, 0), (0, 6)),
+     [((0, 0), 3.0), ((0.5, 0.5), 0.5), ((6, 0), 1.0)], "0x1.dd85a7410f58dp+2"),
+    ("concentric-disks", ((0, 0), (6, 0), (0, 6)),
+     [((1.5, 1.5), 1.0), ((1.5, 1.5), 0.4), ((0, 6), 2.0)], "0x1.2d97c7f3321d1p+2"),
+    ("covered-arc-wraps-past-zero", RIGHT, [((2, 2), 1.0), ((3, 2), 1.0)],
+     "0x1.4382195387cfcp+2"),
+    ("inner-arc-wraps-past-zero", ((0, -5), (10, 0), (0, 5)), [((0.5, 0), 1.0)],
+     "0x1.4382195387cfbp+1"),
+    ("off-vertex-spans-merge-on-edges", ((0, 0), (6, 0), (1, 5)),
+     [((1, 1), 1.2), ((3, 0.5), 0.8), ((5.5, 0.2), 1.0), ((2, 4), 0.7), ((2.5, 0), 0.9)],
+     "0x1.dc330e38ed919p+2"),
+    ("triple-overlap-off-vertex", ((0, 0), (8, 0), (3, 7)),
+     [((3, 2), 1.5), ((4.5, 2), 1.5), ((3.75, 3.2), 1.5)], "0x1.c67fc69dd496ep+3"),
+    ("far-from-origin", FAR, at_vertices(FAR, 2.0), "0x1.ec00000000000p+1"),
+    ("tiny-scale", TINY, at_vertices(TINY, 1.6e-6), "0x1.a636641c4df1ap-39"),
+]
+
+
+@pytest.mark.parametrize(
+    "vertices, disks, bits",
+    [case[1:] for case in PINNED_COVERED_AREA],
+    ids=[case[0] for case in PINNED_COVERED_AREA],
+)
+def test_union_bits_are_pinned(vertices, disks, bits):
+    t = tri(*vertices)
+    assert triangle_disks_covered_area(t, [(Point(*c), r) for c, r in disks]).hex() == bits

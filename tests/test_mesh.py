@@ -5,7 +5,7 @@ from math import fsum, hypot, sqrt
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, Delaunay
 
 from tricover import (
     DuplicateSiteError,
@@ -17,6 +17,7 @@ from tricover import (
     circumcenter,
     generate_scenario,
     make_field,
+    triangle_from_vertices,
     triangulate,
 )
 
@@ -52,20 +53,18 @@ def hull_vertex_count(coords):
 
 def test_unit_square_two_triangles():
     mesh = triangulate(field_from([(0, 0), (1, 0), (1, 1), (0, 1)]))
-    assert len(mesh.cells) == 2
-    assert [c.id for c in mesh.cells] == [0, 1]
-    triples = [c.sensor_ids for c in mesh.cells]
-    assert all(t == tuple(sorted(t)) for t in triples)
+    assert mesh.cells.shape == (2, 3) and len(mesh.geoms) == 2
+    triples = mesh.cells.tolist()
+    assert all(t == sorted(t) for t in triples)
     assert triples == sorted(triples)
     # the two cells tile the square
-    assert sum(c.geom.area for c in mesh.cells) == pytest.approx(1.0, rel=1e-12)
+    assert sum(g.area for g in mesh.geoms) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_single_triangle():
     mesh = triangulate(field_from([(0, 0), (3, 0), (0, 4)]))
-    assert len(mesh.cells) == 1
-    assert mesh.cells[0].sensor_ids == (0, 1, 2)
-    assert mesh.cells[0].geom.area == pytest.approx(6.0)
+    assert np.array_equal(mesh.cells, [[0, 1, 2]]) and len(mesh.geoms) == 1
+    assert mesh.geoms[0].area == pytest.approx(6.0)
 
 
 def test_sites_stored_sorted_by_id():
@@ -82,8 +81,8 @@ def test_sites_stored_sorted_by_id():
     )
     mesh = triangulate(field)
     assert [s.id for s in mesh.sites] == [1, 3, 5, 9]
-    for cell in mesh.cells:
-        assert cell.sensor_ids == tuple(sorted(cell.sensor_ids))
+    for triple in mesh.cells.tolist():
+        assert triple == sorted(triple)
 
 
 def test_triangulation_ignores_stationary_listing_order():
@@ -94,8 +93,8 @@ def test_triangulation_ignores_stationary_listing_order():
     field_b = SensorField(11.0, 11.0, 1.0, tuple(reversed(sensors)))
     mesh_a = triangulate(field_a)
     mesh_b = triangulate(field_b)
-    assert [c.sensor_ids for c in mesh_a.cells] == [c.sensor_ids for c in mesh_b.cells]
-    assert mesh_a.cells == mesh_b.cells
+    assert np.array_equal(mesh_a.cells, mesh_b.cells)
+    assert mesh_a.geoms == mesh_b.geoms
 
 
 # --- Delaunay invariants ----------------------------------------------------------
@@ -107,17 +106,19 @@ def test_empty_circumcircle_property(seed, n):
     coords = rng.uniform(0, 100, size=(n, 2))
     mesh = triangulate(field_from(coords))
     pos = {s.id: s.position for s in mesh.sites}
-    for cell in mesh.cells:
-        center, radius = circumcenter(cell.geom)
+    for triple, geom in zip(mesh.cells.tolist(), mesh.geoms):
+        center, radius = circumcenter(geom)
         slack = 1e-9 * radius
         for s in mesh.sites:
-            if s.id in cell.sensor_ids:
+            if s.id in triple:
                 continue
             assert hypot(s.position.x - center.x, s.position.y - center.y) >= (
                 radius - slack
             )
     assert all(
-        pos[i] in cell.geom.vertices for cell in mesh.cells for i in cell.sensor_ids
+        pos[i] in geom.vertices
+        for triple, geom in zip(mesh.cells.tolist(), mesh.geoms)
+        for i in triple
     )
 
 
@@ -135,7 +136,7 @@ def test_cells_tile_convex_hull_area():
     coords = rng.uniform(0, 20, size=(300, 2))
     mesh = triangulate(field_from(coords))
     hull_area = ConvexHull(coords).volume  # 2-d: volume is the area
-    assert sum(c.geom.area for c in mesh.cells) == pytest.approx(hull_area, rel=1e-9)
+    assert sum(g.area for g in mesh.geoms) == pytest.approx(hull_area, rel=1e-9)
 
 
 # (stationary sites, mobiles, radius / R*) of the benchmark's three workloads,
@@ -150,13 +151,64 @@ def test_generated_field_cells_sum_to_hull_area(n_stationary, n_mobile, radius_f
     mesh = triangulate(doc.field)
     points = [(s.position.x, s.position.y) for s in doc.field.stationary]
     hull_area = ConvexHull(points).volume
-    assert fsum(c.geom.area for c in mesh.cells) == pytest.approx(hull_area, rel=1e-12)
+    assert fsum(g.area for g in mesh.geoms) == pytest.approx(hull_area, rel=1e-12)
 
 
 def test_no_degenerate_cells_on_random_input():
     rng = np.random.default_rng(37)
     mesh = triangulate(field_from(rng.uniform(0, 5, size=(500, 2))))
-    assert not any(c.geom.degenerate for c in mesh.cells)
+    assert not any(g.degenerate for g in mesh.geoms)
+
+
+# --- array columns against the scalar constructor -----------------------------------
+
+
+def _geom_fields(geom):
+    """Every field of a ``TriangleGeom``, floats as ``float.hex``."""
+    def bits(v):
+        return v.hex() if type(v) is float else v
+
+    return (
+        tuple((bits(p.x), bits(p.y)) for p in geom.vertices),
+        *(bits(v) for v in (geom.a, geom.b, geom.c, geom.s, geom.area)),
+        geom.degenerate,
+    )
+
+
+def _mesh_check_fields():
+    """Seeded fields of the benchmark's three workload shapes at reduced
+    sizes, a field with unsorted, non-contiguous ids, and a field whose hull
+    holds a degenerate sliver; each with its number of degenerate cells."""
+    for n_stationary, n_mobile, radius_factor in ((400, 10, 1.0), (400, 10, 0.5), (100, 20, 1.0)):
+        radius = radius_factor * 10.0 * sqrt(50.0 / n_stationary)
+        yield generate_scenario(100.0, 100.0, n_stationary, n_mobile, radius, radius, 1701).field, 0
+    rng = np.random.default_rng(1702)
+    ids = rng.permutation(np.arange(0, 3000, 7))[:300].tolist()
+    coords = rng.uniform(0, 50, size=(300, 2)).tolist()
+    yield make_field(51.0, 51.0, 1.0, [(i, x, y) for i, (x, y) in zip(ids, coords)]), 0
+    yield field_from([(0, 0), (10, 0), (5, 1e-11), (5, 5)]), 1
+
+
+@pytest.mark.parametrize(
+    "field, degenerate_cells",
+    list(_mesh_check_fields()),
+    ids=["dense-shape", "sparse-shape", "verify-heavy-shape", "unsorted-ids", "hull-sliver"],
+)
+def test_mesh_columns_match_scalar_constructor(field, degenerate_cells):
+    mesh = triangulate(field)
+    sites = sorted(field.stationary, key=lambda s: s.id)
+    points = np.array([[s.position.x, s.position.y] for s in sites])
+    triples = sorted(
+        tuple(sorted(sites[i].id for i in simplex)) for simplex in Delaunay(points).simplices
+    )
+    assert mesh.cells.tolist() == [list(t) for t in triples]
+    assert not mesh.cells.flags.writeable
+    by_id = {s.id: s.position for s in sites}
+    assert len(mesh.geoms) == len(triples)
+    for triple, geom in zip(triples, mesh.geoms):
+        expected = triangle_from_vertices(*(by_id[i] for i in triple))
+        assert _geom_fields(geom) == _geom_fields(expected)
+    assert sum(g.degenerate for g in mesh.geoms) == degenerate_cells
 
 
 # --- errors -----------------------------------------------------------------------
