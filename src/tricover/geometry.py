@@ -294,7 +294,8 @@ def triangle_disks_covered_area(
             dx, dy = ox - cx, oy - cy
             D = hypot(dx, dy)
             if D == 0.0:
-                if R <= Ro:
+                # Of identical circles, only the first keeps its boundary.
+                if R < Ro or (R == Ro and j < k):
                     covered.append((0.0, _TWO_PI))
                 continue
             w = (D * D + R * R - Ro * Ro) / (2.0 * R * D)

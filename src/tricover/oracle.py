@@ -3,9 +3,12 @@
 ``mc_coverage_fraction`` measures how much of a field its sensors cover,
 before and after a plan moves some mobiles, on seeded uniform samples.
 Coverage is decided by plain distance comparisons: a raster of the
-stationary disks settles most samples, and a kd-tree query the rest. It
-shares no code with the closed-form geometry of ``detect``, so it also
-serves the tests as an independent check of the hole areas.
+stationary disks settles most samples, and a kd-tree query the rest. The
+samples the stationary sensors leave uncovered are then ordered by raster
+column, and each mobile disk is tested only on the run of columns it can
+reach. The estimator shares no code with the closed-form geometry of
+``detect``, so it also serves the tests as an independent check of the
+hole areas.
 """
 from __future__ import annotations
 
@@ -50,61 +53,23 @@ class CoverageEstimate:
     half_width: float
 
 
-def _in_disks(
-    pts: np.ndarray, disks: Sequence[tuple[Point, float]], covered: np.ndarray
-) -> np.ndarray:
-    """OR into ``covered`` which of ``pts`` lie in any of ``disks``.
-
-    ``pts`` must be sorted by x. Each disk is tested, with the expression
-    ``dx * dx + dy * dy <= r * r``, only on the slice of points whose x lies
-    in ``[cx - reach, cx + reach)``, where ``reach = r + m`` and the margin
-    is ``m = 1e-9 * r + 1e-12 * |cx| + 2**-500``. The mask equals a test of
-    every point, because a point outside the slice fails the test in
-    floating point too. With u = 2**-53 the unit roundoff:
-
-    - The computed ends ``cx -/+ reach`` are within u * (|cx| + reach) of
-      the exact ones; the ``1e-12 * |cx|`` term outweighs that, so a point
-      outside the slice has |x - cx| > r * (1 + 9e-10) + 2**-501.
-    - ``dx = x - cx`` rounds with relative error at most u (it is exact
-      when subnormal), so |dx| > r * (1 + 8e-10) and |dx| > 2**-502.
-    - ``dy * dy >= 0`` and rounding is monotone, so the computed sum is at
-      least the computed ``dx * dx``. If ``r * r`` is a normal float, both
-      squares round with relative error at most u, and
-      ``dx * dx >= r**2 * (1 + 1.6e-9) * (1 - u) > r**2 * (1 + u) >= r * r``.
-    - If ``r * r`` is subnormal, the squares round with absolute error at
-      most 2**-1075: for r >= 2**-520, r**2 * 1.6e-9 exceeds their sum; for
-      smaller r, ``dx * dx > 2**-1004`` is far above ``r * r < 2**-1040``.
-    - If ``r * r`` overflows, every point passes the test; ``reach`` is
-      then infinite and the slice is the whole array.
-    """
-    xs = pts[:, 0]
-    for (cx, cy), radius in disks:
-        r2 = radius * radius
-        margin = 1e-9 * radius + 1e-12 * abs(cx) + 2.0**-500
-        reach = inf if r2 == inf else radius + margin
-        lo, hi = np.searchsorted(xs, (cx - reach, cx + reach))
-        dx = xs[lo:hi] - cx
-        dy = pts[lo:hi, 1] - cy
-        covered[lo:hi] |= dx * dx + dy * dy <= r2
-    return covered
-
-
 @dataclass(frozen=True)
 class _Raster:
     """Square cells of side ``h``, ``nx`` by ``ny``, from the origin.
 
     ``state[j * nx + i]`` is the state of the cell
-    ``[i * h, (i + 1) * h] x [j * h, (j + 1) * h]``.
+    ``[i * h, (i + 1) * h] x [j * h, (j + 1) * h]``; a field without
+    stationary sensors has the layout alone, and ``state`` None.
     """
 
     h: float
     nx: int
     ny: int
-    state: np.ndarray
+    state: np.ndarray | None
 
 
 def _coverage_raster(
-    tree: cKDTree, radius: float, width: float, height: float, samples: int
+    tree: cKDTree | None, radius: float, width: float, height: float, samples: int
 ) -> _Raster:
     """Classify raster cells over ``[0, width] x [0, height]`` by the disks of ``tree``'s sensors.
 
@@ -112,7 +77,7 @@ def _coverage_raster(
     and at least one: ``nx`` columns near ``sqrt(cells * width / height)``,
     ``ny = cells // nx`` rows and side ``h = max(width / nx, height / ny)``.
     Building it costs about one query per eight samples, and its memory is
-    bounded whatever ``samples`` is.
+    bounded whatever ``samples`` is. Without a tree the cells get no state.
 
     With ``R = radius`` and ``δ = h * sqrt(1/2) * (1 + 1e-9)``, one
     ``tree.query`` gives each cell centre ``c`` the distance ``d0`` to its
@@ -133,7 +98,7 @@ def _coverage_raster(
       one. The kd search returns the least computed distance below its
       bound; as it prunes on rounded rectangle distances, it can miss only a
       sensor whose computed distance is within a relative 1e-12 of the bound.
-    - ``_stationary_covered`` puts p in column ``min(floor(x * (1/h)), nx - 1)``.
+    - ``_columns`` puts p in column ``min(floor(x * (1/h)), nx - 1)``.
       ``x * (1/h)`` is within a relative 2.01u of x / h, and
       x <= width <= nx * h * (1 + 1.01u), so x lies in the column widened by
       2.02u * nx * h <= 2.02 * 2**-37 * h on each side (nx <= 2**16): a
@@ -167,6 +132,8 @@ def _coverage_raster(
     nx = int(min(cells, max(1.0, sqrt(cells * (width / height)))))
     ny = cells // nx
     h = max(width / nx, height / ny)
+    if tree is None:
+        return _Raster(h, nx, ny, None)
     delta = h * _HALF_DIAGONAL
     centres = np.empty((ny, nx, 2))
     centres[:, :, 0] = (np.arange(nx) + 0.5) * h
@@ -180,25 +147,114 @@ def _coverage_raster(
     return _Raster(h, nx, ny, state)
 
 
+def _columns(x: np.ndarray, inv_h: float, n: int) -> np.ndarray:
+    """Raster column of each abscissa in ``x`` (or row of each ordinate), as uint16.
+
+    The map ``trunc(clip(x * inv_h, 0, n - 1))`` never decreases as x
+    grows: the rounded product is monotone in x, and so are the clip and
+    the truncation. For x >= 0 it is ``min(floor(x * inv_h), n - 1)``.
+    Clipping in float before the cast keeps huge and infinite x in range,
+    and ``n <= MC_CHUNK = 2**16`` makes every column fit in 16 bits.
+    """
+    return np.clip(x * inv_h, 0.0, n - 1).astype(np.uint16)
+
+
 def _stationary_covered(
-    pts: np.ndarray, tree: cKDTree, raster: _Raster, radius: float
+    pts: np.ndarray, col: np.ndarray, tree: cKDTree, raster: _Raster, radius: float
 ) -> np.ndarray:
     """Which of ``pts`` (points of the raster's field) lie within ``radius`` of a sensor of ``tree``.
 
-    A point in a covered or uncovered cell of ``raster`` takes the cell's
-    state, which is the plain query's answer (see ``_coverage_raster``); the
-    points in mixed cells are queried.
+    ``col`` holds the points' raster columns (``_columns``). A point in a
+    covered or uncovered cell of ``raster`` takes the cell's state, which is
+    the plain query's answer (see ``_coverage_raster``); the points in mixed
+    cells are queried, in cell order, so that successive queries search
+    nearby parts of the tree. Each answer is the point's own, whatever the
+    order.
     """
-    inv_h = 1.0 / raster.h
-    col = np.minimum((pts[:, 0] * inv_h).astype(np.intp), raster.nx - 1)
-    row = np.minimum((pts[:, 1] * inv_h).astype(np.intp), raster.ny - 1)
-    state = raster.state[row * raster.nx + col]
+    row = _columns(pts[:, 1], 1.0 / raster.h, raster.ny).astype(np.intp)
+    cell = row * raster.nx + col
+    state = raster.state.take(cell)
     covered = state == _COVERED
     mixed = np.flatnonzero(state == _MIXED)
     if len(mixed):
+        # cell < MC_CHUNK = 2**16: a stable sort of 16-bit keys is a radix sort.
+        mixed = mixed.take(np.argsort(cell.take(mixed).astype(np.uint16), kind="stable"))
         # cKDTree's bound is strict; the next float up keeps points at exactly R.
-        dist, _ = tree.query(pts[mixed], distance_upper_bound=nextafter(radius, inf))
+        dist, _ = tree.query(
+            pts.take(mixed, axis=0), distance_upper_bound=nextafter(radius, inf)
+        )
         covered[mixed] = dist <= radius
+    return covered
+
+
+@dataclass(frozen=True)
+class _DiskRuns:
+    """Disks ``(cx, cy, r * r)``; disk k is tested on columns ``lo[k]`` to ``hi[k]``."""
+
+    disks: list[tuple[float, float, float]]
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _disk_runs(
+    disks: Sequence[tuple[Point, float]], inv_h: float, nx: int
+) -> _DiskRuns:
+    """The run of raster columns (side ``1 / inv_h``, ``nx`` of them) each disk is tested on.
+
+    A disk of centre (cx, cy) and radius r runs from the column of
+    ``cx - reach`` to that of ``cx + reach``, where ``reach = r + m`` and the
+    margin is ``m = 1e-9 * r + 1e-12 * |cx| + 2**-500``. A point outside the
+    run fails the test ``dx * dx + dy * dy <= r * r`` in floating point too,
+    so testing the run alone gives the mask of a test of every point.
+    ``_columns`` never decreases as x grows and puts the ends through the
+    same product with the same ``inv_h``, so a point whose column lies
+    before the run has x < fl(cx - reach), and one whose column lies after
+    it has x > fl(cx + reach). With u = 2**-53 the unit roundoff:
+
+    - The computed ends ``cx -/+ reach`` are within u * (|cx| + reach) of
+      the exact ones; the ``1e-12 * |cx|`` term outweighs that, so a point
+      outside the run has |x - cx| > r * (1 + 9e-10) + 2**-501.
+    - ``dx = x - cx`` rounds with relative error at most u (it is exact
+      when subnormal), so |dx| > r * (1 + 8e-10) and |dx| > 2**-502.
+    - ``dy * dy >= 0`` and rounding is monotone, so the computed sum is at
+      least the computed ``dx * dx``. If ``r * r`` is a normal float, both
+      squares round with relative error at most u, and
+      ``dx * dx >= r**2 * (1 + 1.6e-9) * (1 - u) > r**2 * (1 + u) >= r * r``.
+    - If ``r * r`` is subnormal, the squares round with absolute error at
+      most 2**-1075: for r >= 2**-520, r**2 * 1.6e-9 exceeds their sum; for
+      smaller r, ``dx * dx > 2**-1004`` is far above ``r * r < 2**-1040``.
+    - If ``r * r`` overflows, every point passes the test; ``reach`` is
+      then infinite and the run is every column.
+    """
+    table = np.array([(c[0], c[1], r) for c, r in disks], dtype=float).reshape(-1, 3)
+    cx, r = table[:, 0], table[:, 2]
+    with np.errstate(over="ignore"):
+        r2 = r * r
+    reach = np.where(r2 == inf, inf, r + (1e-9 * r + 1e-12 * np.abs(cx) + 2.0**-500))
+    return _DiskRuns(
+        disks=list(zip(cx.tolist(), table[:, 1].tolist(), r2.tolist())),
+        lo=_columns(cx - reach, inv_h, nx),
+        hi=_columns(cx + reach, inv_h, nx),
+    )
+
+
+def _in_disk_runs(
+    pts: np.ndarray, col: np.ndarray, runs: _DiskRuns, covered: np.ndarray
+) -> np.ndarray:
+    """OR into ``covered`` which of ``pts`` lie in any disk of ``runs``.
+
+    ``col`` holds the points' raster columns (``_columns``), in
+    nondecreasing order. Each disk is tested, with the expression
+    ``dx * dx + dy * dy <= r * r``, only on the contiguous points of its
+    column run, which hold every point that can pass (see ``_disk_runs``).
+    """
+    lo = np.searchsorted(col, runs.lo, side="left").tolist()
+    hi = np.searchsorted(col, runs.hi, side="right").tolist()
+    xs, ys = pts[:, 0], pts[:, 1]
+    for (cx, cy, r2), a, b in zip(runs.disks, lo, hi):
+        dx = xs[a:b] - cx
+        dy = ys[a:b] - cy
+        covered[a:b] |= dx * dx + dy * dy <= r2
     return covered
 
 
@@ -218,13 +274,23 @@ def mc_coverage_fraction(
     confidence half-widths.
 
     Only hit counts leave the loop, so the order of the points within a
-    chunk is free. For the stationary disks, each sample takes the state of
-    its cell in a raster of the field built once per call, and only the
-    samples in cells that the raster cannot decide are queried in the
-    kd-tree (see ``_coverage_raster``, which shows that the decided samples
-    get the query's answer). If the field has mobiles, each chunk is sorted
-    by x once, which lets every mobile disk be tested on its own x-band
-    alone (see ``_in_disks``).
+    chunk is free. Each chunk is tested in one pass:
+
+    1. Each sample gets its column in a raster of the field built once per
+       call (``_coverage_raster``; a field without stationary sensors gets
+       the same layout without states).
+    2. The stationary disks are decided first: each sample takes the state
+       of its cell, and only the samples in cells that the raster cannot
+       decide are queried in the kd-tree, in cell order
+       (``_coverage_raster`` shows that the decided samples get the query's
+       answer).
+    3. If the field has mobiles, the samples the stationary disks leave
+       uncovered are kept and ordered by column (numpy's stable sort of
+       16-bit keys is a radix sort).
+    4. Each mobile disk is tested only on the contiguous kept samples of its
+       column run (``_disk_runs`` shows that no sample outside the run can
+       pass): the staying disks once, then the leaving and the arriving
+       ones.
     """
     if samples <= 0:
         raise InvalidInputError(f"sample count must be > 0, got {samples}")
@@ -233,29 +299,41 @@ def mc_coverage_fraction(
     if field.area <= 0.0:
         raise InvalidInputError("field has zero area")
     moves = moves or {}
-    staying = [(m.position, m.radius) for m in field.mobile if m.id not in moves]
-    leaving = [(m.position, m.radius) for m in field.mobile if m.id in moves]
-    arriving = [(moves[m.id], m.radius) for m in field.mobile if m.id in moves]
     radius = field.sensing_radius
-    tree = raster = None
+    tree = None
     if field.stationary:
         tree = cKDTree([[s.position.x, s.position.y] for s in field.stationary])
-        raster = _coverage_raster(tree, radius, field.width, field.height, samples)
+    raster = _coverage_raster(tree, radius, field.width, field.height, samples)
+    inv_h = 1.0 / raster.h
+    staying, leaving, arriving = (
+        _disk_runs(disks, inv_h, raster.nx)
+        for disks in (
+            [(m.position, m.radius) for m in field.mobile if m.id not in moves],
+            [(m.position, m.radius) for m in field.mobile if m.id in moves],
+            [(moves[m.id], m.radius) for m in field.mobile if m.id in moves],
+        )
+    )
     rng = np.random.default_rng(seed)
     hits_before = hits_after = 0
     for start in range(0, samples, MC_CHUNK):
         pts = rng.random((min(MC_CHUNK, samples - start), 2))
         pts[:, 0] *= field.width
         pts[:, 1] *= field.height
-        if field.mobile:
-            pts = pts.take(np.argsort(pts[:, 0]), axis=0)
+        col = _columns(pts[:, 0], inv_h, raster.nx)
         if tree is None:
             covered = np.zeros(len(pts), dtype=bool)
         else:
-            covered = _stationary_covered(pts, tree, raster, radius)
-        covered = _in_disks(pts, staying, covered)
-        hits_before += int(np.count_nonzero(_in_disks(pts, leaving, covered.copy())))
-        hits_after += int(np.count_nonzero(_in_disks(pts, arriving, covered)))
+            covered = _stationary_covered(pts, col, tree, raster, radius)
+        hits = int(np.count_nonzero(covered))
+        hits_before += hits
+        hits_after += hits
+        if field.mobile:
+            gap = np.flatnonzero(~covered)
+            gap = gap.take(np.argsort(col.take(gap), kind="stable"))
+            pts, col = pts.take(gap, axis=0), col.take(gap)
+            covered = _in_disk_runs(pts, col, staying, np.zeros(len(pts), dtype=bool))
+            hits_before += int(np.count_nonzero(_in_disk_runs(pts, col, leaving, covered.copy())))
+            hits_after += int(np.count_nonzero(_in_disk_runs(pts, col, arriving, covered)))
     before, after = hits_before / samples, hits_after / samples
     half_width = max(
         _Z99 * sqrt(p * (1.0 - p) / samples) for p in (before, after)

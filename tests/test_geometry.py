@@ -307,6 +307,26 @@ def test_union_nested_disks_counts_once():
     assert triangle_disks_covered_area(t, disks) == pytest.approx(pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("copies", [2, 3])
+def test_union_identical_disks_count_once(copies):
+    t = tri((0, 0), (10, 0), (0, 10))
+    one = triangle_disks_covered_area(t, [(Point(3, 3), 1.0)])
+    assert one == pytest.approx(pi, rel=1e-12)
+    assert triangle_disks_covered_area(t, [(Point(3, 3), 1.0)] * copies) == one
+
+
+def test_union_identical_pair_and_an_overlapping_disk():
+    t = tri((0, 0), (10, 0), (0, 10))
+    a, b = (Point(3, 2), 1.0), (Point(4.5, 2), 1.0)
+    pair = triangle_disks_covered_area(t, [a, b])
+    assert pair == pytest.approx(2 * pi - lens_area(1, 1, 1.5), rel=1e-12)
+    for disks in ([a, a, b], [a, b, a], [b, a, a]):
+        covered = triangle_disks_covered_area(t, disks)
+        assert covered == pytest.approx(pair, rel=1e-12)
+        grid_uncovered = grid_region_uncovered(t, disks, 512)
+        assert t.area - covered == pytest.approx(grid_uncovered, abs=6e-3 * t.area)
+
+
 def test_union_matches_grid_oracle_on_vertex_disks():
     rng = np.random.default_rng(37)
     for _ in range(60):

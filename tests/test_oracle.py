@@ -23,8 +23,10 @@ from tricover.oracle import (
     _MIXED,
     _UNCOVERED,
     MC_CHUNK,
+    _columns,
     _coverage_raster,
-    _in_disks,
+    _disk_runs,
+    _in_disk_runs,
     _stationary_covered,
 )
 
@@ -159,6 +161,25 @@ def _full_scan(pts, disk):
     return dx * dx + dy * dy <= radius * radius
 
 
+def _run_mask(pts, disk, h, nx):
+    # The estimator's test of one disk on its column run, on a raster of
+    # nx columns of side h; the points are ordered by column for the test
+    # and the mask is returned in their given order.
+    inv_h = 1.0 / h
+    col = _columns(pts[:, 0], inv_h, nx)
+    order = np.argsort(col, kind="stable")
+    mask = np.empty(len(pts), dtype=bool)
+    mask[order] = _in_disk_runs(
+        pts[order], col[order], _disk_runs([disk], inv_h, nx), np.zeros(len(pts), dtype=bool)
+    )
+    return mask
+
+
+# Column layouts (h, nx): a few wide columns, fine columns over part of the
+# points, columns about as wide as the disks, and the widest raster.
+RUN_LAYOUTS = [(1.0, 8), (0.0625, 17), (1e-3, MC_CHUNK), (0.3, 1000), (1e6 / 65535.5, MC_CHUNK)]
+
+
 def _near(v):
     return [nextafter(nextafter(v, -inf), -inf), nextafter(v, -inf), v,
             nextafter(v, inf), nextafter(nextafter(v, inf), inf)]
@@ -166,8 +187,8 @@ def _near(v):
 
 # Disks with exact and inexact ends cx +/- r, one at the field corner, and
 # two near x = 1e6 whose radius times 1e-9 is below half the spacing of
-# floats there: cx + r rounds down, so only the |cx| term of the band margin
-# keeps the point at the rounded end, which lies inside the disk.
+# floats there: cx + r rounds down, and the point at the rounded end lies
+# inside the disk.
 BAND_DISKS = [
     (Point(0.5, 0.5), 0.25),
     (Point(0.3, 0.7), 0.1),
@@ -178,8 +199,7 @@ BAND_DISKS = [
 ]
 
 
-@pytest.mark.parametrize("disk", BAND_DISKS, ids=lambda d: f"cx={d[0].x}-r={d[1]}")
-def test_band_mask_equals_full_scan_at_the_boundary(disk):
+def _boundary_points(disk):
     (cx, cy), r = disk
     m = 1e-9 * r + 1e-12 * abs(cx)
     xs = [x for end in (cx - r, cx + r, cx - (r + m), cx + (r + m), cx) for x in _near(end)]
@@ -189,14 +209,46 @@ def test_band_mask_equals_full_scan_at_the_boundary(disk):
         for sy in (-1.0, 1.0):
             xs += _near(cx + sx * r / sqrt(2.0))
             ys += _near(cy + sy * r / sqrt(2.0))
+    return xs, ys
+
+
+@pytest.mark.parametrize("disk", BAND_DISKS, ids=lambda d: f"cx={d[0].x}-r={d[1]}")
+def test_band_mask_equals_full_scan_at_the_boundary(disk):
+    (cx, cy), r = disk
+    xs, ys = _boundary_points(disk)
     pts = np.array([(x, y) for x in sorted(set(xs)) for y in sorted(set(ys))])
     full = _full_scan(pts, disk)
-    band = _in_disks(pts, [disk], np.zeros(len(pts), dtype=bool))
-    assert np.array_equal(band, full)
+    for h, nx in RUN_LAYOUTS:
+        assert np.array_equal(_run_mask(pts, disk, h, nx), full), (h, nx)
     # the points on the line y = cy reach past the circle on both sides
     axis = pts[:, 1] == cy
     assert full[axis].any() and not full[axis].all()
     assert pts[axis, 0].min() < cx - r and pts[axis, 0].max() > cx + r
+
+
+@pytest.mark.parametrize("disk", BAND_DISKS, ids=lambda d: f"cx={d[0].x}-r={d[1]}")
+def test_column_run_equals_full_scan_with_its_ends_on_column_edges(disk):
+    # Rasters whose column edge k * h lies within an ulp or two of a run
+    # end fl(cx -/+ reach), as x * (1/h) rounds, with points at both ends
+    # and at the edges next to them.
+    (cx, cy), r = disk
+    reach = r + (1e-9 * r + 1e-12 * abs(cx) + 2.0**-500)
+    xs, ys = _boundary_points(disk)
+    layouts = []
+    on_edge = 0
+    for end in (cx - reach, cx + reach):
+        xs += _near(end)
+        for k in (1, 2, 3, 7, 100, 4097) if end > 0.0 else ():
+            for h in _near(end / k):
+                on_edge += end * (1.0 / h) == k
+                layouts += [(h, k), (h, k + 1), (h, MC_CHUNK)]
+                xs += [x for i in (k - 1, k, k + 1) for x in _near(i * h)]
+    assert on_edge > 0
+    pts = np.array([(x, y) for x in sorted(set(xs)) for y in sorted(set(ys))])
+    full = _full_scan(pts, disk)
+    assert full.any() and not full.all()
+    for h, nx in layouts:
+        assert np.array_equal(_run_mask(pts, disk, h, nx), full), (h, nx)
 
 
 @pytest.mark.parametrize(
@@ -214,9 +266,32 @@ def test_band_mask_equals_full_scan_at_extreme_radii(radius, xs, inside):
     pts = np.array([(x, 0.0) for x in xs])
     with np.errstate(over="ignore"):
         full = _full_scan(pts, disk)
-        band = _in_disks(pts, [disk], np.zeros(len(pts), dtype=bool))
+        # columns far below the smaller radius, and ones so wide that the
+        # points beyond 1e160 lie in other columns than the disk's centre
+        layouts = RUN_LAYOUTS + [(1e-180, MC_CHUNK), (1e180, MC_CHUNK)]
+        masks = [_run_mask(pts, disk, h, nx) for h, nx in layouts]
     assert full.tolist() == inside
-    assert np.array_equal(band, full)
+    for mask in masks:
+        assert np.array_equal(mask, full)
+
+
+@pytest.mark.parametrize("side", [2.0**-200, 2.0**200], ids=["side=2^-200", "side=2^200"])
+@pytest.mark.parametrize("radius", [2.0**-200, 2.0**200], ids=["r=2^-200", "r=2^200"])
+def test_column_run_equals_full_scan_at_the_length_bounds(side, radius):
+    # The smallest and largest lengths a field accepts: on the widest
+    # raster of a field of this side, (cx +/- reach) * (1/h) reaches 2**416
+    # and -2**416, far outside every int type, or falls below one column.
+    h, nx = side / MC_CHUNK, MC_CHUNK
+    xs = [x for v in (0.0, h, 0.5 * side, side - h, side) for x in _near(v)]
+    ys = [y for v in (0.0, 0.5 * side, side) for y in _near(v)]
+    for (cx, cy) in [(0.0, 0.0), (0.5 * side, 0.5 * side), (side, 0.5 * side)]:
+        disk = (Point(cx, cy), radius)
+        pts = np.array(sorted({(x, y) for x in xs + _near(cx - radius) + _near(cx + radius)
+                               for y in ys + _near(cy + radius)}))
+        assert ((cx + radius) * (1.0 / h) > 2.0**64) == (radius > side)
+        full = _full_scan(pts, disk)
+        assert full.any()
+        assert np.array_equal(_run_mask(pts, disk, h, nx), full)
 
 
 def test_band_masks_match_one_draw_on_a_crowded_field():
@@ -246,6 +321,42 @@ def test_band_masks_match_one_draw_on_a_crowded_field():
         assert est.after != est.before
 
 
+def test_gap_masks_match_one_draw_where_stationary_sensors_crowd():
+    # 300 sites on 50 x 50 at the density-scaled radius cover most samples,
+    # so the mobiles are tested on the few the sites leave uncovered. The
+    # mobile disks sit in covered, mixed and uncovered raster cells and
+    # across the field edges and corners; half of them move.
+    rng = np.random.default_rng(41)
+    side, radius = 50.0, 5.0 * sqrt(50.0 / 300)
+    stationary = _random_sensors(43, 300, side, side)
+    samples = 3 * MC_CHUNK + 5
+    tree = cKDTree([(x, y) for _, x, y in stationary])
+    raster = _coverage_raster(tree, radius, side, side, samples)
+    centres = []
+    for state in (_COVERED, _MIXED, _UNCOVERED):
+        cells = np.flatnonzero(raster.state == state)
+        assert len(cells) >= 10
+        for c in rng.choice(cells, size=10, replace=False):
+            j, i = divmod(int(c), raster.nx)
+            centres.append(((i + 0.5) * raster.h, (j + 0.5) * raster.h))
+    centres += [(0.0, 20.0), (side, 31.0), (12.0, 0.0), (37.0, side),
+                (0.0, 0.0), (side, side), (0.0, side), (side, 0.0), (0.1, 44.0), (49.95, 3.0)]
+    radii = [0.3, 1.0, radius, 4.0, 0.05]
+    mobile = [(1000 + k, x, y, radii[k % len(radii)]) for k, (x, y) in enumerate(centres)]
+    field = make_field(side, side, radius, stationary, mobile)
+    movers = [m[0] for m in mobile[::2]]
+    moves = {i: Point(*target) for i, target in zip(movers, centres[1::2])}
+    assert len(mobile) == 40 and len(moves) == 20
+    for n in (MC_CHUNK + 1, samples):
+        est = mc_coverage_fraction(field, n, seed=47, moves=moves)
+        hits_before, hits_after = _unchunked_hits(field, n, 47, moves)
+        stationary_only = _unchunked_hits(make_field(side, side, radius, stationary), n, 47, {})
+        assert stationary_only[0] / n > 0.75
+        assert est.before == hits_before / n
+        assert est.after == hits_after / n
+        assert stationary_only[0] < hits_before != hits_after
+
+
 # --- stationary coverage raster ------------------------------------------------
 
 
@@ -259,7 +370,8 @@ def _raster_matches_plain_query(sensors, radius, width, height, samples, pts):
     tree = cKDTree(sensors)
     raster = _coverage_raster(tree, radius, width, height, samples)
     pts = np.array(pts, dtype=float)
-    got = _stationary_covered(pts, tree, raster, radius)
+    col = _columns(pts[:, 0], 1.0 / raster.h, raster.nx)
+    got = _stationary_covered(pts, col, tree, raster, radius)
     assert np.array_equal(got, _plain_covered(tree, pts, radius))
     return raster
 
@@ -381,8 +493,8 @@ def _random_sensors(seed, n, width, height):
 
 def _edge_field(name):
     # (field, samples, moves) on which the raster is exercised at an edge;
-    # the fields without mobiles also check that skipping the x-sort keeps
-    # the counts
+    # the fields without mobiles also check that skipping the column sort
+    # keeps the counts
     if name == "one-stationary":
         field = make_field(6.0, 4.0, 1.3, [(0, 2.0, 1.5)], [(1, 5.0, 3.0, 0.8)])
         return field, 50_000, {1: Point(2.5, 2.0)}
