@@ -33,7 +33,7 @@ from .errors import InconsistentInputError, InvalidInputError
 from .field import MobileSensor, Sensor, SensorField
 from .geometry import Point
 from .healing import CIRCUMCENTER, INCENTER
-from .holes import CaseLabel
+from .holes import CASE_FORMULA, EXACT_FALLBACK, CaseLabel
 
 SCHEMA_VERSION = 1
 
@@ -41,9 +41,11 @@ SCHEMA_VERSION = 1
 _FLOAT_DIGITS = 9
 _QUANTIZED = f".{_FLOAT_DIGITS}g"
 
-# The labels and target kinds a report may hold; ``render`` writes both
-# into SVG attributes, so nothing else may pass the reader.
+# The labels, routes and target kinds a report may hold; ``render`` writes
+# labels and kinds into SVG attributes and ``plan`` copies routes, so
+# nothing else may pass the reader.
 _CASES = frozenset(label.value for label in CaseLabel)
+_METHODS = frozenset((CASE_FORMULA, EXACT_FALLBACK))
 _KINDS = frozenset((CIRCUMCENTER, INCENTER))
 
 # Error messages echo a bad value through ``_brief``: elided inside by
@@ -472,7 +474,7 @@ def _valid_triangle(t: dict) -> bool:
         type(t["id"]) is int
         and type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is int
         and type(t["case"]) is str and t["case"] in _CASES
-        and type(t["method"]) is str
+        and type(t["method"]) is str and t["method"] in _METHODS
         and _is_finite(s_h) and s_h >= 0
         and type(t["is_hole"]) is bool
     )

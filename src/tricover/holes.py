@@ -14,12 +14,20 @@ too) and that the three disks share no point inside the triangle. When
 either part fails, an exact boundary-integral fallback is used instead;
 both routes are exact on their domains. The predicate alone picks each
 cell's route (:func:`hole_area`); there is no override.
+
+:func:`detect_holes` evaluates the predicate, the case formula and the
+labels on every cell of a mesh at once, over its columns, with the float
+operations of the scalar functions; only the exact-route cells go through
+:func:`hole_area` one by one.
 """
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
-from math import isfinite, pi, sqrt
+from math import acos, isfinite, pi, sqrt
+
+import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
 from .geometry import (
@@ -28,7 +36,7 @@ from .geometry import (
     point_segment_distance,
     triangle_disks_covered_area,
 )
-from .mesh import TriMesh
+from .mesh import TriMesh, _hypot
 
 # |d - 2R| <= _TANGENCY_FACTOR * R counts as a tangent (zero-lens) pair.
 _TANGENCY_FACTOR = 1e-9
@@ -98,6 +106,33 @@ class HoleReport:
     method: str
     is_hole: bool
     hole_area: float
+
+
+@dataclass(frozen=True, eq=False)
+class HoleReports(Sequence[HoleReport]):
+    """The detection results of a mesh's cells, as columns in report order.
+
+    Item ``k`` is the ``HoleReport`` of column entry ``k``, built when read;
+    ``label`` and ``method`` hold the strings a report file holds.
+    """
+
+    cell_id: np.ndarray
+    label: np.ndarray
+    method: np.ndarray
+    is_hole: np.ndarray
+    hole_area: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cell_id)
+
+    def __getitem__(self, k: int) -> HoleReport:
+        return HoleReport(
+            int(self.cell_id[k]),
+            CaseLabel(str(self.label[k])),
+            str(self.method[k]),
+            bool(self.is_hole[k]),
+            float(self.hole_area[k]),
+        )
 
 
 def hole_epsilon(radius: float) -> float:
@@ -198,12 +233,11 @@ def _case_value(tri: TriangleGeom, radius: float) -> float:
     the lens over each overlapping edge."""
     tol = _TANGENCY_FACTOR * radius
     two_r = 2.0 * radius
-    halves = [
-        0.5 * lens_area(radius, radius, d)
-        for d in (tri.c, tri.b, tri.a)
-        if d < two_r - tol
-    ]
-    return tri.area - 0.5 * pi * radius * radius + sum(halves)
+    total = 0.0  # added in order, as the kernel adds them (``sum`` compensates from 3.12)
+    for d in (tri.c, tri.b, tri.a):
+        if d < two_r - tol:
+            total += 0.5 * lens_area(radius, radius, d)
+    return tri.area - 0.5 * pi * radius * radius + total
 
 
 def hole_area(tri: TriangleGeom, radius: float) -> HoleComputation:
@@ -222,38 +256,125 @@ def hole_area(tri: TriangleGeom, radius: float) -> HoleComputation:
     return HoleComputation(s_h=value, method=chosen)
 
 
-def detect_holes(
-    mesh: TriMesh, radius: float, epsilon: float | None = None
-) -> list[HoleReport]:
+# --- the detect kernel --------------------------------------------------------
+#
+# Every cell at once, over the mesh's columns. Each column repeats the float
+# operations of the scalar functions above in their order, so every value is
+# bit-identical to theirs: ``hypot`` and ``acos`` are ``math``'s, taken over
+# lists, since ``np.hypot`` and ``np.arccos`` round some inputs differently
+# (``np.sqrt`` is correctly rounded, as ``math.sqrt`` is). The scalar
+# functions stay as the tests' oracle.
+
+# ``_label`` of a cell that is not covered, by its counts of overlapping
+# (row) and tangent (column) sides.
+_UNCOVERED_LABELS = np.array([list("AHCB"), list("DGGG"), list("EEEE"), list("IIII")])
+
+
+def _half_lenses(radius: float, d: np.ndarray) -> np.ndarray:
+    """``0.5 * lens_area(radius, radius, d)`` for each ``0 < d < 2 * radius``,
+    the domain of its two-segment branch."""
+    rr = radius * radius
+
+    def segment(h: np.ndarray) -> np.ndarray:  # _segment_signed(radius, h)
+        ratio = h / radius
+        ratio = np.where(ratio < -1.0, -1.0, np.where(ratio > 1.0, 1.0, ratio))
+        radicand = rr - h * h
+        radicand = np.where(radicand < 0.0, 0.0, radicand)
+        return rr * np.array(list(map(acos, ratio.tolist()))) - h * np.sqrt(radicand)
+
+    x = (d * d - rr + rr) / (2.0 * d)
+    area = segment(x) + segment(d - x)
+    return 0.5 * np.where(area < 0.0, 0.0, area)
+
+
+def _case_route(xy: np.ndarray, sides: np.ndarray, area: np.ndarray, radius: float) -> np.ndarray:
+    """``case_formula_validity(tri, radius).all_hold()`` of each cell."""
+    a, b, c = sides[:, 0], sides[:, 1], sides[:, 2]
+    slack = _PREDICATE_SLACK * radius
+    holds = ~(radius > np.minimum(np.minimum(a, b), c) + slack)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        # point_segment_distance(verts[i], verts[j], verts[k]); t = 0 where
+        # the segment is a point, which gives that function's hypot(wx, wy)
+        v, w = xy[:, k] - xy[:, j], xy[:, i] - xy[:, j]
+        vx, vy, wx, wy = v[:, 0], v[:, 1], w[:, 0], w[:, 1]
+        seg2 = vx * vx + vy * vy
+        t = np.where(seg2 == 0.0, 0.0, (wx * vx + wy * vy) / seg2)
+        t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+        holds &= ~(radius > _hypot(wx - t * vx, wy - t * vy) + slack)
+    # _min_enclosing_radius
+    a2, b2, c2 = a * a, b * b, c * c
+    longest2 = np.maximum(np.maximum(a2, b2), c2)
+    enclosing = np.where(
+        longest2 >= a2 + b2 + c2 - longest2, 0.5 * np.sqrt(longest2), a * b * c / (4.0 * area)
+    )
+    return holds & (radius <= enclosing + _PREDICATE_SLACK * radius)
+
+
+def _case_values(sides: np.ndarray, area: np.ndarray, radius: float) -> np.ndarray:
+    """``_case_value(tri, radius)`` of each cell."""
+    tol = _TANGENCY_FACTOR * radius
+    cba = sides[:, ::-1]
+    short = cba < 2.0 * radius - tol
+    halves = np.zeros(cba.shape)
+    halves[short] = _half_lenses(radius, cba[short])
+    # The halves in (c, b, a) order onto a zero start; a side that is not
+    # short adds +0.0 to a sum that is not -0.0, which leaves it unchanged.
+    total = 0.0 + halves[:, 0] + halves[:, 1] + halves[:, 2]
+    return area - 0.5 * pi * radius * radius + total
+
+
+def _detect_columns(mesh: TriMesh, radius: float, eps: float) -> HoleReports:
+    """``detect_holes`` over the mesh's columns.
+
+    The validity predicate, the case formula, the clamp and the labels run
+    on every cell at once; the cells the predicate sends to the exact
+    fallback go through ``hole_area`` one by one.
+    """
+    live = np.flatnonzero(~mesh.degenerate)
+    sides, area = mesh.sides[live], mesh.area[live]
+    with np.errstate(all="ignore"):  # Python's float arithmetic does not warn
+        case = _case_route(mesh.xy[live], sides, area, radius)
+        value = np.zeros(len(live))
+        value[case] = _case_values(sides[case], area[case], radius)
+        value = np.where(value < 0.0, 0.0, value)  # max(value, 0.0)
+        value = np.where(area < value, area, value)  # min(value, area)
+    exact = np.zeros(len(mesh.cells), dtype=bool)
+    exact_cells = live[~case]
+    computations = [hole_area(geom, radius) for geom in mesh.geoms(exact_cells)]
+    value[~case] = [comp.s_h for comp in computations]
+    exact[exact_cells] = [comp.method == EXACT_FALLBACK for comp in computations]
+
+    tol = _TANGENCY_FACTOR * radius
+    two_r = 2.0 * radius
+    overlapping = np.count_nonzero(sides < two_r - tol, axis=1)
+    tangent = np.count_nonzero(np.abs(sides - two_r) <= tol, axis=1)
+    label = np.full(len(mesh.cells), CaseLabel.F.value)
+    label[live] = np.where(value < eps, CaseLabel.F.value, _UNCOVERED_LABELS[overlapping, tangent])
+    s_h = np.zeros(len(mesh.cells))
+    s_h[live] = value
+    order = np.argsort(-s_h, kind="stable")  # ties keep ascending cell ids
+    return HoleReports(
+        cell_id=order,
+        label=label[order],
+        method=np.where(exact[order], EXACT_FALLBACK, CASE_FORMULA),
+        is_hole=s_h[order] > eps,
+        hole_area=s_h[order],
+    )
+
+
+def detect_holes(mesh: TriMesh, radius: float, epsilon: float | None = None) -> HoleReports:
     """Evaluate every mesh cell under vertex disks of ``radius`` and report holes, largest first.
 
     Reports are sorted by descending hole area, ties by ascending cell id.
     ``epsilon`` (finite, >= 0) overrides the default significance threshold
     ``1e-9 * R^2``. A degenerate cell is reported as label ``F`` with
-    ``s_h = 0``, not a hole, without a hole-area evaluation.
+    ``s_h = 0``, not a hole, without a hole-area evaluation: it is a sliver
+    such as Qhull keeps on the hull, of area below the degeneracy bound
+    ``1e-12 * (longest side)^2``, on which the exact integral is not
+    meaningful; its ``s_h`` is a closed-form value, hence ``case-formula``.
     """
     _require_radius(radius)
     eps = hole_epsilon(radius) if epsilon is None else epsilon
     if not (isfinite(eps) and eps >= 0.0):
         raise InvalidInputError(f"hole epsilon must be finite and >= 0, got {eps}")
-    reports = []
-    for cell_id, geom in enumerate(mesh.geoms):
-        if geom.degenerate:
-            # A sliver such as Qhull keeps on the hull, of area below the
-            # degeneracy bound 1e-12 * (longest side)^2: reported as covered
-            # with s_h = 0 (a closed-form value, hence CASE_FORMULA) and never
-            # measured, since the exact integral is not meaningful on it.
-            reports.append(HoleReport(cell_id, CaseLabel.F, CASE_FORMULA, False, 0.0))
-            continue
-        computation = hole_area(geom, radius)
-        reports.append(
-            HoleReport(
-                cell_id=cell_id,
-                label=_label(geom, radius, computation.s_h < eps),
-                method=computation.method,
-                is_hole=computation.s_h > eps,
-                hole_area=computation.s_h,
-            )
-        )
-    reports.sort(key=lambda r: (-r.hole_area, r.cell_id))
-    return reports
+    return _detect_columns(mesh, radius, eps)

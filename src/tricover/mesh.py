@@ -6,11 +6,14 @@ identical structure: each triangle's vertex ids are sorted ascending,
 triangles are ordered lexicographically by that id triple, and cell ids
 number them in that order.
 
-The cells are held as arrays: ``cells[i]`` is the id triple of cell ``i``
-and ``geoms[i]`` its geometry, with the vertices in the same order.
+The cells are held as arrays: ``cells[i]`` is the id triple of cell ``i``,
+and the geometry columns hold its vertices in the same order, its sides,
+area and degeneracy. A ``TriangleGeom`` is built only where one is asked for
+(``TriMesh.geoms``).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import hypot
 
@@ -20,59 +23,80 @@ from scipy.spatial import QhullError
 
 from .errors import DuplicateSiteError, InsufficientSitesError
 from .field import Sensor, SensorField
-from .geometry import _DEGENERACY_FACTOR, Point, TriangleGeom
+from .geometry import _DEGENERACY_FACTOR, TriangleGeom
 
 
 @dataclass(frozen=True, eq=False)
 class TriMesh:
     """A canonical triangulation over a field's stationary sensors.
 
-    ``sites`` are sorted by id. ``cells`` is a read-only ``(T, 3)`` int
-    array of sensor ids, each row ascending and the rows in lexicographic
-    order; cell ``i`` is row ``i``. ``geoms[i]`` is the geometry of cell
-    ``i``, equal to ``triangle_from_vertices`` of its three positions.
+    ``sites`` are sorted by id. ``cells`` is a ``(T, 3)`` int array of
+    sensor ids, each row ascending and the rows in lexicographic order; cell
+    ``i`` is row ``i``. The geometry of the cells is held as columns, each
+    field bit-identical to ``triangle_from_vertices`` of the cell's three
+    positions, in the same vertex order: ``xy[i]`` the ``(3, 2)`` vertex
+    coordinates, ``sides[i]`` the sides ``a, b, c``, ``area[i]`` and
+    ``degenerate[i]``. Every array is read-only.
     """
 
     sites: tuple[Sensor, ...]
     cells: np.ndarray
-    geoms: tuple[TriangleGeom, ...]
+    xy: np.ndarray
+    sides: np.ndarray
+    area: np.ndarray
+    degenerate: np.ndarray
 
     def summary(self) -> dict:
         return {"sites": len(self.sites), "triangles": len(self.cells)}
 
+    def geoms(self, ids: Sequence[int] | np.ndarray | None = None) -> list[TriangleGeom]:
+        """The ``TriangleGeom`` of each cell in ``ids``, every cell if None."""
+        rows = slice(None) if ids is None else np.asarray(ids, dtype=np.intp)
+        sides = self.sides[rows]
+        a, b, c = sides[:, 0], sides[:, 1], sides[:, 2]
+        positions = [s.position for s in self.sites]
+        # The sites are sorted by id, so an id's index is its rank.
+        vertices = np.searchsorted([s.id for s in self.sites], self.cells[rows])
+        return list(
+            map(
+                TriangleGeom,
+                [(positions[i], positions[j], positions[k]) for i, j, k in vertices.tolist()],
+                a.tolist(),
+                b.tolist(),
+                c.tolist(),
+                (0.5 * (a + b + c)).tolist(),
+                self.area[rows].tolist(),
+                self.degenerate[rows].tolist(),
+            )
+        )
 
-def _geoms(
-    positions: list[Point], xy: np.ndarray, rows: np.ndarray
-) -> tuple[TriangleGeom, ...]:
-    """``triangle_from_vertices`` of every row of indices into ``positions``
-    (whose coordinates ``xy`` holds), a column at a time.
 
-    Each column repeats that function's float operations in its order, so
-    every field is bit-identical. The sides use ``math.hypot``, whose
-    rounding ``np.hypot`` does not always match.
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each pair, whose rounding ``np.hypot`` does not
+    always match."""
+    return np.array(list(map(hypot, x.tolist(), y.tolist())))
+
+
+def _columns(xy: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Vertex coordinates, sides, area and degeneracy of every row of
+    indices into the site coordinates ``xy``, a column at a time.
+
+    Each column repeats the float operations of ``triangle_from_vertices``
+    in its order, so every value is bit-identical.
     """
-    p1, p2, p3 = xy[rows[:, 0]], xy[rows[:, 1]], xy[rows[:, 2]]
+    verts = xy[rows]  # (T, 3, 2)
+    p1, p2, p3 = verts[:, 0], verts[:, 1], verts[:, 2]
     d23, d13, d12 = p2 - p3, p1 - p3, p1 - p2
-    a = np.array(list(map(hypot, d23[:, 0].tolist(), d23[:, 1].tolist())))
-    b = np.array(list(map(hypot, d13[:, 0].tolist(), d13[:, 1].tolist())))
-    c = np.array(list(map(hypot, d12[:, 0].tolist(), d12[:, 1].tolist())))
+    sides = np.stack([_hypot(d[:, 0], d[:, 1]) for d in (d23, d13, d12)], axis=1)
+    a, b, c = sides[:, 0], sides[:, 1], sides[:, 2]
     e2, e3 = p2 - p1, p3 - p1
     area = 0.5 * np.abs(e2[:, 0] * e3[:, 1] - e2[:, 1] * e3[:, 0])
     longest = np.maximum(np.maximum(a, b), c)
     degenerate = (longest <= 0.0) | (area < _DEGENERACY_FACTOR * longest * longest)
-    s = 0.5 * (a + b + c)
-    return tuple(
-        map(
-            TriangleGeom,
-            [(positions[i], positions[j], positions[k]) for i, j, k in rows.tolist()],
-            a.tolist(),
-            b.tolist(),
-            c.tolist(),
-            s.tolist(),
-            area.tolist(),
-            degenerate.tolist(),
-        )
-    )
+    columns = (verts, sides, area, degenerate)
+    for col in columns:
+        col.flags.writeable = False
+    return columns
 
 
 def triangulate(field: SensorField) -> TriMesh:
@@ -108,4 +132,4 @@ def triangulate(field: SensorField) -> TriMesh:
     rows = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))]
     cells = np.array([s.id for s in sites])[rows]
     cells.flags.writeable = False
-    return TriMesh(sites=sites, cells=cells, geoms=_geoms(positions, points, rows))
+    return TriMesh(sites, cells, *_columns(points, rows))

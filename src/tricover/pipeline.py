@@ -8,7 +8,6 @@ byte for byte.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .healing import (
     rank_holes,
     select_target,
 )
-from .holes import HoleReport, detect_holes
+from .holes import HoleReports, detect_holes
 from .mesh import TriMesh, triangulate
 from .oracle import mc_coverage_fraction
 
@@ -93,18 +92,18 @@ def generate_scenario(
     return ScenarioDoc(field=field, meta=meta)
 
 
-def _hole_reports_to_entries(reports: Sequence[HoleReport], mesh: TriMesh) -> list:
-    cells = mesh.cells.tolist()  # cell ``i`` is row ``i``
+def _hole_reports_to_entries(reports: HoleReports, mesh: TriMesh) -> list:
+    columns = (
+        reports.cell_id,
+        mesh.cells[reports.cell_id],  # cell ``i`` is row ``i``
+        reports.label,
+        reports.hole_area,
+        reports.method,
+        reports.is_hole,
+    )
     return [
-        {
-            "id": r.cell_id,
-            "vertices": cells[r.cell_id],
-            "case": r.label.value,
-            "s_h": r.hole_area,
-            "method": r.method,
-            "is_hole": r.is_hole,
-        }
-        for r in reports
+        {"id": i, "vertices": v, "case": case, "s_h": s_h, "method": method, "is_hole": is_hole}
+        for i, v, case, s_h, method, is_hole in zip(*(c.tolist() for c in columns))
     ]
 
 

@@ -198,7 +198,7 @@ def test_criterion_06_delaunay_properties():
         centers = np.empty((len(mesh.cells), 2))
         radii = np.empty(len(mesh.cells))
         members = []
-        for k, (triple, geom) in enumerate(zip(mesh.cells.tolist(), mesh.geoms)):
+        for k, (triple, geom) in enumerate(zip(mesh.cells.tolist(), mesh.geoms())):
             c, r = circumcenter(geom)
             centers[k] = (c.x, c.y)
             radii[k] = r

@@ -725,6 +725,9 @@ MALFORMED_REPORTS = {
     "case-not-a-label": ("detect", "triangle", _set("case", CASE_INJECTION), "plan", "invalid-input"),
     "case-not-a-label-verify": ("detect", "triangle", _set("case", CASE_INJECTION), "verify", "invalid-input"),
     "case-not-a-label-render": ("detect", "triangle", _set("case", CASE_INJECTION), "render", "invalid-input"),
+    "method-not-a-route": ("detect", "triangle", _set("method", "bogus"), "plan", "invalid-input"),
+    "method-empty-verify": ("detect", "triangle", _set("method", ""), "verify", "invalid-input"),
+    "method-not-a-route-render": ("plan", "triangle", _set("method", "bogus"), "render", "invalid-input"),
     "kind-not-a-target-kind": ("plan", "assignment", _set("kind", KIND_INJECTION), "plan", "invalid-input"),
     "kind-not-a-target-kind-verify": ("plan", "assignment", _set("kind", KIND_INJECTION), "verify", "invalid-input"),
     "kind-not-a-target-kind-render": ("plan", "assignment", _set("kind", KIND_INJECTION), "render", "invalid-input"),

@@ -305,7 +305,7 @@ def test_healing_improves_coverage_paired_seed():
     assert len(reports) == 1
     rep = reports[0]
     target = select_target(
-        rep.cell_id, rep.hole_area, mesh.geoms[rep.cell_id], mobile_radius=1.5
+        rep.cell_id, rep.hole_area, mesh.geoms([rep.cell_id])[0], mobile_radius=1.5
     )
     plan = plan_relocation([target], field)
     moves = {a.mobile_id: a.target.point for a in plan.assignments}

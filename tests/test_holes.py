@@ -1,16 +1,21 @@
 """Hole classification and area tests: goldens, labels, invariants."""
 from __future__ import annotations
 
-from math import pi, sqrt
+import struct
+from math import inf, nextafter, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricover import (
     CaseLabel,
     DegenerateGeometryError,
     InvalidInputError,
     Point,
+    Sensor,
+    TriMesh,
     case_formula_validity,
     detect_holes,
     exact_uncovered_area,
@@ -22,7 +27,7 @@ from tricover import (
     triangulate,
 )
 from tricover.geometry import point_segment_distance
-from tricover.holes import _case_value
+from tricover.holes import _case_route, _case_value, _case_values, _label
 
 SIDE2_EQUILATERAL = (  # all three pairs exactly tangent at R = 1
     (0.0, 0.0),
@@ -347,3 +352,171 @@ def test_detect_rejects_bad_radius_before_deriving_epsilon(radius):
     )
     with pytest.raises(InvalidInputError, match="^sensing radius must be > 0, got "):
         detect_holes(triangulate(field), radius)
+
+
+# --- the detect kernel against the scalar path --------------------------------------
+
+
+def mesh_of(triangles):
+    """A ``TriMesh`` whose cell ``k`` is ``triangles[k]``, on three sites of its own."""
+    n = len(triangles)
+    return TriMesh(
+        sites=tuple(
+            Sensor(3 * k + i, v) for k, t in enumerate(triangles) for i, v in enumerate(t.vertices)
+        ),
+        cells=np.arange(3 * n).reshape(n, 3),
+        xy=np.array([[tuple(v) for v in t.vertices] for t in triangles], dtype=float),
+        sides=np.array([t.sides for t in triangles], dtype=float),
+        area=np.array([t.area for t in triangles]),
+        degenerate=np.array([t.degenerate for t in triangles]),
+    )
+
+
+def ulps(x, k):
+    """``x`` stepped ``k`` floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = nextafter(x, inf if k > 0 else -inf)
+    return x
+
+
+def last_holding(holds, lo, hi):
+    """A float ``R`` in ``[lo, hi)`` with ``holds(R)`` and not ``holds`` of
+    the next float, by bisection on the float order; ``holds(lo)`` must be
+    true and ``holds(hi)`` false."""
+    ilo, ihi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (lo, hi))
+    while ihi - ilo > 1:
+        mid = (ilo + ihi) // 2
+        if holds(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            ilo = mid
+        else:
+            ihi = mid
+    return struct.unpack("<d", struct.pack("<q", ilo))[0]
+
+
+def predicate_flip(t, part="all"):
+    """The radius at which ``t``'s validity predicate, or one of its two
+    conditions, stops holding."""
+    def holds(R):
+        flags = case_formula_validity(t, R)
+        return {"all": flags.all_hold(), "sectors": flags.sectors_contained,
+                "triple": flags.triple_overlap_empty}[part]
+
+    return last_holding(holds, 1e-3 * min(t.sides), 10.0 * max(t.sides))
+
+
+# The tolerance 1e-9 * R of this radius is 2**-30, so 2R - tol and 2R + tol
+# are floats, and a side can lie exactly at the tangency tolerance.
+EXACT_TOLERANCE_RADIUS = 0.9313225746154785
+assert 1e-9 * EXACT_TOLERANCE_RADIUS == 2.0**-30
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Triangles, a radius and a threshold where the kernel and the scalar
+    path could part: sides at 2R +- tol and one ulp either side, R at the
+    sector and triple-overlap bounds and ulps either side, right, obtuse,
+    acute and equilateral triangles, slivers either side of the 1e-12
+    degeneracy bound,
+    fully covered copies (report-order ties at s_h = 0), and epsilon 0, a
+    custom value or equal to some cell's s_h."""
+    tris = []
+
+    def add(*pts):
+        tris.append(triangle_from_vertices(*(Point(float(x), float(y)) for x, y in pts)))
+
+    frac = st.floats(0.05, 3.0)
+    if draw(st.booleans()):
+        # R where the predicate of a first triangle, or one of its two
+        # conditions, stops holding, or one ulp either side
+        add((0, 0), (draw(frac), 0), (draw(st.floats(-1.0, 2.0)), draw(frac)))
+        part = draw(st.sampled_from(["all", "sectors", "triple"]))
+        radius = ulps(predicate_flip(tris[0], part), draw(st.integers(-1, 1)))
+    else:
+        radius = draw(st.sampled_from([1.0, 0.75, 3.0, EXACT_TOLERANCE_RADIUS, 2.0**-30, 2.0**40]))
+    two_r, tol = 2.0 * radius, 1e-9 * radius
+    for _ in range(draw(st.integers(1, 4))):
+        # a side on the x axis, where hypot gives it exactly
+        d = draw(st.sampled_from([two_r - tol, two_r, two_r + tol]))
+        d = ulps(d, draw(st.integers(-1, 1)))
+        if draw(st.booleans()):
+            add((0, 0), (d, 0), (draw(st.floats(-0.5, 1.5)) * d, draw(st.floats(0.05, 2.0)) * d))
+        else:  # equilateral: all three sides near 2R
+            add((0, 0), (d, 0), (0.5 * d, 0.5 * sqrt(3.0) * d))
+    for _ in range(draw(st.integers(1, 5))):
+        # right angles at either end of the base, acute or obtuse elsewhere
+        u, v = draw(frac) * radius, draw(frac) * radius
+        x = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(-1.0, 2.0)))
+        add((0, 0), (u, 0), (x * u, v))
+    for _ in range(draw(st.integers(0, 3))):
+        # slivers of area near the degeneracy bound 1e-12 * longest^2
+        length = draw(frac) * radius
+        h = 2e-12 * length * draw(st.one_of(st.floats(1.0, 1.5), st.floats(0.0, 1.0)))
+        add((0, 0), (length, 0), (draw(st.floats(0.0, 1.0)) * length, h))
+    for _ in range(draw(st.integers(0, 4))):
+        # covered: the circumradius R / sqrt(3) is below R
+        add((0, 0), (radius, 0), (0.5 * radius, 0.5 * sqrt(3.0) * radius))
+    for _ in range(draw(st.integers(0, 3))):
+        tris.append(tris[draw(st.integers(0, len(tris) - 1))])
+    mode = draw(st.sampled_from(["default", "zero", "custom", "an s_h"]))
+    if mode == "default":
+        epsilon = None
+    elif mode == "zero":
+        epsilon = 0.0
+    elif mode == "custom":
+        epsilon = draw(st.floats(0.0, 0.5)) * radius * radius
+    else:
+        t = tris[draw(st.integers(0, len(tris) - 1))]
+        epsilon = 0.0 if t.degenerate else hole_area(t, radius).s_h
+    return tris, radius, epsilon
+
+
+def scalar_reports(tris, radius, epsilon):
+    """What ``detect_holes`` reports, cell by cell through the scalar path."""
+    eps = hole_epsilon(radius) if epsilon is None else epsilon
+    rows = []
+    for k, t in enumerate(tris):
+        if t.degenerate:
+            rows.append((k, "F", "case-formula", False, 0.0))
+            continue
+        comp = hole_area(t, radius)
+        rows.append((k, _label(t, radius, comp.s_h < eps).value, comp.method, comp.s_h > eps, comp.s_h))
+    rows.sort(key=lambda r: (-r[4], r[0]))
+    return [(*r[:4], r[4].hex()) for r in rows]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kernel_inputs())
+def test_kernel_matches_the_scalar_path_bit_for_bit(inputs):
+    tris, radius, epsilon = inputs
+    mesh = mesh_of(tris)
+    reports = detect_holes(mesh, radius, epsilon)
+    got = [(r.cell_id, r.label.value, r.method, r.is_hole, r.hole_area.hex()) for r in reports]
+    assert got == scalar_reports(tris, radius, epsilon)
+    # the route and the case formula on every cell, not only where the route takes it
+    live = [t for t in tris if not t.degenerate]
+    if live:
+        live_mesh = mesh_of(live)
+        routes = _case_route(live_mesh.xy, live_mesh.sides, live_mesh.area, radius)
+        assert routes.tolist() == [case_formula_validity(t, radius).all_hold() for t in live]
+        values = _case_values(live_mesh.sides, live_mesh.area, radius)
+        assert [v.hex() for v in values.tolist()] == [_case_value(t, radius).hex() for t in live]
+
+
+def test_kernel_route_flips_where_the_scalar_predicate_flips():
+    """At the radius where a cell's predicate stops holding, and one float
+    above, the kernel picks the scalar path's route."""
+    rng = np.random.default_rng(83)
+    checked = {"sectors": 0, "triple": 0}
+    for _ in range(1500):
+        t = random_triangle(rng, min_shape=0.01)
+        k, dx, dy = float(rng.uniform(0.01, 100.0)), *rng.uniform(-1e3, 1e3, size=2).tolist()
+        t = tri([(k * float(x) + dx, k * float(y) + dy) for x, y in t.vertices])
+        if t.degenerate:
+            continue
+        flip = predicate_flip(t)
+        checked["sectors" if predicate_flip(t, "sectors") == flip else "triple"] += 1
+        mesh = mesh_of([t])
+        for radius, holds in ((flip, True), (nextafter(flip, inf), False)):
+            assert case_formula_validity(t, radius).all_hold() is holds
+            assert _case_route(mesh.xy, mesh.sides, mesh.area, radius).tolist() == [holds]
+    assert min(checked.values()) > 200

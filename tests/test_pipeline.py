@@ -136,13 +136,13 @@ def test_detect_builds_lens_terms_only_on_the_case_route(monkeypatch):
     radius = 5.0
     doc = generate_scenario(100.0, 100.0, 200, 0, radius, radius, seed=42)
     calls = []
-    original = tricover.holes.lens_area
+    original = tricover.holes._half_lenses
 
-    def counted(R, r, d):
-        calls.append(d)
-        return original(R, r, d)
+    def counted(R, d):
+        calls.extend(d.tolist())
+        return original(R, d)
 
-    monkeypatch.setattr(tricover.holes, "lens_area", counted)
+    monkeypatch.setattr(tricover.holes, "_half_lenses", counted)
     report = run_detect(doc)
     short = {"case-formula": [], "exact-fallback": []}
     for e, t in entry_triangles(report, doc):
@@ -152,21 +152,48 @@ def test_detect_builds_lens_terms_only_on_the_case_route(monkeypatch):
     assert sorted(calls) == sorted(short["case-formula"])
 
 
-# ``method`` is the report's constant ``meta.method``.
-@pytest.mark.parametrize("method, per_cell", [("auto", 1)])
-def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch, method, per_cell):
+def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch):
+    """One kernel call per ``detect_holes`` call picks every cell's route;
+    the scalar predicate runs only inside ``hole_area``, once per
+    exact-route cell."""
     doc = generate_scenario(100.0, 100.0, 200, 0, 5.0, 5.0, seed=42)
-    calls = []
-    original = tricover.holes.case_formula_validity
+    calls = {"kernel": 0, "hole_area": 0, "validity": 0, "validity_outside_hole_area": 0}
+    inside = []
+    kernel, hole_area, validity = (
+        tricover.holes._detect_columns,
+        tricover.holes.hole_area,
+        tricover.holes.case_formula_validity,
+    )
 
-    def counted(tri, radius):
-        calls.append(1)
-        return original(tri, radius)
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
 
-    monkeypatch.setattr(tricover.holes, "case_formula_validity", counted)
+    def counted_hole_area(tri, radius):
+        calls["hole_area"] += 1
+        inside.append(1)
+        try:
+            return hole_area(tri, radius)
+        finally:
+            inside.pop()
+
+    def counted_validity(tri, radius):
+        calls["validity"] += 1
+        calls["validity_outside_hole_area"] += not inside
+        return validity(tri, radius)
+
+    monkeypatch.setattr(tricover.holes, "_detect_columns", counted_kernel)
+    monkeypatch.setattr(tricover.holes, "hole_area", counted_hole_area)
+    monkeypatch.setattr(tricover.holes, "case_formula_validity", counted_validity)
     report = run_detect(doc)
-    assert report.meta["method"] == method
-    assert len(calls) == per_cell * len(report.triangles)
+    exact_cells = sum(1 for e in report.triangles if e["method"] == "exact-fallback")
+    assert 0 < exact_cells < len(report.triangles)
+    assert calls == {
+        "kernel": 1,
+        "hole_area": exact_cells,
+        "validity": exact_cells,
+        "validity_outside_hole_area": 0,
+    }
 
 
 @pytest.mark.parametrize("method", ["auto"])  # the report's constant ``meta.method``
@@ -452,7 +479,7 @@ def test_sides_and_radius_at_opposite_ends_of_the_length_range(covered):
     assert not any(r.is_hole for r in reports) if covered else all(r.is_hole for r in reports)
     if not covered:
         assert all(
-            r.hole_area == pytest.approx(mesh.geoms[r.cell_id].area, rel=1e-12) for r in reports
+            r.hole_area == pytest.approx(mesh.area[r.cell_id], rel=1e-12) for r in reports
         )
     estimate = mc_coverage_fraction(doc.field, 10_000, 3)
     assert estimate.before == estimate.after == float(covered)
