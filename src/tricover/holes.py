@@ -112,8 +112,9 @@ class HoleReport:
 class HoleReports(Sequence[HoleReport]):
     """The detection results of a mesh's cells, as columns in report order.
 
-    Item ``k`` is the ``HoleReport`` of column entry ``k``, built when read;
-    ``label`` and ``method`` hold the strings a report file holds.
+    Item ``k`` is the ``HoleReport`` of column entry ``k``, built when read,
+    and a slice is the ``HoleReports`` of the sliced columns; ``label`` and
+    ``method`` hold the strings a report file holds.
     """
 
     cell_id: np.ndarray
@@ -125,7 +126,11 @@ class HoleReports(Sequence[HoleReport]):
     def __len__(self) -> int:
         return len(self.cell_id)
 
-    def __getitem__(self, k: int) -> HoleReport:
+    def __getitem__(self, k: int | slice) -> HoleReport | HoleReports:
+        if isinstance(k, slice):
+            return HoleReports(
+                self.cell_id[k], self.label[k], self.method[k], self.is_hole[k], self.hole_area[k]
+            )
         return HoleReport(
             int(self.cell_id[k]),
             CaseLabel(str(self.label[k])),

@@ -32,11 +32,16 @@ _Z99 = 2.5758293035489004
 # result.
 MC_CHUNK = 1 << 16
 
-# States of a stationary-coverage raster cell (see ``_coverage_raster``).
+# States of a stationary-coverage raster cell (see ``_stamp``).
 _UNCOVERED, _COVERED, _MIXED = 0, 1, 2
 
 # Half the diagonal of a unit cell, widened by 1e-9.
 _HALF_DIAGONAL = sqrt(0.5) * (1.0 + 1e-9)
+
+# A raster visits at most _STAMP_PAIRS (site, cell) pairs (see
+# ``_raster_layout``), about _STAMP_BLOCK at a time, which bounds memory.
+_STAMP_PAIRS = 8 * MC_CHUNK
+_STAMP_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,8 @@ class _Raster:
     """Square cells of side ``h``, ``nx`` by ``ny``, from the origin.
 
     ``state[j * nx + i]`` is the state of the cell
-    ``[i * h, (i + 1) * h] x [j * h, (j + 1) * h]``; a field without
-    stationary sensors has the layout alone, and ``state`` None.
+    ``[i * h, (i + 1) * h] x [j * h, (j + 1) * h]``; a layout alone has
+    ``state`` None.
     """
 
     h: float
@@ -68,36 +73,101 @@ class _Raster:
     state: np.ndarray | None
 
 
-def _coverage_raster(
-    tree: cKDTree | None, radius: float, width: float, height: float, samples: int
-) -> _Raster:
-    """Classify raster cells over ``[0, width] x [0, height]`` by the disks of ``tree``'s sensors.
+def _layout(cells: int, width: float, height: float) -> _Raster:
+    """About ``cells`` square cells over ``[0, width] x [0, height]``, without states.
 
-    The raster has ``cells = min(samples // 8, MC_CHUNK)`` cells or fewer,
-    and at least one: ``nx`` columns near ``sqrt(cells * width / height)``,
-    ``ny = cells // nx`` rows and side ``h = max(width / nx, height / ny)``.
-    Building it costs about one query per eight samples, and its memory is
-    bounded whatever ``samples`` is. Without a tree the cells get no state.
+    ``nx`` columns near ``sqrt(cells * width / height)``, ``ny = cells // nx``
+    rows, and side ``h = max(width / nx, height / ny)``.
+    """
+    nx = int(min(cells, max(1.0, sqrt(cells * (width / height)))))
+    ny = cells // nx
+    return _Raster(max(width / nx, height / ny), nx, ny, None)
 
-    With ``R = radius`` and ``δ = h * sqrt(1/2) * (1 + 1e-9)``, one
-    ``tree.query`` gives each cell centre ``c`` the distance ``d0`` to its
-    nearest sensor, or ``inf`` when no sensor is nearer than
-    ``B = R * (1 + 1e-9) + δ``. A cell is *covered* if
-    ``d0 + δ <= R * (1 - 1e-9)``, *uncovered* if ``d0 - δ >= R * (1 + 1e-9)``
-    and *mixed* otherwise.
+
+def _reach(radius: float, h: float) -> float:
+    """How far from a site a cell centre can be and the site still reach the cell."""
+    return radius * (1.0 + 1e-9) + h * _HALF_DIAGONAL
+
+
+def _pair_bound(raster: _Raster, sites: int, radius: float) -> int:
+    """An upper bound on the (site, cell) pairs ``_stamp`` visits for ``sites`` sites of the field.
+
+    A site's window spans fewer than ``2 * reach / h + 2`` columns, plus a
+    rounding far below one cell while the site lies within ``2**40 * h`` of
+    the origin, as every site of the field does: at most
+    ``int(2 * reach / h + 3)`` columns, and as many rows.
+    """
+    span = 2.0 * _reach(radius, raster.h) / raster.h + 3.0
+    return sites * int(min(raster.nx, span)) * int(min(raster.ny, span))
+
+
+def _raster_layout(width: float, height: float, samples: int, sites: int, radius: float) -> _Raster:
+    """The layout ``mc_coverage_fraction`` stamps: the most cells, and at least one, such that
+
+    - there are at most ``MC_CHUNK`` cells, so column and cell keys fit in
+      16 bits;
+    - there is at most one cell per two samples;
+    - the stamp visits at most ``max(sites, min(_STAMP_PAIRS, 2 * samples))``
+      pairs (``_pair_bound``), so that an over-covered field, or a run of
+      few samples, stamps no more than the raster saves. A pair costs a few
+      float operations, about a twentieth of a kd query.
+
+    The count is the cap if it fits, and otherwise the largest that a
+    bisection finds below it; one cell always fits.
+    """
+    budget = max(sites, min(_STAMP_PAIRS, 2 * samples))
+
+    def fits(cells: int) -> bool:
+        return _pair_bound(_layout(cells, width, height), sites, radius) <= budget
+
+    lo, hi = 1, max(1, min(MC_CHUNK, samples // 2))
+    if fits(hi):
+        return _layout(hi, width, height)
+    # fits(lo) and not fits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return _layout(lo, width, height)
+
+
+def _stamp(raster: _Raster, sites: np.ndarray, radius: float) -> _Raster:
+    """Classify the cells of ``raster`` by the disks of radius ``radius`` about ``sites``.
+
+    With ``R = radius``, ``δ = h * sqrt(1/2) * (1 + 1e-9)`` and the reach
+    ``B = R * (1 + 1e-9) + δ``, each site s visits the cells of its window:
+    the columns from ``_columns(s.x - B)`` to ``_columns(s.x + B)`` and the
+    rows from ``_columns(s.y - B)`` to ``_columns(s.y + B)``, the map that
+    places the samples, so the window is clipped to the raster. The windows'
+    (site, cell) pairs are visited in blocks of about ``_STAMP_BLOCK``:
+    sites in groups with that many window columns in all (or one site), and
+    as many window rows of a group at a time as keep the block in that
+    size (or one row). A pair has the distance
+    ``d = sqrt(dx * dx + dy * dy)`` from s to the cell centre
+    ``c = ((i + 0.5) * h, (j + 0.5) * h)``. A cell is *covered* if some
+    pair has ``d + δ <= R * (1 - 1e-9)``, *uncovered* if no pair has
+    ``d - δ < R * (1 + 1e-9)``, and *mixed* otherwise. A pair left out of
+    the windows has its cell centre more than B plus nearly half a cell
+    from the site along x or y, so it would meet neither test: the windows
+    change no state, and the tests check the states against every site.
 
     A point ``p`` of the field in a covered (uncovered) cell, as
     ``_stationary_covered`` assigns it, passes (fails) the plain test
-    ``tree.query(p, distance_upper_bound=nextafter(R, inf))[0] <= R``. With
-    u = 2**-53 the unit roundoff, and the field's sides and R in
-    [2**-400, 2**400] (no square below overflows, and one that underflows
-    moves a distance by at most 2**-537, far below 1e-11 * h):
+    ``tree.query(p, distance_upper_bound=nextafter(R, inf))[0] <= R`` of a
+    kd-tree of the sites. With u = 2**-53 the unit roundoff, the field's
+    sides and R in [2**-400, 2**400] (no square below overflows, and one
+    that underflows moves a distance by at most 2**-537, far below
+    1e-11 * h), and the sites within ``2**40 * h`` of the origin (a site of
+    the field lies within ``2**16.01 * h``):
 
-    - A distance computed by scipy (the root of a rounded sum of rounded
-      squares of rounded differences) is within a relative 3.01u of the true
-      one. The kd search returns the least computed distance below its
-      bound; as it prunes on rounded rectangle distances, it can miss only a
-      sensor whose computed distance is within a relative 1e-12 of the bound.
+    - A distance computed by numpy here or by scipy in the query (the root
+      of a rounded sum of rounded squares of rounded differences) is within
+      a relative 3.01u of the true one. The kd search returns the least
+      computed distance below its bound; as it prunes on rounded rectangle
+      distances, it can miss only a site whose computed distance is within
+      a relative 1e-12 of the bound.
     - ``_columns`` puts p in column ``min(floor(x * (1/h)), nx - 1)``.
       ``x * (1/h)`` is within a relative 2.01u of x / h, and
       x <= width <= nx * h * (1 + 1.01u), so x lies in the column widened by
@@ -107,43 +177,70 @@ def _coverage_raster(
       So |x - cx| <= h/2 * (1 + 4.4e-11), likewise for y, and
       |p - c| <= h/sqrt(2) * (1 + 4.4e-11). The computed δ is at least
       h/sqrt(2) * (1 + 1e-9) * (1 - 4u), so |p - c| <= δ - 9.5e-10 * h/sqrt(2).
-    - Covered: some sensor s has computed distance d0 from c, so
-      |c - s| <= d0 * (1 + 3.01u) and |p - s| <= (d0 + δ) * (1 + 3.01u)
+    - Covered: some site s has computed distance d from c, so
+      |c - s| <= d * (1 + 3.01u) and |p - s| <= (d + δ) * (1 + 3.01u)
       <= R * (1 - 1e-9) * (1 + u)**2 * (1 + 3.01u) < R * (1 - 1e-9 + 5.1u).
       p's computed distance to s is below R * (1 - 1e-9 + 8.2u), far below
       R and the bound, so the plain query finds a distance <= R.
-    - Uncovered: let R' and B be the rounded ``R * (1 + 1e-9)`` and
-      ``R' + δ``, and m = min(d0, B), so that every sensor's computed
-      distance from c is at least m * (1 - 1e-12). Either d0 < B and the
-      rounded ``d0 - δ`` is at least R', or m = B >= (R' + δ) * (1 - u);
-      both give m - δ >= R' - 1.02u * (R' + 2δ). Then every sensor s has
-      |p - s| >= |c - s| - |p - c|
-      >= m - δ - 1.02e-12 * m + 9.5e-10 * h/sqrt(2)
-      >= R' * (1 - 1.03e-12) + h/sqrt(2) * (9.5e-10 - 2.1e-12)
-      > R * (1 + 9.9e-10), as m <= (R' + δ) * (1 + u) and δ <= 1.01 * h/sqrt(2).
-      p's computed distance to every sensor exceeds R * (1 + 9.8e-10), so
-      the plain query finds none within ``nextafter(R, inf)``.
+    - Uncovered, a site s whose window holds the cell: let R' be the
+      rounded ``R * (1 + 1e-9)``. The rounded ``d - δ`` is at least R', so
+      d - δ >= R' * (1 - u), and
+      |p - s| >= |c - s| - |p - c| >= d * (1 - 3.01u) - δ + 9.5e-10 * h/sqrt(2)
+      >= R' * (1 - 4.02u) + h/sqrt(2) * (9.5e-10 - 3.1u) > R * (1 + 9.9e-10),
+      the middle expression being least at the least d.
+    - Uncovered, a site s whose window misses the cell, say p's column
+      lies after the window's: the column map never decreases as x grows
+      and places p and ``e = fl(s.x + B)`` through the same product, so
+      x > e. Then x - s.x > B - u * (|s.x| + B) >= (R' + δ) * (1 - 3u)
+      - 2**-13 * h > R * (1 + 9.9e-10); the other three sides are alike.
+    - In both uncovered cases p's computed distance to s exceeds
+      R * (1 + 9.8e-10), so the plain query finds no site within
+      ``nextafter(R, inf)``.
 
     The margin on R absorbs the rounding in terms of R's size; the widening
     of δ absorbs the cell-index rounding, which scales with h and matters on
     the uncovered side when R is far below h.
     """
-    cells = max(1, min(samples // 8, MC_CHUNK))
-    nx = int(min(cells, max(1.0, sqrt(cells * (width / height)))))
-    ny = cells // nx
-    h = max(width / nx, height / ny)
-    if tree is None:
-        return _Raster(h, nx, ny, None)
+    h, nx, ny = raster.h, raster.nx, raster.ny
+    inv_h = 1.0 / h
     delta = h * _HALF_DIAGONAL
-    centres = np.empty((ny, nx, 2))
-    centres[:, :, 0] = (np.arange(nx) + 0.5) * h
-    centres[:, :, 1] = ((np.arange(ny) + 0.5) * h)[:, np.newaxis]
-    d0, _ = tree.query(
-        centres.reshape(-1, 2), distance_upper_bound=radius * (1.0 + 1e-9) + delta
-    )
-    state = np.full(nx * ny, _MIXED, dtype=np.int8)
-    state[d0 + delta <= radius * (1.0 - 1e-9)] = _COVERED
-    state[d0 - delta >= radius * (1.0 + 1e-9)] = _UNCOVERED
+    reach = _reach(radius, h)
+    sx, sy = sites[:, 0], sites[:, 1]
+    x0 = _columns(sx - reach, inv_h, nx).astype(np.intp)
+    y0 = _columns(sy - reach, inv_h, ny).astype(np.intp)
+    w = _columns(sx + reach, inv_h, nx) - x0 + 1
+    rows = _columns(sy + reach, inv_h, ny) - y0 + 1
+    ends = np.cumsum(w)
+    starts = ends - w
+    cx = (np.arange(nx) + 0.5) * h
+    cy = (np.arange(ny) + 0.5) * h
+    covered = np.zeros(nx * ny, dtype=bool)
+    reached = np.zeros(nx * ny, dtype=bool)
+    a = 0
+    while a < len(sites):
+        # sites a to b - 1: at most _STAMP_BLOCK window columns in all, or one site
+        b = max(a + 1, int(np.searchsorted(ends, starts[a] + _STAMP_BLOCK, side="right")))
+        # one entry per (site, window column); k is the site's index in the group
+        k = np.repeat(np.arange(b - a), w[a:b])
+        col = np.arange(len(k)) - (starts[a:b] - starts[a]).take(k) + x0[a:b].take(k)
+        dx = cx.take(col) - sx[a:b].take(k)
+        dx2 = dx * dx
+        base = y0[a:b].take(k) * nx + col
+        height = rows[a:b].take(k)
+        top = int(rows[a:b].max())
+        step = max(1, _STAMP_BLOCK // len(k))
+        for t in range(0, top, step):
+            # rows t to t + step - 1 of each site's window, one per line of d
+            dt = np.arange(t, min(t + step, top))[:, np.newaxis]
+            dy = cy.take(y0[a:b] + dt, mode="clip") - sy[a:b]
+            d = np.sqrt(dx2 + (dy * dy).take(k, axis=1))
+            live = dt < height
+            cell = base + dt * nx
+            covered[cell[live & (d + delta <= radius * (1.0 - 1e-9))]] = True
+            reached[cell[live & (d - delta < radius * (1.0 + 1e-9))]] = True
+        a = b
+    state = np.where(reached, _MIXED, _UNCOVERED).astype(np.int8)
+    state[covered] = _COVERED
     return _Raster(h, nx, ny, state)
 
 
@@ -166,7 +263,7 @@ def _stationary_covered(
 
     ``col`` holds the points' raster columns (``_columns``). A point in a
     covered or uncovered cell of ``raster`` takes the cell's state, which is
-    the plain query's answer (see ``_coverage_raster``); the points in mixed
+    the plain query's answer (see ``_stamp``); the points in mixed
     cells are queried, in cell order, so that successive queries search
     nearby parts of the tree. Each answer is the point's own, whatever the
     order.
@@ -277,13 +374,16 @@ def mc_coverage_fraction(
     chunk is free. Each chunk is tested in one pass:
 
     1. Each sample gets its column in a raster of the field built once per
-       call (``_coverage_raster``; a field without stationary sensors gets
-       the same layout without states).
+       call. Each stationary sensor stamps the cells within its reach, a few
+       float operations per (sensor, cell) pair in place of a kd query per
+       cell (``_stamp``). The cell count is the largest that keeps the
+       stamp's pairs, the cells per sample and the 16-bit keys in bounds
+       (``_raster_layout``); a field without stationary sensors gets the
+       same layout without states.
     2. The stationary disks are decided first: each sample takes the state
        of its cell, and only the samples in cells that the raster cannot
-       decide are queried in the kd-tree, in cell order
-       (``_coverage_raster`` shows that the decided samples get the query's
-       answer).
+       decide are queried in the kd-tree, in cell order (``_stamp`` shows
+       that the decided samples get the query's answer).
     3. If the field has mobiles, the samples the stationary disks leave
        uncovered are kept and ordered by column (numpy's stable sort of
        16-bit keys is a radix sort).
@@ -300,10 +400,14 @@ def mc_coverage_fraction(
         raise InvalidInputError("field has zero area")
     moves = moves or {}
     radius = field.sensing_radius
+    sites = np.array(
+        [[s.position.x, s.position.y] for s in field.stationary], dtype=float
+    ).reshape(-1, 2)
+    raster = _raster_layout(field.width, field.height, samples, len(sites), radius)
     tree = None
-    if field.stationary:
-        tree = cKDTree([[s.position.x, s.position.y] for s in field.stationary])
-    raster = _coverage_raster(tree, radius, field.width, field.height, samples)
+    if len(sites):
+        tree = cKDTree(sites)
+        raster = _stamp(raster, sites, radius)
     inv_h = 1.0 / raster.h
     staying, leaving, arriving = (
         _disk_runs(disks, inv_h, raster.nx)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tricover import (
     CaseLabel,
     DegenerateGeometryError,
+    HoleReports,
     InvalidInputError,
     Point,
     Sensor,
@@ -310,6 +311,23 @@ def test_detect_single_equilateral():
     assert rep.label is CaseLabel.A
     assert rep.is_hole
     assert rep.hole_area == pytest.approx(sqrt(3) / 4 * 9 - pi / 2, abs=1e-9)
+
+
+def test_detect_reports_slice_like_a_list():
+    rng = np.random.default_rng(83)
+    field = make_field(
+        50.0, 50.0, 6.0, [(i, *map(float, rng.uniform(0, 50, size=2))) for i in range(30)]
+    )
+    reports = detect_holes(triangulate(field), field.sensing_radius)
+    items = list(reports)
+    assert len(items) > 20
+    for a, b, c in [(None, 2, None), (3, 17, 4), (None, None, -1), (-2, 4, -3), (-5, None, None),
+                    (5, 5, None), (10, 3, None), (3, 10, -1), (len(items) + 4, None, None)]:
+        part = reports[a:b:c]
+        assert isinstance(part, HoleReports)
+        assert list(part) == items[a:b:c]
+        assert len(part) == len(items[a:b:c])
+    assert reports[-1] == items[-1]
 
 
 def test_detect_unit_square_fully_covered():

@@ -21,12 +21,15 @@ from tricover.oracle import (
     _COVERED,
     _HALF_DIAGONAL,
     _MIXED,
+    _STAMP_PAIRS,
     _UNCOVERED,
     MC_CHUNK,
     _columns,
-    _coverage_raster,
     _disk_runs,
     _in_disk_runs,
+    _layout,
+    _raster_layout,
+    _stamp,
     _stationary_covered,
 )
 
@@ -330,8 +333,7 @@ def test_gap_masks_match_one_draw_where_stationary_sensors_crowd():
     side, radius = 50.0, 5.0 * sqrt(50.0 / 300)
     stationary = _random_sensors(43, 300, side, side)
     samples = 3 * MC_CHUNK + 5
-    tree = cKDTree([(x, y) for _, x, y in stationary])
-    raster = _coverage_raster(tree, radius, side, side, samples)
+    raster = _verify_raster(np.array([(x, y) for _, x, y in stationary]), radius, side, side, samples)
     centres = []
     for state in (_COVERED, _MIXED, _UNCOVERED):
         cells = np.flatnonzero(raster.state == state)
@@ -360,15 +362,20 @@ def test_gap_masks_match_one_draw_where_stationary_sensors_crowd():
 # --- stationary coverage raster ------------------------------------------------
 
 
+def _verify_raster(sites, radius, width, height, samples):
+    # the raster mc_coverage_fraction builds for these stationary sites
+    return _stamp(_raster_layout(width, height, samples, len(sites), radius), sites, radius)
+
+
 def _plain_covered(tree, pts, radius):
     dist, _ = tree.query(pts, distance_upper_bound=nextafter(radius, inf))
     return dist <= radius
 
 
-def _raster_matches_plain_query(sensors, radius, width, height, samples, pts):
-    """The raster's answer for ``pts`` equals the plain query's; returns the raster."""
+def _raster_matches_plain_query(sensors, radius, layout, pts):
+    """The answer of ``layout`` stamped by ``sensors`` for ``pts`` equals the plain query's; returns the raster."""
     tree = cKDTree(sensors)
-    raster = _coverage_raster(tree, radius, width, height, samples)
+    raster = _stamp(layout, np.array(sensors, dtype=float), radius)
     pts = np.array(pts, dtype=float)
     col = _columns(pts[:, 0], 1.0 / raster.h, raster.nx)
     got = _stationary_covered(pts, col, tree, raster, radius)
@@ -396,8 +403,9 @@ def _state_of(raster, i, j):
     return int(raster.state[j * raster.nx + i])
 
 
-# An 8 x 8 field and 512 samples give an 8 x 8 raster of unit cells.
-UNIT = dict(width=8.0, height=8.0, samples=512)
+# An 8 x 8 field and 64 cells give an 8 x 8 raster of unit cells.
+UNIT = dict(width=8.0, height=8.0)
+UNIT_LAYOUT = _layout(64, **UNIT)
 
 
 @pytest.mark.parametrize("offset", [2.0, 2.0**24 + 3.0, 2.0**26 + 5.0])
@@ -430,21 +438,21 @@ def test_raster_matches_plain_query_at_the_thresholds(offset, side):
             t = sensor + scale if side == "covered" else sensor - scale
             if 0.0 <= t <= UNIT["width"]:
                 pts.append((t, t))
-        raster = _raster_matches_plain_query([(sensor, sensor)], radius, pts=pts, **UNIT)
+        raster = _raster_matches_plain_query([(sensor, sensor)], radius, UNIT_LAYOUT, pts)
         assert raster.h == h
         states.add(_state_of(raster, 5, 5))
     assert states == {_MIXED, _COVERED if side == "covered" else _UNCOVERED}
 
 
 def test_raster_matches_plain_query_one_cell_off():
-    # 80000 samples on a 3 x 3 field give a 100 x 100 raster whose side h
+    # 10000 cells on a 3 x 3 field give a 100 x 100 raster whose side h
     # rounds down, so the field corner lies outside the last cell by about
     # 33 ulps of h on each axis, and is put in that cell. A sensor at the
     # corner and a tiny radius: the corner is covered, and the cell is
     # decided only if δ is wide enough to reach past the corner.
     width = height = 3.0
     raster = _raster_matches_plain_query(
-        [(width, height)], 1e-100, width, height, 80000,
+        [(width, height)], 1e-100, _layout(10000, width, height),
         _cell_points(0.03, 99, 99, width, height) + [(width, height)],
     )
     assert raster.nx == raster.ny == 100
@@ -467,23 +475,117 @@ def test_raster_matches_plain_query_on_cell_edges_and_corners(radius):
         for r in _ulp_steps(radius):
             pts += [(sx + r, sy), (sx - r, sy), (sx, sy + r), (sx, sy - r)]
     pts = [(x, y) for x, y in pts if 0.0 <= x <= 8.0 and 0.0 <= y <= 8.0]
-    raster = _raster_matches_plain_query(sensors, radius, pts=pts, **UNIT)
+    raster = _raster_matches_plain_query(sensors, radius, UNIT_LAYOUT, pts)
     decided = np.count_nonzero(raster.state != _MIXED)
     assert decided > 0
+
+
+def _stamped_pairs(raster, sites, radius):
+    # The (site, cell) pairs the stamp visits: each site's window, from the
+    # column (row) of its coordinate minus the reach to that of it plus the
+    # reach.
+    inv_h = 1.0 / raster.h
+    reach = radius * (1.0 + 1e-9) + raster.h * _HALF_DIAGONAL
+    spans = [
+        _columns(v + reach, inv_h, n).astype(np.int64) - _columns(v - reach, inv_h, n) + 1
+        for v, n in ((sites[:, 0], raster.nx), (sites[:, 1], raster.ny))
+    ]
+    return int(np.sum(spans[0] * spans[1]))
 
 
 @pytest.mark.parametrize(
     "width, height, samples",
     [(100.0, 100.0, 10**7), (1000.0, 1.0, 10**7), (1.0, 1000.0, 10**7),
-     (1e6, 1e-3, 10**7), (100.0, 100.0, 8 * MC_CHUNK - 1), (5.0, 3.0, 7)],
+     (1e6, 1e-3, 10**7), (100.0, 100.0, 8 * MC_CHUNK - 1), (100.0, 100.0, 2 * MC_CHUNK - 1),
+     (5.0, 3.0, 7)],
 )
 def test_raster_size_is_bounded_and_covers_the_field(width, height, samples):
-    tree = cKDTree([(0.5 * width, 0.5 * height)])
-    raster = _coverage_raster(tree, 1.0, width, height, samples)
-    assert raster.state.size == raster.nx * raster.ny
-    assert 1 <= raster.state.size <= min(MC_CHUNK, max(1, samples // 8))
-    assert raster.nx * raster.h >= width * (1.0 - 2.0**-52)
-    assert raster.ny * raster.h >= height * (1.0 - 2.0**-52)
+    one = np.array([(0.5 * width, 0.5 * height)])
+    many = np.random.default_rng(3).random((1000, 2)) * (width, height)
+    diagonal = sqrt(width * width + height * height)
+    for sites in (one, many):
+        for radius in (1.0, 10.0 * diagonal, 2.0**200, 2.0**-200):
+            raster = _verify_raster(sites, radius, width, height, samples)
+            assert raster.state.size == raster.nx * raster.ny
+            # the cell cap, one cell per two samples, and the stamp's pair budget
+            assert 1 <= raster.state.size <= min(MC_CHUNK, max(1, samples // 2))
+            pairs = _stamped_pairs(raster, sites, radius)
+            assert pairs <= max(len(sites), min(_STAMP_PAIRS, 2 * samples))
+            assert raster.nx * raster.h >= width * (1.0 - 2.0**-52)
+            assert raster.ny * raster.h >= height * (1.0 - 2.0**-52)
+
+
+def _every_site_states(raster, sites, radius):
+    # Each cell's state from every site's distance to its centre, computed
+    # with the stamp's expressions, without windows.
+    cx = (np.arange(raster.nx) + 0.5) * raster.h
+    cy = (np.arange(raster.ny) + 0.5) * raster.h
+    delta = raster.h * _HALF_DIAGONAL
+    dx = cx[:, np.newaxis] - sites[:, 0]
+    rows = []
+    for y in cy:
+        dy = y - sites[:, 1]
+        d = np.sqrt(dx * dx + dy * dy)
+        covered = (d + delta <= radius * (1.0 - 1e-9)).any(axis=1)
+        reached = (d - delta < radius * (1.0 + 1e-9)).any(axis=1)
+        rows.append(np.where(covered, _COVERED, np.where(reached, _MIXED, _UNCOVERED)))
+    return np.concatenate(rows)
+
+
+def _grid_sites(layout, width, height, seed, n):
+    # sites on cell corners, on cell edge midpoints and on the field
+    # corners and edges, then n random ones
+    h = layout.h
+    xs = range(0, layout.nx + 1, max(3, layout.nx // 7))
+    ys = range(0, layout.ny + 1, max(3, layout.ny // 7))
+    corners = [(i * h, j * h) for i in xs for j in ys]
+    edges = [((i + 0.5) * h, j * h) for i in xs[1::2] for j in ys[::2]]
+    edges += [(i * h, (j + 0.5) * h) for i in xs[::2] for j in ys[1::2]]
+    field = [(0.0, 0.0), (width, 0.0), (0.0, height), (width, height), (0.5 * width, 0.0), (width, 0.5 * height)]
+    pts = [(x, y) for x, y in corners + edges if x <= width and y <= height] + field
+    pts += [tuple(p) for p in np.random.default_rng(seed).random((n, 2)) * (width, height)]
+    return np.array(pts)
+
+
+# (name, layout, width, height, radii): the unit raster, with radii at
+# multiples of h and an ulp either side; the one-cell-off raster, whose
+# last column ends ulps short of the field; a coarse raster of a long
+# field; one row of 10000 columns, where a site's window can hold more
+# columns than a block; a tall raster, where a block holds many rows of a
+# few columns; and radii far above and far below h.
+_ONE_OFF = _layout(10000, 3.0, 3.0)
+STAMP_FIELDS = [
+    ("unit", UNIT_LAYOUT, 8.0, 8.0,
+     [r for k in (0.5, 1.0, 2.0, 3.0) for r in _ulp_steps(k, 1)] + [0.3, 1.7, 2.5]),
+    ("one-cell-off", _ONE_OFF, 3.0, 3.0,
+     [r for k in (1, 2, 7) for r in _ulp_steps(k * _ONE_OFF.h, 1)] + [0.05, 0.111]),
+    ("long", _layout(300, 30.0, 2.0), 30.0, 2.0, [0.2, 0.45, 1.3]),
+    ("one-row", _layout(10000, 1e4, 1.0), 1e4, 1.0, [0.3, 700.0, 6000.0]),
+    ("tall", _layout(4000, 1.0, 400.0), 1.0, 400.0, [0.2, 3.0, 150.0]),
+    ("far-above-h", UNIT_LAYOUT, 8.0, 8.0, [20.0, 1e6, 2.0**200]),
+    ("far-below-h", _ONE_OFF, 3.0, 3.0, [1e-6, 1e-100, 2.0**-200]),
+]
+
+
+@pytest.mark.parametrize("name, layout, width, height, radii", STAMP_FIELDS, ids=[f[0] for f in STAMP_FIELDS])
+def test_stamped_states_equal_every_site_classification(name, layout, width, height, radii):
+    seen = set()
+    for seed, n in ((7, 5), (8, 60)):
+        sites = _grid_sites(layout, width, height, seed, n)
+        for radius in radii:
+            got = _stamp(layout, sites, radius).state
+            assert np.array_equal(got, _every_site_states(layout, sites, radius)), radius
+            seen |= set(np.unique(got).tolist())
+    assert seen == {_COVERED, _MIXED, _UNCOVERED} or name.startswith("far-")
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.4, 1.58, 3.16])
+def test_stamped_states_equal_every_site_classification_on_budgeted_layouts(radius):
+    # the layouts verify picks, on seeded fields of 300 sites
+    sites = np.random.default_rng(59).random((300, 2)) * (50.0, 40.0)
+    for samples in (2000, 10**5, 10**6):
+        raster = _verify_raster(sites, radius, 50.0, 40.0, samples)
+        assert np.array_equal(raster.state, _every_site_states(raster, sites, radius))
 
 
 def _random_sensors(seed, n, width, height):
@@ -501,7 +603,8 @@ def _edge_field(name):
     if name == "radius-wider-than-field":
         return make_field(3.0, 2.0, 7.0, [(0, 3.0, 2.0), (1, 0.0, 1.0)]), 50_000, None
     if name == "radius-far-below-cell":
-        # 800 samples: 22 x 4 cells of side 0.5, ten times R
+        # 800 samples and 200 sites: the pair budget leaves 14 x 2 cells of
+        # side 1, twenty times R
         return make_field(10.0, 2.0, 0.05, _random_sensors(17, 200, 10.0, 2.0)), 800, None
     if name == "elongated":
         stationary = _random_sensors(19, 300, 1000.0, 1.0)
