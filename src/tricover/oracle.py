@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInputError
+from .errors import InconsistentInputError, InvalidInputError
 from .field import SensorField
 from .geometry import Point
 
@@ -293,43 +293,31 @@ class _DiskRuns:
     hi: np.ndarray
 
 
-def _disk_runs(
-    disks: Sequence[tuple[Point, float]], inv_h: float, nx: int
-) -> _DiskRuns:
-    """The run of raster columns (side ``1 / inv_h``, ``nx`` of them) each disk is tested on.
+def _disk_runs(disks: Sequence[tuple[Point, float]], h: float, nx: int) -> _DiskRuns:
+    """The run of raster columns (side ``h``, ``nx`` of them) each disk is tested on.
 
     A disk of centre (cx, cy) and radius r runs from the column of
-    ``cx - reach`` to that of ``cx + reach``, where ``reach = r + m`` and the
-    margin is ``m = 1e-9 * r + 1e-12 * |cx| + 2**-500``. A point outside the
-    run fails the test ``dx * dx + dy * dy <= r * r`` in floating point too,
-    so testing the run alone gives the mask of a test of every point.
-    ``_columns`` never decreases as x grows and puts the ends through the
-    same product with the same ``inv_h``, so a point whose column lies
-    before the run has x < fl(cx - reach), and one whose column lies after
-    it has x > fl(cx + reach). With u = 2**-53 the unit roundoff:
+    ``cx - reach`` to that of ``cx + reach``, with the stamp's reach
+    ``reach = _reach(r, h)``. A point outside the run fails the test
+    ``dx * dx + dy * dy <= r * r`` in floating point too, so testing the
+    run alone gives the mask of a test of every point. The centres lie in
+    the field, so ``_stamp``'s "window misses" bullet holds with R = r: a
+    point outside the run has |x - cx| > r * (1 + 9.9e-10). With u = 2**-53
+    the unit roundoff:
 
-    - The computed ends ``cx -/+ reach`` are within u * (|cx| + reach) of
-      the exact ones; the ``1e-12 * |cx|`` term outweighs that, so a point
-      outside the run has |x - cx| > r * (1 + 9e-10) + 2**-501.
-    - ``dx = x - cx`` rounds with relative error at most u (it is exact
-      when subnormal), so |dx| > r * (1 + 8e-10) and |dx| > 2**-502.
+    - ``dx = x - cx`` rounds with relative error at most u, so
+      |dx| > r * (1 + 9.8e-10).
+    - r lies in ``LENGTH_RANGE``, so ``r * r`` and ``dx * dx`` are normal
+      floats, each rounded with relative error at most u.
     - ``dy * dy >= 0`` and rounding is monotone, so the computed sum is at
-      least the computed ``dx * dx``. If ``r * r`` is a normal float, both
-      squares round with relative error at most u, and
-      ``dx * dx >= r**2 * (1 + 1.6e-9) * (1 - u) > r**2 * (1 + u) >= r * r``.
-    - If ``r * r`` is subnormal, the squares round with absolute error at
-      most 2**-1075: for r >= 2**-520, r**2 * 1.6e-9 exceeds their sum; for
-      smaller r, ``dx * dx > 2**-1004`` is far above ``r * r < 2**-1040``.
-    - If ``r * r`` overflows, every point passes the test; ``reach`` is
-      then infinite and the run is every column.
+      least ``dx * dx >= r**2 * (1 + 1.9e-9) * (1 - u) > r**2 * (1 + u) >= r * r``.
     """
     table = np.array([(c[0], c[1], r) for c, r in disks], dtype=float).reshape(-1, 3)
     cx, r = table[:, 0], table[:, 2]
-    with np.errstate(over="ignore"):
-        r2 = r * r
-    reach = np.where(r2 == inf, inf, r + (1e-9 * r + 1e-12 * np.abs(cx) + 2.0**-500))
+    reach = _reach(r, h)
+    inv_h = 1.0 / h
     return _DiskRuns(
-        disks=list(zip(cx.tolist(), table[:, 1].tolist(), r2.tolist())),
+        disks=list(zip(cx.tolist(), table[:, 1].tolist(), (r * r).tolist())),
         lo=_columns(cx - reach, inv_h, nx),
         hi=_columns(cx + reach, inv_h, nx),
     )
@@ -366,8 +354,12 @@ def mc_coverage_fraction(
     Both fractions are counted on one set of uniform samples from
     ``numpy.random.default_rng(seed)`` (paired sampling), so without moves
     they are equal; the same seed yields bitwise-identical results run to
-    run. ``moves`` maps ids of ``field``'s mobiles to positions; other
-    mobiles stay put. ``half_width`` is the larger of the two 99% binomial
+    run. ``moves`` maps ids of ``field``'s mobiles to positions (points or
+    ``(x, y)`` pairs) in the field; other mobiles stay put. A move that
+    names an unknown mobile is ``inconsistent-input``, and a target that is
+    not finite or lies outside the field ``invalid-input``, before any
+    sample is drawn; so every disk centre lies in the field, as ``_stamp``'s
+    proof needs. ``half_width`` is the larger of the two 99% binomial
     confidence half-widths.
 
     Only hit counts leave the loop, so the order of the points within a
@@ -378,8 +370,9 @@ def mc_coverage_fraction(
        float operations per (sensor, cell) pair in place of a kd query per
        cell (``_stamp``). The cell count is the largest that keeps the
        stamp's pairs, the cells per sample and the 16-bit keys in bounds
-       (``_raster_layout``); a field without stationary sensors gets the
-       same layout without states.
+       (``_raster_layout``). A field without stationary sensors takes the
+       same path: its raster is all uncovered cells, and its empty kd-tree
+       is never queried.
     2. The stationary disks are decided first: each sample takes the state
        of its cell, and only the samples in cells that the raster cannot
        decide are queried in the kd-tree, in cell order (``_stamp`` shows
@@ -388,29 +381,34 @@ def mc_coverage_fraction(
        uncovered are kept and ordered by column (numpy's stable sort of
        16-bit keys is a radix sort).
     4. Each mobile disk is tested only on the contiguous kept samples of its
-       column run (``_disk_runs`` shows that no sample outside the run can
-       pass): the staying disks once, then the leaving and the arriving
-       ones.
+       column run, whose ends are the stamp's reach about its centre
+       (``_disk_runs`` applies ``_stamp``'s proof to show that no sample
+       outside the run can pass): the staying disks once, then the leaving
+       and the arriving ones.
     """
     if samples <= 0:
         raise InvalidInputError(f"sample count must be > 0, got {samples}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    if field.area <= 0.0:
-        raise InvalidInputError("field has zero area")
     moves = moves or {}
+    mobiles = {m.id for m in field.mobile}
+    for mobile_id, target in moves.items():
+        x, y = target[0], target[1]
+        if mobile_id not in mobiles:
+            raise InconsistentInputError(f"moves name unknown mobile id {mobile_id}")
+        if not (0.0 <= x <= field.width and 0.0 <= y <= field.height):
+            raise InvalidInputError(f"moves mobile {mobile_id} to ({x}, {y}), outside the field")
     radius = field.sensing_radius
     sites = np.array(
         [[s.position.x, s.position.y] for s in field.stationary], dtype=float
     ).reshape(-1, 2)
-    raster = _raster_layout(field.width, field.height, samples, len(sites), radius)
-    tree = None
-    if len(sites):
-        tree = cKDTree(sites)
-        raster = _stamp(raster, sites, radius)
+    tree = cKDTree(sites)
+    raster = _stamp(
+        _raster_layout(field.width, field.height, samples, len(sites), radius), sites, radius
+    )
     inv_h = 1.0 / raster.h
     staying, leaving, arriving = (
-        _disk_runs(disks, inv_h, raster.nx)
+        _disk_runs(disks, raster.h, raster.nx)
         for disks in (
             [(m.position, m.radius) for m in field.mobile if m.id not in moves],
             [(m.position, m.radius) for m in field.mobile if m.id in moves],
@@ -424,10 +422,7 @@ def mc_coverage_fraction(
         pts[:, 0] *= field.width
         pts[:, 1] *= field.height
         col = _columns(pts[:, 0], inv_h, raster.nx)
-        if tree is None:
-            covered = np.zeros(len(pts), dtype=bool)
-        else:
-            covered = _stationary_covered(pts, col, tree, raster, radius)
+        covered = _stationary_covered(pts, col, tree, raster, radius)
         hits = int(np.count_nonzero(covered))
         hits_before += hits
         hits_after += hits

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, nextafter, pi, sqrt
+from math import inf, nan, nextafter, pi, sqrt
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from scipy.spatial import cKDTree
 
 from oracles import grid_region_uncovered
 from tricover import (
+    InconsistentInputError,
     InvalidInputError,
     Point,
     make_field,
@@ -29,6 +30,7 @@ from tricover.oracle import (
     _in_disk_runs,
     _layout,
     _raster_layout,
+    _reach,
     _stamp,
     _stationary_covered,
 )
@@ -157,6 +159,53 @@ def test_mc_mobiles_only_field():
     assert abs(est.after - (5 * pi / 4) / 16) <= 3 * est.half_width
 
 
+# A 10 x 8 field with two mobiles, 3 and 4, for the move-map checks.
+MOVE_FIELD = make_field(
+    10.0, 8.0, 1.5, [(0, 2.0, 2.0), (1, 7.0, 5.5)], [(3, 9.0, 1.0, 2.0), (4, 0.5, 7.5, 1.0)]
+)
+
+
+# Targets that are not finite, or lie an ulp outside a side of MOVE_FIELD.
+BAD_TARGETS = [
+    (nan, 1.0), (1.0, nan), (inf, 1.0), (-inf, 1.0), (1.0, inf), (1.0, -inf), (1e300, 1.0),
+    (nextafter(0.0, -inf), 1.0), (nextafter(10.0, inf), 1.0),
+    (1.0, nextafter(0.0, -inf)), (1.0, nextafter(8.0, inf)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "moves, kind",
+    [({5: Point(1.0, 1.0)}, InconsistentInputError), ({0: (1.0, 1.0)}, InconsistentInputError)]
+    + [({3: Point(*t)}, InvalidInputError) for t in BAD_TARGETS],
+)
+def test_mc_refuses_bad_moves_before_drawing(moves, kind, monkeypatch):
+    # An unknown id, or a stationary sensor's, is inconsistent-input, and a
+    # bad target invalid-input, raised before the generator is made and
+    # without a numeric warning.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("samples drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(kind):
+        mc_coverage_fraction(MOVE_FIELD, 1000, seed=1, moves=moves)
+
+
+# the four corners of MOVE_FIELD, then a point on each side
+@pytest.mark.parametrize(
+    "target",
+    [(0.0, 0.0), (10.0, 0.0), (0.0, 8.0), (10.0, 8.0), (0.0, 3.0), (10.0, 5.0), (4.0, 0.0), (6.0, 8.0)],
+)
+def test_mc_moves_onto_the_field_corners_and_edges(target):
+    # mobile 3 moves to a Point, mobile 4 to the same place as a plain tuple
+    moves = {3: Point(*target), 4: target}
+    samples = MC_CHUNK + 7
+    est = mc_coverage_fraction(MOVE_FIELD, samples, seed=53, moves=moves)
+    hits_before, hits_after = _unchunked_hits(MOVE_FIELD, samples, 53, moves)
+    assert est.before == hits_before / samples
+    assert est.after == hits_after / samples
+
+
 def _full_scan(pts, disk):
     (cx, cy), radius = disk
     dx = pts[:, 0] - cx
@@ -168,12 +217,11 @@ def _run_mask(pts, disk, h, nx):
     # The estimator's test of one disk on its column run, on a raster of
     # nx columns of side h; the points are ordered by column for the test
     # and the mask is returned in their given order.
-    inv_h = 1.0 / h
-    col = _columns(pts[:, 0], inv_h, nx)
+    col = _columns(pts[:, 0], 1.0 / h, nx)
     order = np.argsort(col, kind="stable")
     mask = np.empty(len(pts), dtype=bool)
     mask[order] = _in_disk_runs(
-        pts[order], col[order], _disk_runs([disk], inv_h, nx), np.zeros(len(pts), dtype=bool)
+        pts[order], col[order], _disk_runs([disk], h, nx), np.zeros(len(pts), dtype=bool)
     )
     return mask
 
@@ -204,8 +252,10 @@ BAND_DISKS = [
 
 def _boundary_points(disk):
     (cx, cy), r = disk
-    m = 1e-9 * r + 1e-12 * abs(cx)
-    xs = [x for end in (cx - r, cx + r, cx - (r + m), cx + (r + m), cx) for x in _near(end)]
+    # the circle, the centre and the run ends fl(cx -/+ _reach(r, h)) of every layout
+    ends = [cx - r, cx + r, cx]
+    ends += [cx + s * _reach(r, h) for h, _ in RUN_LAYOUTS for s in (-1.0, 1.0)]
+    xs = [x for end in ends for x in _near(end)]
     ys = [y for end in (cy - r, cy + r, cy) for y in _near(end)]
     # one ulp inside and outside the circle on its diagonals
     for sx in (-1.0, 1.0):
@@ -232,50 +282,32 @@ def test_band_mask_equals_full_scan_at_the_boundary(disk):
 @pytest.mark.parametrize("disk", BAND_DISKS, ids=lambda d: f"cx={d[0].x}-r={d[1]}")
 def test_column_run_equals_full_scan_with_its_ends_on_column_edges(disk):
     # Rasters whose column edge k * h lies within an ulp or two of a run
-    # end fl(cx -/+ reach), as x * (1/h) rounds, with points at both ends
-    # and at the edges next to them.
+    # end fl(cx -/+ _reach(r, h)), as x * (1/h) rounds, with points at both
+    # ends and at the edges next to them; the run must end in the column
+    # whose edge lies on the reach. The reach r * (1 + 1e-9) + c * h,
+    # with c the widened half diagonal, puts the edge k * h on the end
+    # cx -/+ reach at h = (cx -/+ r * (1 + 1e-9)) / (k +/- c).
     (cx, cy), r = disk
-    reach = r + (1e-9 * r + 1e-12 * abs(cx) + 2.0**-500)
     xs, ys = _boundary_points(disk)
     layouts = []
     on_edge = 0
-    for end in (cx - reach, cx + reach):
-        xs += _near(end)
-        for k in (1, 2, 3, 7, 100, 4097) if end > 0.0 else ():
-            for h in _near(end / k):
-                on_edge += end * (1.0 / h) == k
+    for sign in (-1.0, 1.0):
+        base = cx + sign * r * (1.0 + 1e-9)
+        for k in (1, 2, 3, 7, 100, 4097) if base > 0.0 else ():
+            for h in _near(base / (k - sign * _HALF_DIAGONAL)):
+                end = cx + sign * _reach(r, h)
+                if end * (1.0 / h) == k:
+                    run = _disk_runs([disk], h, MC_CHUNK)
+                    assert (run.hi if sign > 0 else run.lo)[0] == k
+                    on_edge += 1
                 layouts += [(h, k), (h, k + 1), (h, MC_CHUNK)]
-                xs += [x for i in (k - 1, k, k + 1) for x in _near(i * h)]
+                xs += _near(end) + [x for i in (k - 1, k, k + 1) for x in _near(i * h)]
     assert on_edge > 0
     pts = np.array([(x, y) for x in sorted(set(xs)) for y in sorted(set(ys))])
     full = _full_scan(pts, disk)
     assert full.any() and not full.all()
     for h, nx in layouts:
         assert np.array_equal(_run_mask(pts, disk, h, nx), full), (h, nx)
-
-
-@pytest.mark.parametrize(
-    "radius, xs, inside",
-    [
-        # r * r overflows, so every point passes the test
-        (1e160, [0.0, 1e150, 1e160, 2e160, 1e200, 1e300], [True] * 6),
-        # r * r underflows to 0, and so does dx * dx up to |dx| ~ 1e-162
-        (1e-170, [0.0, 1e-171, 1e-170, 2e-170, 1e-165, 1e-162, 1e-160, 1e-150],
-         [True] * 6 + [False] * 2),
-    ],
-)
-def test_band_mask_equals_full_scan_at_extreme_radii(radius, xs, inside):
-    disk = (Point(0.0, 0.0), radius)
-    pts = np.array([(x, 0.0) for x in xs])
-    with np.errstate(over="ignore"):
-        full = _full_scan(pts, disk)
-        # columns far below the smaller radius, and ones so wide that the
-        # points beyond 1e160 lie in other columns than the disk's centre
-        layouts = RUN_LAYOUTS + [(1e-180, MC_CHUNK), (1e180, MC_CHUNK)]
-        masks = [_run_mask(pts, disk, h, nx) for h, nx in layouts]
-    assert full.tolist() == inside
-    for mask in masks:
-        assert np.array_equal(mask, full)
 
 
 @pytest.mark.parametrize("side", [2.0**-200, 2.0**200], ids=["side=2^-200", "side=2^200"])
