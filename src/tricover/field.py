@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import isfinite
-from typing import Sequence
 
 from .errors import InvalidInputError
 from .geometry import Point
@@ -89,19 +88,3 @@ class SensorField:
     def area(self) -> float:
         return self.width * self.height
 
-
-def make_field(
-    width: float,
-    height: float,
-    sensing_radius: float,
-    stationary: Sequence[tuple[int, float, float]],
-    mobile: Sequence[tuple[int, float, float, float]] = (),
-) -> SensorField:
-    """Convenience constructor from plain tuples."""
-    return SensorField(
-        width=width,
-        height=height,
-        sensing_radius=sensing_radius,
-        stationary=tuple(Sensor(i, Point(x, y)) for i, x, y in stationary),
-        mobile=tuple(MobileSensor(i, Point(x, y), r) for i, x, y, r in mobile),
-    )

@@ -133,5 +133,7 @@ def plan_relocation(
             key=lambda a: a.mobile_id,
         )
     )
-    total = float(sum(a.distance for a in assignments))
+    total = 0.0  # added in order: ``sum`` of floats compensates from Python 3.12
+    for a in assignments:
+        total += a.distance
     return HealingPlan(assignments=assignments, total_movement=total, unserved=unserved)

@@ -23,7 +23,6 @@ operations of the scalar functions; only the exact-route cells go through
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import acos, isfinite, pi, sqrt
 
@@ -97,47 +96,16 @@ class HoleComputation:
     method: str
 
 
-@dataclass(frozen=True)
-class HoleReport:
-    """Detection result for one mesh cell."""
-
-    cell_id: int
-    label: CaseLabel
-    method: str
-    is_hole: bool
-    hole_area: float
-
-
 @dataclass(frozen=True, eq=False)
-class HoleReports(Sequence[HoleReport]):
-    """The detection results of a mesh's cells, as columns in report order.
-
-    Item ``k`` is the ``HoleReport`` of column entry ``k``, built when read,
-    and a slice is the ``HoleReports`` of the sliced columns; ``label`` and
-    ``method`` hold the strings a report file holds.
-    """
+class HoleReports:
+    """The detection results of a mesh's cells, as columns in report order;
+    ``label`` and ``method`` hold the strings a report file holds."""
 
     cell_id: np.ndarray
     label: np.ndarray
     method: np.ndarray
     is_hole: np.ndarray
     hole_area: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.cell_id)
-
-    def __getitem__(self, k: int | slice) -> HoleReport | HoleReports:
-        if isinstance(k, slice):
-            return HoleReports(
-                self.cell_id[k], self.label[k], self.method[k], self.is_hole[k], self.hole_area[k]
-            )
-        return HoleReport(
-            int(self.cell_id[k]),
-            CaseLabel(str(self.label[k])),
-            str(self.method[k]),
-            bool(self.is_hole[k]),
-            float(self.hole_area[k]),
-        )
 
 
 def hole_epsilon(radius: float) -> float:
@@ -162,29 +130,6 @@ def exact_uncovered_area(tri: TriangleGeom, radius: float) -> float:
     _require_analysable(tri, radius)
     covered = triangle_disks_covered_area(tri, [(v, radius) for v in tri.vertices])
     return tri.area - covered
-
-
-def _label(tri: TriangleGeom, radius: float, covered: bool) -> CaseLabel:
-    """Label from the side relations, given whether the triangle is covered."""
-    if covered:
-        return CaseLabel.F
-    tol = _TANGENCY_FACTOR * radius
-    two_r = 2.0 * radius
-    lt = sum(1 for d in tri.sides if d < two_r - tol)
-    eq = sum(1 for d in tri.sides if abs(d - two_r) <= tol)
-    if lt == 0:
-        if eq == 3:
-            return CaseLabel.B
-        if eq == 2:
-            return CaseLabel.C
-        if eq == 1:
-            return CaseLabel.H
-        return CaseLabel.A
-    if lt == 1:
-        return CaseLabel.G if eq >= 1 else CaseLabel.D
-    if lt == 2:
-        return CaseLabel.E
-    return CaseLabel.I
 
 
 # --- validity predicate ----------------------------------------------------
@@ -270,8 +215,8 @@ def hole_area(tri: TriangleGeom, radius: float) -> HoleComputation:
 # (``np.sqrt`` is correctly rounded, as ``math.sqrt`` is). The scalar
 # functions stay as the tests' oracle.
 
-# ``_label`` of a cell that is not covered, by its counts of overlapping
-# (row) and tangent (column) sides.
+# The ``CaseLabel`` of a cell that is not covered, as its docstring defines
+# it, by the cell's counts of overlapping (row) and tangent (column) sides.
 _UNCOVERED_LABELS = np.array([list("AHCB"), list("DGGG"), list("EEEE"), list("IIII")])
 
 

@@ -7,7 +7,9 @@ against the other:
 - ``triangle_disk_intersection_area``: a single-disk boundary integral, the
   reference for the single-disk case of ``triangle_disks_covered_area``;
 - ``grid_region_uncovered``: a grid rasterizer that decides coverage by
-  plain distance comparisons at cell centres.
+  plain distance comparisons at cell centres;
+- ``case_label``: a triangle's case label from its three sides, one side at
+  a time, the reference for the detect kernel's label table.
 
 They import only data types and the error class from ``tricover``, and
 keep their own copies of the small helpers they need, so they share no
@@ -23,6 +25,8 @@ import numpy as np
 from tricover import InvalidInputError, Point, TriangleGeom
 
 _MIN_GRID_RESOLUTION = 16
+# |d - 2R| <= _TANGENCY_FACTOR * R counts as a tangent (zero-lens) pair.
+_TANGENCY_FACTOR = 1e-9
 
 
 def _require_finite(p: Point) -> None:
@@ -161,3 +165,21 @@ def grid_region_uncovered(
         covered[r0:r1, c0:c1] |= (X[:, c0:c1] - cx) ** 2 + (Y[r0:r1] - cy) ** 2 <= rr
     uncovered_cells = int(np.count_nonzero(inside & ~covered))
     return uncovered_cells * dx * dy
+
+
+def case_label(tri: TriangleGeom, radius: float, covered: bool) -> str:
+    """The ``CaseLabel`` value of a triangle, given whether it is covered:
+    ``F`` if it is, else the letter of its overlapping and tangent sides."""
+    if covered:
+        return "F"
+    tol = _TANGENCY_FACTOR * radius
+    two_r = 2.0 * radius
+    lt = sum(1 for d in tri.sides if d < two_r - tol)
+    eq = sum(1 for d in tri.sides if abs(d - two_r) <= tol)
+    if lt == 0:
+        return {3: "B", 2: "C", 1: "H"}.get(eq, "A")
+    if lt == 1:
+        return "G" if eq >= 1 else "D"
+    if lt == 2:
+        return "E"
+    return "I"

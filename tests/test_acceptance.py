@@ -218,7 +218,7 @@ def test_criterion_06_delaunay_properties():
 
 
 def _field_from_coords(coords):
-    from tricover import make_field
+    from fields import make_field
 
     span = float(coords.max()) + 1.0
     return make_field(
@@ -268,7 +268,7 @@ def test_criterion_08_target_rule_conformance(sweep):
 def test_criterion_09_assignment_optimality():
     import itertools
 
-    from tricover import make_field
+    from fields import make_field
 
     rng = np.random.default_rng(SWEEP_SEED + 9)
     for _ in range(200):

@@ -6,7 +6,9 @@ import types
 from pathlib import Path
 
 import tricover
+import tricover.field
 import tricover.geometry
+import tricover.holes
 import tricover.oracle
 
 # What the test oracles may take from the package: data types and the
@@ -38,6 +40,11 @@ def test_oracles_stay_out_of_the_package():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tricover":
             imported.update(a.name for a in node.names)
     assert imported <= ORACLE_IMPORTS
-    for space in (tricover, tricover.geometry, tricover.oracle):
-        for name in ("heron_area", "triangle_disk_intersection_area", "grid_region_uncovered"):
+    # the oracles, and the test-only helpers that left the package
+    names = (
+        "heron_area", "triangle_disk_intersection_area", "grid_region_uncovered", "case_label",
+        "_label", "make_field", "HoleReport",
+    )
+    for space in (tricover, tricover.field, tricover.geometry, tricover.holes, tricover.oracle):
+        for name in names:
             assert not hasattr(space, name), f"{space.__name__}.{name}"

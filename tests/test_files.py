@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fields import make_field
 from tricover import (
     InvalidInputError,
     ReportDoc,
@@ -21,7 +22,6 @@ from tricover import (
     canonical_json_bytes,
     load_report,
     load_scenario,
-    make_field,
     report_from_dict,
     round_sig,
     save_report,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fields import make_field
 from oracles import grid_region_uncovered, triangle_disk_intersection_area
 from tricover import (
     DegenerateGeometryError,
@@ -16,7 +17,6 @@ from tricover import (
     circumcenter,
     incenter,
     lens_area,
-    make_field,
     mc_coverage_fraction,
     triangle_disks_covered_area,
     triangle_from_vertices,

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import itertools
-from math import hypot, inf, pi, sqrt
+from math import fsum, hypot, inf, pi, sqrt
 
 import numpy as np
 import pytest
 
+from fields import make_field
 from tricover import (
     InvalidInputError,
     Point,
@@ -15,7 +16,6 @@ from tricover import (
     detect_holes,
     hole_area,
     incenter,
-    make_field,
     mc_coverage_fraction,
     plan_relocation,
     plan_to_dict,
@@ -207,6 +207,21 @@ def test_plan_assignments_sorted_by_mobile_id():
     assert ids == sorted(ids)
 
 
+def test_total_movement_adds_the_distances_in_mobile_order():
+    """The total is the plain left-to-right sum, the same on every Python;
+    a compensated sum, as ``sum`` of floats is from 3.12, differs here."""
+    big = 2.0**53
+    field = mobile_field(
+        [(10, 0.0, 0.0, 1.0), (11, 0.0, 4.0, 1.0), (12, 0.0, 8.0, 1.0)], width=2.0**54, height=10.0
+    )
+    targets = [fake_target(0, big, 0.0), fake_target(1, 1.0, 4.0), fake_target(2, 1.0, 8.0)]
+    plan = plan_relocation(targets, field)
+    distances = [a.distance for a in plan.assignments]
+    assert [a.mobile_id for a in plan.assignments] == [10, 11, 12]
+    assert distances == [big, 1.0, 1.0]
+    assert fsum(distances) == big + 2.0
+    assert plan.total_movement == big
+
 def brute_force_total(mobile_pts, target_pts):
     best = inf
     for perm in itertools.permutations(range(len(mobile_pts)), len(target_pts)):
@@ -301,12 +316,10 @@ def test_healing_improves_coverage_paired_seed():
         [(3, 0.1, 3.9, 1.5)],
     )
     mesh = triangulate(field)
-    reports = [r for r in detect_holes(mesh, field.sensing_radius) if r.is_hole]
-    assert len(reports) == 1
-    rep = reports[0]
-    target = select_target(
-        rep.cell_id, rep.hole_area, mesh.geoms([rep.cell_id])[0], mobile_radius=1.5
-    )
+    reports = detect_holes(mesh, field.sensing_radius)
+    assert reports.is_hole.tolist() == [True]
+    cell_id, hole = int(reports.cell_id[0]), float(reports.hole_area[0])
+    target = select_target(cell_id, hole, mesh.geoms([cell_id])[0], mobile_radius=1.5)
     plan = plan_relocation([target], field)
     moves = {a.mobile_id: a.target.point for a in plan.assignments}
     est = mc_coverage_fraction(field, 200_000, seed=11, moves=moves)

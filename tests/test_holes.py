@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fields import make_field
+from oracles import case_label
 from tricover import (
     CaseLabel,
     DegenerateGeometryError,
-    HoleReports,
     InvalidInputError,
     Point,
     Sensor,
@@ -23,12 +24,11 @@ from tricover import (
     hole_area,
     hole_epsilon,
     lens_area,
-    make_field,
     triangle_from_vertices,
     triangulate,
 )
 from tricover.geometry import point_segment_distance
-from tricover.holes import _case_route, _case_value, _case_values, _label
+from tricover.holes import _case_route, _case_value, _case_values
 
 SIDE2_EQUILATERAL = (  # all three pairs exactly tangent at R = 1
     (0.0, 0.0),
@@ -64,8 +64,8 @@ def detected_label(pts, radius):
         radius,
         [(i, x, y) for i, (x, y) in enumerate(pts)],
     )
-    (report,) = detect_holes(triangulate(field), field.sensing_radius)
-    return report.label
+    (label,) = detect_holes(triangulate(field), field.sensing_radius).label.tolist()
+    return CaseLabel(label)
 
 
 def case_route(t, radius):
@@ -306,37 +306,18 @@ def test_detect_single_equilateral():
         4.0, 4.0, 1.0, [(0, 0.5, 0.5), (1, 3.5, 0.5), (2, 2.0, 0.5 + side * sqrt(3) / 2)]
     )
     reports = detect_holes(triangulate(field), field.sensing_radius)
-    assert len(reports) == 1
-    rep = reports[0]
-    assert rep.label is CaseLabel.A
-    assert rep.is_hole
-    assert rep.hole_area == pytest.approx(sqrt(3) / 4 * 9 - pi / 2, abs=1e-9)
-
-
-def test_detect_reports_slice_like_a_list():
-    rng = np.random.default_rng(83)
-    field = make_field(
-        50.0, 50.0, 6.0, [(i, *map(float, rng.uniform(0, 50, size=2))) for i in range(30)]
-    )
-    reports = detect_holes(triangulate(field), field.sensing_radius)
-    items = list(reports)
-    assert len(items) > 20
-    for a, b, c in [(None, 2, None), (3, 17, 4), (None, None, -1), (-2, 4, -3), (-5, None, None),
-                    (5, 5, None), (10, 3, None), (3, 10, -1), (len(items) + 4, None, None)]:
-        part = reports[a:b:c]
-        assert isinstance(part, HoleReports)
-        assert list(part) == items[a:b:c]
-        assert len(part) == len(items[a:b:c])
-    assert reports[-1] == items[-1]
+    assert reports.cell_id.tolist() == [0]
+    assert reports.label.tolist() == ["A"]
+    assert reports.is_hole.tolist() == [True]
+    assert reports.hole_area[0] == pytest.approx(sqrt(3) / 4 * 9 - pi / 2, abs=1e-9)
 
 
 def test_detect_unit_square_fully_covered():
     field = make_field(1.0, 1.0, 1.0, [(0, 0, 0), (1, 1, 0), (2, 1, 1), (3, 0, 1)])
     reports = detect_holes(triangulate(field), field.sensing_radius)
-    assert len(reports) == 2
-    assert all(r.label is CaseLabel.F for r in reports)
-    assert all(not r.is_hole for r in reports)
-    assert all(r.hole_area == pytest.approx(0.0, abs=1e-12) for r in reports)
+    assert reports.label.tolist() == ["F", "F"]
+    assert reports.is_hole.tolist() == [False, False]
+    assert reports.hole_area.tolist() == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_detect_sorted_by_area_then_id():
@@ -348,9 +329,9 @@ def test_detect_sorted_by_area_then_id():
         [(i, *map(float, rng.uniform(0, 100, size=2))) for i in range(40)],
     )
     reports = detect_holes(triangulate(field), field.sensing_radius)
-    keys = [(-r.hole_area, r.cell_id) for r in reports]
+    keys = list(zip((-reports.hole_area).tolist(), reports.cell_id.tolist()))
     assert keys == sorted(keys)
-    assert {r.cell_id for r in reports} == set(range(len(triangulate(field).cells)))
+    assert sorted(reports.cell_id.tolist()) == list(range(len(triangulate(field).cells)))
 
 
 def test_detect_epsilon_override():
@@ -358,8 +339,8 @@ def test_detect_epsilon_override():
         4.0, 4.0, 1.0, [(0, 0.5, 0.5), (1, 3.5, 0.5), (2, 2.0, 0.5 + 3 * sqrt(3) / 2)]
     )
     mesh = triangulate(field)
-    assert detect_holes(mesh, field.sensing_radius)[0].is_hole
-    assert not detect_holes(mesh, field.sensing_radius, epsilon=100.0)[0].is_hole
+    assert detect_holes(mesh, field.sensing_radius).is_hole.tolist() == [True]
+    assert detect_holes(mesh, field.sensing_radius, epsilon=100.0).is_hole.tolist() == [False]
     assert hole_epsilon(2.0) == pytest.approx(4e-9)
 
 
@@ -497,7 +478,7 @@ def scalar_reports(tris, radius, epsilon):
             rows.append((k, "F", "case-formula", False, 0.0))
             continue
         comp = hole_area(t, radius)
-        rows.append((k, _label(t, radius, comp.s_h < eps).value, comp.method, comp.s_h > eps, comp.s_h))
+        rows.append((k, case_label(t, radius, comp.s_h < eps), comp.method, comp.s_h > eps, comp.s_h))
     rows.sort(key=lambda r: (-r[4], r[0]))
     return [(*r[:4], r[4].hex()) for r in rows]
 
@@ -508,7 +489,8 @@ def test_kernel_matches_the_scalar_path_bit_for_bit(inputs):
     tris, radius, epsilon = inputs
     mesh = mesh_of(tris)
     reports = detect_holes(mesh, radius, epsilon)
-    got = [(r.cell_id, r.label.value, r.method, r.is_hole, r.hole_area.hex()) for r in reports]
+    columns = (reports.cell_id, reports.label, reports.method, reports.is_hole, reports.hole_area)
+    got = [(*r[:4], r[4].hex()) for r in zip(*(c.tolist() for c in columns))]
     assert got == scalar_reports(tris, radius, epsilon)
     # the route and the case formula on every cell, not only where the route takes it
     live = [t for t in tris if not t.degenerate]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, Delaunay
 
+from fields import make_field
 from tricover import (
     DuplicateSiteError,
     InsufficientSitesError,
@@ -16,7 +17,6 @@ from tricover import (
     SensorField,
     circumcenter,
     generate_scenario,
-    make_field,
     triangle_from_vertices,
     triangulate,
 )

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from fields import make_field
 from oracles import grid_region_uncovered
 from tricover import (
     InconsistentInputError,
     InvalidInputError,
     Point,
-    make_field,
     mc_coverage_fraction,
     triangle_disks_covered_area,
     triangle_from_vertices,

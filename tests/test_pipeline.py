@@ -10,6 +10,7 @@ from scipy.spatial import Delaunay, cKDTree
 
 import tricover.holes
 import tricover.pipeline
+from fields import make_field
 from tricover import (
     DegenerateGeometryError,
     InvalidInputError,
@@ -18,7 +19,6 @@ from tricover import (
     generate_scenario,
     detect_holes,
     hole_epsilon,
-    make_field,
     mc_coverage_fraction,
     round_sig,
     run_detect,
@@ -426,7 +426,10 @@ def scaled_point(p, k):
 
 
 def detected(field):
-    return {r.cell_id: r for r in detect_holes(triangulate(field), field.sensing_radius)}
+    """``(label, method, is_hole, hole_area)`` of each cell id."""
+    r = detect_holes(triangulate(field), field.sensing_radius)
+    rows = zip(r.label.tolist(), r.method.tolist(), r.is_hole.tolist(), r.hole_area.tolist())
+    return dict(zip(r.cell_id.tolist(), rows))
 
 
 # The benchmark's workload shapes, reduced: (sites, mobiles, radius / R*, samples).
@@ -457,10 +460,10 @@ def test_answers_are_the_same_at_both_ends_of_the_length_range(shape):
         assert low <= min(lengths) * 2.0**k and max(lengths) * 2.0**k <= high
         cells = detected(at_k)
         assert cells.keys() == base.keys()
-        for cell_id, r in base.items():
-            s = cells[cell_id]
-            assert (s.label, s.method, s.is_hole) == (r.label, r.method, r.is_hole)
-            assert s.hole_area == ldexp(r.hole_area, 2 * k)
+        for cell_id, (*r, hole) in base.items():
+            *s, scaled_hole = cells[cell_id]
+            assert s == r
+            assert scaled_hole == ldexp(hole, 2 * k)
         moved = {i: scaled_point(p, k) for i, p in moves.items()}
         estimate = mc_coverage_fraction(at_k, samples, 3, moved)
         assert (estimate.before, estimate.after) == (fractions.before, fractions.after)
@@ -475,11 +478,11 @@ def test_sides_and_radius_at_opposite_ends_of_the_length_range(covered):
     doc = generate_scenario(side, side, 100, 5, radius, radius, seed=3)
     mesh = triangulate(doc.field)
     reports = detect_holes(mesh, radius)
-    assert {r.label.value for r in reports} == {"F" if covered else "A"}
-    assert not any(r.is_hole for r in reports) if covered else all(r.is_hole for r in reports)
+    assert set(reports.label.tolist()) == {"F" if covered else "A"}
+    assert set(reports.is_hole.tolist()) == {not covered}
     if not covered:
-        assert all(
-            r.hole_area == pytest.approx(mesh.area[r.cell_id], rel=1e-12) for r in reports
+        assert reports.hole_area.tolist() == pytest.approx(
+            mesh.area[reports.cell_id].tolist(), rel=1e-12
         )
     estimate = mc_coverage_fraction(doc.field, 10_000, 3)
     assert estimate.before == estimate.after == float(covered)

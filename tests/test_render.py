@@ -7,11 +7,11 @@ from math import sqrt
 import pytest
 
 import tricover.render
+from fields import make_field
 from tricover import (
     InconsistentInputError,
     ScenarioDoc,
     generate_scenario,
-    make_field,
     render_svg,
     run_detect,
     run_plan,
