@@ -1,11 +1,11 @@
 """Closed-form planar geometry for disk coverage analysis.
 
-Everything here is pure and deterministic: triangles, circular segments,
-two-circle lenses, triangle centers, and exact triangle/disk
-intersection areas computed by boundary integration (no sampling). The
-integral is one function, ``triangle_disks_covered_area``, with its
-interval and arc arithmetic written inline: it runs once per exact-route
-cell, the hot path of detection.
+Everything here is pure and deterministic: triangles, triangle centers,
+and exact triangle/disk intersection areas computed by boundary
+integration (no sampling). The integral is one function,
+``triangle_disks_covered_area``, with its interval and arc arithmetic
+written inline: it runs once per exact-route cell, the hot path of
+detection.
 
 Angles are radians, lengths are plain floats, areas are length squared.
 """
@@ -56,10 +56,6 @@ def _require_finite(p: Point) -> None:
         raise InvalidInputError(f"non-finite coordinate: {p!r}")
 
 
-def _clamp01(v: float, lo: float = -1.0, hi: float = 1.0) -> float:
-    return lo if v < lo else hi if v > hi else v
-
-
 def triangle_from_vertices(p1: Point, p2: Point, p3: Point) -> TriangleGeom:
     """Build a :class:`TriangleGeom` from three vertices.
 
@@ -86,41 +82,6 @@ def triangle_from_vertices(p1: Point, p2: Point, p3: Point) -> TriangleGeom:
         area=area,
         degenerate=degenerate,
     )
-
-
-def _segment_signed(radius: float, height: float) -> float:
-    """Circular segment area allowing a negative (majority-side) height."""
-    ratio = _clamp01(height / radius)
-    radicand = radius * radius - height * height
-    if radicand < 0.0:
-        radicand = 0.0
-    return radius * radius * acos(ratio) - height * sqrt(radicand)
-
-
-def lens_area(R: float, r: float, d: float) -> float:
-    """Intersection area of two disks of radii ``R`` and ``r`` at center
-    distance ``d``.
-
-    Branches: disjoint (``d >= R + r``) has zero area; containment
-    (``d <= |R - r|``, including concentric ``d == 0``) is the smaller
-    disk's full area; otherwise the area is the sum of the two circular
-    segments cut by the radical chord.
-    """
-    if R <= 0 or r <= 0:
-        raise InvalidInputError(f"radii must be > 0, got R={R}, r={r}")
-    if d < 0:
-        raise InvalidInputError(f"center distance must be >= 0, got {d}")
-    if d <= abs(R - r):
-        small = min(R, r)
-        return pi * small * small
-    if d >= R + r:
-        return 0.0
-    # x: distance from the first center to the radical chord.
-    x = (d * d - r * r + R * R) / (2.0 * d)
-    area = _segment_signed(R, x) + _segment_signed(r, d - x)
-    if area < 0.0:
-        area = 0.0
-    return area
 
 
 def circumcenter(tri: TriangleGeom) -> tuple[Point, float]:
@@ -338,4 +299,4 @@ def triangle_disks_covered_area(
                 + R * R * (th2 - th1)
             )
 
-    return _clamp01(total, 0.0, tri.area)
+    return min(max(total, 0.0), tri.area)

@@ -17,8 +17,9 @@ cell's route (:func:`hole_area`); there is no override.
 
 :func:`detect_holes` evaluates the predicate, the case formula and the
 labels on every cell of a mesh at once, over its columns, with the float
-operations of the scalar functions; only the exact-route cells go through
-:func:`hole_area` one by one.
+operations of the scalar predicate; only the exact-route cells go through
+:func:`hole_area` one by one. :func:`hole_area` computes the case formula
+with the same kernel, on one row.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ import numpy as np
 from .errors import DegenerateGeometryError, InvalidInputError
 from .geometry import (
     TriangleGeom,
-    lens_area,
     point_segment_distance,
     triangle_disks_covered_area,
 )
@@ -178,18 +178,6 @@ def case_formula_validity(tri: TriangleGeom, radius: float) -> ValidityFlags:
 # --- hole area --------------------------------------------------------------
 
 
-def _case_value(tri: TriangleGeom, radius: float) -> float:
-    """The case formula: triangle area minus the vertex sectors plus half
-    the lens over each overlapping edge."""
-    tol = _TANGENCY_FACTOR * radius
-    two_r = 2.0 * radius
-    total = 0.0  # added in order, as the kernel adds them (``sum`` compensates from 3.12)
-    for d in (tri.c, tri.b, tri.a):
-        if d < two_r - tol:
-            total += 0.5 * lens_area(radius, radius, d)
-    return tri.area - 0.5 * pi * radius * radius + total
-
-
 def hole_area(tri: TriangleGeom, radius: float) -> HoleComputation:
     """Uncovered area of a triangle under its three vertex disks.
 
@@ -197,7 +185,7 @@ def hole_area(tri: TriangleGeom, radius: float) -> HoleComputation:
     fallback everywhere else. The result is clamped to ``[0, triangle area]``.
     """
     if case_formula_validity(tri, radius).all_hold():  # checks tri and radius
-        value = _case_value(tri, radius)
+        value = float(_case_values(np.array([tri.sides]), np.array([tri.area]), radius)[0])
         chosen = CASE_FORMULA
     else:
         value = exact_uncovered_area(tri, radius)
@@ -208,12 +196,13 @@ def hole_area(tri: TriangleGeom, radius: float) -> HoleComputation:
 
 # --- the detect kernel --------------------------------------------------------
 #
-# Every cell at once, over the mesh's columns. Each column repeats the float
-# operations of the scalar functions above in their order, so every value is
-# bit-identical to theirs: ``hypot`` and ``acos`` are ``math``'s, taken over
-# lists, since ``np.hypot`` and ``np.arccos`` round some inputs differently
-# (``np.sqrt`` is correctly rounded, as ``math.sqrt`` is). The scalar
-# functions stay as the tests' oracle.
+# Every cell at once, over the mesh's columns. The route repeats the float
+# operations of the scalar predicate above in their order, so each cell takes
+# the route ``hole_area`` takes. The case formula is the tests' scalar
+# ``case_value`` and ``lens_area`` (``tests/oracles.py``), operation for
+# operation, and matches them bit for bit: ``hypot`` and ``acos`` are
+# ``math``'s, taken over lists, since ``np.hypot`` and ``np.arccos`` round some
+# inputs differently (``np.sqrt`` is correctly rounded, as ``math.sqrt`` is).
 
 # The ``CaseLabel`` of a cell that is not covered, as its docstring defines
 # it, by the cell's counts of overlapping (row) and tangent (column) sides.
@@ -221,11 +210,12 @@ _UNCOVERED_LABELS = np.array([list("AHCB"), list("DGGG"), list("EEEE"), list("II
 
 
 def _half_lenses(radius: float, d: np.ndarray) -> np.ndarray:
-    """``0.5 * lens_area(radius, radius, d)`` for each ``0 < d < 2 * radius``,
-    the domain of its two-segment branch."""
+    """Half the lens of two disks of ``radius`` at each center distance
+    ``0 < d < 2 * radius``: the two circular segments cut by the radical
+    chord, as ``lens_area`` in ``tests/oracles.py`` adds them."""
     rr = radius * radius
 
-    def segment(h: np.ndarray) -> np.ndarray:  # _segment_signed(radius, h)
+    def segment(h: np.ndarray) -> np.ndarray:  # of height h; h < 0 is the majority side
         ratio = h / radius
         ratio = np.where(ratio < -1.0, -1.0, np.where(ratio > 1.0, 1.0, ratio))
         radicand = rr - h * h
@@ -261,7 +251,8 @@ def _case_route(xy: np.ndarray, sides: np.ndarray, area: np.ndarray, radius: flo
 
 
 def _case_values(sides: np.ndarray, area: np.ndarray, radius: float) -> np.ndarray:
-    """``_case_value(tri, radius)`` of each cell."""
+    """The case formula of each cell: area minus the vertex sectors plus half
+    the lens over each overlapping side (``case_value`` in ``tests/oracles.py``)."""
     tol = _TANGENCY_FACTOR * radius
     cba = sides[:, ::-1]
     short = cba < 2.0 * radius - tol

@@ -9,7 +9,10 @@ against the other:
 - ``grid_region_uncovered``: a grid rasterizer that decides coverage by
   plain distance comparisons at cell centres;
 - ``case_label``: a triangle's case label from its three sides, one side at
-  a time, the reference for the detect kernel's label table.
+  a time, the reference for the detect kernel's label table;
+- ``lens_area`` and ``case_value``: the two-disk lens and the closed-form
+  case formula one triangle at a time, the scalar reference the detect
+  kernel's case formula must match bit for bit.
 
 They import only data types and the error class from ``tricover``, and
 keep their own copies of the small helpers they need, so they share no
@@ -17,7 +20,7 @@ computation with the code they check.
 """
 from __future__ import annotations
 
-from math import atan2, isfinite, pi, sqrt
+from math import acos, atan2, isfinite, pi, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -183,3 +186,51 @@ def case_label(tri: TriangleGeom, radius: float, covered: bool) -> str:
     if lt == 2:
         return "E"
     return "I"
+
+
+def _segment_signed(radius: float, height: float) -> float:
+    """Circular segment area allowing a negative (majority-side) height."""
+    ratio = _clamp01(height / radius)
+    radicand = radius * radius - height * height
+    if radicand < 0.0:
+        radicand = 0.0
+    return radius * radius * acos(ratio) - height * sqrt(radicand)
+
+
+def lens_area(R: float, r: float, d: float) -> float:
+    """Intersection area of two disks of radii ``R`` and ``r`` at center
+    distance ``d``.
+
+    Branches: disjoint (``d >= R + r``) has zero area; containment
+    (``d <= |R - r|``, including concentric ``d == 0``) is the smaller
+    disk's full area; otherwise the area is the sum of the two circular
+    segments cut by the radical chord.
+    """
+    if R <= 0 or r <= 0:
+        raise InvalidInputError(f"radii must be > 0, got R={R}, r={r}")
+    if d < 0:
+        raise InvalidInputError(f"center distance must be >= 0, got {d}")
+    if d <= abs(R - r):
+        small = min(R, r)
+        return pi * small * small
+    if d >= R + r:
+        return 0.0
+    # x: distance from the first center to the radical chord.
+    x = (d * d - r * r + R * R) / (2.0 * d)
+    area = _segment_signed(R, x) + _segment_signed(r, d - x)
+    if area < 0.0:
+        area = 0.0
+    return area
+
+
+def case_value(tri: TriangleGeom, radius: float) -> float:
+    """The case formula, unclamped: triangle area minus the vertex sectors
+    plus half the lens over each overlapping side, whatever the validity
+    predicate says."""
+    tol = _TANGENCY_FACTOR * radius
+    two_r = 2.0 * radius
+    total = 0.0  # added in order, as the kernel adds them (``sum`` compensates from 3.12)
+    for d in (tri.c, tri.b, tri.a):
+        if d < two_r - tol:
+            total += 0.5 * lens_area(radius, radius, d)
+    return tri.area - 0.5 * pi * radius * radius + total

@@ -14,19 +14,16 @@ from math import acos, hypot, pi, sqrt
 import numpy as np
 import pytest
 
-from oracles import grid_region_uncovered
+from oracles import case_value, grid_region_uncovered, lens_area
 from tricover import (
     HoleComputation,
     Point,
     TriangleGeom,
-    case_formula_validity,
     circumcenter,
     exact_uncovered_area,
     generate_scenario,
     hole_area,
     incenter,
-    lens_area,
-    mc_coverage_fraction,
     plan_relocation,
     rank_holes,
     run_detect,
@@ -38,7 +35,7 @@ from tricover import (
 )
 from tricover.cli import main
 from tricover.healing import TargetLocation
-from tricover.holes import _case_value
+from tricover.holes import _half_lenses
 
 SWEEP_SEED = 20260815
 SWEEP_SIZE = 500
@@ -68,20 +65,21 @@ def sweep():
         radius = float(rng.uniform(0.15, 0.75)) * max(t.sides)
         auto = hole_area(t, radius)
         # the case formula clamped as ``hole_area`` clamps it, on every instance
-        case_value = min(max(_case_value(t, radius), 0.0), t.area)
+        case = min(max(case_value(t, radius), 0.0), t.area)
         exact_value = exact_uncovered_area(t, radius)
         grid_value = grid_region_uncovered(
             t, [(v, radius) for v in t.vertices], GRID_RESOLUTION
         )
-        rows.append(SweepRow(t, radius, auto, case_value, exact_value, grid_value))
+        rows.append(SweepRow(t, radius, auto, case, exact_value, grid_value))
     return rows
 
 
 def test_criterion_01_lens_golden_values():
-    assert lens_area(1.0, 1.0, 1.0) == pytest.approx(
-        2 * acos(0.5) - sqrt(3.0) / 2, abs=1e-9
-    )
-    assert lens_area(1.0, 1.0, 1.0) == pytest.approx(1.2283697, abs=1e-6)
+    # the equal-radius lens on production's half-lens; the tangent and
+    # unequal-radius lenses, which production never forms, on the oracle's
+    lens = 2 * float(_half_lenses(1.0, np.array([1.0]))[0])
+    assert lens == pytest.approx(2 * acos(0.5) - sqrt(3.0) / 2, abs=1e-9)
+    assert lens == pytest.approx(1.2283697, abs=1e-6)
     assert lens_area(1.0, 0.5, 0.0) == pytest.approx(pi / 4, abs=1e-9)
     assert lens_area(1.0, 1.0, 2.0) == 0.0
     print("PASS criterion 1: lens-area golden values")
@@ -134,6 +132,7 @@ def test_criterion_04_case_formula_agreement(sweep):
         if row.auto.method != "case-formula":
             continue
         held += 1
+        assert row.auto.s_h.hex() == row.case_value.hex()
         assert abs(row.case_value - row.exact_value) < 1e-6 * row.tri.area
     assert held >= 100  # the predicate must fire on a healthy share
     print(

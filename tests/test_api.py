@@ -1,4 +1,5 @@
-"""The package namespace: ``__all__`` and the public names agree."""
+"""The package namespace: ``__all__`` and the public names agree, and no
+module imports a name it does not use."""
 from __future__ import annotations
 
 import ast
@@ -43,8 +44,30 @@ def test_oracles_stay_out_of_the_package():
     # the oracles, and the test-only helpers that left the package
     names = (
         "heron_area", "triangle_disk_intersection_area", "grid_region_uncovered", "case_label",
-        "_label", "make_field", "HoleReport",
+        "_label", "make_field", "HoleReport", "lens_area", "_segment_signed", "_clamp01",
+        "_case_value", "case_value",
     )
     for space in (tricover, tricover.field, tricover.geometry, tricover.holes, tricover.oracle):
         for name in names:
             assert not hasattr(space, name), f"{space.__name__}.{name}"
+
+
+def test_every_imported_name_is_used():
+    # ``__init__.py`` imports to re-export; the benchmark keeps its own rules
+    root = Path(__file__).parent
+    modules = sorted(root.glob("*.py")) + sorted((root.parent / "src" / "tricover").glob("*.py"))
+    unused = []
+    for path in modules:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in bound if name not in used]
+    assert not unused

@@ -1,7 +1,7 @@
 """Geometry kernel tests: golden values, properties, and oracle checks."""
 from __future__ import annotations
 
-from math import cos, hypot, nextafter, pi, sin, sqrt
+from math import hypot, nextafter, pi, sqrt
 
 import numpy as np
 import pytest
@@ -9,14 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fields import make_field
-from oracles import grid_region_uncovered, triangle_disk_intersection_area
+from oracles import grid_region_uncovered, lens_area, triangle_disk_intersection_area
 from tricover import (
     DegenerateGeometryError,
     InvalidInputError,
     Point,
     circumcenter,
     incenter,
-    lens_area,
     mc_coverage_fraction,
     triangle_disks_covered_area,
     triangle_from_vertices,
@@ -68,7 +67,7 @@ def test_triangle_rejects_non_finite():
         tri((0, 0), (1, 0), (float("nan"), 1))
 
 
-# --- lens_area ----------------------------------------------------------------
+# --- lens_area (the oracle's) --------------------------------------------------
 
 
 def test_lens_golden_values():

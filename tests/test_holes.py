@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fields import make_field
-from oracles import case_label
+from oracles import case_label, case_value, lens_area
 from tricover import (
     CaseLabel,
     DegenerateGeometryError,
@@ -23,12 +23,11 @@ from tricover import (
     exact_uncovered_area,
     hole_area,
     hole_epsilon,
-    lens_area,
     triangle_from_vertices,
     triangulate,
 )
 from tricover.geometry import point_segment_distance
-from tricover.holes import _case_route, _case_value, _case_values
+from tricover.holes import _case_route, _case_values
 
 SIDE2_EQUILATERAL = (  # all three pairs exactly tangent at R = 1
     (0.0, 0.0),
@@ -70,7 +69,7 @@ def detected_label(pts, radius):
 
 def case_route(t, radius):
     """The case formula, clamped as ``hole_area`` clamps it, whatever the predicate says."""
-    return min(max(_case_value(t, radius), 0.0), t.area)
+    return min(max(case_value(t, radius), 0.0), t.area)
 
 
 def random_triangle(rng, span=4.0, min_shape=0.05):
@@ -470,15 +469,20 @@ def kernel_inputs(draw):
 
 
 def scalar_reports(tris, radius, epsilon):
-    """What ``detect_holes`` reports, cell by cell through the scalar path."""
+    """What ``detect_holes`` reports, cell by cell through the scalar path:
+    the scalar predicate routes each cell to the oracle's case formula or to
+    the exact integral."""
     eps = hole_epsilon(radius) if epsilon is None else epsilon
     rows = []
     for k, t in enumerate(tris):
         if t.degenerate:
             rows.append((k, "F", "case-formula", False, 0.0))
             continue
-        comp = hole_area(t, radius)
-        rows.append((k, case_label(t, radius, comp.s_h < eps), comp.method, comp.s_h > eps, comp.s_h))
+        if case_formula_validity(t, radius).all_hold():
+            s_h, method = case_route(t, radius), "case-formula"
+        else:
+            s_h, method = exact_uncovered_area(t, radius), "exact-fallback"
+        rows.append((k, case_label(t, radius, s_h < eps), method, s_h > eps, s_h))
     rows.sort(key=lambda r: (-r[4], r[0]))
     return [(*r[:4], r[4].hex()) for r in rows]
 
@@ -499,7 +503,7 @@ def test_kernel_matches_the_scalar_path_bit_for_bit(inputs):
         routes = _case_route(live_mesh.xy, live_mesh.sides, live_mesh.area, radius)
         assert routes.tolist() == [case_formula_validity(t, radius).all_hold() for t in live]
         values = _case_values(live_mesh.sides, live_mesh.area, radius)
-        assert [v.hex() for v in values.tolist()] == [_case_value(t, radius).hex() for t in live]
+        assert [v.hex() for v in values.tolist()] == [case_value(t, radius).hex() for t in live]
 
 
 def test_kernel_route_flips_where_the_scalar_predicate_flips():

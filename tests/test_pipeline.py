@@ -15,7 +15,6 @@ from tricover import (
     DegenerateGeometryError,
     InvalidInputError,
     Point,
-    ScenarioDoc,
     generate_scenario,
     detect_holes,
     hole_epsilon,
