@@ -41,8 +41,6 @@ from .holes import (
     CaseLabel,
     HoleComputation,
     HoleReports,
-    ValidityFlags,
-    case_formula_validity,
     detect_holes,
     exact_uncovered_area,
     hole_area,
@@ -85,9 +83,7 @@ __all__ = [
     "TriangleGeom",
     "TricoverError",
     "UsageError",
-    "ValidityFlags",
     "canonical_json_bytes",
-    "case_formula_validity",
     "circumcenter",
     "detect_holes",
     "exact_uncovered_area",

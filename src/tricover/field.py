@@ -84,7 +84,3 @@ class SensorField:
         for m in self.mobile:
             check_length(f"mobile sensor {m.id}: radius", m.radius)
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-

@@ -110,18 +110,6 @@ def incenter(tri: TriangleGeom) -> tuple[Point, float]:
     return Point(cx, cy), tri.area / tri.s
 
 
-def point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    """Distance from ``p`` to the closed segment ``a``–``b``."""
-    vx, vy = b.x - a.x, b.y - a.y
-    wx, wy = p.x - a.x, p.y - a.y
-    seg2 = vx * vx + vy * vy
-    if seg2 == 0.0:
-        return hypot(wx, wy)
-    t = (wx * vx + wy * vy) / seg2
-    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-    return hypot(wx - t * vx, wy - t * vy)
-
-
 def _ccw_vertices(tri: TriangleGeom) -> tuple[Point, Point, Point]:
     p1, p2, p3 = tri.vertices
     if (p2.x - p1.x) * (p3.y - p1.y) - (p2.y - p1.y) * (p3.x - p1.x) < 0.0:

@@ -13,28 +13,25 @@ that every vertex sector fits inside the triangle (so every half-lens does
 too) and that the three disks share no point inside the triangle. When
 either part fails, an exact boundary-integral fallback is used instead;
 both routes are exact on their domains. The predicate alone picks each
-cell's route (:func:`hole_area`); there is no override.
+cell's route; there is no override.
 
 :func:`detect_holes` evaluates the predicate, the case formula and the
-labels on every cell of a mesh at once, over its columns, with the float
-operations of the scalar predicate; only the exact-route cells go through
-:func:`hole_area` one by one. :func:`hole_area` computes the case formula
-with the same kernel, on one row.
+labels on every cell of a mesh at once, over its columns; only the cells
+the predicate sends to the exact fallback go through :func:`hole_area`,
+the exact route, one by one. The scalar predicate and case formula live
+on as the tests' references in ``tests/oracles.py``, which the kernel
+matches bit for bit.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import acos, isfinite, pi, sqrt
+from math import acos, isfinite, pi
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
-from .geometry import (
-    TriangleGeom,
-    point_segment_distance,
-    triangle_disks_covered_area,
-)
+from .geometry import TriangleGeom, triangle_disks_covered_area
 from .mesh import TriMesh, _hypot
 
 # |d - 2R| <= _TANGENCY_FACTOR * R counts as a tangent (zero-lens) pair.
@@ -75,17 +72,6 @@ class CaseLabel(enum.Enum):
     G = "G"
     H = "H"
     I = "I"
-
-
-@dataclass(frozen=True)
-class ValidityFlags:
-    """The two conditions of the case-formula validity predicate."""
-
-    sectors_contained: bool
-    triple_overlap_empty: bool
-
-    def all_hold(self) -> bool:
-        return self.sectors_contained and self.triple_overlap_empty
 
 
 @dataclass(frozen=True)
@@ -132,77 +118,30 @@ def exact_uncovered_area(tri: TriangleGeom, radius: float) -> float:
     return tri.area - covered
 
 
-# --- validity predicate ----------------------------------------------------
-
-
-def _sectors_contained(tri: TriangleGeom, radius: float) -> bool:
-    verts = tri.vertices
-    slack = _PREDICATE_SLACK * radius
-    if radius > min(tri.sides) + slack:
-        return False
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        if radius > point_segment_distance(verts[i], verts[j], verts[k]) + slack:
-            return False
-    return True
-
-
-def _min_enclosing_radius(tri: TriangleGeom) -> float:
-    """Radius of the smallest circle containing all three vertices."""
-    a2, b2, c2 = (s * s for s in tri.sides)
-    longest2 = max(a2, b2, c2)
-    if longest2 >= a2 + b2 + c2 - longest2:  # right or obtuse
-        return 0.5 * sqrt(longest2)
-    # acute: circumradius via R = abc / (4 * area)
-    return (tri.a * tri.b * tri.c) / (4.0 * tri.area)
-
-
-def case_formula_validity(tri: TriangleGeom, radius: float) -> ValidityFlags:
-    """Sector containment and an empty triple overlap.
-
-    The formula also needs each inward half-lens inside the triangle, which
-    sector containment implies. Let every vertex be at least R from its
-    opposite side segment, and p be a point of the half-lens over edge AB
-    strictly outside line CA. Segment Bp crosses line CA at q on the ray
-    from A through C. If q lies on AC, dist(B, AC) <= |Bq| < |Bp| <= R,
-    against the sector condition. Otherwise p is also strictly outside line
-    BC, in the vertical angle at C, where |Ap| > |AC| >= R if C <= 90 deg,
-    and |Ap| > h_A > h_C >= R if C is obtuse (AB is then the longest side).
-    So p is not in disk A. Line BC is symmetric.
-    """
-    _require_analysable(tri, radius)
-    sectors = _sectors_contained(tri, radius)
-    triple_empty = radius <= _min_enclosing_radius(tri) + _PREDICATE_SLACK * radius
-    return ValidityFlags(sectors, triple_empty)
-
-
 # --- hole area --------------------------------------------------------------
 
 
 def hole_area(tri: TriangleGeom, radius: float) -> HoleComputation:
-    """Uncovered area of a triangle under its three vertex disks.
+    """The exact route: the uncovered area of a triangle under its three
+    vertex disks by the exact boundary integral, in ``[0, triangle area]``.
 
-    The case formula is used where its validity predicate holds, the exact
-    fallback everywhere else. The result is clamped to ``[0, triangle area]``.
+    :func:`detect_holes` calls it once per cell whose validity predicate
+    fails, and on no other cell. It returns a :class:`HoleComputation`
+    rather than a float because ``perfbench/tracer.py`` buckets each call by
+    its ``method`` and ``perfbench/test_perfbench.py`` needs these calls; a
+    tracer that reads detect's route column would retire both.
     """
-    if case_formula_validity(tri, radius).all_hold():  # checks tri and radius
-        value = float(_case_values(np.array([tri.sides]), np.array([tri.area]), radius)[0])
-        chosen = CASE_FORMULA
-    else:
-        value = exact_uncovered_area(tri, radius)
-        chosen = EXACT_FALLBACK
-    value = min(max(value, 0.0), tri.area)
-    return HoleComputation(s_h=value, method=chosen)
+    return HoleComputation(s_h=exact_uncovered_area(tri, radius), method=EXACT_FALLBACK)
 
 
 # --- the detect kernel --------------------------------------------------------
 #
-# Every cell at once, over the mesh's columns. The route repeats the float
-# operations of the scalar predicate above in their order, so each cell takes
-# the route ``hole_area`` takes. The case formula is the tests' scalar
-# ``case_value`` and ``lens_area`` (``tests/oracles.py``), operation for
-# operation, and matches them bit for bit: ``hypot`` and ``acos`` are
-# ``math``'s, taken over lists, since ``np.hypot`` and ``np.arccos`` round some
-# inputs differently (``np.sqrt`` is correctly rounded, as ``math.sqrt`` is).
+# Every cell at once, over the mesh's columns. The route and the case formula
+# are the tests' scalar ``case_formula_validity``, ``case_value`` and
+# ``lens_area`` (``tests/oracles.py``), operation for operation, and match
+# them bit for bit: ``hypot`` and ``acos`` are ``math``'s, taken over lists,
+# since ``np.hypot`` and ``np.arccos`` round some inputs differently
+# (``np.sqrt`` is correctly rounded, as ``math.sqrt`` is).
 
 # The ``CaseLabel`` of a cell that is not covered, as its docstring defines
 # it, by the cell's counts of overlapping (row) and tangent (column) sides.
@@ -228,20 +167,38 @@ def _half_lenses(radius: float, d: np.ndarray) -> np.ndarray:
 
 
 def _case_route(xy: np.ndarray, sides: np.ndarray, area: np.ndarray, radius: float) -> np.ndarray:
-    """``case_formula_validity(tri, radius).all_hold()`` of each cell."""
+    """The validity predicate of each cell: its vertex sectors lie inside
+    it, and its three disks share no point inside it.
+
+    Sector containment holds when ``R`` is at most the shortest side and
+    each vertex's distance to the opposite side segment; the triple overlap
+    is empty when ``R`` is at most the radius of the smallest circle about
+    the three vertices (half the longest side if the triangle is right or
+    obtuse, else the circumradius). Each comparison allows ``1e-12 * R``.
+
+    The formula also needs each inward half-lens inside the triangle, which
+    sector containment implies. Let every vertex be at least R from its
+    opposite side segment, and p be a point of the half-lens over edge AB
+    strictly outside line CA. Segment Bp crosses line CA at q on the ray
+    from A through C. If q lies on AC, dist(B, AC) <= |Bq| < |Bp| <= R,
+    against the sector condition. Otherwise p is also strictly outside line
+    BC, in the vertical angle at C, where |Ap| > |AC| >= R if C <= 90 deg,
+    and |Ap| > h_A > h_C >= R if C is obtuse (AB is then the longest side).
+    So p is not in disk A. Line BC is symmetric.
+    """
     a, b, c = sides[:, 0], sides[:, 1], sides[:, 2]
     slack = _PREDICATE_SLACK * radius
     holds = ~(radius > np.minimum(np.minimum(a, b), c) + slack)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        # point_segment_distance(verts[i], verts[j], verts[k]); t = 0 where
-        # the segment is a point, which gives that function's hypot(wx, wy)
+        # the distance from vertex i to segment j-k; t = 0 where the segment
+        # is a point, which gives hypot(wx, wy)
         v, w = xy[:, k] - xy[:, j], xy[:, i] - xy[:, j]
         vx, vy, wx, wy = v[:, 0], v[:, 1], w[:, 0], w[:, 1]
         seg2 = vx * vx + vy * vy
         t = np.where(seg2 == 0.0, 0.0, (wx * vx + wy * vy) / seg2)
         t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
         holds &= ~(radius > _hypot(wx - t * vx, wy - t * vy) + slack)
-    # _min_enclosing_radius
+    # the radius of the smallest circle about the three vertices
     a2, b2, c2 = a * a, b * b, c * c
     longest2 = np.maximum(np.maximum(a2, b2), c2)
     enclosing = np.where(
@@ -281,9 +238,8 @@ def _detect_columns(mesh: TriMesh, radius: float, eps: float) -> HoleReports:
         value = np.where(area < value, area, value)  # min(value, area)
     exact = np.zeros(len(mesh.cells), dtype=bool)
     exact_cells = live[~case]
-    computations = [hole_area(geom, radius) for geom in mesh.geoms(exact_cells)]
-    value[~case] = [comp.s_h for comp in computations]
-    exact[exact_cells] = [comp.method == EXACT_FALLBACK for comp in computations]
+    value[~case] = [hole_area(geom, radius).s_h for geom in mesh.geoms(exact_cells)]
+    exact[exact_cells] = True
 
     tol = _TANGENCY_FACTOR * radius
     two_r = 2.0 * radius

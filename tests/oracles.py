@@ -12,24 +12,31 @@ against the other:
   a time, the reference for the detect kernel's label table;
 - ``lens_area`` and ``case_value``: the two-disk lens and the closed-form
   case formula one triangle at a time, the scalar reference the detect
-  kernel's case formula must match bit for bit.
+  kernel's case formula must match bit for bit;
+- ``case_formula_validity``: the case formula's validity predicate one
+  triangle at a time, the scalar reference the detect kernel's route
+  (``holes._case_route``, which holds the containment proof) must match
+  bit for bit.
 
-They import only data types and the error class from ``tricover``, and
+They import only data types and the error classes from ``tricover``, and
 keep their own copies of the small helpers they need, so they share no
 computation with the code they check.
 """
 from __future__ import annotations
 
-from math import acos, atan2, isfinite, pi, sqrt
+from dataclasses import dataclass
+from math import acos, atan2, hypot, isfinite, pi, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from tricover import InvalidInputError, Point, TriangleGeom
+from tricover import DegenerateGeometryError, InvalidInputError, Point, TriangleGeom
 
 _MIN_GRID_RESOLUTION = 16
 # |d - 2R| <= _TANGENCY_FACTOR * R counts as a tangent (zero-lens) pair.
 _TANGENCY_FACTOR = 1e-9
+# Slack for the validity predicate's containment comparisons.
+_PREDICATE_SLACK = 1e-12
 
 
 def _require_finite(p: Point) -> None:
@@ -234,3 +241,59 @@ def case_value(tri: TriangleGeom, radius: float) -> float:
         if d < two_r - tol:
             total += 0.5 * lens_area(radius, radius, d)
     return tri.area - 0.5 * pi * radius * radius + total
+
+
+@dataclass(frozen=True)
+class ValidityFlags:
+    """The two conditions of the case-formula validity predicate."""
+
+    sectors_contained: bool
+    triple_overlap_empty: bool
+
+    def all_hold(self) -> bool:
+        return self.sectors_contained and self.triple_overlap_empty
+
+
+def point_segment_distance(p: Point, a: Point, b: Point) -> float:
+    """Distance from ``p`` to the closed segment ``a``–``b``."""
+    vx, vy = b.x - a.x, b.y - a.y
+    wx, wy = p.x - a.x, p.y - a.y
+    seg2 = vx * vx + vy * vy
+    if seg2 == 0.0:
+        return hypot(wx, wy)
+    t = (wx * vx + wy * vy) / seg2
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    return hypot(wx - t * vx, wy - t * vy)
+
+
+def _sectors_contained(tri: TriangleGeom, radius: float) -> bool:
+    verts = tri.vertices
+    slack = _PREDICATE_SLACK * radius
+    if radius > min(tri.sides) + slack:
+        return False
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        if radius > point_segment_distance(verts[i], verts[j], verts[k]) + slack:
+            return False
+    return True
+
+
+def _min_enclosing_radius(tri: TriangleGeom) -> float:
+    """Radius of the smallest circle containing all three vertices."""
+    a2, b2, c2 = (s * s for s in tri.sides)
+    longest2 = max(a2, b2, c2)
+    if longest2 >= a2 + b2 + c2 - longest2:  # right or obtuse
+        return 0.5 * sqrt(longest2)
+    # acute: circumradius via R = abc / (4 * area)
+    return (tri.a * tri.b * tri.c) / (4.0 * tri.area)
+
+
+def case_formula_validity(tri: TriangleGeom, radius: float) -> ValidityFlags:
+    """Sector containment and an empty triple overlap, each condition on
+    its own, for a triangle that is not degenerate and a radius > 0."""
+    if not (isfinite(radius) and radius > 0):
+        raise InvalidInputError(f"sensing radius must be > 0, got {radius}")
+    if tri.degenerate:
+        raise DegenerateGeometryError("triangle is degenerate")
+    sectors = _sectors_contained(tri, radius)
+    triple_empty = radius <= _min_enclosing_radius(tri) + _PREDICATE_SLACK * radius
+    return ValidityFlags(sectors, triple_empty)

@@ -14,6 +14,7 @@ from math import acos, hypot, pi, sqrt
 import numpy as np
 import pytest
 
+from fields import detect_one
 from oracles import case_value, grid_region_uncovered, lens_area
 from tricover import (
     HoleComputation,
@@ -22,7 +23,6 @@ from tricover import (
     circumcenter,
     exact_uncovered_area,
     generate_scenario,
-    hole_area,
     incenter,
     plan_relocation,
     rank_holes,
@@ -63,8 +63,8 @@ def sweep():
         if t.degenerate or t.area < 0.08 * max(t.sides) ** 2:
             continue
         radius = float(rng.uniform(0.15, 0.75)) * max(t.sides)
-        auto = hole_area(t, radius)
-        # the case formula clamped as ``hole_area`` clamps it, on every instance
+        auto = detect_one(t, radius)  # one cell per instance
+        # the case formula clamped as detection clamps it, on every instance
         case = min(max(case_value(t, radius), 0.0), t.area)
         exact_value = exact_uncovered_area(t, radius)
         grid_value = grid_region_uncovered(
@@ -102,7 +102,7 @@ def test_criterion_02_hole_area_golden_values():
     ]
     for pts, closed_form, rounded in goldens:
         t = triangle_from_vertices(*(Point(*p) for p in pts))
-        s_h = hole_area(t, 1.0).s_h
+        s_h = detect_one(t, 1.0).s_h
         assert s_h == pytest.approx(closed_form, abs=1e-9), pts
         assert s_h == pytest.approx(rounded, abs=1e-6), pts
         grid = grid_region_uncovered(

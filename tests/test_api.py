@@ -1,5 +1,6 @@
-"""The package namespace: ``__all__`` and the public names agree, and no
-module imports a name it does not use."""
+"""The package namespace: ``__all__`` and the public names agree, no
+module imports a name it does not use, and no package module keeps a
+private helper that nothing uses."""
 from __future__ import annotations
 
 import ast
@@ -13,8 +14,9 @@ import tricover.holes
 import tricover.oracle
 
 # What the test oracles may take from the package: data types and the
-# error class, no computation.
-ORACLE_IMPORTS = {"Point", "TriangleGeom", "InvalidInputError"}
+# error classes, no computation.
+ORACLE_IMPORTS = {"Point", "TriangleGeom", "InvalidInputError", "DegenerateGeometryError"}
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tricover"
 
 
 def test_all_names_resolve_once():
@@ -45,17 +47,20 @@ def test_oracles_stay_out_of_the_package():
     names = (
         "heron_area", "triangle_disk_intersection_area", "grid_region_uncovered", "case_label",
         "_label", "make_field", "HoleReport", "lens_area", "_segment_signed", "_clamp01",
-        "_case_value", "case_value",
+        "_case_value", "case_value", "case_formula_validity", "ValidityFlags",
+        "_sectors_contained", "_min_enclosing_radius", "point_segment_distance",
     )
     for space in (tricover, tricover.field, tricover.geometry, tricover.holes, tricover.oracle):
         for name in names:
             assert not hasattr(space, name), f"{space.__name__}.{name}"
+    # the field's area, which no production line read
+    assert not hasattr(tricover.SensorField, "area")
 
 
 def test_every_imported_name_is_used():
     # ``__init__.py`` imports to re-export; the benchmark keeps its own rules
     root = Path(__file__).parent
-    modules = sorted(root.glob("*.py")) + sorted((root.parent / "src" / "tricover").glob("*.py"))
+    modules = sorted(root.glob("*.py")) + sorted(PACKAGE.glob("*.py"))
     unused = []
     for path in modules:
         if path.name == "__init__.py":
@@ -71,3 +76,30 @@ def test_every_imported_name_is_used():
                 continue
             unused += [f"{path.name}: {name}" for name in bound if name not in used]
     assert not unused
+
+
+def test_every_private_helper_is_used():
+    # a private top-level function, class or assignment of a package module
+    # must be read somewhere in the package, by name or as an attribute
+    defined, loaded = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    n.id for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                continue
+            defined += [(path.name, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.attr)
+    assert defined
+    assert [f"{module}: {name}" for module, name in defined if name not in loaded] == []

@@ -9,16 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fields import make_field
-from oracles import case_label, case_value, lens_area
+from fields import detect_one, make_field, mesh_of
+from oracles import case_formula_validity, case_label, case_value, lens_area, point_segment_distance
 from tricover import (
     CaseLabel,
     DegenerateGeometryError,
     InvalidInputError,
     Point,
-    Sensor,
-    TriMesh,
-    case_formula_validity,
     detect_holes,
     exact_uncovered_area,
     hole_area,
@@ -26,7 +23,6 @@ from tricover import (
     triangle_from_vertices,
     triangulate,
 )
-from tricover.geometry import point_segment_distance
 from tricover.holes import _case_route, _case_values
 
 SIDE2_EQUILATERAL = (  # all three pairs exactly tangent at R = 1
@@ -68,7 +64,7 @@ def detected_label(pts, radius):
 
 
 def case_route(t, radius):
-    """The case formula, clamped as ``hole_area`` clamps it, whatever the predicate says."""
+    """The case formula, clamped as detection clamps it, whatever the predicate says."""
     return min(max(case_value(t, radius), 0.0), t.area)
 
 
@@ -83,7 +79,7 @@ def random_triangle(rng, span=4.0, min_shape=0.05):
 
 
 def test_tangent_equilateral_golden():
-    comp = hole_area(tri(SIDE2_EQUILATERAL), 1.0)
+    comp = detect_one(tri(SIDE2_EQUILATERAL), 1.0)
     assert comp.s_h == pytest.approx(sqrt(3.0) - pi / 2, abs=1e-9)
     assert comp.s_h == pytest.approx(0.1612545, abs=1e-6)
     assert comp.method == "case-formula"
@@ -91,21 +87,21 @@ def test_tangent_equilateral_golden():
 
 def test_separated_right_triangle_golden():
     t = tri(RIGHT_345)
-    comp = hole_area(t, 1.0)
+    comp = detect_one(t, 1.0)
     assert comp.s_h == pytest.approx(6.0 - pi / 2, abs=1e-9)
     assert comp.s_h == pytest.approx(4.4292037, abs=1e-6)
     assert t.area == pytest.approx(6.0, rel=1e-12)
 
 
 def test_one_overlap_golden():
-    comp = hole_area(tri(ONE_OVERLAP), 1.0)
+    comp = detect_one(tri(ONE_OVERLAP), 1.0)
     expected = 1.5 - pi / 2 + 0.5 * lens_area(1.0, 1.0, 1.5)
     assert comp.s_h == pytest.approx(expected, abs=1e-12)
     assert comp.s_h == pytest.approx(0.1558596, abs=1e-6)
 
 
 def test_three_overlap_equilateral_golden():
-    comp = hole_area(tri(SIDE19_EQUILATERAL), 1.0)
+    comp = detect_one(tri(SIDE19_EQUILATERAL), 1.0)
     s_delta = sqrt(3.0) / 4 * 1.9**2
     expected = s_delta - pi / 2 + 3 * 0.5 * lens_area(1.0, 1.0, 1.9)
     assert comp.s_h == pytest.approx(expected, abs=1e-12)
@@ -115,7 +111,7 @@ def test_three_overlap_equilateral_golden():
 def test_goldens_match_exact_fallback():
     for pts in (SIDE2_EQUILATERAL, RIGHT_345, ONE_OVERLAP, SIDE19_EQUILATERAL):
         t = tri(pts)
-        auto = hole_area(t, 1.0)
+        auto = detect_one(t, 1.0)
         exact = exact_uncovered_area(t, 1.0)
         assert auto.s_h == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
@@ -215,7 +211,7 @@ def test_auto_route_matches_method_flag():
     for _ in range(300):
         t = random_triangle(rng)
         R = float(rng.uniform(0.15, 0.75)) * max(t.sides)
-        comp = hole_area(t, R)
+        comp = detect_one(t, R)
         if case_formula_validity(t, R).all_hold():
             assert comp.method == "case-formula"
         else:
@@ -235,7 +231,7 @@ def test_forced_case_on_invalid_predicate_is_flagged():
     raw = t.area - pi / 2 + sum(0.5 * lens_area(1.0, 1.0, d) for d in t.sides if d < 2.0)
     assert raw < 0.0
     assert case_route(t, 1.0) == 0.0
-    assert hole_area(t, 1.0).method == "exact-fallback"
+    assert detect_one(t, 1.0).method == "exact-fallback"
 
 
 def test_hole_area_scales_quadratically():
@@ -243,9 +239,9 @@ def test_hole_area_scales_quadratically():
     for _ in range(200):
         t = random_triangle(rng)
         R = float(rng.uniform(0.2, 0.8)) * max(t.sides)
-        base = hole_area(t, R).s_h
+        base = detect_one(t, R).s_h
         k = float(rng.uniform(0.05, 20.0))
-        scaled_comp = hole_area(tri(scaled(t.vertices, k)), k * R)
+        scaled_comp = detect_one(tri(scaled(t.vertices, k)), k * R)
         assert scaled_comp.s_h == pytest.approx(k * k * base, rel=1e-6, abs=1e-12)
 
 
@@ -254,7 +250,7 @@ def test_hole_area_non_increasing_in_radius():
     for _ in range(100):
         t = random_triangle(rng)
         radii = np.sort(rng.uniform(0.1, 1.0, size=6)) * max(t.sides)
-        values = [hole_area(t, float(R)).s_h for R in radii]
+        values = [detect_one(t, float(R)).s_h for R in radii]
         for lo, hi in zip(values, values[1:]):
             assert hi <= lo + 1e-9 * t.area
 
@@ -268,7 +264,7 @@ def test_tangent_cases_compute_like_separated():
         ((0, 0), (2, 0), (0, 3)),
     ):
         t = tri(pts)
-        comp = hole_area(t, 1.0)
+        comp = detect_one(t, 1.0)
         assert comp.method == "case-formula"
         assert comp.s_h == t.area - 0.5 * pi
 
@@ -353,21 +349,6 @@ def test_detect_rejects_bad_radius_before_deriving_epsilon(radius):
 
 
 # --- the detect kernel against the scalar path --------------------------------------
-
-
-def mesh_of(triangles):
-    """A ``TriMesh`` whose cell ``k`` is ``triangles[k]``, on three sites of its own."""
-    n = len(triangles)
-    return TriMesh(
-        sites=tuple(
-            Sensor(3 * k + i, v) for k, t in enumerate(triangles) for i, v in enumerate(t.vertices)
-        ),
-        cells=np.arange(3 * n).reshape(n, 3),
-        xy=np.array([[tuple(v) for v in t.vertices] for t in triangles], dtype=float),
-        sides=np.array([t.sides for t in triangles], dtype=float),
-        area=np.array([t.area for t in triangles]),
-        degenerate=np.array([t.degenerate for t in triangles]),
-    )
 
 
 def ulps(x, k):
@@ -464,13 +445,13 @@ def kernel_inputs(draw):
         epsilon = draw(st.floats(0.0, 0.5)) * radius * radius
     else:
         t = tris[draw(st.integers(0, len(tris) - 1))]
-        epsilon = 0.0 if t.degenerate else hole_area(t, radius).s_h
+        epsilon = 0.0 if t.degenerate else detect_one(t, radius).s_h
     return tris, radius, epsilon
 
 
 def scalar_reports(tris, radius, epsilon):
     """What ``detect_holes`` reports, cell by cell through the scalar path:
-    the scalar predicate routes each cell to the oracle's case formula or to
+    the oracle's scalar predicate routes each cell to its case formula or to
     the exact integral."""
     eps = hole_epsilon(radius) if epsilon is None else epsilon
     rows = []

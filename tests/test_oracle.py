@@ -749,5 +749,5 @@ def test_mc_and_exact_union_agree_on_triangle_field():
     upper_covered = triangle_disks_covered_area(
         upper, [(Point(4, 0), R), (Point(0, 4), R)]
     )
-    expected_fraction = (covered + upper_covered) / field.area
+    expected_fraction = (covered + upper_covered) / (field.width * field.height)
     assert abs(est.before - expected_fraction) <= 3 * est.half_width

@@ -1,12 +1,13 @@
-"""The benchmark's pinned outputs, reproduced through the CLI.
+"""The pinned outputs of the benchmark workloads, reproduced through the CLI.
 
 For each benchmark workload, generate -> detect -> plan -> verify -> render
 runs in-process with the benchmark's own arguments, and the SHA-256 of every
-output must equal the digest pinned in ``perfbench/pinned_seed42.json``.
-
-``detect_digests.json`` pins the SHA-256 of ``detect.json`` for each
-workload at three more seeds, so that a change to detection that claims to
-keep every byte is checked on more than one scenario per workload shape.
+output (``scenario.json``, ``detect.json``, ``plan.json``, ``verify.json``
+and ``field.svg``) must equal its pinned digest: 60 digests in all, 3
+workloads at seeds 42, 1042, 2042 and 7. ``perfbench/pinned_seed42.json``
+pins four outputs at seed 42; ``output_digests.json`` pins the other 48,
+keyed by workload, seed and stage, so that a change that claims to keep
+every byte is checked on more than one scenario per workload shape.
 """
 from __future__ import annotations
 
@@ -19,29 +20,34 @@ from tricover.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PINNED = json.loads((PERFBENCH / "pinned_seed42.json").read_text(encoding="utf-8"))
-DETECT = json.loads(Path(__file__).with_name("detect_digests.json").read_text(encoding="utf-8"))
+OUTPUTS = json.loads(Path(__file__).with_name("output_digests.json").read_text(encoding="utf-8"))
+STAGES = ("generate", "detect", "plan", "verify", "render")
+
+
+def run_digests(tmp_path, monkeypatch, workload, seed):
+    """The SHA-256 of each stage's output, by stage, after one CLI pass."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import harness
+
+    argvs = harness.stage_argvs(harness.WORKLOADS[workload], seed, tmp_path)
+    for stage in STAGES:
+        assert main(argvs[stage]) == 0, stage
+    return harness.digests(tmp_path)
 
 
 @pytest.mark.parametrize("workload", sorted(PINNED))
 def test_outputs_match_pinned_digests(tmp_path, monkeypatch, workload):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import harness
-
-    argvs = harness.stage_argvs(harness.WORKLOADS[workload], harness.PINNED_SEED, tmp_path)
-    for stage in ("generate", "detect", "plan", "verify", "render"):
-        assert main(argvs[stage]) == 0, stage
-    digests = harness.digests(tmp_path)
-    assert {stage: digests[stage] for stage in PINNED[workload]} == PINNED[workload]
+    expected = {**PINNED[workload], **OUTPUTS[workload]["42"]}
+    assert sorted(expected) == sorted(STAGES)
+    assert run_digests(tmp_path, monkeypatch, workload, 42) == expected
 
 
 @pytest.mark.parametrize(
-    "workload, seed", [(w, seed) for w in sorted(DETECT) for seed in sorted(DETECT[w], key=int)]
+    "workload, seed",
+    [(w, seed) for w in sorted(OUTPUTS) for seed in sorted(OUTPUTS[w], key=int) if seed != "42"],
 )
 def test_detect_matches_pinned_digests_at_more_seeds(tmp_path, monkeypatch, workload, seed):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import harness
-
-    argvs = harness.stage_argvs(harness.WORKLOADS[workload], int(seed), tmp_path)
-    for stage in ("generate", "detect"):
-        assert main(argvs[stage]) == 0, stage
-    assert harness.digests(tmp_path)["detect"] == DETECT[workload][seed]
+    # every output, ``detect.json`` among them, at each further seed
+    expected = OUTPUTS[workload][seed]
+    assert sorted(expected) == sorted(STAGES)
+    assert run_digests(tmp_path, monkeypatch, workload, int(seed)) == expected

@@ -153,16 +153,11 @@ def test_detect_builds_lens_terms_only_on_the_case_route(monkeypatch):
 
 def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch):
     """One kernel call per ``detect_holes`` call picks every cell's route;
-    the scalar predicate runs only inside ``hole_area``, once per
-    exact-route cell."""
+    ``hole_area``, the exact route, runs once per exact-route cell and on
+    no other."""
     doc = generate_scenario(100.0, 100.0, 200, 0, 5.0, 5.0, seed=42)
-    calls = {"kernel": 0, "hole_area": 0, "validity": 0, "validity_outside_hole_area": 0}
-    inside = []
-    kernel, hole_area, validity = (
-        tricover.holes._detect_columns,
-        tricover.holes.hole_area,
-        tricover.holes.case_formula_validity,
-    )
+    calls = {"kernel": 0, "hole_area": 0}
+    kernel, hole_area = tricover.holes._detect_columns, tricover.holes.hole_area
 
     def counted_kernel(*args):
         calls["kernel"] += 1
@@ -170,29 +165,14 @@ def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch):
 
     def counted_hole_area(tri, radius):
         calls["hole_area"] += 1
-        inside.append(1)
-        try:
-            return hole_area(tri, radius)
-        finally:
-            inside.pop()
-
-    def counted_validity(tri, radius):
-        calls["validity"] += 1
-        calls["validity_outside_hole_area"] += not inside
-        return validity(tri, radius)
+        return hole_area(tri, radius)
 
     monkeypatch.setattr(tricover.holes, "_detect_columns", counted_kernel)
     monkeypatch.setattr(tricover.holes, "hole_area", counted_hole_area)
-    monkeypatch.setattr(tricover.holes, "case_formula_validity", counted_validity)
     report = run_detect(doc)
     exact_cells = sum(1 for e in report.triangles if e["method"] == "exact-fallback")
     assert 0 < exact_cells < len(report.triangles)
-    assert calls == {
-        "kernel": 1,
-        "hole_area": exact_cells,
-        "validity": exact_cells,
-        "validity_outside_hole_area": 0,
-    }
+    assert calls == {"kernel": 1, "hole_area": exact_cells}
 
 
 @pytest.mark.parametrize("method", ["auto"])  # the report's constant ``meta.method``
@@ -397,8 +377,9 @@ def test_healing_and_hole_area_invariants(shape, seed):
     inside = points[Delaunay(sites).find_simplex(points) >= 0]
     distance, _ = cKDTree(sites).query(inside, distance_upper_bound=radius)
     p = np.count_nonzero(distance > radius) / samples
-    area = field.area * p
-    half_width = Z99 * field.area * sqrt(p * (1.0 - p) / samples)
+    field_area = field.width * field.height
+    area = field_area * p
+    half_width = Z99 * field_area * sqrt(p * (1.0 - p) / samples)
     assert area <= fsum(e["s_h"] for e in report.triangles) + half_width
 
 
