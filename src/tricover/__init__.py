@@ -14,7 +14,6 @@ from .geometry import (
     TriangleGeom,
     circumcenter,
     incenter,
-    triangle_disks_covered_area,
     triangle_from_vertices,
 )
 from .files import (
@@ -42,7 +41,6 @@ from .holes import (
     HoleComputation,
     HoleReports,
     detect_holes,
-    exact_uncovered_area,
     hole_area,
     hole_epsilon,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "canonical_json_bytes",
     "circumcenter",
     "detect_holes",
-    "exact_uncovered_area",
     "generate_scenario",
     "hole_area",
     "hole_epsilon",
@@ -108,7 +105,6 @@ __all__ = [
     "scenario_from_dict",
     "select_target",
     "targets_from_report",
-    "triangle_disks_covered_area",
     "triangle_from_vertices",
     "triangulate",
 ]

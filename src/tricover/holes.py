@@ -18,20 +18,22 @@ cell's route; there is no override.
 :func:`detect_holes` evaluates the predicate, the case formula and the
 labels on every cell of a mesh at once, over its columns; only the cells
 the predicate sends to the exact fallback go through :func:`hole_area`,
-the exact route, one by one. The scalar predicate and case formula live
-on as the tests' references in ``tests/oracles.py``, which the kernel
-matches bit for bit.
+the exact route, one by one, as plain floats from the same columns. The
+scalar predicate and case formula, and the general n-disk integral the
+exact route specialises, live on as the tests' references in
+``tests/oracles.py``, which this module matches bit for bit.
 """
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
-from math import acos, isfinite, pi
+from math import acos, atan2, cos, hypot, isfinite, pi, sin, sqrt
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
-from .geometry import TriangleGeom, triangle_disks_covered_area
+from .geometry import _DEGENERACY_FACTOR
 from .mesh import TriMesh, _hypot
 
 # |d - 2R| <= _TANGENCY_FACTOR * R counts as a tangent (zero-lens) pair.
@@ -40,6 +42,8 @@ _TANGENCY_FACTOR = 1e-9
 _HOLE_EPSILON_FACTOR = 1e-9
 # Slack for the validity predicate's containment comparisons.
 _PREDICATE_SLACK = 1e-12
+
+_TWO_PI = 2.0 * pi
 
 CASE_FORMULA = "case-formula"
 EXACT_FALLBACK = "exact-fallback"
@@ -104,26 +108,20 @@ def _require_radius(radius: float) -> None:
         raise InvalidInputError(f"sensing radius must be > 0, got {radius}")
 
 
-def _require_analysable(tri: TriangleGeom, radius: float) -> None:
-    _require_radius(radius)
-    if tri.degenerate:
-        raise DegenerateGeometryError("triangle is degenerate")
-
-
-def exact_uncovered_area(tri: TriangleGeom, radius: float) -> float:
-    """Exact triangle area outside all three vertex disks, in ``[0, area]``
-    because the covered area is clamped to it."""
-    _require_analysable(tri, radius)
-    covered = triangle_disks_covered_area(tri, [(v, radius) for v in tri.vertices])
-    return tri.area - covered
-
-
 # --- hole area --------------------------------------------------------------
 
 
-def hole_area(tri: TriangleGeom, radius: float) -> HoleComputation:
-    """The exact route: the uncovered area of a triangle under its three
-    vertex disks by the exact boundary integral, in ``[0, triangle area]``.
+def hole_area(xy: Sequence[float], area: float, radius: float) -> HoleComputation:
+    """The exact route: the uncovered area of a mesh cell under disks of
+    ``radius`` at its three vertices, by the exact boundary integral, in
+    ``[0, area]``.
+
+    ``xy`` is the cell's six vertex coordinates ``(x1, y1, x2, y2, x3, y3)``
+    in mesh order, a row of ``mesh.xy`` flattened, and ``area`` its value in
+    ``mesh.area``. A radius that is not finite and positive, and a cell
+    whose sides or area are not finite, are ``invalid-input``; a cell that
+    ``triangulate`` marks degenerate, by its three side lengths and
+    ``area``, is ``degenerate-geometry``.
 
     :func:`detect_holes` calls it once per cell whose validity predicate
     fails, and on no other cell. It returns a :class:`HoleComputation`
@@ -131,7 +129,188 @@ def hole_area(tri: TriangleGeom, radius: float) -> HoleComputation:
     its ``method`` and ``perfbench/test_perfbench.py`` needs these calls; a
     tracer that reads detect's route column would retire both.
     """
-    return HoleComputation(s_h=exact_uncovered_area(tri, radius), method=EXACT_FALLBACK)
+    _require_radius(radius)
+    return HoleComputation(s_h=_uncovered_area(xy, area, radius), method=EXACT_FALLBACK)
+
+
+def _uncovered_area(xy: Sequence[float], area: float, R: float) -> float:
+    """The area of a cell outside its three vertex disks of radius ``R``, by
+    Green's theorem over the boundary of the covered part.
+
+    The boundary consists of (a) the pieces of the triangle's edges inside a
+    disk and (b) the arcs of each circle inside the triangle and outside the
+    other two disks. Both are 1-D interval computations. Angle sets are
+    sorted lists of ``(lo, hi)`` intervals on ``[0, 2*pi]``: an arc of length
+    in ``(0, 2*pi)`` starting at ``lo`` is one interval, or two when it wraps
+    past ``2*pi``, and two sets intersect piece by piece, keeping the pieces
+    of positive length.
+
+    This is ``triangle_disks_covered_area`` of ``tests/oracles.py`` on the
+    three vertex disks, whose every value it computes by the same float
+    operations in the same order; the tests hold the two to the same bits.
+    It computes fewer values, because the disks sit on the vertices and share
+    one radius:
+
+    - Edge i runs from vertex i to vertex i + 1 of the counter-clockwise
+      triangle. For the disk at its start, ``u - c = 0``, so ``B = 0`` and
+      ``t1 < 0`` is clamped to 0; for the disk at its end, ``u - c = -d``
+      exactly (negation is exact), so ``B = -A``, ``C = A - R^2`` and
+      ``t2 = (A + sq)/A >= 1`` is clamped to 1.
+    - The distance of two centers is the length of the edge between them
+      (``hypot`` ignores sign), so ``w`` and ``acos(w)`` are taken once per
+      edge for both its circles; ``w >= 0``, so no disk holds a whole
+      circle, and ``D > 0``, so no two circles are identical. The direction
+      from an edge's start to its end is the edge's own; the one back is
+      taken from the coordinates, as negating a zero would flip ``atan2``.
+    - The exposed arcs of a circle are its gaps (outside the other disks)
+      cut by each line's arc in turn. Every piece of an intersection has the
+      largest of its pieces' starts and the least of their ends, and lies in
+      one piece of each set, so the order of the cuts does not change the
+      pieces. A circle's gaps lie mostly outside its corner of the triangle,
+      so it cuts them by the lines of the two edges at its center first, and
+      stops when nothing is left.
+    """
+    two_pi = _TWO_PI
+    x1, y1, x2, y2, x3, y3 = xy
+    # The vertices counter-clockwise, and the place there of each vertex in
+    # mesh order, the order in which the circles' arcs are summed.
+    if (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1) < 0.0:
+        x2, y2, x3, y3 = x3, y3, x2, y2
+        places = (0, 2, 1)
+    else:
+        places = (0, 1, 2)
+    ring = ((x1, y1), (x2, y2), (x3, y3))
+    edges = ((x1, y1, x2 - x1, y2 - y1), (x2, y2, x3 - x2, y3 - y2), (x3, y3, x1 - x3, y1 - y3))
+    lengths = (hypot(x2 - x1, y2 - y1), hypot(x3 - x2, y3 - y2), hypot(x1 - x3, y1 - y3))
+    if not isfinite(lengths[0] + lengths[1] + lengths[2] + area):
+        raise InvalidInputError(f"cell sides and area must be finite, got {list(xy)}, {area}")
+    longest = max(lengths)
+    if longest <= 0.0 or area < _DEGENERACY_FACTOR * longest * longest:
+        raise DegenerateGeometryError("triangle is degenerate")
+    rr = R * R
+    total = 0.0
+
+    lines, covers = [], []
+    for i, (ux, uy, dx, dy) in enumerate(edges):
+        # (a) The edge's pieces inside the union of the disks: spans of the
+        # edge parameter t in [0, 1], merged where they overlap or touch.
+        A = dx * dx + dy * dy
+        spans = []
+        disc = A * rr  # the disk at the start
+        if disc > 0.0:
+            t2 = sqrt(disc) / A
+            if t2 > 1.0:
+                t2 = 1.0
+            if t2 > 0.0:
+                spans.append((0.0, t2))
+        disc = A * A - A * (A - rr)  # the disk at the end
+        if disc > 0.0:
+            t1 = (A - sqrt(disc)) / A
+            if t1 < 0.0:
+                t1 = 0.0
+            if t1 < 1.0:
+                spans.append((t1, 1.0))
+        cx, cy = ring[i - 1]  # the disk at the opposite vertex
+        wx, wy = ux - cx, uy - cy
+        B = wx * dx + wy * dy
+        disc = B * B - A * (wx * wx + wy * wy - rr)
+        if disc > 0.0:
+            sq = sqrt(disc)
+            t1 = (-B - sq) / A
+            if t1 < 0.0:
+                t1 = 0.0
+            t2 = (-B + sq) / A
+            if t2 > 1.0:
+                t2 = 1.0
+            if t2 > t1:
+                spans.append((t1, t2))
+        spans.sort()
+        merged: list[tuple[float, float]] = []
+        for lo, hi in spans:
+            if merged and lo <= merged[-1][1]:
+                if hi > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((lo, hi))
+        for lo, hi in merged:
+            px, py = ux + lo * dx, uy + lo * dy
+            qx, qy = ux + hi * dx, uy + hi * dy
+            total += 0.5 * (px * qy - py * qx)
+
+        # The edge's line, as its outward unit normal (right of travel), the
+        # normal's angle and the line's offset; and where the disk at each
+        # end of the edge covers the other's circle: an arc of angle 2*beta
+        # starting at ``ahead`` (the start's circle) or ``behind`` (the end's),
+        # or nothing when beta is None.
+        D = lengths[i]
+        nx, ny = dy / D, -dx / D
+        w = (D * D + rr - rr) / (2.0 * R * D)
+        if w < 1.0:
+            beta = acos(w)
+            vx, vy = ring[i - 2]  # the end
+            ahead = (atan2(dy, dx) - beta) % two_pi
+            behind = (atan2(uy - vy, ux - vx) - beta) % two_pi
+        else:
+            beta = ahead = behind = None
+        lines.append((nx, ny, atan2(ny, nx), nx * ux + ny * uy))
+        covers.append((beta, ahead, behind))
+
+    # (b) Each circle's arcs inside the triangle and outside the other disks.
+    for r in places:
+        cx, cy = ring[r]
+        # The gaps between the arcs the other two disks cover.
+        beta1, ahead, _ = covers[r]
+        beta2, _, behind = covers[r - 1]
+        covered = []
+        for beta, lo in ((beta1, ahead), (beta2, behind)):
+            if beta is None:
+                continue
+            hi = lo + 2.0 * beta
+            if hi <= two_pi:
+                covered.append((lo, hi))
+            else:
+                covered += ((0.0, hi - two_pi), (lo, two_pi))
+        covered.sort()
+        exposed = []
+        end = 0.0
+        for lo, hi in covered:
+            if lo > end:
+                exposed.append((end, lo))
+            if hi > end:
+                end = hi
+        if end < two_pi:
+            exposed.append((end, two_pi))
+
+        # Of those, the angles inside the triangle: in each edge's inner
+        # half-plane, the angles theta with cos(theta - phi) <= s.
+        for nx, ny, phi, off in (lines[r], lines[r - 1], lines[r - 2]):
+            if not exposed:
+                break
+            s = (off - (nx * cx + ny * cy)) / R
+            if s >= 1.0:
+                continue  # the whole circle: the set is unchanged
+            if s <= -1.0:
+                exposed = []
+                break
+            alpha = acos(s)  # in (0, pi): the arc's length lies in (0, 2*pi)
+            lo = (phi + alpha) % two_pi
+            hi = lo + (two_pi - 2.0 * alpha)
+            arc = [(lo, hi)] if hi <= two_pi else [(0.0, hi - two_pi), (lo, two_pi)]
+            cut = []
+            for a0, a1 in exposed:
+                for b0, b1 in arc:
+                    lo = b0 if b0 > a0 else a0
+                    hi = b1 if b1 < a1 else a1
+                    if hi > lo:
+                        cut.append((lo, hi))
+            exposed = cut
+        exposed.sort()
+        for th1, th2 in exposed:
+            total += 0.5 * (
+                R * cx * (sin(th2) - sin(th1)) - R * cy * (cos(th2) - cos(th1)) + rr * (th2 - th1)
+            )
+
+    return area - min(max(total, 0.0), area)
 
 
 # --- the detect kernel --------------------------------------------------------
@@ -238,7 +417,8 @@ def _detect_columns(mesh: TriMesh, radius: float, eps: float) -> HoleReports:
         value = np.where(area < value, area, value)  # min(value, area)
     exact = np.zeros(len(mesh.cells), dtype=bool)
     exact_cells = live[~case]
-    value[~case] = [hole_area(geom, radius).s_h for geom in mesh.geoms(exact_cells)]
+    rows = mesh.xy[exact_cells].reshape(-1, 6).tolist()
+    value[~case] = [hole_area(xy, a, radius).s_h for xy, a in zip(rows, area[~case].tolist())]
     exact[exact_cells] = True
 
     tol = _TANGENCY_FACTOR * radius

@@ -8,12 +8,11 @@ number them in that order.
 
 The cells are held as arrays: ``cells[i]`` is the id triple of cell ``i``,
 and the geometry columns hold its vertices in the same order, its sides,
-area and degeneracy. A ``TriangleGeom`` is built only where one is asked for
-(``TriMesh.geoms``).
+area and degeneracy. Detection reads the columns alone; no per-cell object
+is built.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import hypot
 
@@ -23,7 +22,7 @@ from scipy.spatial import QhullError
 
 from .errors import DuplicateSiteError, InsufficientSitesError
 from .field import Sensor, SensorField
-from .geometry import _DEGENERACY_FACTOR, TriangleGeom
+from .geometry import _DEGENERACY_FACTOR
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,27 +47,6 @@ class TriMesh:
 
     def summary(self) -> dict:
         return {"sites": len(self.sites), "triangles": len(self.cells)}
-
-    def geoms(self, ids: Sequence[int] | np.ndarray | None = None) -> list[TriangleGeom]:
-        """The ``TriangleGeom`` of each cell in ``ids``, every cell if None."""
-        rows = slice(None) if ids is None else np.asarray(ids, dtype=np.intp)
-        sides = self.sides[rows]
-        a, b, c = sides[:, 0], sides[:, 1], sides[:, 2]
-        positions = [s.position for s in self.sites]
-        # The sites are sorted by id, so an id's index is its rank.
-        vertices = np.searchsorted([s.id for s in self.sites], self.cells[rows])
-        return list(
-            map(
-                TriangleGeom,
-                [(positions[i], positions[j], positions[k]) for i, j, k in vertices.tolist()],
-                a.tolist(),
-                b.tolist(),
-                c.tolist(),
-                (0.5 * (a + b + c)).tolist(),
-                self.area[rows].tolist(),
-                self.degenerate[rows].tolist(),
-            )
-        )
 
 
 def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

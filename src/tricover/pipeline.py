@@ -29,6 +29,10 @@ from .oracle import mc_coverage_fraction
 
 # Report-metadata note for the vertex-sector total used by the case formula.
 SECTOR_SUM_CONVENTION = "0.5*pi*R^2"
+# The most sensors a generated scenario holds. Generating and saving one
+# takes about 1 kB of memory per sensor, so a million is about 1 GB; a larger
+# count is refused before anything is drawn.
+_MAX_SENSORS = 10**6
 
 
 def generate_scenario(
@@ -44,7 +48,8 @@ def generate_scenario(
 
     Stationary sensors get ids ``0..n_stationary-1``, mobiles continue the
     sequence. Positions are quantized to the file precision at creation so
-    the in-memory field equals its round-tripped form exactly.
+    the in-memory field equals its round-tripped form exactly. A scenario
+    holds at most a million sensors in all.
     """
     if n_stationary < 3:
         raise InvalidInputError(
@@ -52,6 +57,11 @@ def generate_scenario(
         )
     if n_mobile < 0:
         raise InvalidInputError(f"mobile count must be >= 0, got {n_mobile}")
+    if n_stationary + n_mobile > _MAX_SENSORS:
+        raise InvalidInputError(
+            f"sensor count must be at most {_MAX_SENSORS}, got {n_stationary} stationary"
+            f" and {n_mobile} mobile"
+        )
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     check_field_size(width, height, sensing_radius)

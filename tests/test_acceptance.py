@@ -14,14 +14,13 @@ from math import acos, hypot, pi, sqrt
 import numpy as np
 import pytest
 
-from fields import detect_one
+from fields import detect_one, exact_route, geoms
 from oracles import case_value, grid_region_uncovered, lens_area
 from tricover import (
     HoleComputation,
     Point,
     TriangleGeom,
     circumcenter,
-    exact_uncovered_area,
     generate_scenario,
     incenter,
     plan_relocation,
@@ -66,7 +65,7 @@ def sweep():
         auto = detect_one(t, radius)  # one cell per instance
         # the case formula clamped as detection clamps it, on every instance
         case = min(max(case_value(t, radius), 0.0), t.area)
-        exact_value = exact_uncovered_area(t, radius)
+        exact_value = exact_route(t, radius)
         grid_value = grid_region_uncovered(
             t, [(v, radius) for v in t.vertices], GRID_RESOLUTION
         )
@@ -197,7 +196,7 @@ def test_criterion_06_delaunay_properties():
         centers = np.empty((len(mesh.cells), 2))
         radii = np.empty(len(mesh.cells))
         members = []
-        for k, (triple, geom) in enumerate(zip(mesh.cells.tolist(), mesh.geoms())):
+        for k, (triple, geom) in enumerate(zip(mesh.cells.tolist(), geoms(mesh))):
             c, r = circumcenter(geom)
             centers[k] = (c.x, c.y)
             radii[k] = r

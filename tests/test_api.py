@@ -11,6 +11,7 @@ import tricover
 import tricover.field
 import tricover.geometry
 import tricover.holes
+import tricover.mesh
 import tricover.oracle
 
 # What the test oracles may take from the package: data types and the
@@ -49,10 +50,16 @@ def test_oracles_stay_out_of_the_package():
         "_label", "make_field", "HoleReport", "lens_area", "_segment_signed", "_clamp01",
         "_case_value", "case_value", "case_formula_validity", "ValidityFlags",
         "_sectors_contained", "_min_enclosing_radius", "point_segment_distance",
+        "triangle_disks_covered_area", "exact_uncovered_area", "_require_analysable",
+        "_ccw_vertices",
     )
-    for space in (tricover, tricover.field, tricover.geometry, tricover.holes, tricover.oracle):
+    for space in (
+        tricover, tricover.field, tricover.geometry, tricover.holes, tricover.mesh, tricover.oracle
+    ):
         for name in names:
             assert not hasattr(space, name), f"{space.__name__}.{name}"
+    # the per-cell triangle objects, which detection no longer builds
+    assert not hasattr(tricover.TriMesh, "geoms")
     # the field's area, which no production line read
     assert not hasattr(tricover.SensorField, "area")
 

@@ -287,6 +287,33 @@ def test_generate_rejects_too_few_sites(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "stationary, mobile",
+    [
+        # numpy refuses these draws itself, with a traceback: one as too big
+        # an array, one as too large an allocation
+        ("4611686018427387904", "0"),
+        ("1000000000000", "0"),
+        ("5", "4611686018427387904"),
+        ("5", "1000000000000"),
+        # one past the limit, split over the two flags
+        ("999999", "2"),
+    ],
+)
+def test_generate_refuses_more_sensors_than_it_can_hold(tmp_path, capsys, stationary, mobile):
+    out = tmp_path / "s.json"
+    code = main(
+        ["generate", "--width", "10", "--height", "10", "--radius", "1", "--mobile-radius", "1",
+         "--n-stationary", stationary, "--n-mobile", mobile, "--seed", "1", "--out", str(out)]
+    )
+    assert code == 1
+    assert assert_single_error_line(capsys, "invalid-input") == (
+        "error: invalid-input: sensor count must be at most 1000000, "
+        f"got {stationary} stationary and {mobile} mobile"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, message",
     [
         ("--width", "inf", "field width must be > 0, got inf"),

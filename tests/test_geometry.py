@@ -9,7 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fields import make_field
-from oracles import grid_region_uncovered, lens_area, triangle_disk_intersection_area
+from oracles import (
+    grid_region_uncovered,
+    lens_area,
+    triangle_disk_intersection_area,
+    triangle_disks_covered_area,
+)
 from tricover import (
     DegenerateGeometryError,
     InvalidInputError,
@@ -17,7 +22,6 @@ from tricover import (
     circumcenter,
     incenter,
     mc_coverage_fraction,
-    triangle_disks_covered_area,
     triangle_from_vertices,
 )
 

@@ -7,7 +7,7 @@ from math import fsum, hypot, inf, pi, sqrt
 import numpy as np
 import pytest
 
-from fields import make_field
+from fields import cell_xy, geoms, make_field
 from tricover import (
     InvalidInputError,
     Point,
@@ -33,7 +33,7 @@ def tri(pts):
 
 def hole_for(pts, radius):
     t = tri(pts)
-    return t, hole_area(t, radius).s_h
+    return t, hole_area(cell_xy(t), t.area, radius).s_h
 
 
 def fake_target(cell_id, x, y, area=1.0):
@@ -319,7 +319,7 @@ def test_healing_improves_coverage_paired_seed():
     reports = detect_holes(mesh, field.sensing_radius)
     assert reports.is_hole.tolist() == [True]
     cell_id, hole = int(reports.cell_id[0]), float(reports.hole_area[0])
-    target = select_target(cell_id, hole, mesh.geoms([cell_id])[0], mobile_radius=1.5)
+    target = select_target(cell_id, hole, geoms(mesh, [cell_id])[0], mobile_radius=1.5)
     plan = plan_relocation([target], field)
     moves = {a.mobile_id: a.target.point for a in plan.assignments}
     est = mc_coverage_fraction(field, 200_000, seed=11, moves=moves)

@@ -9,15 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fields import detect_one, make_field, mesh_of
-from oracles import case_formula_validity, case_label, case_value, lens_area, point_segment_distance
+from fields import cell_xy, detect_one, exact_route, make_field, mesh_of
+from oracles import (
+    case_formula_validity,
+    case_label,
+    case_value,
+    lens_area,
+    point_segment_distance,
+    uncovered_by_vertex_disks,
+)
 from tricover import (
     CaseLabel,
     DegenerateGeometryError,
     InvalidInputError,
     Point,
     detect_holes,
-    exact_uncovered_area,
     hole_area,
     hole_epsilon,
     triangle_from_vertices,
@@ -112,7 +118,7 @@ def test_goldens_match_exact_fallback():
     for pts in (SIDE2_EQUILATERAL, RIGHT_345, ONE_OVERLAP, SIDE19_EQUILATERAL):
         t = tri(pts)
         auto = detect_one(t, 1.0)
-        exact = exact_uncovered_area(t, 1.0)
+        exact = exact_route(t, 1.0)
         assert auto.s_h == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
 
@@ -200,7 +206,7 @@ def test_case_matches_exact_when_predicate_holds():
         checked += 1
         at_bound += i >= 1000
         case = case_route(t, R)
-        exact = exact_uncovered_area(t, R)
+        exact = exact_route(t, R)
         assert case == pytest.approx(exact, abs=1e-9 * t.area)
     assert checked > 200  # the predicate must actually fire often enough
     assert at_bound > 300
@@ -285,11 +291,11 @@ def test_validity_predicate_parts():
 def test_degenerate_and_bad_radius_errors():
     line = tri(((0, 0), (1, 1), (2, 2)))
     with pytest.raises(DegenerateGeometryError):
-        hole_area(line, 1.0)
+        hole_area(cell_xy(line), line.area, 1.0)
     good = tri(RIGHT_345)
     for radius in (0.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInputError):
-            hole_area(good, radius)
+            hole_area(cell_xy(good), good.area, radius)
 
 
 # --- detect_holes ----------------------------------------------------------------
@@ -462,7 +468,7 @@ def scalar_reports(tris, radius, epsilon):
         if case_formula_validity(t, radius).all_hold():
             s_h, method = case_route(t, radius), "case-formula"
         else:
-            s_h, method = exact_uncovered_area(t, radius), "exact-fallback"
+            s_h, method = uncovered_by_vertex_disks(t, radius), "exact-fallback"
         rows.append((k, case_label(t, radius, s_h < eps), method, s_h > eps, s_h))
     rows.sort(key=lambda r: (-r[4], r[0]))
     return [(*r[:4], r[4].hex()) for r in rows]

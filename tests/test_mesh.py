@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, Delaunay
 
-from fields import make_field
+from fields import geoms, make_field
 from tricover import (
     DuplicateSiteError,
     InsufficientSitesError,
@@ -53,18 +53,18 @@ def hull_vertex_count(coords):
 
 def test_unit_square_two_triangles():
     mesh = triangulate(field_from([(0, 0), (1, 0), (1, 1), (0, 1)]))
-    assert mesh.cells.shape == (2, 3) and len(mesh.geoms()) == 2
+    assert mesh.cells.shape == (2, 3) and len(geoms(mesh)) == 2
     triples = mesh.cells.tolist()
     assert all(t == sorted(t) for t in triples)
     assert triples == sorted(triples)
     # the two cells tile the square
-    assert sum(g.area for g in mesh.geoms()) == pytest.approx(1.0, rel=1e-12)
+    assert sum(g.area for g in geoms(mesh)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_single_triangle():
     mesh = triangulate(field_from([(0, 0), (3, 0), (0, 4)]))
-    assert np.array_equal(mesh.cells, [[0, 1, 2]]) and len(mesh.geoms()) == 1
-    assert mesh.geoms()[0].area == pytest.approx(6.0)
+    assert np.array_equal(mesh.cells, [[0, 1, 2]]) and len(geoms(mesh)) == 1
+    assert geoms(mesh)[0].area == pytest.approx(6.0)
 
 
 def test_sites_stored_sorted_by_id():
@@ -94,7 +94,7 @@ def test_triangulation_ignores_stationary_listing_order():
     mesh_a = triangulate(field_a)
     mesh_b = triangulate(field_b)
     assert np.array_equal(mesh_a.cells, mesh_b.cells)
-    assert mesh_a.geoms() == mesh_b.geoms()
+    assert geoms(mesh_a) == geoms(mesh_b)
 
 
 # --- Delaunay invariants ----------------------------------------------------------
@@ -106,7 +106,7 @@ def test_empty_circumcircle_property(seed, n):
     coords = rng.uniform(0, 100, size=(n, 2))
     mesh = triangulate(field_from(coords))
     pos = {s.id: s.position for s in mesh.sites}
-    for triple, geom in zip(mesh.cells.tolist(), mesh.geoms()):
+    for triple, geom in zip(mesh.cells.tolist(), geoms(mesh)):
         center, radius = circumcenter(geom)
         slack = 1e-9 * radius
         for s in mesh.sites:
@@ -117,7 +117,7 @@ def test_empty_circumcircle_property(seed, n):
             )
     assert all(
         pos[i] in geom.vertices
-        for triple, geom in zip(mesh.cells.tolist(), mesh.geoms())
+        for triple, geom in zip(mesh.cells.tolist(), geoms(mesh))
         for i in triple
     )
 
@@ -136,7 +136,7 @@ def test_cells_tile_convex_hull_area():
     coords = rng.uniform(0, 20, size=(300, 2))
     mesh = triangulate(field_from(coords))
     hull_area = ConvexHull(coords).volume  # 2-d: volume is the area
-    assert sum(g.area for g in mesh.geoms()) == pytest.approx(hull_area, rel=1e-9)
+    assert sum(g.area for g in geoms(mesh)) == pytest.approx(hull_area, rel=1e-9)
 
 
 # (stationary sites, mobiles, radius / R*) of the benchmark's three workloads,
@@ -151,13 +151,13 @@ def test_generated_field_cells_sum_to_hull_area(n_stationary, n_mobile, radius_f
     mesh = triangulate(doc.field)
     points = [(s.position.x, s.position.y) for s in doc.field.stationary]
     hull_area = ConvexHull(points).volume
-    assert fsum(g.area for g in mesh.geoms()) == pytest.approx(hull_area, rel=1e-12)
+    assert fsum(g.area for g in geoms(mesh)) == pytest.approx(hull_area, rel=1e-12)
 
 
 def test_no_degenerate_cells_on_random_input():
     rng = np.random.default_rng(37)
     mesh = triangulate(field_from(rng.uniform(0, 5, size=(500, 2))))
-    assert not any(g.degenerate for g in mesh.geoms())
+    assert not any(g.degenerate for g in geoms(mesh))
 
 
 # --- array columns against the scalar constructor -----------------------------------
@@ -204,12 +204,12 @@ def test_mesh_columns_match_scalar_constructor(field, degenerate_cells):
     assert mesh.cells.tolist() == [list(t) for t in triples]
     assert not mesh.cells.flags.writeable
     by_id = {s.id: s.position for s in sites}
-    assert len(mesh.geoms()) == len(triples)
-    for triple, geom, xy in zip(triples, mesh.geoms(), mesh.xy.tolist()):
+    assert len(geoms(mesh)) == len(triples)
+    for triple, geom, xy in zip(triples, geoms(mesh), mesh.xy.tolist()):
         expected = triangle_from_vertices(*(by_id[i] for i in triple))
         assert _geom_fields(geom) == _geom_fields(expected)
         assert [(x.hex(), y.hex()) for x, y in xy] == [(p.x.hex(), p.y.hex()) for p in expected.vertices]
-    assert sum(g.degenerate for g in mesh.geoms()) == degenerate_cells
+    assert sum(g.degenerate for g in geoms(mesh)) == degenerate_cells
 
 
 # --- errors -----------------------------------------------------------------------

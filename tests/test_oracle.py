@@ -9,13 +9,12 @@ import pytest
 from scipy.spatial import cKDTree
 
 from fields import make_field
-from oracles import grid_region_uncovered
+from oracles import grid_region_uncovered, triangle_disks_covered_area
 from tricover import (
     InconsistentInputError,
     InvalidInputError,
     Point,
     mc_coverage_fraction,
-    triangle_disks_covered_area,
     triangle_from_vertices,
 )
 from tricover.oracle import (

@@ -118,13 +118,13 @@ def test_run_detect_report_shape():
 def test_detect_runs_exact_integral_once_per_exact_route_cell(monkeypatch):
     doc = generate_scenario(100.0, 100.0, 200, 0, 5.0, 5.0, seed=42)
     calls = []
-    original = tricover.holes.exact_uncovered_area
+    original = tricover.holes._uncovered_area
 
-    def counted(tri, radius):
+    def counted(xy, area, radius):
         calls.append(1)
-        return original(tri, radius)
+        return original(xy, area, radius)
 
-    monkeypatch.setattr(tricover.holes, "exact_uncovered_area", counted)
+    monkeypatch.setattr(tricover.holes, "_uncovered_area", counted)
     report = run_detect(doc)
     exact_cells = sum(1 for e in report.triangles if e["method"] == "exact-fallback")
     assert 0 < exact_cells < len(report.triangles)
@@ -163,9 +163,9 @@ def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch):
         calls["kernel"] += 1
         return kernel(*args)
 
-    def counted_hole_area(tri, radius):
+    def counted_hole_area(xy, area, radius):
         calls["hole_area"] += 1
-        return hole_area(tri, radius)
+        return hole_area(xy, area, radius)
 
     monkeypatch.setattr(tricover.holes, "_detect_columns", counted_kernel)
     monkeypatch.setattr(tricover.holes, "hole_area", counted_hole_area)
@@ -173,6 +173,26 @@ def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch):
     exact_cells = sum(1 for e in report.triangles if e["method"] == "exact-fallback")
     assert 0 < exact_cells < len(report.triangles)
     assert calls == {"kernel": 1, "hole_area": exact_cells}
+
+
+def test_detect_builds_no_triangle_objects(monkeypatch):
+    """Detection reads the mesh's columns alone: it gives the same reports
+    with every ``TriangleGeom`` construction raising."""
+    doc = generate_scenario(100.0, 100.0, 200, 0, 5.0, 5.0, seed=42)
+    mesh = triangulate(doc.field)
+    expected = detect_holes(mesh, 5.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a TriangleGeom was built")
+
+    monkeypatch.setattr(tricover.TriangleGeom, "__init__", refuse)
+    reports = detect_holes(mesh, 5.0)
+    assert np.count_nonzero(reports.method == "exact-fallback") > 0
+    for name in ("cell_id", "label", "method", "is_hole"):
+        assert getattr(reports, name).tolist() == getattr(expected, name).tolist()
+    assert [v.hex() for v in reports.hole_area.tolist()] == [
+        v.hex() for v in expected.hole_area.tolist()
+    ]
 
 
 @pytest.mark.parametrize("method", ["auto"])  # the report's constant ``meta.method``
