@@ -9,13 +9,7 @@ from .errors import (
     UsageError,
 )
 from .field import MobileSensor, Sensor, SensorField
-from .geometry import (
-    Point,
-    TriangleGeom,
-    circumcenter,
-    incenter,
-    triangle_from_vertices,
-)
+from .geometry import Point
 from .files import (
     ReportDoc,
     ScenarioDoc,
@@ -78,16 +72,13 @@ __all__ = [
     "SensorField",
     "TargetLocation",
     "TriMesh",
-    "TriangleGeom",
     "TricoverError",
     "UsageError",
     "canonical_json_bytes",
-    "circumcenter",
     "detect_holes",
     "generate_scenario",
     "hole_area",
     "hole_epsilon",
-    "incenter",
     "load_report",
     "load_scenario",
     "mc_coverage_fraction",
@@ -105,6 +96,5 @@ __all__ = [
     "scenario_from_dict",
     "select_target",
     "targets_from_report",
-    "triangle_from_vertices",
     "triangulate",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .field import SensorField, check_length
-from .geometry import Point, TriangleGeom, circumcenter, incenter
+from .geometry import Point
 
 CIRCUMCENTER = "circumcenter"
 INCENTER = "incenter"
@@ -57,11 +57,13 @@ def check_mobile_radius(mobile_radius: float) -> None:
 def select_target(
     cell_id: int,
     hole_area: float,
-    tri: TriangleGeom,
+    circumcenter: Point,
+    incenter: Point,
     mobile_radius: float,
     bounds: tuple[float, float] | None = None,
 ) -> TargetLocation:
-    """Pick the patch point for the hole of cell ``cell_id``.
+    """Pick the patch point for the hole of cell ``cell_id`` from its
+    triangle's ``circumcenter`` and ``incenter``.
 
     Holes no larger than the mobile's disk (``area <= pi * R_m**2``) are
     patched at the circumcenter (equidistant from all three sensors);
@@ -71,11 +73,9 @@ def select_target(
     """
     check_mobile_radius(mobile_radius)
     if hole_area <= pi * mobile_radius * mobile_radius:
-        kind = CIRCUMCENTER
-        point, _ = circumcenter(tri)
+        kind, point = CIRCUMCENTER, circumcenter
     else:
-        kind = INCENTER
-        point, _ = incenter(tri)
+        kind, point = INCENTER, incenter
     if bounds is not None:
         w, h = bounds
         point = Point(min(max(point.x, 0.0), w), min(max(point.y, 0.0), h))

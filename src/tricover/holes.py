@@ -111,17 +111,18 @@ def _require_radius(radius: float) -> None:
 # --- hole area --------------------------------------------------------------
 
 
-def hole_area(xy: Sequence[float], area: float, radius: float) -> HoleComputation:
+def hole_area(xy: Sequence[float], radius: float) -> HoleComputation:
     """The exact route: the uncovered area of a mesh cell under disks of
     ``radius`` at its three vertices, by the exact boundary integral, in
     ``[0, area]``.
 
     ``xy`` is the cell's six vertex coordinates ``(x1, y1, x2, y2, x3, y3)``
-    in mesh order, a row of ``mesh.xy`` flattened, and ``area`` its value in
-    ``mesh.area``. A radius that is not finite and positive, and a cell
-    whose sides or area are not finite, are ``invalid-input``; a cell that
-    ``triangulate`` marks degenerate, by its three side lengths and
-    ``area``, is ``degenerate-geometry``.
+    in mesh order, a row of ``mesh.xy`` flattened. The cell's area is taken
+    from them by the float operations that give ``mesh.area``, so it is that
+    value. A radius that is not finite and positive, and a cell whose sides
+    or area are not finite, are ``invalid-input``; a cell that
+    ``triangulate`` marks degenerate, by its three side lengths and area, is
+    ``degenerate-geometry``.
 
     :func:`detect_holes` calls it once per cell whose validity predicate
     fails, and on no other cell. It returns a :class:`HoleComputation`
@@ -130,10 +131,10 @@ def hole_area(xy: Sequence[float], area: float, radius: float) -> HoleComputatio
     tracer that reads detect's route column would retire both.
     """
     _require_radius(radius)
-    return HoleComputation(s_h=_uncovered_area(xy, area, radius), method=EXACT_FALLBACK)
+    return HoleComputation(s_h=_uncovered_area(xy, radius), method=EXACT_FALLBACK)
 
 
-def _uncovered_area(xy: Sequence[float], area: float, R: float) -> float:
+def _uncovered_area(xy: Sequence[float], R: float) -> float:
     """The area of a cell outside its three vertex disks of radius ``R``, by
     Green's theorem over the boundary of the covered part.
 
@@ -172,9 +173,12 @@ def _uncovered_area(xy: Sequence[float], area: float, R: float) -> float:
     """
     two_pi = _TWO_PI
     x1, y1, x2, y2, x3, y3 = xy
-    # The vertices counter-clockwise, and the place there of each vertex in
-    # mesh order, the order in which the circles' arcs are summed.
-    if (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1) < 0.0:
+    # The area as ``mesh._columns`` takes it; the vertices counter-clockwise,
+    # and the place there of each vertex in mesh order, the order in which
+    # the circles' arcs are summed.
+    cross = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    area = 0.5 * abs(cross)
+    if cross < 0.0:
         x2, y2, x3, y3 = x3, y3, x2, y2
         places = (0, 2, 1)
     else:
@@ -183,7 +187,7 @@ def _uncovered_area(xy: Sequence[float], area: float, R: float) -> float:
     edges = ((x1, y1, x2 - x1, y2 - y1), (x2, y2, x3 - x2, y3 - y2), (x3, y3, x1 - x3, y1 - y3))
     lengths = (hypot(x2 - x1, y2 - y1), hypot(x3 - x2, y3 - y2), hypot(x1 - x3, y1 - y3))
     if not isfinite(lengths[0] + lengths[1] + lengths[2] + area):
-        raise InvalidInputError(f"cell sides and area must be finite, got {list(xy)}, {area}")
+        raise InvalidInputError(f"cell sides and area must be finite, got {list(xy)}")
     longest = max(lengths)
     if longest <= 0.0 or area < _DEGENERACY_FACTOR * longest * longest:
         raise DegenerateGeometryError("triangle is degenerate")
@@ -418,7 +422,7 @@ def _detect_columns(mesh: TriMesh, radius: float, eps: float) -> HoleReports:
     exact = np.zeros(len(mesh.cells), dtype=bool)
     exact_cells = live[~case]
     rows = mesh.xy[exact_cells].reshape(-1, 6).tolist()
-    value[~case] = [hole_area(xy, a, radius).s_h for xy, a in zip(rows, area[~case].tolist())]
+    value[~case] = [hole_area(xy, radius).s_h for xy in rows]
     exact[exact_cells] = True
 
     tol = _TANGENCY_FACTOR * radius

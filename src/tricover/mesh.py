@@ -32,10 +32,11 @@ class TriMesh:
     ``sites`` are sorted by id. ``cells`` is a ``(T, 3)`` int array of
     sensor ids, each row ascending and the rows in lexicographic order; cell
     ``i`` is row ``i``. The geometry of the cells is held as columns, each
-    field bit-identical to ``triangle_from_vertices`` of the cell's three
-    positions, in the same vertex order: ``xy[i]`` the ``(3, 2)`` vertex
-    coordinates, ``sides[i]`` the sides ``a, b, c``, ``area[i]`` and
-    ``degenerate[i]``. Every array is read-only.
+    value bit-identical to the tests' scalar ``triangle_from_vertices``
+    (``tests/fields.py``) of the cell's three positions, in the same vertex
+    order: ``xy[i]`` the ``(3, 2)`` vertex coordinates, ``sides[i]`` the
+    sides ``a, b, c``, ``area[i]`` and ``degenerate[i]``. Every array is
+    read-only.
     """
 
     sites: tuple[Sensor, ...]
@@ -59,8 +60,11 @@ def _columns(xy: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """Vertex coordinates, sides, area and degeneracy of every row of
     indices into the site coordinates ``xy``, a column at a time.
 
-    Each column repeats the float operations of ``triangle_from_vertices``
-    in its order, so every value is bit-identical.
+    This is the package's one triangle-geometry path: ``triangulate`` runs
+    it on every cell, and plan on the rows of the holes it serves. Each
+    column repeats the float operations of the tests' scalar
+    ``triangle_from_vertices`` (``tests/fields.py``) in its order, so every
+    value is bit-identical.
     """
     verts = xy[rows]  # (T, 3, 2)
     p1, p2, p3 = verts[:, 0], verts[:, 1], verts[:, 2]

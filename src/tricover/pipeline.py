@@ -11,10 +11,10 @@ import dataclasses
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import DegenerateGeometryError, InvalidInputError
 from .field import MobileSensor, Sensor, SensorField, check_field_size
 from .files import ReportDoc, ScenarioDoc, round_sig
-from .geometry import Point, triangle_from_vertices
+from .geometry import Point
 from .healing import (
     HealingPlan,
     TargetLocation,
@@ -24,7 +24,7 @@ from .healing import (
     select_target,
 )
 from .holes import HoleReports, detect_holes
-from .mesh import TriMesh, triangulate
+from .mesh import TriMesh, _columns, triangulate
 from .oracle import mc_coverage_fraction
 
 # Report-metadata note for the vertex-sector total used by the case formula.
@@ -139,6 +139,28 @@ def run_detect(scenario: ScenarioDoc, epsilon: float | None = None) -> ReportDoc
     )
 
 
+def _centers(xy: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The circumcenter and the incenter of each triangle of the vertex
+    columns ``xy`` ``(T, 3, 2)`` and ``sides`` ``(T, 3)`` of
+    ``mesh._columns``, as two ``(T, 2)`` columns; no triangle may be
+    degenerate.
+
+    They repeat the float operations of the tests' scalar ``circumcenter``
+    and ``incenter`` (``tests/oracles.py``) in their order, so every value is
+    bit-identical.
+    """
+    p1, p2, p3 = xy[:, 0], xy[:, 1], xy[:, 2]
+    e2, e3 = p2 - p1, p3 - p1
+    bx, by, cx, cy = e2[:, 0], e2[:, 1], e3[:, 0], e3[:, 1]
+    den = 2.0 * (bx * cy - by * cx)
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    circumcenter = p1 + np.stack([(cy * b2 - by * c2) / den, (bx * c2 - cx * b2) / den], axis=1)
+    a, b, c = sides[:, 0:1], sides[:, 1:2], sides[:, 2:3]
+    incenter = (a * p1 + b * p2 + c * p3) / (a + b + c)
+    return circumcenter, incenter
+
+
 def targets_from_report(
     report: ReportDoc, scenario: ScenarioDoc, mobile_radius: float
 ) -> tuple[list[TargetLocation], tuple[int, ...]]:
@@ -146,7 +168,9 @@ def targets_from_report(
 
     The report must belong to ``scenario`` (:meth:`ReportDoc.check_scenario`).
     Holes are ranked by their ``s_h`` (:func:`rank_holes`); only the served
-    ones get a triangle and a target.
+    ones get a triangle, by ``mesh._columns`` on their vertices, and a
+    target. A served hole whose triangle is degenerate is refused as
+    ``degenerate-geometry`` before any target is built.
     """
     if report.triangles is None:
         raise InvalidInputError("report has no detection section")
@@ -155,16 +179,16 @@ def targets_from_report(
     positions = {s.id: s.position for s in field.stationary}
     holes = [(e["id"], e["s_h"], e["vertices"]) for e in report.triangles if e["is_hole"]]
     served, unserved = rank_holes(holes, len(field.mobile))
+    # The served holes' vertex positions, three rows a hole.
+    points = np.array([positions[v] for h in served for v in h[2]], dtype=float).reshape(-1, 2)
+    xy, sides, _, degenerate = _columns(points, np.arange(len(points)).reshape(-1, 3))
+    if degenerate.any():
+        cell_id = served[int(np.argmax(degenerate))][0]
+        raise DegenerateGeometryError(f"served hole {cell_id} is a degenerate triangle")
     bounds = (field.width, field.height)
     targets = [
-        select_target(
-            cell_id,
-            s_h,
-            triangle_from_vertices(*(positions[v] for v in vertices)),
-            mobile_radius,
-            bounds=bounds,
-        )
-        for cell_id, s_h, vertices in served
+        select_target(cell_id, s_h, Point(*cc), Point(*ic), mobile_radius, bounds=bounds)
+        for (cell_id, s_h, _), cc, ic in zip(served, *(c.tolist() for c in _centers(xy, sides)))
     ]
     return targets, unserved
 

@@ -1,0 +1,30 @@
+"""Fixtures shared by the test modules."""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from tricover import load_scenario
+from tricover.cli import main
+
+
+@pytest.fixture(scope="session")
+def workload_scenarios(tmp_path_factory):
+    """The scenario of each benchmark workload at each pinned seed."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import harness
+    finally:
+        sys.path.pop(0)
+    work = tmp_path_factory.mktemp("workloads")
+    scenarios = {}
+    for name in sorted(harness.WORKLOADS):
+        for seed in (42, 1042, 2042, 7):
+            argv = harness.stage_argvs(harness.WORKLOADS[name], seed, work)["generate"]
+            out = work / f"{name}-{seed}.json"
+            argv[argv.index("--out") + 1] = str(out)
+            assert main(argv) == 0
+            scenarios[name, seed] = load_scenario(out)
+    return scenarios

@@ -1,22 +1,26 @@
-"""Test fields from plain tuples, one-cell-per-triangle meshes and back,
-and the route and hole area production gives one triangle."""
+"""Test fields from plain tuples; one triangle with its scalar geometry,
+the reference for the mesh's columns; one-cell-per-triangle meshes and
+back; and the route and hole area production gives one triangle."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+from math import hypot, isfinite
 from typing import Sequence
 
 import numpy as np
 
 from tricover import (
     HoleComputation,
+    InvalidInputError,
     MobileSensor,
     Point,
     Sensor,
     SensorField,
-    TriangleGeom,
     TriMesh,
     detect_holes,
     hole_area,
 )
+from tricover.geometry import _DEGENERACY_FACTOR
 
 
 def make_field(
@@ -34,6 +38,61 @@ def make_field(
         sensing_radius=sensing_radius,
         stationary=tuple(Sensor(i, Point(x, y)) for i, x, y in stationary),
         mobile=tuple(MobileSensor(i, Point(x, y), r) for i, x, y, r in mobile),
+    )
+
+
+@dataclass(frozen=True)
+class TriangleGeom:
+    """A triangle with its derived scalar geometry.
+
+    Side ``a`` is opposite ``vertices[0]``, ``b`` opposite ``vertices[1]``,
+    ``c`` opposite ``vertices[2]``. ``s`` is the semiperimeter.
+    """
+
+    vertices: tuple[Point, Point, Point]
+    a: float
+    b: float
+    c: float
+    s: float
+    area: float
+    degenerate: bool
+
+    @property
+    def sides(self) -> tuple[float, float, float]:
+        return (self.a, self.b, self.c)
+
+
+def _require_finite(p: Point) -> None:
+    if not (isfinite(p.x) and isfinite(p.y)):
+        raise InvalidInputError(f"non-finite coordinate: {p!r}")
+
+
+def triangle_from_vertices(p1: Point, p2: Point, p3: Point) -> TriangleGeom:
+    """Build a :class:`TriangleGeom` from three vertices, one float at a time:
+    the scalar reference ``mesh._columns`` matches bit for bit.
+
+    The degeneracy flag is set when the area falls below
+    ``1e-12 * (longest side)**2``.
+    """
+    p1, p2, p3 = Point(*p1), Point(*p2), Point(*p3)
+    for p in (p1, p2, p3):
+        _require_finite(p)
+    a = hypot(p2.x - p3.x, p2.y - p3.y)
+    b = hypot(p1.x - p3.x, p1.y - p3.y)
+    c = hypot(p1.x - p2.x, p1.y - p2.y)
+    area = 0.5 * abs(
+        (p2.x - p1.x) * (p3.y - p1.y) - (p2.y - p1.y) * (p3.x - p1.x)
+    )
+    longest = max(a, b, c)
+    degenerate = longest <= 0.0 or area < _DEGENERACY_FACTOR * longest * longest
+    return TriangleGeom(
+        vertices=(p1, p2, p3),
+        a=a,
+        b=b,
+        c=c,
+        s=0.5 * (a + b + c),
+        area=area,
+        degenerate=degenerate,
     )
 
 
@@ -87,4 +146,4 @@ def cell_xy(tri: TriangleGeom) -> list[float]:
 
 def exact_route(tri: TriangleGeom, radius: float) -> float:
     """The hole area of ``tri`` by the exact route, ``hole_area``."""
-    return hole_area(cell_xy(tri), tri.area, radius).s_h
+    return hole_area(cell_xy(tri), radius).s_h

@@ -20,11 +20,16 @@ against the other:
 - ``case_formula_validity``: the case formula's validity predicate one
   triangle at a time, the scalar reference the detect kernel's route
   (``holes._case_route``, which holds the containment proof) must match
-  bit for bit.
+  bit for bit;
+- ``circumcenter`` and ``incenter``: a triangle's two patch points one
+  triangle at a time, the scalar reference plan's center columns
+  (``pipeline._centers``) must match bit for bit; ``centers`` gives both
+  points, as ``select_target`` takes them.
 
 They import only data types and the error classes from ``tricover``, and
-keep their own copies of the small helpers they need, so they share no
-computation with the code they check.
+the test triangle ``TriangleGeom`` with its coordinate check from
+``tests/fields.py``, and keep their own copies of the small helpers they
+need, so they share no computation with the code they check.
 """
 from __future__ import annotations
 
@@ -34,7 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from tricover import DegenerateGeometryError, InvalidInputError, Point, TriangleGeom
+from fields import TriangleGeom, _require_finite
+from tricover import DegenerateGeometryError, InvalidInputError, Point
 
 _MIN_GRID_RESOLUTION = 16
 # |d - 2R| <= _TANGENCY_FACTOR * R counts as a tangent (zero-lens) pair.
@@ -43,11 +49,6 @@ _TANGENCY_FACTOR = 1e-9
 _PREDICATE_SLACK = 1e-12
 
 _TWO_PI = 2.0 * pi
-
-
-def _require_finite(p: Point) -> None:
-    if not (isfinite(p.x) and isfinite(p.y)):
-        raise InvalidInputError(f"non-finite coordinate: {p!r}")
 
 
 def _clamp01(v: float, lo: float = -1.0, hi: float = 1.0) -> float:
@@ -483,3 +484,35 @@ def case_formula_validity(tri: TriangleGeom, radius: float) -> ValidityFlags:
     sectors = _sectors_contained(tri, radius)
     triple_empty = radius <= _min_enclosing_radius(tri) + _PREDICATE_SLACK * radius
     return ValidityFlags(sectors, triple_empty)
+
+
+def circumcenter(tri: TriangleGeom) -> tuple[Point, float]:
+    """Circumcenter and circumradius (equidistant point; may lie outside)."""
+    if tri.degenerate:
+        raise DegenerateGeometryError("circumcenter of a degenerate triangle")
+    p1, p2, p3 = tri.vertices
+    bx, by = p2.x - p1.x, p2.y - p1.y
+    cx, cy = p3.x - p1.x, p3.y - p1.y
+    den = 2.0 * (bx * cy - by * cx)
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    ux = (cy * b2 - by * c2) / den
+    uy = (bx * c2 - cx * b2) / den
+    return Point(p1.x + ux, p1.y + uy), hypot(ux, uy)
+
+
+def incenter(tri: TriangleGeom) -> tuple[Point, float]:
+    """Incenter and inradius (side-length weighted vertex average)."""
+    if tri.degenerate:
+        raise DegenerateGeometryError("incenter of a degenerate triangle")
+    p1, p2, p3 = tri.vertices
+    w = tri.a + tri.b + tri.c
+    cx = (tri.a * p1.x + tri.b * p2.x + tri.c * p3.x) / w
+    cy = (tri.a * p1.y + tri.b * p2.y + tri.c * p3.y) / w
+    return Point(cx, cy), tri.area / tri.s
+
+
+def centers(tri: TriangleGeom) -> tuple[Point, Point]:
+    """The circumcenter and the incenter of ``tri``, the two candidate patch
+    points ``select_target`` takes."""
+    return circumcenter(tri)[0], incenter(tri)[0]

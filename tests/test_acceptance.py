@@ -14,22 +14,18 @@ from math import acos, hypot, pi, sqrt
 import numpy as np
 import pytest
 
-from fields import detect_one, exact_route, geoms
-from oracles import case_value, grid_region_uncovered, lens_area
+from fields import TriangleGeom, detect_one, exact_route, geoms, triangle_from_vertices
+from oracles import case_value, centers, circumcenter, grid_region_uncovered, incenter, lens_area
 from tricover import (
     HoleComputation,
     Point,
-    TriangleGeom,
-    circumcenter,
     generate_scenario,
-    incenter,
     plan_relocation,
     rank_holes,
     run_detect,
     run_plan,
     run_verify,
     select_target,
-    triangle_from_vertices,
     triangulate,
 )
 from tricover.cli import main
@@ -252,14 +248,14 @@ def test_criterion_08_target_rule_conformance(sweep):
         mobile_radius = float(
             rng.uniform(0.2, 2.0)
         ) * sqrt(max(row.auto.s_h, 1e-12) / pi)
-        target = select_target(0, row.auto.s_h, row.tri, mobile_radius)
+        target = select_target(0, row.auto.s_h, *centers(row.tri), mobile_radius)
         if row.auto.s_h <= pi * mobile_radius**2:
             assert target.kind == "circumcenter"
         else:
             assert target.kind == "incenter"
     # exact boundary: hole area == pi * R_m^2 goes to the circumcenter
     t = triangle_from_vertices(Point(0, 0), Point(4, 0), Point(0, 3))
-    assert select_target(0, pi * 0.25, t, 0.5).kind == "circumcenter"
+    assert select_target(0, pi * 0.25, *centers(t), 0.5).kind == "circumcenter"
     print("PASS criterion 8: target kind follows the disk-capacity rule")
 
 

@@ -13,6 +13,9 @@ turn, and requires a single ``invalid-input`` line unless the key is optional.
 The mesh-summary test edits a detect report's ``mesh`` counts: a triangle
 count other than the entries listed is ``invalid-input``, and a site count
 other than the scenario's stationary sensors is ``inconsistent-input``.
+
+The degenerate-hole test gives one hole of a detect report a repeated
+vertex: ``plan`` refuses it as ``degenerate-geometry`` only if it serves it.
 """
 from __future__ import annotations
 
@@ -196,3 +199,34 @@ def test_mesh_summary_must_count_the_report_and_scenario(valid, field, kind):
         assert code == 1, cmd
         assert text.startswith(f"error: {kind}: report mesh counts ") and text.count("\n") == 1, (cmd, text)
         assert not out.exists(), cmd
+
+
+@pytest.mark.parametrize("served", [True, False])
+def test_plan_refuses_a_degenerate_hole_only_when_served(valid, served):
+    """A detect report whose largest hole, which a mobile serves, has
+    vertices ``[a, b, a]`` makes ``plan`` exit 1 with one
+    ``degenerate-geometry`` line; the same edit on the smallest hole, which
+    no mobile serves, leaves the plan section as it was."""
+    work, paths, docs = valid
+    doc = json.loads(paths["detect"].read_text())
+    holes = [e for e in doc["triangles"] if e["is_hole"]]  # largest first
+    assert len(holes) > len(docs["scenario"]["field"]["mobile"])
+    victim = holes[0] if served else holes[-1]
+    a, b, _ = victim["vertices"]
+    victim["vertices"] = [a, b, a]
+    edited, out = work / "degenerate.json", work / "out"
+    edited.write_text(json.dumps(doc))
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*REPORT_COMMANDS[0], "--scenario", str(paths["scenario"]), "--report", str(edited), "--out", str(out)])
+    text = err.getvalue()
+    if served:
+        assert code == 1
+        assert text.startswith("error: degenerate-geometry: ") and text.count("\n") == 1, text
+        assert not out.exists()
+    else:
+        assert code == 0 and text == ""
+        assert json.loads(out.read_text())["plan"] == docs["plan"]["plan"]
+        # the file embeds the edited triangle table, so its bytes differ
+        assert out.read_bytes() != paths["plan"].read_bytes()

@@ -11,16 +11,14 @@ above the degeneracy bound, and both ends of the length range.
 """
 from __future__ import annotations
 
-import sys
 from math import inf, ldexp, nan
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fields import cell_xy, geoms
+from fields import cell_xy, geoms, triangle_from_vertices
 from oracles import uncovered_by_vertex_disks
 from tricover import (
     DegenerateGeometryError,
@@ -28,11 +26,8 @@ from tricover import (
     Point,
     detect_holes,
     hole_area,
-    load_scenario,
-    triangle_from_vertices,
     triangulate,
 )
-from tricover.cli import main
 from tricover.field import LENGTH_RANGE
 
 SWEEP_SEED = 20261019
@@ -45,7 +40,7 @@ def tri(pts):
 
 def bits(t, radius):
     """The exact route's and the oracle's value on ``t``, as ``float.hex``."""
-    got = hole_area(cell_xy(t), t.area, radius).s_h
+    got = hole_area(cell_xy(t), radius).s_h
     return got.hex(), uncovered_by_vertex_disks(t, radius).hex()
 
 
@@ -151,7 +146,7 @@ def test_exact_route_refuses_exactly_the_degenerate_cells():
         if t.degenerate:
             refused += 1
             with pytest.raises(DegenerateGeometryError):
-                hole_area(cell_xy(t), t.area, base)
+                hole_area(cell_xy(t), base)
         else:
             kept += 1
             got, want = bits(t, base)
@@ -160,38 +155,28 @@ def test_exact_route_refuses_exactly_the_degenerate_cells():
 
 
 @pytest.mark.parametrize(
-    "xy, area",
+    "xy",
     [
-        ([nan, 0.0, 1.0, 0.0, 0.0, 1.0], 0.5),
-        ([0.0, 0.0, 1.0, 0.0, nan, 1.0], 0.5),  # only two of the sides are NaN
-        ([0.0, 0.0, 1.0, 0.0, 0.0, inf], inf),
-        ([0.0, 0.0, 1.0, 0.0, 0.0, 1.0], nan),
-        ([-1e308, 0.0, 1e308, 0.0, 0.0, 1.0], 1e308),  # a side overflows
+        [nan, 0.0, 1.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0, 0.0, nan, 1.0],  # only two of the sides are NaN
+        [0.0, 0.0, 1.0, 0.0, 0.0, inf],
+        [-1e308, 0.0, 1e308, 0.0, 0.0, 1.0],  # a side overflows
     ],
 )
-def test_exact_route_refuses_non_finite_cells(xy, area):
+def test_exact_route_refuses_non_finite_cells(xy):
     with pytest.raises(InvalidInputError, match="sides and area must be finite"):
-        hole_area(xy, area, 1.0)
+        hole_area(xy, 1.0)
 
 
-@pytest.fixture(scope="module")
-def workload_scenarios(tmp_path_factory):
-    """The scenario of each benchmark workload at each pinned seed."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import harness
-    finally:
-        sys.path.pop(0)
-    work = tmp_path_factory.mktemp("workloads")
-    scenarios = {}
-    for name in sorted(harness.WORKLOADS):
-        for seed in (42, 1042, 2042, 7):
-            argv = harness.stage_argvs(harness.WORKLOADS[name], seed, work)["generate"]
-            out = work / f"{name}-{seed}.json"
-            argv[argv.index("--out") + 1] = str(out)
-            assert main(argv) == 0
-            scenarios[name, seed] = load_scenario(out)
-    return scenarios
+def test_exact_route_never_exceeds_the_cell_area():
+    # the area comes from the vertices, so no call can claim a larger cell
+    assert hole_area([0.0, 0.0, 1.0, 0.0, 0.0, 1.0], 0.1).s_h <= 0.5
+    rng = np.random.default_rng(SWEEP_SEED + 2)
+    cases = sweep_cases(rng)
+    for _ in range(2000):
+        _, t, radius = next(cases)
+        for scale in (1.0, 1e-3):  # and radii far below the sides
+            assert 0.0 <= hole_area(cell_xy(t), scale * radius).s_h <= t.area
 
 
 def test_exact_route_bits_on_every_workload_cell(workload_scenarios):

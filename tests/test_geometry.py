@@ -1,4 +1,5 @@
-"""Geometry kernel tests: golden values, properties, and oracle checks."""
+"""Geometry kernel tests: golden values, properties, and oracle checks,
+also of the scalar triangle and centers the tests take as references."""
 from __future__ import annotations
 
 from math import hypot, nextafter, pi, sqrt
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fields import make_field
+from fields import make_field, triangle_from_vertices
 from oracles import (
+    circumcenter,
     grid_region_uncovered,
+    incenter,
     lens_area,
     triangle_disk_intersection_area,
     triangle_disks_covered_area,
@@ -19,10 +22,7 @@ from tricover import (
     DegenerateGeometryError,
     InvalidInputError,
     Point,
-    circumcenter,
-    incenter,
     mc_coverage_fraction,
-    triangle_from_vertices,
 )
 
 

@@ -7,21 +7,19 @@ from math import fsum, hypot, inf, pi, sqrt
 import numpy as np
 import pytest
 
-from fields import cell_xy, geoms, make_field
+from fields import cell_xy, geoms, make_field, triangle_from_vertices
+from oracles import centers, circumcenter, incenter
 from tricover import (
     InvalidInputError,
     Point,
     TargetLocation,
-    circumcenter,
     detect_holes,
     hole_area,
-    incenter,
     mc_coverage_fraction,
     plan_relocation,
     plan_to_dict,
     rank_holes,
     select_target,
-    triangle_from_vertices,
     triangulate,
 )
 from tricover.pipeline import _moves_from_plan
@@ -33,7 +31,7 @@ def tri(pts):
 
 def hole_for(pts, radius):
     t = tri(pts)
-    return t, hole_area(cell_xy(t), t.area, radius).s_h
+    return t, hole_area(cell_xy(t), radius).s_h
 
 
 def fake_target(cell_id, x, y, area=1.0):
@@ -63,7 +61,7 @@ SIDE19_EQUILATERAL = ((0.0, 0.0), (1.9, 0.0), (0.95, 1.9 * sqrt(3.0) / 2.0))
 def test_small_hole_goes_to_circumcenter():
     t, s_h = hole_for(SIDE19_EQUILATERAL, 1.0)
     # hole area 0.0551 <= pi * 1^2
-    target = select_target(0, s_h, t, mobile_radius=1.0)
+    target = select_target(0, s_h, *centers(t), mobile_radius=1.0)
     assert target.kind == "circumcenter"
     assert target.point == pytest.approx(circumcenter(t)[0])
     assert target.cell_id == 0
@@ -73,14 +71,14 @@ def test_small_hole_goes_to_circumcenter():
 def test_large_hole_goes_to_incenter():
     t, s_h = hole_for(SIDE19_EQUILATERAL, 1.0)
     # hole area 0.0551 > pi * 0.1^2 = 0.0314
-    target = select_target(0, s_h, t, mobile_radius=0.1)
+    target = select_target(0, s_h, *centers(t), mobile_radius=0.1)
     assert target.kind == "incenter"
     assert target.point == pytest.approx(incenter(t)[0])
 
 
 def test_boundary_equality_is_circumcenter():
     t = tri(((0, 0), (4, 0), (0, 3)))
-    target = select_target(0, pi * 0.25, t, mobile_radius=0.5)  # pi * R_m^2 == hole area
+    target = select_target(0, pi * 0.25, *centers(t), mobile_radius=0.5)  # pi * R_m^2 == hole area
     assert target.kind == "circumcenter"
 
 
@@ -96,9 +94,9 @@ def test_target_kind_scale_invariant():
         t_obj, s_h = hole_for([tuple(p) for p in pts], R)
         rm = float(rng.uniform(0.05, 1.0)) * max(t.sides)
         k = float(rng.uniform(0.1, 10.0))
-        kind = select_target(0, s_h, t_obj, rm).kind
+        kind = select_target(0, s_h, *centers(t_obj), rm).kind
         t_scaled, s_h_scaled = hole_for([(k * x, k * y) for x, y in pts], k * R)
-        scaled = select_target(0, s_h_scaled, t_scaled, k * rm)
+        scaled = select_target(0, s_h_scaled, *centers(t_scaled), k * rm)
         assert scaled.kind == kind
 
 
@@ -107,18 +105,18 @@ def test_circumcenter_clamped_to_bounds():
     t, s_h = hole_for(((0, 0.1), (4, 0.1), (2, 0.4)), 3.0)
     raw = circumcenter(t)[0]
     assert raw.y < 0.0
-    target = select_target(0, s_h, t, mobile_radius=5.0, bounds=(10.0, 5.0))
+    target = select_target(0, s_h, *centers(t), mobile_radius=5.0, bounds=(10.0, 5.0))
     assert target.kind == "circumcenter"
     assert target.point.y == 0.0
     assert target.point.x == pytest.approx(raw.x)
-    unclamped = select_target(0, s_h, t, mobile_radius=5.0)
+    unclamped = select_target(0, s_h, *centers(t), mobile_radius=5.0)
     assert unclamped.point == pytest.approx(raw)
 
 
 def test_select_target_rejects_bad_radius():
     t, s_h = hole_for(SIDE19_EQUILATERAL, 1.0)
     with pytest.raises(InvalidInputError):
-        select_target(0, s_h, t, mobile_radius=0.0)
+        select_target(0, s_h, *centers(t), mobile_radius=0.0)
 
 
 # --- plan_relocation ----------------------------------------------------------
@@ -319,7 +317,7 @@ def test_healing_improves_coverage_paired_seed():
     reports = detect_holes(mesh, field.sensing_radius)
     assert reports.is_hole.tolist() == [True]
     cell_id, hole = int(reports.cell_id[0]), float(reports.hole_area[0])
-    target = select_target(cell_id, hole, geoms(mesh, [cell_id])[0], mobile_radius=1.5)
+    target = select_target(cell_id, hole, *centers(geoms(mesh, [cell_id])[0]), mobile_radius=1.5)
     plan = plan_relocation([target], field)
     moves = {a.mobile_id: a.target.point for a in plan.assignments}
     est = mc_coverage_fraction(field, 200_000, seed=11, moves=moves)

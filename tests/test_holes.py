@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fields import cell_xy, detect_one, exact_route, make_field, mesh_of
+from fields import cell_xy, detect_one, exact_route, make_field, mesh_of, triangle_from_vertices
 from oracles import (
     case_formula_validity,
     case_label,
@@ -26,7 +26,6 @@ from tricover import (
     detect_holes,
     hole_area,
     hole_epsilon,
-    triangle_from_vertices,
     triangulate,
 )
 from tricover.holes import _case_route, _case_values
@@ -291,11 +290,11 @@ def test_validity_predicate_parts():
 def test_degenerate_and_bad_radius_errors():
     line = tri(((0, 0), (1, 1), (2, 2)))
     with pytest.raises(DegenerateGeometryError):
-        hole_area(cell_xy(line), line.area, 1.0)
+        hole_area(cell_xy(line), 1.0)
     good = tri(RIGHT_345)
     for radius in (0.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInputError):
-            hole_area(cell_xy(good), good.area, radius)
+            hole_area(cell_xy(good), radius)
 
 
 # --- detect_holes ----------------------------------------------------------------

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, Delaunay
 
-from fields import geoms, make_field
+from fields import geoms, make_field, triangle_from_vertices
+from oracles import circumcenter
 from tricover import (
     DuplicateSiteError,
     InsufficientSitesError,
@@ -15,9 +16,7 @@ from tricover import (
     Point,
     Sensor,
     SensorField,
-    circumcenter,
     generate_scenario,
-    triangle_from_vertices,
     triangulate,
 )
 

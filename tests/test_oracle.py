@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from fields import make_field
+from fields import make_field, triangle_from_vertices
 from oracles import grid_region_uncovered, triangle_disks_covered_area
 from tricover import (
     InconsistentInputError,
     InvalidInputError,
     Point,
     mc_coverage_fraction,
-    triangle_from_vertices,
 )
 from tricover.oracle import (
     _COVERED,

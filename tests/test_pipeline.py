@@ -10,7 +10,8 @@ from scipy.spatial import Delaunay, cKDTree
 
 import tricover.holes
 import tricover.pipeline
-from fields import make_field
+from fields import geoms, make_field, triangle_from_vertices
+from oracles import centers
 from tricover import (
     DegenerateGeometryError,
     InvalidInputError,
@@ -26,10 +27,11 @@ from tricover import (
     scenario_from_dict,
     select_target,
     targets_from_report,
-    triangle_from_vertices,
     triangulate,
 )
 from tricover.field import LENGTH_RANGE
+from tricover.mesh import _columns
+from tricover.pipeline import _centers
 
 
 def small_scenario(seed=42):
@@ -120,9 +122,9 @@ def test_detect_runs_exact_integral_once_per_exact_route_cell(monkeypatch):
     calls = []
     original = tricover.holes._uncovered_area
 
-    def counted(xy, area, radius):
+    def counted(xy, radius):
         calls.append(1)
-        return original(xy, area, radius)
+        return original(xy, radius)
 
     monkeypatch.setattr(tricover.holes, "_uncovered_area", counted)
     report = run_detect(doc)
@@ -163,9 +165,9 @@ def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch):
         calls["kernel"] += 1
         return kernel(*args)
 
-    def counted_hole_area(xy, area, radius):
+    def counted_hole_area(xy, radius):
         calls["hole_area"] += 1
-        return hole_area(xy, area, radius)
+        return hole_area(xy, radius)
 
     monkeypatch.setattr(tricover.holes, "_detect_columns", counted_kernel)
     monkeypatch.setattr(tricover.holes, "hole_area", counted_hole_area)
@@ -173,26 +175,6 @@ def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch):
     exact_cells = sum(1 for e in report.triangles if e["method"] == "exact-fallback")
     assert 0 < exact_cells < len(report.triangles)
     assert calls == {"kernel": 1, "hole_area": exact_cells}
-
-
-def test_detect_builds_no_triangle_objects(monkeypatch):
-    """Detection reads the mesh's columns alone: it gives the same reports
-    with every ``TriangleGeom`` construction raising."""
-    doc = generate_scenario(100.0, 100.0, 200, 0, 5.0, 5.0, seed=42)
-    mesh = triangulate(doc.field)
-    expected = detect_holes(mesh, 5.0)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a TriangleGeom was built")
-
-    monkeypatch.setattr(tricover.TriangleGeom, "__init__", refuse)
-    reports = detect_holes(mesh, 5.0)
-    assert np.count_nonzero(reports.method == "exact-fallback") > 0
-    for name in ("cell_id", "label", "method", "is_hole"):
-        assert getattr(reports, name).tolist() == getattr(expected, name).tolist()
-    assert [v.hex() for v in reports.hole_area.tolist()] == [
-        v.hex() for v in expected.hole_area.tolist()
-    ]
 
 
 @pytest.mark.parametrize("method", ["auto"])  # the report's constant ``meta.method``
@@ -260,7 +242,7 @@ def test_plan_builds_targets_only_for_served_holes(monkeypatch, n_mobile):
     bounds = (doc.field.width, doc.field.height)
     # every hole's target, built as the plan builds a served one
     every = {
-        e["id"]: select_target(e["id"], e["s_h"], t, 4.0, bounds=bounds)
+        e["id"]: select_target(e["id"], e["s_h"], *centers(t), 4.0, bounds=bounds)
         for e, t in entry_triangles(report, doc)
         if e["is_hole"]
     }
@@ -269,28 +251,64 @@ def test_plan_builds_targets_only_for_served_holes(monkeypatch, n_mobile):
         (e for e in report.triangles if e["is_hole"]), key=lambda e: (-e["s_h"], e["id"])
     )
     served = [e["id"] for e in ranked[:n_mobile]]
-    calls = {"select_target": [], "triangle_from_vertices": []}
+    calls = []
+    original = tricover.pipeline.select_target
 
-    def counting(name):
-        original = getattr(tricover.pipeline, name)
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls[name].append(args[0])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(tricover.pipeline, name, counted)
-
-    counting("select_target")
-    counting("triangle_from_vertices")
+    monkeypatch.setattr(tricover.pipeline, "select_target", counted)
     plan = run_plan(report, doc, mobile_radius=4.0).plan
-    assert calls["select_target"] == served
-    assert len(calls["triangle_from_vertices"]) == len(served)
+    assert calls == served
     assert plan["unserved"] == [e["id"] for e in ranked[n_mobile:]]
     assert sorted(a["cell_id"] for a in plan["assignments"]) == sorted(served)
     for a in plan["assignments"]:
         target = every[a["cell_id"]]
         assert a["kind"] == target.kind
         assert a["target"] == {"x": target.point.x, "y": target.point.y}
+
+
+def _center_bits(columns, triangles):
+    """Plan's two center columns and the scalar centers of each triangle,
+    as ``float.hex`` pairs."""
+    got = [[(x.hex(), y.hex()) for x, y in c.tolist()] for c in columns]
+    want = [[(p.x.hex(), p.y.hex()) for p in points] for points in zip(*map(centers, triangles))]
+    return got, want
+
+
+def test_plan_centers_match_the_scalar_centers_on_every_workload_cell(workload_scenarios):
+    checked = 0
+    for (name, seed), scenario in workload_scenarios.items():
+        mesh = triangulate(scenario.field)
+        live = np.flatnonzero(~mesh.degenerate)
+        got, want = _center_bits(_centers(mesh.xy[live], mesh.sides[live]), geoms(mesh, live))
+        assert got == want, (name, seed)
+        checked += len(live)
+    assert checked > 35_000
+
+
+def test_plan_centers_match_the_scalar_centers_on_random_triangles():
+    # Triangles anywhere in a square field of side 100 * 2^k: most are
+    # obtuse, and many an obtuse one has its circumcenter outside the field.
+    # A tenth are on a grid of a tenth of the side, with axis-aligned edges.
+    rng = np.random.default_rng(20261020)
+    n = 20_000
+    side = 100.0 * 2.0 ** rng.integers(-20, 21, size=n)
+    points = rng.uniform(0.0, 1.0, size=(n, 3, 2))
+    points[: n // 10] = np.round(points[: n // 10] * 10.0) / 10.0
+    points *= side[:, None, None]
+    xy, sides, _, degenerate = _columns(points.reshape(-1, 2), np.arange(3 * n).reshape(n, 3))
+    live = ~degenerate
+    columns = _centers(xy[live], sides[live])
+    triangles = [triangle_from_vertices(*p) for p in xy[live].tolist()]
+    got, want = _center_bits(columns, triangles)
+    assert got == want
+    sq = np.sort(sides[live] ** 2, axis=1)
+    obtuse = sq[:, 2] > sq[:, 0] + sq[:, 1]
+    outside = np.any((columns[0] < 0.0) | (columns[0] > side[live, None]), axis=1)
+    assert np.count_nonzero(live) > 19_000
+    assert np.count_nonzero(obtuse & outside) > 3000
 
 
 @pytest.mark.parametrize("served", [True, False])
