@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
 
+import fields
+import tricover
 import tricover.holes
 import tricover.pipeline
 from fields import geoms, make_field, triangle_from_vertices
@@ -175,6 +177,29 @@ def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch):
     exact_cells = sum(1 for e in report.triangles if e["method"] == "exact-fallback")
     assert 0 < exact_cells < len(report.triangles)
     assert calls == {"kernel": 1, "hole_area": exact_cells}
+
+
+def test_detect_builds_no_triangle_objects(monkeypatch):
+    """Detection reads the mesh's columns alone: the package has no
+    triangle type, and it gives the same reports with every construction of
+    the test-only ``TriangleGeom`` raising."""
+    assert not hasattr(tricover, "TriangleGeom")
+    assert not hasattr(tricover.holes, "TriangleGeom")
+    doc = generate_scenario(100.0, 100.0, 200, 0, 5.0, 5.0, seed=42)
+    mesh = triangulate(doc.field)
+    expected = detect_holes(mesh, 5.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a TriangleGeom was built")
+
+    monkeypatch.setattr(fields.TriangleGeom, "__init__", refuse)
+    reports = detect_holes(mesh, 5.0)
+    assert np.count_nonzero(reports.method == "exact-fallback") > 0
+    for name in ("cell_id", "label", "method", "is_hole"):
+        assert getattr(reports, name).tolist() == getattr(expected, name).tolist()
+    assert [v.hex() for v in reports.hole_area.tolist()] == [
+        v.hex() for v in expected.hole_area.tolist()
+    ]
 
 
 @pytest.mark.parametrize("method", ["auto"])  # the report's constant ``meta.method``
