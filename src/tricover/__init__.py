@@ -22,14 +22,7 @@ from .files import (
     save_scenario,
     scenario_from_dict,
 )
-from .healing import (
-    Assignment,
-    HealingPlan,
-    TargetLocation,
-    plan_relocation,
-    rank_holes,
-    select_target,
-)
+from .healing import HealingPlan, plan_relocation, rank_holes, select_targets
 from .holes import (
     CaseLabel,
     HoleComputation,
@@ -42,7 +35,6 @@ from .mesh import TriMesh, triangulate
 from .oracle import CoverageEstimate, mc_coverage_fraction
 from .pipeline import (
     generate_scenario,
-    plan_to_dict,
     run_detect,
     run_plan,
     run_verify,
@@ -53,7 +45,6 @@ from .render import render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "CaseLabel",
     "CoverageEstimate",
     "DegenerateGeometryError",
@@ -70,7 +61,6 @@ __all__ = [
     "ScenarioDoc",
     "Sensor",
     "SensorField",
-    "TargetLocation",
     "TriMesh",
     "TricoverError",
     "UsageError",
@@ -83,7 +73,6 @@ __all__ = [
     "load_scenario",
     "mc_coverage_fraction",
     "plan_relocation",
-    "plan_to_dict",
     "rank_holes",
     "render_svg",
     "report_from_dict",
@@ -94,7 +83,7 @@ __all__ = [
     "save_report",
     "save_scenario",
     "scenario_from_dict",
-    "select_target",
+    "select_targets",
     "targets_from_report",
     "triangulate",
 ]

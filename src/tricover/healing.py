@@ -1,50 +1,36 @@
 """Relocation planning for mobile sensors to patch detected holes.
 
 Holes are ranked by area and the largest, one per mobile, are served.
-Each served hole gets a target point inside (or for the circumcenter
-rule, associated with) its triangle; mobiles are then assigned to targets
-by an exact minimum-total-movement assignment.
+Each served hole gets a target point, its triangle's circumcenter or
+incenter, chosen for all served holes at once as columns; mobiles are then
+assigned to targets by an exact minimum-total-movement assignment, and the
+plan holds the plan section's rows. The scalar target rule, one hole at a
+time, lives on as the tests' reference in ``tests/oracles.py``, which
+:func:`select_targets` matches bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, pi
+from math import pi
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .errors import InvalidInputError
 from .field import SensorField, check_length
-from .geometry import Point
+from .mesh import _hypot
 
 CIRCUMCENTER = "circumcenter"
 INCENTER = "incenter"
 
 
 @dataclass(frozen=True)
-class TargetLocation:
-    """Where a mobile should go to patch one triangle's hole."""
-
-    cell_id: int
-    kind: str
-    point: Point
-    hole_area: float
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """One mobile dispatched to one target."""
-
-    mobile_id: int
-    target: TargetLocation
-    distance: float
-
-
-@dataclass(frozen=True)
 class HealingPlan:
-    """A full relocation plan: assignments plus the cell ids of unserved holes."""
+    """A full relocation plan: the plan section's assignment rows, sorted by
+    mobile id, their total movement, and the cell ids of unserved holes."""
 
-    assignments: tuple[Assignment, ...]
+    assignments: tuple[dict, ...]
     total_movement: float
     unserved: tuple[int, ...]
 
@@ -54,32 +40,31 @@ def check_mobile_radius(mobile_radius: float) -> None:
     check_length("mobile sensing radius", mobile_radius)
 
 
-def select_target(
-    cell_id: int,
-    hole_area: float,
-    circumcenter: Point,
-    incenter: Point,
+def select_targets(
+    hole_area: Sequence[float],
+    circumcenter: np.ndarray,
+    incenter: np.ndarray,
     mobile_radius: float,
-    bounds: tuple[float, float] | None = None,
-) -> TargetLocation:
-    """Pick the patch point for the hole of cell ``cell_id`` from its
-    triangle's ``circumcenter`` and ``incenter``.
+    bounds: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The patch point of each hole, from the column of hole areas and the
+    ``(T, 2)`` columns of its triangle's ``circumcenter`` and ``incenter``:
+    the column of target kinds and the ``(T, 2)`` column of points.
 
     Holes no larger than the mobile's disk (``area <= pi * R_m**2``) are
     patched at the circumcenter (equidistant from all three sensors);
-    larger holes at the incenter (deepest interior point). ``bounds``
-    optionally clamps the point into the ``[0, w] x [0, h]`` rectangle —
-    circumcenters of obtuse triangles can fall outside it.
+    larger holes at the incenter (deepest interior point). Each point is
+    then clamped into the ``bounds = (w, h)`` rectangle as
+    ``min(max(v, 0.0), bound)``, ``-0.0`` kept, since the circumcenter of
+    an obtuse triangle can fall outside it.
     """
     check_mobile_radius(mobile_radius)
-    if hole_area <= pi * mobile_radius * mobile_radius:
-        kind, point = CIRCUMCENTER, circumcenter
-    else:
-        kind, point = INCENTER, incenter
-    if bounds is not None:
-        w, h = bounds
-        point = Point(min(max(point.x, 0.0), w), min(max(point.y, 0.0), h))
-    return TargetLocation(cell_id=cell_id, kind=kind, point=point, hole_area=hole_area)
+    small = np.asarray(hole_area, dtype=float) <= pi * mobile_radius * mobile_radius
+    points = np.where(small[:, None], circumcenter, incenter)
+    points = np.where(0.0 > points, 0.0, points)  # max(v, 0.0)
+    bound = np.array(bounds, dtype=float)
+    points = np.where(bound < points, bound, points)  # min(v, bound)
+    return np.where(small, CIRCUMCENTER, INCENTER), points
 
 
 def rank_holes(holes: Iterable[tuple], n_mobiles: int) -> tuple[list[tuple], tuple[int, ...]]:
@@ -94,46 +79,49 @@ def rank_holes(holes: Iterable[tuple], n_mobiles: int) -> tuple[list[tuple], tup
 
 
 def plan_relocation(
-    targets: Sequence[TargetLocation],
+    cell_ids: Sequence[int],
+    kinds: Sequence[str],
+    points: np.ndarray,
     field: SensorField,
     unserved: Sequence[int] = (),
 ) -> HealingPlan:
     """Assign mobiles to the targets of served holes, minimizing total travel.
 
-    ``targets`` are those of the holes :func:`rank_holes` serves, at most
-    one per mobile; ``unserved`` holds the cell ids of the other holes and
-    is copied into the plan. Surplus mobiles stay put. The assignment is
-    exactly optimal (Hungarian method).
+    Target ``j`` patches the hole of cell ``cell_ids[j]`` at ``points[j]``,
+    of kind ``kinds[j]``, as :func:`select_targets` gives them for the holes
+    :func:`rank_holes` serves; more targets than mobiles are
+    ``invalid-input``. ``unserved`` holds the cell ids of the other holes
+    and is copied into the plan. Surplus mobiles stay put. The assignment
+    is exactly optimal (Hungarian method).
     """
     mobiles = sorted(field.mobile, key=lambda m: m.id)
-    if len(targets) > len(mobiles):
-        raise ValueError(
-            f"{len(targets)} targets for {len(mobiles)} mobiles; rank the holes first"
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(points) > len(mobiles):
+        raise InvalidInputError(
+            f"{len(points)} targets for {len(mobiles)} mobiles; rank the holes first"
         )
     unserved = tuple(unserved)
-    if not targets:
+    if not len(points):
         return HealingPlan(assignments=(), total_movement=0.0, unserved=unserved)
-    cost = np.array(
-        [
-            [hypot(m.position.x - t.point.x, m.position.y - t.point.y) for t in targets]
-            for m in mobiles
-        ]
-    )
+    at = np.array([m.position for m in mobiles], dtype=float)
+    dx, dy = (at[:, k, None] - points[:, k] for k in (0, 1))
+    cost = _hypot(dx.ravel(), dy.ravel()).reshape(dx.shape)
+    # The row indices come back ascending, so the rows are in mobile-id order.
     rows, cols = linear_sum_assignment(cost)
+    ids, kinds = list(cell_ids), np.asarray(kinds).tolist()
+    xs, ys = points.T.tolist()
+    distances = cost[rows, cols].tolist()
     assignments = tuple(
-        sorted(
-            (
-                Assignment(
-                    mobile_id=mobiles[r].id,
-                    target=targets[c],
-                    distance=float(cost[r, c]),
-                )
-                for r, c in zip(rows, cols)
-            ),
-            key=lambda a: a.mobile_id,
-        )
+        {
+            "mobile_id": mobiles[r].id,
+            "cell_id": ids[c],
+            "kind": kinds[c],
+            "target": {"x": xs[c], "y": ys[c]},
+            "distance": d,
+        }
+        for r, c, d in zip(rows.tolist(), cols.tolist(), distances)
     )
     total = 0.0  # added in order: ``sum`` of floats compensates from Python 3.12
-    for a in assignments:
-        total += a.distance
+    for d in distances:
+        total += d
     return HealingPlan(assignments=assignments, total_movement=total, unserved=unserved)

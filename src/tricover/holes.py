@@ -33,6 +33,7 @@ from math import acos, atan2, cos, hypot, isfinite, pi, sin, sqrt
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
+from .field import check_length
 from .geometry import _DEGENERACY_FACTOR
 from .mesh import TriMesh, _hypot
 
@@ -103,11 +104,6 @@ def hole_epsilon(radius: float) -> float:
     return _HOLE_EPSILON_FACTOR * radius * radius
 
 
-def _require_radius(radius: float) -> None:
-    if not (isfinite(radius) and radius > 0):
-        raise InvalidInputError(f"sensing radius must be > 0, got {radius}")
-
-
 # --- hole area --------------------------------------------------------------
 
 
@@ -119,8 +115,8 @@ def hole_area(xy: Sequence[float], radius: float) -> HoleComputation:
     ``xy`` is the cell's six vertex coordinates ``(x1, y1, x2, y2, x3, y3)``
     in mesh order, a row of ``mesh.xy`` flattened. The cell's area is taken
     from them by the float operations that give ``mesh.area``, so it is that
-    value. A radius that is not finite and positive, and a cell whose sides
-    or area are not finite, are ``invalid-input``; a cell that
+    value. A radius that is not a length (``field.check_length``), and a
+    cell whose sides or area are not finite, are ``invalid-input``; a cell that
     ``triangulate`` marks degenerate, by its three side lengths and area, is
     ``degenerate-geometry``.
 
@@ -130,7 +126,7 @@ def hole_area(xy: Sequence[float], radius: float) -> HoleComputation:
     its ``method`` and ``perfbench/test_perfbench.py`` needs these calls; a
     tracer that reads detect's route column would retire both.
     """
-    _require_radius(radius)
+    check_length("sensing radius", radius)
     return HoleComputation(s_h=_uncovered_area(xy, radius), method=EXACT_FALLBACK)
 
 
@@ -447,14 +443,15 @@ def detect_holes(mesh: TriMesh, radius: float, epsilon: float | None = None) -> 
     """Evaluate every mesh cell under vertex disks of ``radius`` and report holes, largest first.
 
     Reports are sorted by descending hole area, ties by ascending cell id.
-    ``epsilon`` (finite, >= 0) overrides the default significance threshold
+    ``radius`` must be a length (``field.check_length``), else
+    ``invalid-input``. ``epsilon`` (finite, >= 0) overrides the default significance threshold
     ``1e-9 * R^2``. A degenerate cell is reported as label ``F`` with
     ``s_h = 0``, not a hole, without a hole-area evaluation: it is a sliver
     such as Qhull keeps on the hull, of area below the degeneracy bound
     ``1e-12 * (longest side)^2``, on which the exact integral is not
     meaningful; its ``s_h`` is a closed-form value, hence ``case-formula``.
     """
-    _require_radius(radius)
+    check_length("sensing radius", radius)
     eps = hole_epsilon(radius) if epsilon is None else epsilon
     if not (isfinite(eps) and eps >= 0.0):
         raise InvalidInputError(f"hole epsilon must be finite and >= 0, got {eps}")

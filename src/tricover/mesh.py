@@ -29,8 +29,9 @@ from .geometry import _DEGENERACY_FACTOR
 class TriMesh:
     """A canonical triangulation over a field's stationary sensors.
 
-    ``sites`` are sorted by id. ``cells`` is a ``(T, 3)`` int array of
-    sensor ids, each row ascending and the rows in lexicographic order; cell
+    ``sites`` are sorted by id. ``cells`` is a ``(T, 3)`` array of sensor
+    ids, of an integer dtype or, when no integer dtype holds them all, of
+    Python ints, each row ascending and the rows in lexicographic order; cell
     ``i`` is row ``i``. The geometry of the cells is held as columns, each
     value bit-identical to the tests' scalar ``triangle_from_vertices``
     (``tests/fields.py``) of the cell's three positions, in the same vertex
@@ -112,6 +113,9 @@ def triangulate(field: SensorField) -> TriMesh:
     # Sites are sorted by id, so ordering site indices orders the ids.
     rows = np.sort(delaunay.simplices, axis=1)
     rows = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))]
-    cells = np.array([s.id for s in sites])[rows]
+    ids = np.array([s.id for s in sites])
+    if ids.dtype.kind == "f":  # ids of mixed widths, which no integer dtype holds
+        ids = np.array([s.id for s in sites], dtype=object)
+    cells = ids[rows]
     cells.flags.writeable = False
     return TriMesh(sites, cells, *_columns(points, rows))

@@ -15,14 +15,7 @@ from .errors import DegenerateGeometryError, InvalidInputError
 from .field import MobileSensor, Sensor, SensorField, check_field_size
 from .files import ReportDoc, ScenarioDoc, round_sig
 from .geometry import Point
-from .healing import (
-    HealingPlan,
-    TargetLocation,
-    check_mobile_radius,
-    plan_relocation,
-    rank_holes,
-    select_target,
-)
+from .healing import check_mobile_radius, plan_relocation, rank_holes, select_targets
 from .holes import HoleReports, detect_holes
 from .mesh import TriMesh, _columns, triangulate
 from .oracle import mc_coverage_fraction
@@ -163,14 +156,17 @@ def _centers(xy: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def targets_from_report(
     report: ReportDoc, scenario: ScenarioDoc, mobile_radius: float
-) -> tuple[list[TargetLocation], tuple[int, ...]]:
-    """Targets of the holes the scenario's mobiles serve, and the other holes' cell ids.
+) -> tuple[list[int], np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The targets of the holes the scenario's mobiles serve, as the columns
+    :func:`plan_relocation` takes, and the other holes' cell ids:
+    ``(cell_ids, kinds, points, unserved)``.
 
     The report must belong to ``scenario`` (:meth:`ReportDoc.check_scenario`).
     Holes are ranked by their ``s_h`` (:func:`rank_holes`); only the served
-    ones get a triangle, by ``mesh._columns`` on their vertices, and a
-    target. A served hole whose triangle is degenerate is refused as
-    ``degenerate-geometry`` before any target is built.
+    ones get a triangle, by ``mesh._columns`` on their vertices, and their
+    targets are chosen from its center columns at once
+    (:func:`select_targets`). A served hole whose triangle is degenerate is
+    refused as ``degenerate-geometry`` before any target is chosen.
     """
     if report.triangles is None:
         raise InvalidInputError("report has no detection section")
@@ -185,30 +181,10 @@ def targets_from_report(
     if degenerate.any():
         cell_id = served[int(np.argmax(degenerate))][0]
         raise DegenerateGeometryError(f"served hole {cell_id} is a degenerate triangle")
-    bounds = (field.width, field.height)
-    targets = [
-        select_target(cell_id, s_h, Point(*cc), Point(*ic), mobile_radius, bounds=bounds)
-        for (cell_id, s_h, _), cc, ic in zip(served, *(c.tolist() for c in _centers(xy, sides)))
-    ]
-    return targets, unserved
-
-
-def plan_to_dict(plan: HealingPlan, mobile_radius: float) -> dict:
-    return {
-        "mobile_radius": mobile_radius,
-        "assignments": [
-            {
-                "mobile_id": a.mobile_id,
-                "cell_id": a.target.cell_id,
-                "kind": a.target.kind,
-                "target": {"x": a.target.point.x, "y": a.target.point.y},
-                "distance": a.distance,
-            }
-            for a in plan.assignments
-        ],
-        "total_movement": plan.total_movement,
-        "unserved": list(plan.unserved),
-    }
+    kinds, targets = select_targets(
+        [h[1] for h in served], *_centers(xy, sides), mobile_radius, (field.width, field.height)
+    )
+    return [h[0] for h in served], kinds, targets, unserved
 
 
 def run_plan(
@@ -223,9 +199,15 @@ def run_plan(
     checked before any target is built.
     """
     check_mobile_radius(mobile_radius)
-    targets, unserved = targets_from_report(report, scenario, mobile_radius)
-    plan = plan_relocation(targets, scenario.field, unserved)
-    return dataclasses.replace(report, plan=plan_to_dict(plan, mobile_radius), verify=None)
+    cell_ids, kinds, points, unserved = targets_from_report(report, scenario, mobile_radius)
+    plan = plan_relocation(cell_ids, kinds, points, scenario.field, unserved)
+    section = {
+        "mobile_radius": mobile_radius,
+        "assignments": list(plan.assignments),
+        "total_movement": plan.total_movement,
+        "unserved": list(plan.unserved),
+    }
+    return dataclasses.replace(report, plan=section, verify=None)
 
 
 def _moves_from_plan(plan: dict) -> dict[int, Point]:

@@ -24,7 +24,10 @@ against the other:
 - ``circumcenter`` and ``incenter``: a triangle's two patch points one
   triangle at a time, the scalar reference plan's center columns
   (``pipeline._centers``) must match bit for bit; ``centers`` gives both
-  points, as ``select_target`` takes them.
+  points, as ``select_target`` takes them;
+- ``select_target``: the target rule and its clamp one hole at a time, the
+  scalar reference plan's target columns (``healing.select_targets``) must
+  match bit for bit.
 
 They import only data types and the error classes from ``tricover``, and
 the test triangle ``TriangleGeom`` with its coordinate check from
@@ -516,3 +519,21 @@ def centers(tri: TriangleGeom) -> tuple[Point, Point]:
     """The circumcenter and the incenter of ``tri``, the two candidate patch
     points ``select_target`` takes."""
     return circumcenter(tri)[0], incenter(tri)[0]
+
+
+def select_target(
+    hole_area: float,
+    circumcenter: Point,
+    incenter: Point,
+    mobile_radius: float,
+    bounds: tuple[float, float],
+) -> tuple[str, Point]:
+    """The kind and the point of one hole's target: the circumcenter when
+    ``hole_area <= pi * R_m**2``, else the incenter, clamped into the
+    ``bounds = (w, h)`` rectangle by Python's ``max`` and ``min``."""
+    if hole_area <= pi * mobile_radius * mobile_radius:
+        kind, point = "circumcenter", circumcenter
+    else:
+        kind, point = "incenter", incenter
+    w, h = bounds
+    return kind, Point(min(max(point.x, 0.0), w), min(max(point.y, 0.0), h))

@@ -25,11 +25,10 @@ from tricover import (
     run_detect,
     run_plan,
     run_verify,
-    select_target,
+    select_targets,
     triangulate,
 )
 from tricover.cli import main
-from tricover.healing import TargetLocation
 from tricover.holes import _half_lenses
 
 SWEEP_SEED = 20260815
@@ -242,20 +241,27 @@ def test_criterion_07_healing_improves_coverage():
     )
 
 
+def target_kind(s_h, tri, mobile_radius):
+    """The kind ``select_targets`` gives the hole ``s_h`` of triangle ``tri``."""
+    columns = (np.array([p]) for p in centers(tri))
+    kinds, _ = select_targets([s_h], *columns, mobile_radius, (np.inf, np.inf))
+    return kinds.tolist()[0]
+
+
 def test_criterion_08_target_rule_conformance(sweep):
     rng = np.random.default_rng(SWEEP_SEED + 8)
     for row in sweep:
         mobile_radius = float(
             rng.uniform(0.2, 2.0)
         ) * sqrt(max(row.auto.s_h, 1e-12) / pi)
-        target = select_target(0, row.auto.s_h, *centers(row.tri), mobile_radius)
+        kind = target_kind(row.auto.s_h, row.tri, mobile_radius)
         if row.auto.s_h <= pi * mobile_radius**2:
-            assert target.kind == "circumcenter"
+            assert kind == "circumcenter"
         else:
-            assert target.kind == "incenter"
+            assert kind == "incenter"
     # exact boundary: hole area == pi * R_m^2 goes to the circumcenter
     t = triangle_from_vertices(Point(0, 0), Point(4, 0), Point(0, 3))
-    assert select_target(0, pi * 0.25, *centers(t), 0.5).kind == "circumcenter"
+    assert target_kind(pi * 0.25, t, 0.5) == "circumcenter"
     print("PASS criterion 8: target kind follows the disk-capacity rule")
 
 
@@ -273,21 +279,20 @@ def test_criterion_09_assignment_optimality():
         field = make_field(
             50.0, 50.0, 1.0, [], [(i, x, y, 1.0) for i, (x, y) in enumerate(mob_pts)]
         )
-        targets = [
-            TargetLocation(
-                cell_id=j, kind="circumcenter", point=Point(x, y), hole_area=1.0 + j
-            )
-            for j, (x, y) in enumerate(tgt_pts)
-        ]
-        ranked, unserved = rank_holes([(t.cell_id, t.hole_area, t) for t in targets], n_mob)
-        plan = plan_relocation([h[2] for h in ranked], field, unserved)
-        by_area = sorted(targets, key=lambda t: (-t.hole_area, t.cell_id))
+        # (cell_id, hole area, target point) of each hole
+        targets = [(j, 1.0 + j, (x, y)) for j, (x, y) in enumerate(tgt_pts)]
+        ranked, unserved = rank_holes(targets, n_mob)
+        plan = plan_relocation(
+            [h[0] for h in ranked], ["circumcenter"] * len(ranked), [h[2] for h in ranked],
+            field, unserved,
+        )
+        by_area = sorted(targets, key=lambda t: (-t[1], t[0]))
         served = by_area[:n_mob]
-        assert plan.unserved == tuple(t.cell_id for t in by_area[n_mob:])
+        assert plan.unserved == tuple(t[0] for t in by_area[n_mob:])
         best = min(
             (
                 sum(
-                    hypot(mob_pts[p][0] - t.point.x, mob_pts[p][1] - t.point.y)
+                    hypot(mob_pts[p][0] - t[2][0], mob_pts[p][1] - t[2][1])
                     for p, t in zip(perm, served)
                 )
                 for perm in itertools.permutations(range(n_mob), len(served))

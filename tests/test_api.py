@@ -1,6 +1,6 @@
 """The package namespace: ``__all__`` and the public names agree, no
 module imports a name it does not use, and no package module keeps a
-private helper that nothing uses."""
+helper that nothing uses."""
 from __future__ import annotations
 
 import ast
@@ -48,7 +48,8 @@ def test_oracles_stay_out_of_the_package():
         "_sectors_contained", "_min_enclosing_radius", "point_segment_distance",
         "triangle_disks_covered_area", "exact_uncovered_area", "_require_analysable",
         "_ccw_vertices", "TriangleGeom", "triangle_from_vertices", "_require_finite",
-        "circumcenter", "incenter",
+        "circumcenter", "incenter", "select_target", "TargetLocation", "Assignment",
+        "plan_to_dict",
     )
     spaces = [
         importlib.import_module("tricover" if path.stem == "__init__" else f"tricover.{path.stem}")
@@ -86,9 +87,10 @@ def test_every_imported_name_is_used():
 
 
 def test_every_private_helper_is_used():
-    # a private top-level function, class or assignment of a package module
-    # must be read somewhere in the package, by name or as an attribute
-    defined, loaded = [], set()
+    # a top-level function, class or assignment of a package module must be
+    # read somewhere in the package, by name or as an attribute; a public
+    # one may instead be exported in ``__all__``
+    defined, loaded = [], set(tricover.__all__)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -102,7 +104,7 @@ def test_every_private_helper_is_used():
                 ]
             else:
                 continue
-            defined += [(path.name, n) for n in names if n.startswith("_") and not n.startswith("__")]
+            defined += [(path.name, n) for n in names if not n.startswith("__")]
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 loaded.add(n.id)

@@ -582,6 +582,50 @@ def test_plan_rejects_bad_mobile_radius(tmp_path, capsys):
     assert_single_error_line(capsys, "invalid-input")
 
 
+@pytest.mark.parametrize(
+    "stationary_ids, mobile_ids",
+    [
+        ([1, 2, 3, 2**63 + 1], [7, 2**63 + 5]),  # no one integer dtype holds them
+        ([-5, 2**64 + 3, -1, 2**70], [-7, 2**65]),
+    ],
+    ids=["small-and-2^63", "negative-and-2^64"],
+)
+def test_mixed_width_sensor_ids_come_back_exact(tmp_path, stationary_ids, mobile_ids):
+    corners = [(1.0, 1.0), (9.0, 1.0), (5.0, 9.0), (9.0, 9.0)]
+    doc = {
+        "schema_version": 1,
+        "field": {
+            "width": 10.0,
+            "height": 10.0,
+            "sensing_radius": 1.0,
+            "stationary": [
+                {"id": i, "x": x, "y": y} for i, (x, y) in zip(stationary_ids, corners)
+            ],
+            "mobile": [
+                {"id": i, "x": 5.0, "y": 5.0, "sensing_radius": 1.0} for i in mobile_ids
+            ],
+        },
+        "meta": {},
+    }
+    scen, det, plan = tmp_path / "s.json", tmp_path / "d.json", tmp_path / "p.json"
+    scen.write_bytes(canonical_json_bytes(doc))
+    assert main(["detect", "--scenario", str(scen), "--out", str(det)]) == 0
+    triangles = json.loads(det.read_text())["triangles"]
+    vertices = [t["vertices"] for t in triangles]
+    assert len(vertices) == 2
+    assert all(type(v) is int for vs in vertices for v in vs)
+    assert all(vs == sorted(vs) for vs in vertices)
+    assert {v for vs in vertices for v in vs} == set(stationary_ids)
+    assert all(t["is_hole"] for t in triangles)
+    code = main(
+        ["plan", "--scenario", str(scen), "--report", str(det),
+         "--mobile-radius", "1", "--out", str(plan)]
+    )
+    assert code == 0
+    assignments = json.loads(plan.read_text())["plan"]["assignments"]
+    assert sorted(a["mobile_id"] for a in assignments) == sorted(mobile_ids)
+
+
 @pytest.mark.parametrize("radius", ["nan", "inf", "0"])
 @pytest.mark.parametrize("sensing_radius", [2.0, 20.0], ids=["holes", "no-holes"])
 def test_plan_checks_mobile_radius_before_targets(

@@ -38,6 +38,13 @@ def tri(pts):
     return triangle_from_vertices(*(Point(float(x), float(y)) for x, y in pts))
 
 
+def is_length(radius):
+    """Whether ``radius`` lies in the length range; ``hole_area`` refuses
+    any other radius as ``invalid-input``."""
+    low, high = LENGTH_RANGE
+    return low <= radius <= high
+
+
 def bits(t, radius):
     """The exact route's and the oracle's value on ``t``, as ``float.hex``."""
     got = hole_area(cell_xy(t), radius).s_h
@@ -103,9 +110,15 @@ def test_exact_route_matches_the_general_integral_bit_for_bit():
     seen = {"acute": 0, "right": 0, "obtuse": 0, "holes": 0, "covered": 0}
     families = dict.fromkeys(("random", "right", "grid", "thin", "small", "large"), 0)
     mismatches = []
+    refused = 0
     for _ in range(SWEEP_SIZE):
         family, t, radius = next(cases)
         families[family] += 1
+        if not is_length(radius):  # a small cell's radius can fall below the range
+            with pytest.raises(InvalidInputError, match="must lie in"):
+                hole_area(cell_xy(t), radius)
+            refused += 1
+            continue
         seen[angle_kind(t)] += 1
         got, want = bits(t, radius)
         if got != want:
@@ -114,6 +127,7 @@ def test_exact_route_matches_the_general_integral_bit_for_bit():
     assert mismatches == []
     assert min(families.values()) >= SWEEP_SIZE // 7
     assert min(seen.values()) > 500, seen
+    assert 0 < refused < families["small"] // 2
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -176,7 +190,11 @@ def test_exact_route_never_exceeds_the_cell_area():
     for _ in range(2000):
         _, t, radius = next(cases)
         for scale in (1.0, 1e-3):  # and radii far below the sides
-            assert 0.0 <= hole_area(cell_xy(t), scale * radius).s_h <= t.area
+            if is_length(scale * radius):
+                assert 0.0 <= hole_area(cell_xy(t), scale * radius).s_h <= t.area
+            else:
+                with pytest.raises(InvalidInputError, match="must lie in"):
+                    hole_area(cell_xy(t), scale * radius)
 
 
 def test_exact_route_bits_on_every_workload_cell(workload_scenarios):

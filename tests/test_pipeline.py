@@ -2,18 +2,20 @@
 from __future__ import annotations
 
 import dataclasses
-from math import ceil, floor, fsum, inf, ldexp, log2, nextafter, pi, sqrt
+from math import ceil, floor, fsum, hypot, inf, ldexp, log2, nextafter, pi, sqrt
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial import Delaunay, cKDTree
 
 import fields
 import tricover
+import tricover.healing
 import tricover.holes
 import tricover.pipeline
 from fields import geoms, make_field, triangle_from_vertices
-from oracles import centers
+from oracles import centers, select_target
 from tricover import (
     DegenerateGeometryError,
     InvalidInputError,
@@ -27,7 +29,6 @@ from tricover import (
     run_plan,
     run_verify,
     scenario_from_dict,
-    select_target,
     targets_from_report,
     triangulate,
 )
@@ -242,8 +243,8 @@ def test_target_kind_follows_report_hole_area():
     def kind_at(s_h):
         entries = [dict(e, s_h=s_h) if e is hole else e for e in report.triangles]
         edited = dataclasses.replace(report, triangles=entries)
-        targets, _ = targets_from_report(edited, doc, mobile_radius)
-        return next(t.kind for t in targets if t.cell_id == hole["id"])
+        cell_ids, kinds, _, _ = targets_from_report(edited, doc, mobile_radius)
+        return kinds.tolist()[cell_ids.index(hole["id"])]
 
     assert kind_at(capacity) == "circumcenter"
     assert kind_at(nextafter(capacity, inf)) == "incenter"
@@ -253,11 +254,11 @@ def test_targets_respect_field_bounds():
     # small_scenario's sites with a mobile for each of its 24 holes
     doc = generate_scenario(40.0, 40.0, 20, 30, 4.0, 4.0, seed=42)
     report = run_detect(doc)
-    targets, unserved = targets_from_report(report, doc, mobile_radius=4.0)
-    assert len(targets) == 24 and unserved == ()
-    for t in targets:
-        assert 0.0 <= t.point.x <= doc.field.width
-        assert 0.0 <= t.point.y <= doc.field.height
+    _, _, points, unserved = targets_from_report(report, doc, mobile_radius=4.0)
+    assert len(points) == 24 and unserved == ()
+    for x, y in points.tolist():
+        assert 0.0 <= x <= doc.field.width
+        assert 0.0 <= y <= doc.field.height
 
 
 @pytest.mark.parametrize("n_mobile", [0, 3, 30])  # 24 holes
@@ -267,7 +268,7 @@ def test_plan_builds_targets_only_for_served_holes(monkeypatch, n_mobile):
     bounds = (doc.field.width, doc.field.height)
     # every hole's target, built as the plan builds a served one
     every = {
-        e["id"]: select_target(e["id"], e["s_h"], *centers(t), 4.0, bounds=bounds)
+        e["id"]: select_target(e["s_h"], *centers(t), 4.0, bounds)
         for e, t in entry_triangles(report, doc)
         if e["is_hole"]
     }
@@ -275,23 +276,24 @@ def test_plan_builds_targets_only_for_served_holes(monkeypatch, n_mobile):
     ranked = sorted(
         (e for e in report.triangles if e["is_hole"]), key=lambda e: (-e["s_h"], e["id"])
     )
-    served = [e["id"] for e in ranked[:n_mobile]]
-    calls = []
-    original = tricover.pipeline.select_target
+    served = ranked[:n_mobile]
+    rows = []
+    original = tricover.pipeline.select_targets
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counted(hole_area, *args):
+        rows.append(list(hole_area))
+        return original(hole_area, *args)
 
-    monkeypatch.setattr(tricover.pipeline, "select_target", counted)
+    monkeypatch.setattr(tricover.pipeline, "select_targets", counted)
     plan = run_plan(report, doc, mobile_radius=4.0).plan
-    assert calls == served
+    # one call, with one row for each served hole, in rank order
+    assert rows == [[e["s_h"] for e in served]]
     assert plan["unserved"] == [e["id"] for e in ranked[n_mobile:]]
-    assert sorted(a["cell_id"] for a in plan["assignments"]) == sorted(served)
+    assert sorted(a["cell_id"] for a in plan["assignments"]) == sorted(e["id"] for e in served)
     for a in plan["assignments"]:
-        target = every[a["cell_id"]]
-        assert a["kind"] == target.kind
-        assert a["target"] == {"x": target.point.x, "y": target.point.y}
+        kind, point = every[a["cell_id"]]
+        assert a["kind"] == kind
+        assert a["target"] == {"x": point.x, "y": point.y}
 
 
 def _center_bits(columns, triangles):
@@ -334,6 +336,56 @@ def test_plan_centers_match_the_scalar_centers_on_random_triangles():
     outside = np.any((columns[0] < 0.0) | (columns[0] > side[live, None]), axis=1)
     assert np.count_nonzero(live) > 19_000
     assert np.count_nonzero(obtuse & outside) > 3000
+
+
+def test_plan_targets_and_costs_match_the_scalar_oracle_on_every_workload(
+    workload_scenarios, monkeypatch
+):
+    # Each served hole's kind and target, and each cost the assignment sees,
+    # against the scalar target rule and ``math.hypot``, by ``float.hex``.
+    costs = []
+
+    def solve(cost):
+        costs.append(cost)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(tricover.healing, "linear_sum_assignment", solve)
+    checked = 0
+    for (name, seed), scenario in workload_scenarios.items():
+        field = scenario.field
+        radius = field.sensing_radius  # the benchmark's mobile radius
+        bounds = (field.width, field.height)
+        report = run_detect(scenario)
+        plan = run_plan(report, scenario, radius).plan
+        positions = {s.id: s.position for s in field.stationary}
+        holes = sorted(
+            (e for e in report.triangles if e["is_hole"]), key=lambda e: (-e["s_h"], e["id"])
+        )
+        served = holes[: len(field.mobile)]
+        want = {
+            e["id"]: select_target(
+                e["s_h"],
+                *centers(triangle_from_vertices(*(positions[v] for v in e["vertices"]))),
+                radius,
+                bounds,
+            )
+            for e in served
+        }
+        got = {
+            a["cell_id"]: (a["kind"], a["target"]["x"].hex(), a["target"]["y"].hex())
+            for a in plan["assignments"]
+        }
+        assert got == {
+            cell_id: (kind, p.x.hex(), p.y.hex()) for cell_id, (kind, p) in want.items()
+        }, (name, seed)
+        mobiles = sorted(field.mobile, key=lambda m: m.id)
+        targets = [want[e["id"]][1] for e in served]  # the columns, in rank order
+        assert [[v.hex() for v in row] for row in costs.pop().tolist()] == [
+            [hypot(m.position.x - t.x, m.position.y - t.y).hex() for t in targets]
+            for m in mobiles
+        ], (name, seed)
+        checked += len(served)
+    assert checked == 4 * (50 + 50 + 100)
 
 
 @pytest.mark.parametrize("served", [True, False])
