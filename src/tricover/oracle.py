@@ -3,12 +3,13 @@
 ``mc_coverage_fraction`` measures how much of a field its sensors cover,
 before and after a plan moves some mobiles, on seeded uniform samples.
 Coverage is decided by plain distance comparisons: a raster of the
-stationary disks settles most samples, and a kd-tree query the rest. The
-samples the stationary sensors leave uncovered are then ordered by raster
-column, and each mobile disk is tested only on the run of columns it can
-reach. The estimator shares no code with the closed-form geometry of
-``detect``, so it also serves the tests as an independent check of the
-hole areas.
+stationary disks settles most samples, the distance to the one sensor
+that reaches a sample's cell most of the others, and a kd-tree query the
+rest. The samples the stationary sensors leave uncovered are then
+ordered by raster column, and each mobile disk is tested only on the run
+of columns it can reach. The estimator shares no code with the
+closed-form geometry of ``detect``, so it also serves the tests as an
+independent check of the hole areas.
 """
 from __future__ import annotations
 
@@ -63,14 +64,17 @@ class _Raster:
     """Square cells of side ``h``, ``nx`` by ``ny``, from the origin.
 
     ``state[j * nx + i]`` is the state of the cell
-    ``[i * h, (i + 1) * h] x [j * h, (j + 1) * h]``; a layout alone has
-    ``state`` None.
+    ``[i * h, (i + 1) * h] x [j * h, (j + 1) * h]``, and ``site[j * nx + i]``
+    the index of the one site that reaches the cell if it is mixed and one
+    site alone reaches it, and -1 otherwise (see ``_stamp``); a layout
+    alone has ``state`` and ``site`` None.
     """
 
     h: float
     nx: int
     ny: int
     state: np.ndarray | None
+    site: np.ndarray | None = None
 
 
 def _layout(cells: int, width: float, height: float) -> _Raster:
@@ -148,19 +152,26 @@ def _stamp(raster: _Raster, sites: np.ndarray, radius: float) -> _Raster:
     ``d = sqrt(dx * dx + dy * dy)`` from s to the cell centre
     ``c = ((i + 0.5) * h, (j + 0.5) * h)``. A cell is *covered* if some
     pair has ``d + δ <= R * (1 - 1e-9)``, *uncovered* if no pair has
-    ``d - δ < R * (1 + 1e-9)``, and *mixed* otherwise. A pair left out of
-    the windows has its cell centre more than B plus nearly half a cell
-    from the site along x or y, so it would meet neither test: the windows
-    change no state, and the tests check the states against every site.
+    ``d - δ < R * (1 + 1e-9)``, and *mixed* otherwise; a pair that meets the
+    second test *reaches* its cell. A pair left out of the windows has its
+    cell centre more than B plus nearly half a cell from the site along x
+    or y, so it would meet neither test: the windows change no state, and
+    the tests check the states against every site. The raster's ``site``
+    column names, for each mixed cell that one site alone reaches, that
+    site, and holds -1 for every other cell; a covering pair decides its
+    cell, so only the other reaching pairs are recorded.
 
     A point ``p`` of the field in a covered (uncovered) cell, as
     ``_stationary_covered`` assigns it, passes (fails) the plain test
     ``tree.query(p, distance_upper_bound=nextafter(R, inf))[0] <= R`` of a
-    kd-tree of the sites. With u = 2**-53 the unit roundoff, the field's
-    sides and R in [2**-400, 2**400] (no square below overflows, and one
-    that underflows moves a distance by at most 2**-537, far below
-    1e-11 * h), and the sites within ``2**40 * h`` of the origin (a site of
-    the field lies within ``2**16.01 * h``):
+    kd-tree of the sites. In a mixed cell that one site s alone reaches,
+    the test ``sqrt(dx * dx + dy * dy) <= R`` against s gives the same
+    answer, but for the query's pruning within a relative 1e-12 of R. With
+    u = 2**-53 the unit roundoff, the field's sides and R in
+    [2**-400, 2**400] (no square below overflows, and one that underflows
+    moves a distance by at most 2**-537, far below 1e-11 * h), and the
+    sites within ``2**40 * h`` of the origin (a site of the field lies
+    within ``2**16.01 * h``):
 
     - A distance computed by numpy here or by scipy in the query (the root
       of a rounded sum of rounded squares of rounded differences) is within
@@ -196,6 +207,16 @@ def _stamp(raster: _Raster, sites: np.ndarray, radius: float) -> _Raster:
     - In both uncovered cases p's computed distance to s exceeds
       R * (1 + 9.8e-10), so the plain query finds no site within
       ``nextafter(R, inf)``.
+    - Mixed, one site s alone reaches the cell: no pair covers the cell,
+      and every other site's pair fails the reach test or lies outside its
+      window, so by the two uncovered bullets p's computed distance to
+      that site exceeds R * (1 + 9.8e-10). The plain query can then
+      return only s's computed distance, or nothing. scipy computes it as
+      numpy does here: the two rounded squares of the rounded
+      differences, summed x first, and a correctly rounded square root.
+      So the direct test and the query agree, except where the query's
+      pruning drops s within a relative 1e-12 of its bound (the first
+      bullet).
 
     The margin on R absorbs the rounding in terms of R's size; the widening
     of δ absorbs the cell-index rounding, which scales with h and matters on
@@ -215,7 +236,10 @@ def _stamp(raster: _Raster, sites: np.ndarray, radius: float) -> _Raster:
     cx = (np.arange(nx) + 0.5) * h
     cy = (np.arange(ny) + 0.5) * h
     covered = np.zeros(nx * ny, dtype=bool)
-    reached = np.zeros(nx * ny, dtype=bool)
+    # the last site seen to reach each cell without covering it, and
+    # whether another one did
+    site = np.full(nx * ny, -1, dtype=np.int32)
+    twice = np.zeros(nx * ny, dtype=bool)
     a = 0
     while a < len(sites):
         # sites a to b - 1: at most _STAMP_BLOCK window columns in all, or one site
@@ -229,6 +253,8 @@ def _stamp(raster: _Raster, sites: np.ndarray, radius: float) -> _Raster:
         height = rows[a:b].take(k)
         top = int(rows[a:b].max())
         step = max(1, _STAMP_BLOCK // len(k))
+        # the site of each pair in a block of rows
+        ids = np.tile(np.arange(a, b, dtype=np.int32).take(k), (min(step, top), 1))
         for t in range(0, top, step):
             # rows t to t + step - 1 of each site's window, one per line of d
             dt = np.arange(t, min(t + step, top))[:, np.newaxis]
@@ -236,12 +262,20 @@ def _stamp(raster: _Raster, sites: np.ndarray, radius: float) -> _Raster:
             d = np.sqrt(dx2 + (dy * dy).take(k, axis=1))
             live = dt < height
             cell = base + dt * nx
-            covered[cell[live & (d + delta <= radius * (1.0 - 1e-9))]] = True
-            reached[cell[live & (d - delta < radius * (1.0 + 1e-9))]] = True
+            inner = live & (d + delta <= radius * (1.0 - 1e-9))
+            covered[cell[inner]] = True
+            # Each pair is visited once, so a cell reached in an earlier
+            # block, or twice in this one, is reached by two sites.
+            near = live & (d - delta < radius * (1.0 + 1e-9)) & ~inner
+            hit, who = cell[near], ids[: len(dt)][near]
+            seen = site.take(hit)
+            site[hit] = who
+            twice[hit[(seen >= 0) | (site.take(hit) != who)]] = True
         a = b
-    state = np.where(reached, _MIXED, _UNCOVERED).astype(np.int8)
+    state = np.where(site >= 0, _MIXED, _UNCOVERED).astype(np.int8)
     state[covered] = _COVERED
-    return _Raster(h, nx, ny, state)
+    site[twice | covered] = -1
+    return _Raster(h, nx, ny, state, site)
 
 
 def _columns(x: np.ndarray, inv_h: float, n: int) -> np.ndarray:
@@ -257,22 +291,38 @@ def _columns(x: np.ndarray, inv_h: float, n: int) -> np.ndarray:
 
 
 def _stationary_covered(
-    pts: np.ndarray, col: np.ndarray, tree: cKDTree, raster: _Raster, radius: float
+    pts: np.ndarray,
+    col: np.ndarray,
+    sites: np.ndarray,
+    tree: cKDTree,
+    raster: _Raster,
+    radius: float,
 ) -> np.ndarray:
-    """Which of ``pts`` (points of the raster's field) lie within ``radius`` of a sensor of ``tree``.
+    """Which of ``pts`` (points of the raster's field) lie within ``radius`` of one of ``sites``.
 
-    ``col`` holds the points' raster columns (``_columns``). A point in a
-    covered or uncovered cell of ``raster`` takes the cell's state, which is
-    the plain query's answer (see ``_stamp``); the points in mixed
-    cells are queried, in cell order, so that successive queries search
-    nearby parts of the tree. Each answer is the point's own, whatever the
-    order.
+    ``tree`` is a kd-tree of ``sites``, the sites ``raster`` was stamped
+    with, and ``col`` holds the points' raster columns (``_columns``). A
+    point in a covered or uncovered cell of ``raster`` takes the cell's
+    state, and a point in a mixed cell that one site alone reaches is
+    tested with ``sqrt(dx * dx + dy * dy) <= radius`` against that site;
+    both are the plain query's answer (see ``_stamp``). The points in mixed
+    cells that several sites reach are queried, in cell order, so that
+    successive queries search nearby parts of the tree. Each answer is the
+    point's own, whatever the order.
     """
-    row = _columns(pts[:, 1], 1.0 / raster.h, raster.ny).astype(np.intp)
-    cell = row * raster.nx + col
+    # row * nx + col, built in place so that a chunk holds one intp array, not two
+    cell = _columns(pts[:, 1], 1.0 / raster.h, raster.ny).astype(np.intp)
+    cell *= raster.nx
+    cell += col
     state = raster.state.take(cell)
     covered = state == _COVERED
     mixed = np.flatnonzero(state == _MIXED)
+    site = raster.site.take(cell.take(mixed))
+    one = site >= 0
+    alone = mixed[one]
+    dx, dy = (pts.take(alone, axis=0) - sites.take(site[one], axis=0)).T
+    covered[alone] = np.sqrt(dx * dx + dy * dy) <= radius
+    mixed = mixed[~one]
     if len(mixed):
         # cell < MC_CHUNK = 2**16: a stable sort of 16-bit keys is a radix sort.
         mixed = mixed.take(np.argsort(cell.take(mixed).astype(np.uint16), kind="stable"))
@@ -373,10 +423,13 @@ def mc_coverage_fraction(
        (``_raster_layout``). A field without stationary sensors takes the
        same path: its raster is all uncovered cells, and its empty kd-tree
        is never queried.
-    2. The stationary disks are decided first: each sample takes the state
-       of its cell, and only the samples in cells that the raster cannot
-       decide are queried in the kd-tree, in cell order (``_stamp`` shows
-       that the decided samples get the query's answer).
+    2. The stationary disks are decided first. Each sample in a covered
+       or uncovered cell takes the state of its cell. A sample in a mixed
+       cell that one sensor alone reaches is tested against that sensor,
+       ``sqrt(dx * dx + dy * dy) <= R``; the stamp records that sensor as it
+       visits the pairs. Only the samples in mixed cells that several
+       sensors reach are queried in the kd-tree, in cell order (``_stamp``
+       shows that the samples decided without it get the query's answer).
     3. If the field has mobiles, the samples the stationary disks leave
        uncovered are kept and ordered by column (numpy's stable sort of
        16-bit keys is a radix sort).
@@ -422,7 +475,7 @@ def mc_coverage_fraction(
         pts[:, 0] *= field.width
         pts[:, 1] *= field.height
         col = _columns(pts[:, 0], inv_h, raster.nx)
-        covered = _stationary_covered(pts, col, tree, raster, radius)
+        covered = _stationary_covered(pts, col, sites, tree, raster, radius)
         hits = int(np.count_nonzero(covered))
         hits_before += hits
         hits_after += hits

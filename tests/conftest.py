@@ -10,14 +10,25 @@ from tricover import load_scenario
 from tricover.cli import main
 
 
-@pytest.fixture(scope="session")
-def workload_scenarios(tmp_path_factory):
-    """The scenario of each benchmark workload at each pinned seed."""
+def _harness():
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import harness
     finally:
         sys.path.pop(0)
+    return harness
+
+
+@pytest.fixture(scope="session")
+def workload_samples():
+    """The sample count of each benchmark workload's verify stage."""
+    return {name: w.samples for name, w in _harness().WORKLOADS.items()}
+
+
+@pytest.fixture(scope="session")
+def workload_scenarios(tmp_path_factory):
+    """The scenario of each benchmark workload at each pinned seed."""
+    harness = _harness()
     work = tmp_path_factory.mktemp("workloads")
     scenarios = {}
     for name in sorted(harness.WORKLOADS):

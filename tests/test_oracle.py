@@ -16,6 +16,7 @@ from tricover import (
     Point,
     mc_coverage_fraction,
 )
+from tricover import oracle
 from tricover.oracle import (
     _COVERED,
     _HALF_DIAGONAL,
@@ -61,6 +62,8 @@ def test_mc_no_sensors_is_exactly_zero():
     field = make_field(2.0, 2.0, 1.0, [])
     est = mc_coverage_fraction(field, 10**4, seed=3)
     assert est.before == 0.0
+    raster = _verify_raster(np.empty((0, 2)), 1.0, 2.0, 2.0, 10**4)
+    assert np.all(raster.state == _UNCOVERED) and np.all(raster.site == -1)
 
 
 def test_mc_mobile_radii_respected():
@@ -92,12 +95,18 @@ def test_mc_rejects_bad_sample_count():
         mc_coverage_fraction(field, 0, seed=1)
 
 
-def _unchunked_hits(field, samples, seed, moves):
-    # One draw of all samples, brute-force distances: the estimator's
-    # definition without its chunking or kd-tree.
+def _draw(field, samples, seed):
+    # mc_coverage_fraction's samples, in one draw
     pts = np.random.default_rng(seed).random((samples, 2))
     pts[:, 0] *= field.width
     pts[:, 1] *= field.height
+    return pts
+
+
+def _unchunked_hits(field, samples, seed, moves):
+    # One draw of all samples, brute-force distances: the estimator's
+    # definition without its chunking or kd-tree.
+    pts = _draw(field, samples, seed)
 
     def in_disk(center, radius):
         d2 = (pts[:, 0] - center[0]) ** 2 + (pts[:, 1] - center[1]) ** 2
@@ -404,11 +413,12 @@ def _plain_covered(tree, pts, radius):
 
 def _raster_matches_plain_query(sensors, radius, layout, pts):
     """The answer of ``layout`` stamped by ``sensors`` for ``pts`` equals the plain query's; returns the raster."""
-    tree = cKDTree(sensors)
-    raster = _stamp(layout, np.array(sensors, dtype=float), radius)
+    sites = np.array(sensors, dtype=float)
+    tree = cKDTree(sites)
+    raster = _stamp(layout, sites, radius)
     pts = np.array(pts, dtype=float)
     col = _columns(pts[:, 0], 1.0 / raster.h, raster.nx)
-    got = _stationary_covered(pts, col, tree, raster, radius)
+    got = _stationary_covered(pts, col, sites, tree, raster, radius)
     assert np.array_equal(got, _plain_covered(tree, pts, radius))
     return raster
 
@@ -547,19 +557,30 @@ def test_raster_size_is_bounded_and_covers_the_field(width, height, samples):
 
 def _every_site_states(raster, sites, radius):
     # Each cell's state from every site's distance to its centre, computed
-    # with the stamp's expressions, without windows.
+    # with the stamp's expressions, without windows; with each cell's count
+    # of reaching sites, and the index of the one where there is one (-1
+    # otherwise).
     cx = (np.arange(raster.nx) + 0.5) * raster.h
     cy = (np.arange(raster.ny) + 0.5) * raster.h
     delta = raster.h * _HALF_DIAGONAL
     dx = cx[:, np.newaxis] - sites[:, 0]
-    rows = []
+    rows, counts, ones = [], [], []
     for y in cy:
         dy = y - sites[:, 1]
         d = np.sqrt(dx * dx + dy * dy)
         covered = (d + delta <= radius * (1.0 - 1e-9)).any(axis=1)
-        reached = (d - delta < radius * (1.0 + 1e-9)).any(axis=1)
-        rows.append(np.where(covered, _COVERED, np.where(reached, _MIXED, _UNCOVERED)))
-    return np.concatenate(rows)
+        reach = d - delta < radius * (1.0 + 1e-9)
+        count = reach.sum(axis=1)
+        rows.append(np.where(covered, _COVERED, np.where(count > 0, _MIXED, _UNCOVERED)))
+        counts.append(count)
+        ones.append(np.where(count == 1, reach.argmax(axis=1), -1))
+    return np.concatenate(rows), np.concatenate(counts), np.concatenate(ones)
+
+
+def _one_site_column(states, counts, ones):
+    # the stamp's site column, from every site: the one site of a mixed cell
+    # that one site alone reaches, and -1 elsewhere
+    return np.where((states == _MIXED) & (counts == 1), ones, -1)
 
 
 def _grid_sites(layout, width, height, seed, n):
@@ -603,9 +624,11 @@ def test_stamped_states_equal_every_site_classification(name, layout, width, hei
     for seed, n in ((7, 5), (8, 60)):
         sites = _grid_sites(layout, width, height, seed, n)
         for radius in radii:
-            got = _stamp(layout, sites, radius).state
-            assert np.array_equal(got, _every_site_states(layout, sites, radius)), radius
-            seen |= set(np.unique(got).tolist())
+            raster = _stamp(layout, sites, radius)
+            every = _every_site_states(layout, sites, radius)
+            assert np.array_equal(raster.state, every[0]), radius
+            assert np.array_equal(raster.site, _one_site_column(*every)), radius
+            seen |= set(np.unique(raster.state).tolist())
     assert seen == {_COVERED, _MIXED, _UNCOVERED} or name.startswith("far-")
 
 
@@ -615,7 +638,74 @@ def test_stamped_states_equal_every_site_classification_on_budgeted_layouts(radi
     sites = np.random.default_rng(59).random((300, 2)) * (50.0, 40.0)
     for samples in (2000, 10**5, 10**6):
         raster = _verify_raster(sites, radius, 50.0, 40.0, samples)
-        assert np.array_equal(raster.state, _every_site_states(raster, sites, radius))
+        every = _every_site_states(raster, sites, radius)
+        assert np.array_equal(raster.state, every[0])
+        assert np.array_equal(raster.site, _one_site_column(*every))
+
+
+def _sites_of(field):
+    return np.array([[s.position.x, s.position.y] for s in field.stationary]).reshape(-1, 2)
+
+
+def _cells(raster, pts):
+    inv_h = 1.0 / raster.h
+    col = _columns(pts[:, 0], inv_h, raster.nx)
+    return col, _columns(pts[:, 1], inv_h, raster.ny).astype(np.intp) * raster.nx + col
+
+
+def test_stationary_covered_equals_the_plain_query_on_every_workload_draw(
+    workload_scenarios, workload_samples
+):
+    # every sample of verify's draw on each benchmark scenario, with a
+    # share of them in mixed cells that one site alone reaches
+    for (name, seed), scenario in sorted(workload_scenarios.items()):
+        field, samples = scenario.field, workload_samples[name]
+        radius, sites = field.sensing_radius, _sites_of(field)
+        tree = cKDTree(sites)
+        raster = _verify_raster(sites, radius, field.width, field.height, samples)
+        pts = _draw(field, samples, seed)
+        col, cell = _cells(raster, pts)
+        got = _stationary_covered(pts, col, sites, tree, raster, radius)
+        assert np.array_equal(got, _plain_covered(tree, pts, radius)), (name, seed)
+        assert np.count_nonzero(raster.site.take(cell) >= 0) > 0, (name, seed)
+
+
+class _CountingTree:
+    """A cKDTree that counts the points passed to ``query``."""
+
+    def __init__(self, data):
+        self.tree = cKDTree(data)
+        self.points = 0
+
+    def query(self, x, **kwargs):
+        self.points += len(x)
+        return self.tree.query(x, **kwargs)
+
+
+def test_only_samples_in_cells_several_sites_reach_are_queried(monkeypatch):
+    made = []
+
+    def counting_tree(data):
+        made.append(_CountingTree(data))
+        return made[-1]
+
+    monkeypatch.setattr(oracle, "cKDTree", counting_tree)
+    crowded = make_field(50.0, 50.0, 5.0 * sqrt(50.0 / 300), _random_sensors(43, 300, 50.0, 50.0))
+    lonely = make_field(6.0, 4.0, 1.3, [(0, 2.0, 1.5)])
+    samples = 3 * MC_CHUNK + 5
+    for field, several in ((crowded, True), (lonely, False)):
+        est = mc_coverage_fraction(field, samples, seed=53)
+        assert est.before == _unchunked_hits(field, samples, 53, {})[0] / samples
+        (tree,) = made
+        made.clear()
+        # the samples in mixed cells that two or more sites reach, from every site
+        radius, sites = field.sensing_radius, _sites_of(field)
+        layout = _raster_layout(field.width, field.height, samples, len(sites), radius)
+        states, counts, _ = _every_site_states(layout, sites, radius)
+        cell = _cells(layout, _draw(field, samples, 53))[1]
+        mixed = states.take(cell) == _MIXED
+        assert tree.points == np.count_nonzero(mixed & (counts.take(cell) >= 2))
+        assert (tree.points > 0) == several and np.count_nonzero(mixed) > tree.points
 
 
 def _random_sensors(seed, n, width, height):
@@ -645,13 +735,18 @@ def _edge_field(name):
     if name == "raster-at-cap":
         field = make_field(20.0, 20.0, 1.1, _random_sensors(23, 60, 20.0, 20.0))
         return field, 8 * MC_CHUNK + 9, None
+    if name == "coarse-raster":
+        # 2000 sites and 2000 samples: the pair budget leaves 1 x 2 cells
+        # of side 100, each mixed and reached by many sites
+        stationary = _random_sensors(29, 2000, 100.0, 100.0)
+        return make_field(100.0, 100.0, 10.0 * sqrt(50.0 / 2000), stationary), 2000, None
     raise AssertionError(name)
 
 
 @pytest.mark.parametrize(
     "name",
     ["one-stationary", "radius-wider-than-field", "radius-far-below-cell", "elongated",
-     "fewer-than-8-samples", "raster-at-cap"],
+     "fewer-than-8-samples", "raster-at-cap", "coarse-raster"],
 )
 def test_mc_with_raster_matches_one_draw_on_edge_fields(name):
     field, samples, moves = _edge_field(name)
