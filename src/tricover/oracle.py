@@ -5,17 +5,19 @@ before and after a plan moves some mobiles, on seeded uniform samples.
 Coverage is decided by plain distance comparisons: a raster of the
 stationary disks settles most samples, the distance to the one sensor
 that reaches a sample's cell most of the others, and a kd-tree query the
-rest. The samples the stationary sensors leave uncovered are then
-ordered by raster column, and each mobile disk is tested only on the run
-of columns it can reach. The estimator shares no code with the
-closed-form geometry of ``detect``, so it also serves the tests as an
-independent check of the hole areas.
+rest. The samples the stationary sensors leave uncovered in the cells
+some mobile disk can reach are then ordered by raster cell. All mobile
+disks are applied at once, row by row of the window of cells each one can
+reach: the samples in the cells wholly inside a disk are marked covered
+without a distance test, and only those in its edge cells are tested. The
+estimator shares no code with the closed-form geometry of ``detect``, so
+it also serves the tests as an independent check of the hole areas.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, nextafter, sqrt
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -43,6 +45,11 @@ _HALF_DIAGONAL = sqrt(0.5) * (1.0 + 1e-9)
 # ``_raster_layout``), about _STAMP_BLOCK at a time, which bounds memory.
 _STAMP_PAIRS = 8 * MC_CHUNK
 _STAMP_BLOCK = 8192
+
+# Tags of the mobile disks of one call (see ``_windows``): a disk that stays
+# counts before and after the moves, one that leaves before, and one that
+# arrives after.
+_STAYING, _LEAVING, _ARRIVING = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,19 @@ def _pair_bound(raster: _Raster, sites: int, radius: float) -> int:
     return sites * int(min(raster.nx, span)) * int(min(raster.ny, span))
 
 
-def _raster_layout(width: float, height: float, samples: int, sites: int, radius: float) -> _Raster:
+def _window_rows(raster: _Raster, radii: np.ndarray) -> int:
+    """An upper bound on the window rows of disks of ``radii`` centred in the field.
+
+    A window spans at most ``int(2 * reach / h + 3)`` rows, as in
+    ``_pair_bound``, and at most all ``ny`` of them.
+    """
+    span = 2.0 * _reach(radii, raster.h) / raster.h + 3.0
+    return int(np.minimum(raster.ny, span).astype(np.int64).sum())
+
+
+def _raster_layout(
+    width: float, height: float, samples: int, sites: int, radius: float, radii: np.ndarray
+) -> _Raster:
     """The layout ``mc_coverage_fraction`` stamps: the most cells, and at least one, such that
 
     - there are at most ``MC_CHUNK`` cells, so column and cell keys fit in
@@ -114,15 +133,20 @@ def _raster_layout(width: float, height: float, samples: int, sites: int, radius
     - the stamp visits at most ``max(sites, min(_STAMP_PAIRS, 2 * samples))``
       pairs (``_pair_bound``), so that an over-covered field, or a run of
       few samples, stamps no more than the raster saves. A pair costs a few
-      float operations, about a twentieth of a kd query.
+      float operations, about a twentieth of a kd query;
+    - the windows of the mobile disks, of radii ``radii``, hold at most
+      ``max(MC_CHUNK, len(radii))`` rows in all (``_window_rows``), which
+      bounds the segment table of the mobile pass (``_windows``).
 
     The count is the cap if it fits, and otherwise the largest that a
     bisection finds below it; one cell always fits.
     """
     budget = max(sites, min(_STAMP_PAIRS, 2 * samples))
+    rows = max(MC_CHUNK, len(radii))
 
     def fits(cells: int) -> bool:
-        return _pair_bound(_layout(cells, width, height), sites, radius) <= budget
+        layout = _layout(cells, width, height)
+        return _pair_bound(layout, sites, radius) <= budget and _window_rows(layout, radii) <= rows
 
     lo, hi = 1, max(1, min(MC_CHUNK, samples // 2))
     if fits(hi):
@@ -287,12 +311,13 @@ def _columns(x: np.ndarray, inv_h: float, n: int) -> np.ndarray:
     Clipping in float before the cast keeps huge and infinite x in range,
     and ``n <= MC_CHUNK = 2**16`` makes every column fit in 16 bits.
     """
-    return np.clip(x * inv_h, 0.0, n - 1).astype(np.uint16)
+    v = x * inv_h
+    return np.clip(v, 0.0, n - 1, out=v).astype(np.uint16)
 
 
 def _stationary_covered(
     pts: np.ndarray,
-    col: np.ndarray,
+    cell: np.ndarray,
     sites: np.ndarray,
     tree: cKDTree,
     raster: _Raster,
@@ -301,19 +326,16 @@ def _stationary_covered(
     """Which of ``pts`` (points of the raster's field) lie within ``radius`` of one of ``sites``.
 
     ``tree`` is a kd-tree of ``sites``, the sites ``raster`` was stamped
-    with, and ``col`` holds the points' raster columns (``_columns``). A
-    point in a covered or uncovered cell of ``raster`` takes the cell's
-    state, and a point in a mixed cell that one site alone reaches is
-    tested with ``sqrt(dx * dx + dy * dy) <= radius`` against that site;
-    both are the plain query's answer (see ``_stamp``). The points in mixed
-    cells that several sites reach are queried, in cell order, so that
-    successive queries search nearby parts of the tree. Each answer is the
-    point's own, whatever the order.
+    with, and ``cell`` holds the points' raster cell keys ``row * nx + col``
+    (``_columns`` of each coordinate), of an integer type. A point in a
+    covered or uncovered cell of ``raster`` takes the cell's state, and a
+    point in a mixed cell that one site alone reaches is tested with
+    ``sqrt(dx * dx + dy * dy) <= radius`` against that site; both are the
+    plain query's answer (see ``_stamp``). The points in mixed cells that
+    several sites reach are queried, in cell order, so that successive
+    queries search nearby parts of the tree. Each answer is the point's
+    own, whatever the order.
     """
-    # row * nx + col, built in place so that a chunk holds one intp array, not two
-    cell = _columns(pts[:, 1], 1.0 / raster.h, raster.ny).astype(np.intp)
-    cell *= raster.nx
-    cell += col
     state = raster.state.take(cell)
     covered = state == _COVERED
     mixed = np.flatnonzero(state == _MIXED)
@@ -335,62 +357,174 @@ def _stationary_covered(
 
 
 @dataclass(frozen=True)
-class _DiskRuns:
-    """Disks ``(cx, cy, r * r)``; disk k is tested on columns ``lo[k]`` to ``hi[k]``."""
+class _Windows:
+    """The mobile disks of one call, and one segment per row of each disk's window.
 
-    disks: list[tuple[float, float, float]]
+    Disk k has centre ``centre[k]`` and squared radius ``r2[k]``
+    (``r * r``); it counts before the moves if ``before[k]`` and after
+    them if ``after[k]``. Segment g is a row of the window of disk
+    ``disk[g]``: the cells with keys ``lo[g]`` to ``hi[g] - 1``, of which
+    ``a[g]`` to ``b[g] - 1`` are its inner interval (see ``_windows``).
+    ``reached[c]`` says whether cell c lies in some window.
+    """
+
+    centre: np.ndarray
+    r2: np.ndarray
+    before: np.ndarray
+    after: np.ndarray
+    reached: np.ndarray
+    disk: np.ndarray
     lo: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     hi: np.ndarray
 
 
-def _disk_runs(disks: Sequence[tuple[Point, float]], h: float, nx: int) -> _DiskRuns:
-    """The run of raster columns (side ``h``, ``nx`` of them) each disk is tested on.
+def _windows(disks: np.ndarray, tag: np.ndarray, raster: _Raster) -> _Windows:
+    """The window segments on ``raster`` of the mobile ``disks``, rows ``(sx, sy, r)``.
 
-    A disk of centre (cx, cy) and radius r runs from the column of
-    ``cx - reach`` to that of ``cx + reach``, with the stamp's reach
-    ``reach = _reach(r, h)``. A point outside the run fails the test
-    ``dx * dx + dy * dy <= r * r`` in floating point too, so testing the
-    run alone gives the mask of a test of every point. The centres lie in
-    the field, so ``_stamp``'s "window misses" bullet holds with R = r: a
-    point outside the run has |x - cx| > r * (1 + 9.9e-10). With u = 2**-53
-    the unit roundoff:
+    Each disk is tagged ``_STAYING``, ``_LEAVING`` or ``_ARRIVING`` in
+    ``tag``. A disk's window is the stamp's, with the reach
+    ``B = _reach(r, h)``: the columns from ``c0 = _columns(sx - B)`` to
+    ``c1 = _columns(sx + B)`` and the rows from ``_columns(sy - B)`` to
+    ``_columns(sy + B)``. Its segment in row j holds the cell keys
+    ``j * nx + c0`` to ``j * nx + c1``. Its inner interval is a run of
+    those columns, found thus: with ``δ`` the stamp's, ``t = r * (1 - 1e-9) - δ`` and
+    ``dy = (j + 0.5) * h - sy``, the columns i whose centre
+    ``(i + 0.5) * h`` lies within ``sqrt(t**2 - dy**2)`` of sx, clipped to
+    the window, are kept only if both end columns pass the stamp's covered
+    test ``sqrt(dx * dx + dy * dy) + δ <= r * (1 - 1e-9)``, with
+    ``dx = (i + 0.5) * h - sx``; otherwise the row has no inner cells. The
+    closed form only proposes the interval: the test decides it.
 
-    - ``dx = x - cx`` rounds with relative error at most u, so
-      |dx| > r * (1 + 9.8e-10).
-    - r lies in ``LENGTH_RANGE``, so ``r * r`` and ``dx * dx`` are normal
-      floats, each rounded with relative error at most u.
-    - ``dy * dy >= 0`` and rounding is monotone, so the computed sum is at
-      least ``dx * dx >= r**2 * (1 + 1.9e-9) * (1 - u) > r**2 * (1 + u) >= r * r``.
+    A point of the field that ``_columns`` places outside a disk's window
+    fails the test ``dx * dx + dy * dy <= r * r``, and one that it places
+    in an inner cell passes it; so marking the inner cells and testing the
+    edge cells alone gives the mask of a test of every point. The centres
+    lie in the field and r in ``LENGTH_RANGE``, so ``_stamp``'s proof holds
+    with R = r. With u = 2**-53 the unit roundoff:
+
+    - Outside the window, say in a column after it: ``_columns`` is the
+      map of the "window misses" bullet, so |x - sx| > r * (1 + 9.9e-10).
+      ``dx = x - sx`` rounds with relative error at most u, so
+      |dx| > r * (1 + 9.8e-10). ``r * r`` and ``dx * dx`` are normal
+      floats, each rounded with relative error at most u; ``dy * dy >= 0``
+      and rounding is monotone, so the computed sum is at least
+      ``dx * dx >= r**2 * (1 + 1.9e-9) * (1 - u) > r**2 * (1 + u) >= r * r``.
+      ``_columns`` is the same monotone map for rows, so a point in a row
+      outside the window fails alike, with dx and dy swapped.
+    - Inner cells: the computed centre ``(i + 0.5) * h`` and so the computed
+      dx never decrease as i grows, so the computed ``dx * dx`` and the
+      distance fall and then rise along a row, and the largest distance of
+      an interval is at one of its ends. So every cell of the inner
+      interval passes the covered test, and by the stamp's covered bullet a
+      point p in it lies within r * (1 - 1e-9 + 5.1u) of the centre s.
+      p's computed ``dx * dx + dy * dy`` is at most
+      |p - s|**2 * (1 + u)**4 < r**2 * (1 - 1.9e-9) < r**2 * (1 - u)
+      <= r * r (a square that underflows adds at most 2**-1074, far below
+      1e-9 * r**2).
     """
-    table = np.array([(c[0], c[1], r) for c, r in disks], dtype=float).reshape(-1, 3)
-    cx, r = table[:, 0], table[:, 2]
-    reach = _reach(r, h)
+    h, nx, ny = raster.h, raster.nx, raster.ny
     inv_h = 1.0 / h
-    return _DiskRuns(
-        disks=list(zip(cx.tolist(), table[:, 1].tolist(), (r * r).tolist())),
-        lo=_columns(cx - reach, inv_h, nx),
-        hi=_columns(cx + reach, inv_h, nx),
+    sx, sy, r = disks[:, 0], disks[:, 1], disks[:, 2]
+    reach = _reach(r, h)
+    y0 = _columns(sy - reach, inv_h, ny).astype(np.intp)
+    rows = _columns(sy + reach, inv_h, ny) - y0 + 1
+    # one segment per (disk, window row)
+    disk = np.repeat(np.arange(len(disks)), rows)
+    row = np.arange(len(disk)) - (np.cumsum(rows) - rows).take(disk) + y0.take(disk)
+    x = sx.take(disk)
+    c0 = _columns(sx - reach, inv_h, nx).astype(np.intp).take(disk)
+    c1 = _columns(sx + reach, inv_h, nx).astype(np.intp).take(disk)
+    dy = (row + 0.5) * h - sy.take(disk)
+    dy2 = dy * dy
+    limit = (r * (1.0 - 1e-9)).take(disk)
+    delta = h * _HALF_DIAGONAL
+    t = limit - delta
+    w = np.sqrt(np.maximum((t - np.abs(dy)) * (t + np.abs(dy)), 0.0))
+    first = np.clip(np.ceil((x - w) * inv_h - 0.5), c0, c1 + 1)
+    last = np.clip(np.floor((x + w) * inv_h - 0.5), c0 - 1, c1)
+
+    def covered(col: np.ndarray) -> np.ndarray:
+        dx = (col + 0.5) * h - x
+        return np.sqrt(dx * dx + dy2) + delta <= limit
+
+    inner = (first <= last) & covered(first) & covered(last)
+    base = row * nx
+    lo, hi = base + c0, base + c1 + 1
+    cells = nx * ny + 1
+    reached = np.cumsum(np.bincount(lo, minlength=cells) - np.bincount(hi, minlength=cells))
+    return _Windows(
+        centre=disks[:, :2].copy(),
+        r2=r * r,
+        before=tag != _ARRIVING,
+        after=tag != _LEAVING,
+        reached=reached[:-1] > 0,
+        disk=disk,
+        lo=lo,
+        a=base + np.where(inner, first, c1 + 1).astype(np.intp),
+        b=base + np.where(inner, last + 1, c1 + 1).astype(np.intp),
+        hi=hi,
     )
 
 
-def _in_disk_runs(
-    pts: np.ndarray, col: np.ndarray, runs: _DiskRuns, covered: np.ndarray
-) -> np.ndarray:
-    """OR into ``covered`` which of ``pts`` lie in any disk of ``runs``.
+def _mobile_masks(
+    pts: np.ndarray, key: np.ndarray, windows: _Windows
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which of ``pts`` lie in a disk of ``windows`` that counts before the moves, and which after.
 
-    ``col`` holds the points' raster columns (``_columns``), in
-    nondecreasing order. Each disk is tested, with the expression
-    ``dx * dx + dy * dy <= r * r``, only on the contiguous points of its
-    column run, which hold every point that can pass (see ``_disk_runs``).
+    ``pts`` are points of the field of the raster the windows were built
+    on, and ``key`` holds their cell keys ``row * nx + col`` in
+    nondecreasing order, so the points of a run of keys are
+    contiguous; one table of where each key starts locates them all. The
+    points of each segment's inner interval are marked through a
+    difference array, with no distance test. The points of its edge cells,
+    the runs before and after the interval, are expanded into (point, disk)
+    pairs in blocks of at most ``_STAMP_BLOCK`` pairs (or one run), each
+    tested with ``dx * dx + dy * dy <= r * r``. By ``_windows`` this gives
+    the mask of a test of every point against every disk.
     """
-    lo = np.searchsorted(col, runs.lo, side="left").tolist()
-    hi = np.searchsorted(col, runs.hi, side="right").tolist()
-    xs, ys = pts[:, 0], pts[:, 1]
-    for (cx, cy, r2), a, b in zip(runs.disks, lo, hi):
-        dx = xs[a:b] - cx
-        dy = ys[a:b] - cy
-        covered[a:b] |= dx * dx + dy * dy <= r2
-    return covered
+    n, cells = len(pts), len(windows.reached)
+    start = np.zeros(cells + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=cells), out=start[1:])
+    lo, a, b, hi = (start.take(k) for k in (windows.lo, windows.a, windows.b, windows.hi))
+    # The inner points: each point's count of the before (after) disks whose
+    # inner intervals hold it, in the low (high) 32 bits of one difference
+    # array. A count is below the number of disks, far below 2**31, and no
+    # prefix of a count is negative, so the halves never mix.
+    marks = np.zeros(n + 1, dtype=np.int64)
+    for shift, counts in ((0, windows.before), (32, windows.after)):
+        seg = counts.take(windows.disk)
+        opened = np.bincount(a[seg], minlength=n + 1)
+        marks += (opened - np.bincount(b[seg], minlength=n + 1)) << shift
+    inside = np.cumsum(marks[:n])
+    masks = (inside.astype(np.uint32) != 0, inside >= 1 << 32)
+    # the edge points: runs g and g + len(lo) are segment g's points before
+    # and after its inner interval
+    first = np.concatenate((lo, b))
+    length = np.concatenate((a - lo, hi - b))
+    run = np.flatnonzero(length)
+    first, length = first.take(run), length.take(run)
+    disk = windows.disk.take(run % len(lo))
+    ends = np.cumsum(length)
+    starts = ends - length
+    j = 0
+    while j < len(run):
+        # runs j to k - 1: at most _STAMP_BLOCK pairs in all, or one run
+        k = max(j + 1, int(np.searchsorted(ends, starts[j] + _STAMP_BLOCK, side="right")))
+        # one entry per (point, disk) pair
+        which = np.repeat(np.arange(j, k), length[j:k])
+        i = np.arange(starts[j], ends[k - 1]) - starts.take(which) + first.take(which)
+        d = disk.take(which)
+        sq = pts.take(i, axis=0)
+        sq -= windows.centre.take(d, axis=0)
+        sq *= sq
+        hit = np.flatnonzero(sq[:, 0] + sq[:, 1] <= windows.r2.take(d))
+        i, d = i.take(hit), d.take(hit)
+        for mask, counts in zip(masks, (windows.before, windows.after)):
+            mask[i[counts.take(d)]] = True
+        j = k
+    return masks
 
 
 def mc_coverage_fraction(
@@ -415,14 +549,14 @@ def mc_coverage_fraction(
     Only hit counts leave the loop, so the order of the points within a
     chunk is free. Each chunk is tested in one pass:
 
-    1. Each sample gets its column in a raster of the field built once per
-       call. Each stationary sensor stamps the cells within its reach, a few
-       float operations per (sensor, cell) pair in place of a kd query per
-       cell (``_stamp``). The cell count is the largest that keeps the
-       stamp's pairs, the cells per sample and the 16-bit keys in bounds
-       (``_raster_layout``). A field without stationary sensors takes the
-       same path: its raster is all uncovered cells, and its empty kd-tree
-       is never queried.
+    1. Each sample gets its cell key ``row * nx + col`` in a raster of the
+       field built once per call. Each stationary sensor stamps the cells
+       within its reach, a few float operations per (sensor, cell) pair in
+       place of a kd query per cell (``_stamp``). The cell count is the
+       largest that keeps the stamp's pairs, the mobile windows' rows, the
+       cells per sample and the 16-bit keys in bounds (``_raster_layout``).
+       A field without stationary sensors takes the same path: its raster
+       is all uncovered cells, and its empty kd-tree is never queried.
     2. The stationary disks are decided first. Each sample in a covered
        or uncovered cell takes the state of its cell. A sample in a mixed
        cell that one sensor alone reaches is tested against that sensor,
@@ -431,13 +565,18 @@ def mc_coverage_fraction(
        sensors reach are queried in the kd-tree, in cell order (``_stamp``
        shows that the samples decided without it get the query's answer).
     3. If the field has mobiles, the samples the stationary disks leave
-       uncovered are kept and ordered by column (numpy's stable sort of
-       16-bit keys is a radix sort).
-    4. Each mobile disk is tested only on the contiguous kept samples of its
-       column run, whose ends are the stamp's reach about its centre
-       (``_disk_runs`` applies ``_stamp``'s proof to show that no sample
-       outside the run can pass): the staying disks once, then the leaving
-       and the arriving ones.
+       uncovered in a cell that some mobile window reaches are kept and
+       ordered by cell key (numpy's stable sort of 16-bit keys is a radix
+       sort). A mobile disk's window is the stamp's, with the stamp's
+       reach about its centre, and no sample outside it can pass the
+       disk's test (``_windows``).
+    4. The staying, leaving and arriving disks are applied together, one
+       segment per (disk, window row), built once per call (``_windows``).
+       The kept samples of a segment's inner interval, the cells wholly
+       inside its disk, are marked covered with no distance test; only the
+       samples of its edge cells are tested, ``dx * dx + dy * dy <= r * r``
+       (``_mobile_masks``). The staying and leaving disks count before the
+       moves, and the staying and arriving ones after.
     """
     if samples <= 0:
         raise InvalidInputError(f"sample count must be > 0, got {samples}")
@@ -455,37 +594,55 @@ def mc_coverage_fraction(
     sites = np.array(
         [[s.position.x, s.position.y] for s in field.stationary], dtype=float
     ).reshape(-1, 2)
+    moved = [m for m in field.mobile if m.id in moves]
+    disks = np.array(
+        [(m.position.x, m.position.y, m.radius) for m in field.mobile if m.id not in moves]
+        + [(m.position.x, m.position.y, m.radius) for m in moved]
+        + [(moves[m.id][0], moves[m.id][1], m.radius) for m in moved],
+        dtype=float,
+    ).reshape(-1, 3)
+    tag = np.repeat(
+        [_STAYING, _LEAVING, _ARRIVING], [len(field.mobile) - len(moved), len(moved), len(moved)]
+    )
     tree = cKDTree(sites)
     raster = _stamp(
-        _raster_layout(field.width, field.height, samples, len(sites), radius), sites, radius
+        _raster_layout(field.width, field.height, samples, len(sites), radius, disks[:, 2]),
+        sites,
+        radius,
     )
+    windows = _windows(disks, tag, raster)
     inv_h = 1.0 / raster.h
-    staying, leaving, arriving = (
-        _disk_runs(disks, raster.h, raster.nx)
-        for disks in (
-            [(m.position, m.radius) for m in field.mobile if m.id not in moves],
-            [(m.position, m.radius) for m in field.mobile if m.id in moves],
-            [(moves[m.id], m.radius) for m in field.mobile if m.id in moves],
-        )
-    )
     rng = np.random.default_rng(seed)
-    hits_before = hits_after = 0
-    for start in range(0, samples, MC_CHUNK):
-        pts = rng.random((min(MC_CHUNK, samples - start), 2))
+
+    def chunk_hits(size: int) -> tuple[int, int]:
+        # The hits of the next ``size`` samples, before and after the moves;
+        # the chunk's arrays are freed on return, before the next one is drawn.
+        pts = rng.random((size, 2))
         pts[:, 0] *= field.width
         pts[:, 1] *= field.height
-        col = _columns(pts[:, 0], inv_h, raster.nx)
-        covered = _stationary_covered(pts, col, sites, tree, raster, radius)
+        # row * nx + col < MC_CHUNK = 2**16, built in place
+        cell = _columns(pts[:, 1], inv_h, raster.ny).astype(np.int32)
+        cell *= raster.nx
+        cell += _columns(pts[:, 0], inv_h, raster.nx)
+        covered = _stationary_covered(pts, cell, sites, tree, raster, radius)
         hits = int(np.count_nonzero(covered))
-        hits_before += hits
-        hits_after += hits
-        if field.mobile:
-            gap = np.flatnonzero(~covered)
-            gap = gap.take(np.argsort(col.take(gap), kind="stable"))
-            pts, col = pts.take(gap, axis=0), col.take(gap)
-            covered = _in_disk_runs(pts, col, staying, np.zeros(len(pts), dtype=bool))
-            hits_before += int(np.count_nonzero(_in_disk_runs(pts, col, leaving, covered.copy())))
-            hits_after += int(np.count_nonzero(_in_disk_runs(pts, col, arriving, covered)))
+        if not len(disks):
+            return hits, hits
+        # The samples left uncovered in cells that some window reaches, by
+        # cell key (a stable sort of 16-bit keys is a radix sort); the full
+        # chunk's arrays are dropped once they are gathered.
+        gap = np.flatnonzero(windows.reached.take(cell) & ~covered)
+        cell = cell.take(gap).astype(np.uint16)
+        order = np.argsort(cell, kind="stable")
+        pts, cell = pts.take(gap.take(order), axis=0), cell.take(order)
+        before, after = _mobile_masks(pts, cell, windows)
+        return hits + int(np.count_nonzero(before)), hits + int(np.count_nonzero(after))
+
+    hits_before = hits_after = 0
+    for start in range(0, samples, MC_CHUNK):
+        before, after = chunk_hits(min(MC_CHUNK, samples - start))
+        hits_before += before
+        hits_after += after
     before, after = hits_before / samples, hits_after / samples
     half_width = max(
         _Z99 * sqrt(p * (1.0 - p) / samples) for p in (before, after)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tricover import load_scenario
+from tricover import Point, load_scenario, run_detect, run_plan
 from tricover.cli import main
 
 
@@ -39,3 +39,17 @@ def workload_scenarios(tmp_path_factory):
             assert main(argv) == 0
             scenarios[name, seed] = load_scenario(out)
     return scenarios
+
+
+@pytest.fixture(scope="session")
+def workload_moves(workload_scenarios):
+    """The moves of each workload scenario's own plan, by mobile id, as verify reads them."""
+    harness = _harness()
+    moves = {}
+    for (name, seed), scenario in workload_scenarios.items():
+        plan = run_plan(run_detect(scenario), scenario, float(harness.WORKLOADS[name].radius)).plan
+        moves[name, seed] = {
+            a["mobile_id"]: Point(float(a["target"]["x"]), float(a["target"]["y"]))
+            for a in plan["assignments"]
+        }
+    return moves

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -112,3 +113,16 @@ def test_every_private_helper_is_used():
                 loaded.add(n.attr)
     assert defined
     assert [f"{module}: {name}" for module, name in defined if name not in loaded] == []
+
+
+def test_readme_names_only_attributes_that_exist():
+    # every `module.name` or `module._name` the README cites whose module
+    # is a package module names an attribute of that module
+    modules = {path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    cited = [(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)`", readme) if m in modules]
+    assert cited
+    missing = [
+        f"{m}.{n}" for m, n in cited if not hasattr(importlib.import_module(f"tricover.{m}"), n)
+    ]
+    assert missing == []

@@ -1,6 +1,7 @@
 """Monte-Carlo and grid estimator tests."""
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from math import inf, nan, nextafter, pi, sqrt
 
@@ -18,20 +19,24 @@ from tricover import (
 )
 from tricover import oracle
 from tricover.oracle import (
+    _ARRIVING,
     _COVERED,
     _HALF_DIAGONAL,
+    _LEAVING,
     _MIXED,
     _STAMP_PAIRS,
+    _STAYING,
     _UNCOVERED,
     MC_CHUNK,
     _columns,
-    _disk_runs,
-    _in_disk_runs,
     _layout,
+    _mobile_masks,
+    _Raster,
     _raster_layout,
     _reach,
     _stamp,
     _stationary_covered,
+    _windows,
 )
 
 
@@ -220,21 +225,66 @@ def _full_scan(pts, disk):
     return dx * dx + dy * dy <= radius * radius
 
 
-def _run_mask(pts, disk, h, nx):
-    # The estimator's test of one disk on its column run, on a raster of
-    # nx columns of side h; the points are ordered by column for the test
-    # and the mask is returned in their given order.
-    col = _columns(pts[:, 0], 1.0 / h, nx)
-    order = np.argsort(col, kind="stable")
+def _one_disk(disk, h, nx, ny):
+    # one staying disk's windows on a raster of nx by ny cells of side h
+    (cx, cy), r = disk
+    return _windows(np.array([(cx, cy, r)]), np.array([_STAYING]), _Raster(h, nx, ny, None))
+
+
+def _cell_roles(windows, cells):
+    # which cells lie in some segment's inner interval, and which in some
+    # segment's edge cells
+    inner = np.zeros(cells, dtype=bool)
+    edge = np.zeros(cells, dtype=bool)
+    for lo, a, b, hi in zip(*(v.tolist() for v in (windows.lo, windows.a, windows.b, windows.hi))):
+        inner[a:b] = True
+        edge[lo:a] = edge[b:hi] = True
+    return inner, edge
+
+
+def _window_mask(pts, disk, h, n, transposed=False):
+    # The estimator's mobile pass for one disk on a raster of side h with n
+    # columns and MC_CHUNK // n rows (n rows and MC_CHUNK // n columns,
+    # with x and y swapped in the points and the centre, if transposed).
+    # Only the points of the raster's field are passed, as the estimator
+    # draws no other; returns which points those are, their mask in their
+    # given order, and how many were marked as inner and how many tested.
+    (cx, cy), r = disk
+    nx, ny = n, MC_CHUNK // n
+    if transposed:
+        pts, cx, cy, nx, ny = pts[:, ::-1], cy, cx, ny, nx
+    inside = ((pts >= 0.0) & (pts <= (nx * h, ny * h))).all(axis=1)
+    pts = np.ascontiguousarray(pts[inside])
+    windows = _one_disk((Point(cx, cy), r), h, nx, ny)
+    key = _columns(pts[:, 1], 1.0 / h, ny).astype(np.intp) * nx + _columns(pts[:, 0], 1.0 / h, nx)
+    order = np.argsort(key, kind="stable")
+    before, after = _mobile_masks(pts[order], key[order].astype(np.uint16), windows)
+    assert np.array_equal(before, after)
     mask = np.empty(len(pts), dtype=bool)
-    mask[order] = _in_disk_runs(
-        pts[order], col[order], _disk_runs([disk], h, nx), np.zeros(len(pts), dtype=bool)
-    )
-    return mask
+    mask[order] = before
+    inner, edge = _cell_roles(windows, nx * ny)
+    return inside, mask, int(inner.take(key).sum()), int(edge.take(key).sum())
 
 
-# Column layouts (h, nx): a few wide columns, fine columns over part of the
-# points, columns about as wide as the disks, and the widest raster.
+def _assert_window_masks(pts, disk, layouts):
+    # every layout, in both orientations, gives the full scan's mask on the
+    # points of its field; returns which points some layout tested, and
+    # how many points were marked as inner and how many tested in all
+    full = _full_scan(pts, disk)
+    tested = np.zeros(len(pts), dtype=bool)
+    inner = edge = 0
+    for h, n in layouts:
+        for transposed in (False, True):
+            inside, mask, i, e = _window_mask(pts, disk, h, n, transposed)
+            assert np.array_equal(mask, full[inside]), (h, n, transposed)
+            tested |= inside
+            inner, edge = inner + i, edge + e
+    return tested, inner, edge
+
+
+# Column layouts (h, n): a few wide columns, fine columns over part of the
+# points, columns about as wide as the disks, and the widest raster. Each
+# raster has MC_CHUNK // n rows, and is also tested transposed.
 RUN_LAYOUTS = [(1.0, 8), (0.0625, 17), (1e-3, MC_CHUNK), (0.3, 1000), (1e6 / 65535.5, MC_CHUNK)]
 
 
@@ -257,9 +307,16 @@ BAND_DISKS = [
 ]
 
 
+def _square_layouts(pts):
+    # square rasters of 16 x 16 and 256 x 256 cells whose fields hold every
+    # point of non-negative coordinates
+    side = float(pts.max())
+    return [(nextafter(side / n, inf), n) for n in (16, 256)]
+
+
 def _boundary_points(disk):
     (cx, cy), r = disk
-    # the circle, the centre and the run ends fl(cx -/+ _reach(r, h)) of every layout
+    # the circle, the centre and the window ends fl(cx -/+ _reach(r, h)) of every layout
     ends = [cx - r, cx + r, cx]
     ends += [cx + s * _reach(r, h) for h, _ in RUN_LAYOUTS for s in (-1.0, 1.0)]
     xs = [x for end in ends for x in _near(end)]
@@ -278,22 +335,37 @@ def test_band_mask_equals_full_scan_at_the_boundary(disk):
     xs, ys = _boundary_points(disk)
     pts = np.array([(x, y) for x in sorted(set(xs)) for y in sorted(set(ys))])
     full = _full_scan(pts, disk)
-    for h, nx in RUN_LAYOUTS:
-        assert np.array_equal(_run_mask(pts, disk, h, nx), full), (h, nx)
+    tested, inner, edge = _assert_window_masks(pts, disk, RUN_LAYOUTS + _square_layouts(pts))
+    assert tested[(pts >= 0.0).all(axis=1)].all()
+    # a disk near x = 1e6 is smaller than every cell of a raster that holds it
+    assert edge > 0 and (inner > 0) == (cx < 1e6 - 1.0)
     # the points on the line y = cy reach past the circle on both sides
     axis = pts[:, 1] == cy
     assert full[axis].any() and not full[axis].all()
     assert pts[axis, 0].min() < cx - r and pts[axis, 0].max() > cx + r
 
 
+def _window_ends(disk, h, transposed):
+    # the first and last column of the disk's window on a raster of one
+    # row of MC_CHUNK columns of side h, or its first and last row on the
+    # transposed raster
+    (cx, cy), r = disk
+    if transposed:
+        windows = _one_disk((Point(cy, cx), r), h, 1, MC_CHUNK)
+        return int(windows.lo[0]), int(windows.lo[-1])
+    windows = _one_disk(disk, h, MC_CHUNK, 1)
+    return int(windows.lo[0]), int(windows.hi[0]) - 1
+
+
 @pytest.mark.parametrize("disk", BAND_DISKS, ids=lambda d: f"cx={d[0].x}-r={d[1]}")
 def test_column_run_equals_full_scan_with_its_ends_on_column_edges(disk):
-    # Rasters whose column edge k * h lies within an ulp or two of a run
+    # Rasters whose column edge k * h lies within an ulp or two of a window
     # end fl(cx -/+ _reach(r, h)), as x * (1/h) rounds, with points at both
-    # ends and at the edges next to them; the run must end in the column
-    # whose edge lies on the reach. The reach r * (1 + 1e-9) + c * h,
-    # with c the widened half diagonal, puts the edge k * h on the end
-    # cx -/+ reach at h = (cx -/+ r * (1 + 1e-9)) / (k +/- c).
+    # ends and at the edges next to them; the window must end in the column
+    # whose edge lies on the reach, and so must the rows of the transposed
+    # raster. The reach r * (1 + 1e-9) + c * h, with c the widened half
+    # diagonal, puts the edge k * h on the end cx -/+ reach at
+    # h = (cx -/+ r * (1 + 1e-9)) / (k +/- c).
     (cx, cy), r = disk
     xs, ys = _boundary_points(disk)
     layouts = []
@@ -304,8 +376,8 @@ def test_column_run_equals_full_scan_with_its_ends_on_column_edges(disk):
             for h in _near(base / (k - sign * _HALF_DIAGONAL)):
                 end = cx + sign * _reach(r, h)
                 if end * (1.0 / h) == k:
-                    run = _disk_runs([disk], h, MC_CHUNK)
-                    assert (run.hi if sign > 0 else run.lo)[0] == k
+                    for transposed in (False, True):
+                        assert _window_ends(disk, h, transposed)[sign > 0] == k
                     on_edge += 1
                 layouts += [(h, k), (h, k + 1), (h, MC_CHUNK)]
                 xs += _near(end) + [x for i in (k - 1, k, k + 1) for x in _near(i * h)]
@@ -313,8 +385,9 @@ def test_column_run_equals_full_scan_with_its_ends_on_column_edges(disk):
     pts = np.array([(x, y) for x in sorted(set(xs)) for y in sorted(set(ys))])
     full = _full_scan(pts, disk)
     assert full.any() and not full.all()
-    for h, nx in layouts:
-        assert np.array_equal(_run_mask(pts, disk, h, nx), full), (h, nx)
+    tested, inner, edge = _assert_window_masks(pts, disk, layouts + _square_layouts(pts))
+    assert tested[(pts >= 0.0).all(axis=1)].all()
+    assert edge > 0 and (inner > 0) == (cx < 1e6 - 1.0)
 
 
 @pytest.mark.parametrize("side", [2.0**-200, 2.0**200], ids=["side=2^-200", "side=2^200"])
@@ -333,7 +406,91 @@ def test_column_run_equals_full_scan_at_the_length_bounds(side, radius):
         assert ((cx + radius) * (1.0 / h) > 2.0**64) == (radius > side)
         full = _full_scan(pts, disk)
         assert full.any()
-        assert np.array_equal(_run_mask(pts, disk, h, nx), full)
+        # the widest raster, and a square one that holds the field
+        tested, _, _ = _assert_window_masks(pts, disk, [(h, nx), (side / 256, 256)])
+        assert tested[(pts >= 0.0).all(axis=1) & (pts <= side).all(axis=1)].all()
+
+
+def _stamp_covers(windows, raster, disks):
+    # per segment, which columns of its row pass the stamp's covered test
+    # against its disk, from the stamp's expressions, cell by cell
+    h, nx = raster.h, raster.nx
+    delta = h * _HALF_DIAGONAL
+    cx = (np.arange(nx) + 0.5) * h
+    out = []
+    for g, k in enumerate(windows.disk.tolist()):
+        sx, sy, r = disks[k]
+        dx = cx - sx
+        dy = (int(windows.lo[g]) // nx + 0.5) * h - sy
+        out.append(np.sqrt(dx * dx + dy * dy) + delta <= r * (1.0 - 1e-9))
+    return out
+
+
+def test_inner_intervals_hold_only_cells_the_stamp_covers():
+    # Every cell of an inner interval passes the stamp's covered test, the
+    # step the proof rests on, and a row whose cells pass it gets an inner
+    # interval. Half of the disks put the centre of a proposed first or
+    # last cell at the edge t of the closed form (dy = 0 on the unit
+    # raster), where the test can fail by an ulp and the interval must then
+    # be refused.
+    rng = np.random.default_rng(61)
+    raster = _Raster(1.0, 64, 64, None)
+    disks = [tuple(d) for d in rng.uniform((0.0, 0.0, 0.2), (64.0, 64.0, 9.0), (300, 3)).tolist()]
+    for r, side in zip(rng.uniform(1.5, 9.0, 300).tolist(), [-1.0, 1.0] * 150):
+        k = int(rng.integers(20, 40))
+        t = r * (1.0 - 1e-9) - _HALF_DIAGONAL
+        disks.append(((k + 0.5) + side * sqrt(t * t), k - 9.5, r))
+    disks = np.array(disks)
+    windows = _windows(disks, np.full(len(disks), _STAYING), raster)
+    refused = []
+    for g, passes in enumerate(_stamp_covers(windows, raster, disks)):
+        base = int(windows.lo[g]) // raster.nx * raster.nx
+        lo, a, b, hi = (int(v[g]) - base for v in (windows.lo, windows.a, windows.b, windows.hi))
+        assert 0 <= lo <= a <= b <= hi <= raster.nx and (a < b or a == b == hi)
+        inner = np.zeros(raster.nx, dtype=bool)
+        inner[a:b] = True
+        assert not (inner & ~passes).any(), g
+        # the covered cells of a row are a run inside the window
+        run = np.flatnonzero(passes)
+        assert len(run) == 0 or (lo <= run[0] and run[-1] < hi and len(run) == run[-1] - run[0] + 1)
+        if len(run) > 0 and a == b:
+            refused.append(int(windows.disk[g]))
+    # only rows built to put an end cell on the edge are refused, some of them
+    assert 0 < len(refused) < 300 and min(refused) >= 300
+
+
+# Disks that leave inner intervals on the unit raster, on a raster of
+# 0.3-sided cells, and on a raster whose cells are a thousandth of the
+# radius; the windows of the last two reach past the field's edges.
+INNER_DISKS = [
+    (Point(4.3, 3.7), 2.5, 1.0, 16),
+    (Point(0.45, 19.0), 3.16, 0.3, 256),
+    (Point(1.0, 0.5), 1.0, 1e-3, 256),
+]
+
+
+@pytest.mark.parametrize("disk, h, n", [((c, r), h, n) for c, r, h, n in INNER_DISKS])
+def test_window_mask_equals_full_scan_at_the_inner_interval_edges(disk, h, n):
+    # points within a few ulps of the edges of each inner interval's end
+    # cells and of its row, in both orientations
+    (cx, cy), r = disk
+    for transposed in (False, True):
+        nx, ny = (MC_CHUNK // n, n) if transposed else (n, MC_CHUNK // n)
+        centre = Point(cy, cx) if transposed else Point(cx, cy)
+        windows = _one_disk((centre, r), h, nx, ny)
+        rows = np.flatnonzero(windows.a < windows.b)
+        assert len(rows) > 0
+        pts = []
+        for g in rows.tolist():
+            j, a = divmod(int(windows.a[g]), nx)
+            b = int(windows.b[g]) - j * nx
+            xs = [x for i in (a, a + 1, b - 1, b) for x in _ulp_steps(i * h)]
+            ys = [y for i in (j, j + 1) for y in _ulp_steps(i * h)] + [(j + 0.5) * h]
+            pts += [(y, x) if transposed else (x, y) for x in xs for y in ys]
+        pts = np.array(pts)
+        tested, inner, edge = _assert_window_masks(pts, disk, [(h, n)])
+        assert tested[((pts >= 0.0) & (pts <= n * h)).all(axis=1)].all()
+        assert inner > 0 and edge > 0
 
 
 def test_band_masks_match_one_draw_on_a_crowded_field():
@@ -401,9 +558,11 @@ def test_gap_masks_match_one_draw_where_stationary_sensors_crowd():
 # --- stationary coverage raster ------------------------------------------------
 
 
-def _verify_raster(sites, radius, width, height, samples):
-    # the raster mc_coverage_fraction builds for these stationary sites
-    return _stamp(_raster_layout(width, height, samples, len(sites), radius), sites, radius)
+def _verify_raster(sites, radius, width, height, samples, radii=()):
+    # the raster mc_coverage_fraction builds for these stationary sites and
+    # mobile disks of radii ``radii``
+    radii = np.array(radii, dtype=float)
+    return _stamp(_raster_layout(width, height, samples, len(sites), radius, radii), sites, radius)
 
 
 def _plain_covered(tree, pts, radius):
@@ -417,8 +576,7 @@ def _raster_matches_plain_query(sensors, radius, layout, pts):
     tree = cKDTree(sites)
     raster = _stamp(layout, sites, radius)
     pts = np.array(pts, dtype=float)
-    col = _columns(pts[:, 0], 1.0 / raster.h, raster.nx)
-    got = _stationary_covered(pts, col, sites, tree, raster, radius)
+    got = _stationary_covered(pts, _cells(raster, pts), sites, tree, raster, radius)
     assert np.array_equal(got, _plain_covered(tree, pts, radius))
     return raster
 
@@ -543,16 +701,53 @@ def test_raster_size_is_bounded_and_covers_the_field(width, height, samples):
     one = np.array([(0.5 * width, 0.5 * height)])
     many = np.random.default_rng(3).random((1000, 2)) * (width, height)
     diagonal = sqrt(width * width + height * height)
+    # no mobiles, a few small ones, and many that reach across the field
+    mobiles = [np.empty((0, 3)), np.array([(0.0, 0.0, 1.0), (width, height, 0.5 * diagonal)])]
+    mobiles += [
+        np.column_stack((many[:k], np.full(k, r)))
+        for k, r in ((1000, 1.0), (1000, diagonal), (3, 2.0**200))
+    ]
     for sites in (one, many):
         for radius in (1.0, 10.0 * diagonal, 2.0**200, 2.0**-200):
-            raster = _verify_raster(sites, radius, width, height, samples)
-            assert raster.state.size == raster.nx * raster.ny
-            # the cell cap, one cell per two samples, and the stamp's pair budget
-            assert 1 <= raster.state.size <= min(MC_CHUNK, max(1, samples // 2))
-            pairs = _stamped_pairs(raster, sites, radius)
-            assert pairs <= max(len(sites), min(_STAMP_PAIRS, 2 * samples))
-            assert raster.nx * raster.h >= width * (1.0 - 2.0**-52)
-            assert raster.ny * raster.h >= height * (1.0 - 2.0**-52)
+            for disks in mobiles:
+                raster = _verify_raster(sites, radius, width, height, samples, disks[:, 2])
+                assert raster.state.size == raster.nx * raster.ny
+                # the cell cap, one cell per two samples, and the stamp's pair budget
+                assert 1 <= raster.state.size <= min(MC_CHUNK, max(1, samples // 2))
+                pairs = _stamped_pairs(raster, sites, radius)
+                assert pairs <= max(len(sites), min(_STAMP_PAIRS, 2 * samples))
+                # the mobile windows' rows
+                windows = _windows(disks, np.full(len(disks), _STAYING), raster)
+                assert len(windows.disk) <= max(MC_CHUNK, len(disks))
+                assert raster.nx * raster.h >= width * (1.0 - 2.0**-52)
+                assert raster.ny * raster.h >= height * (1.0 - 2.0**-52)
+
+
+def _mobile_disks(field, moves):
+    # mc_coverage_fraction's disks (x, y, r) and their tags: the staying
+    # mobiles, then the moved ones where they were and where they go
+    moved = [m for m in field.mobile if m.id in moves]
+    disks = [(m.position.x, m.position.y, m.radius) for m in field.mobile if m.id not in moves]
+    disks += [(m.position.x, m.position.y, m.radius) for m in moved]
+    disks += [(moves[m.id][0], moves[m.id][1], m.radius) for m in moved]
+    tags = [_STAYING] * (len(field.mobile) - len(moved))
+    tags += [_LEAVING] * len(moved) + [_ARRIVING] * len(moved)
+    return np.array(disks).reshape(-1, 3), np.array(tags, dtype=int)
+
+
+def test_workload_rasters_do_not_depend_on_the_mobiles(
+    workload_scenarios, workload_samples, workload_moves
+):
+    # the mobile windows' bound leaves the benchmark workloads the raster,
+    # and so every stationary decision, they would have without mobiles
+    for (name, seed), scenario in sorted(workload_scenarios.items()):
+        field, samples = scenario.field, workload_samples[name]
+        disks, _ = _mobile_disks(field, workload_moves[name, seed])
+        args = (field.width, field.height, samples, len(field.stationary), field.sensing_radius)
+        with_mobiles = _raster_layout(*args, disks[:, 2])
+        without = _raster_layout(*args, np.empty(0))
+        assert (with_mobiles.nx, with_mobiles.ny, with_mobiles.h) == (without.nx, without.ny, without.h)
+        assert (without.nx, without.ny) == (256, 256), (name, seed)
 
 
 def _every_site_states(raster, sites, radius):
@@ -648,9 +843,47 @@ def _sites_of(field):
 
 
 def _cells(raster, pts):
+    # each point's cell key row * nx + col, as mc_coverage_fraction computes it
     inv_h = 1.0 / raster.h
-    col = _columns(pts[:, 0], inv_h, raster.nx)
-    return col, _columns(pts[:, 1], inv_h, raster.ny).astype(np.intp) * raster.nx + col
+    row = _columns(pts[:, 1], inv_h, raster.ny).astype(np.intp)
+    return row * raster.nx + _columns(pts[:, 0], inv_h, raster.nx)
+
+
+def test_mobile_pass_equals_a_full_scan_on_every_workload_draw(
+    workload_scenarios, workload_samples, workload_moves
+):
+    # every sample of verify's draw on each benchmark scenario and its own
+    # plan: the samples the stationary disks leave uncovered, kept where a
+    # window reaches their cell, get the mask of a test of every disk, and
+    # the others lie in no disk
+    for (name, seed), scenario in sorted(workload_scenarios.items()):
+        field, samples = scenario.field, workload_samples[name]
+        moves = workload_moves[name, seed]
+        radius, sites = field.sensing_radius, _sites_of(field)
+        disks, tags = _mobile_disks(field, moves)
+        raster = _verify_raster(sites, radius, field.width, field.height, samples, disks[:, 2])
+        pts = _draw(field, samples, seed)
+        cell = _cells(raster, pts)
+        gap = np.flatnonzero(~_stationary_covered(pts, cell, sites, cKDTree(sites), raster, radius))
+        pts, cell = pts[gap], cell[gap]
+        before = np.zeros(len(pts), dtype=bool)
+        after = before.copy()
+        for (x, y, r), tag in zip(disks, tags):
+            hit = _full_scan(pts, (Point(x, y), r))
+            before |= hit & (tag != _ARRIVING)
+            after |= hit & (tag != _LEAVING)
+        windows = _windows(disks, tags, raster)
+        kept = windows.reached.take(cell)
+        assert not (before | after)[~kept].any(), (name, seed)
+        kept = np.flatnonzero(kept)
+        kept = kept[np.argsort(cell[kept], kind="stable")]
+        key = cell[kept].astype(np.uint16)
+        got = _mobile_masks(pts[kept], key, windows)
+        assert np.array_equal(got[0], before[kept]), (name, seed)
+        assert np.array_equal(got[1], after[kept]), (name, seed)
+        # both the inner marking and the pair test decided samples
+        inner, edge = _cell_roles(windows, raster.nx * raster.ny)
+        assert np.count_nonzero(inner.take(key)) > 0 and np.count_nonzero(edge.take(key)) > 0
 
 
 def test_stationary_covered_equals_the_plain_query_on_every_workload_draw(
@@ -664,8 +897,8 @@ def test_stationary_covered_equals_the_plain_query_on_every_workload_draw(
         tree = cKDTree(sites)
         raster = _verify_raster(sites, radius, field.width, field.height, samples)
         pts = _draw(field, samples, seed)
-        col, cell = _cells(raster, pts)
-        got = _stationary_covered(pts, col, sites, tree, raster, radius)
+        cell = _cells(raster, pts)
+        got = _stationary_covered(pts, cell, sites, tree, raster, radius)
         assert np.array_equal(got, _plain_covered(tree, pts, radius)), (name, seed)
         assert np.count_nonzero(raster.site.take(cell) >= 0) > 0, (name, seed)
 
@@ -700,9 +933,9 @@ def test_only_samples_in_cells_several_sites_reach_are_queried(monkeypatch):
         made.clear()
         # the samples in mixed cells that two or more sites reach, from every site
         radius, sites = field.sensing_radius, _sites_of(field)
-        layout = _raster_layout(field.width, field.height, samples, len(sites), radius)
+        layout = _raster_layout(field.width, field.height, samples, len(sites), radius, np.empty(0))
         states, counts, _ = _every_site_states(layout, sites, radius)
-        cell = _cells(layout, _draw(field, samples, 53))[1]
+        cell = _cells(layout, _draw(field, samples, 53))
         mixed = states.take(cell) == _MIXED
         assert tree.points == np.count_nonzero(mixed & (counts.take(cell) >= 2))
         assert (tree.points > 0) == several and np.count_nonzero(mixed) > tree.points
@@ -735,6 +968,16 @@ def _edge_field(name):
     if name == "raster-at-cap":
         field = make_field(20.0, 20.0, 1.1, _random_sensors(23, 60, 20.0, 20.0))
         return field, 8 * MC_CHUNK + 9, None
+    if name == "1000-mobiles":
+        # as verify-heavy, with ten times the mobiles; half of them move
+        stationary = _random_sensors(31, 500, 100.0, 100.0)
+        mobile = [(1000 + i, x, y, 3.16) for i, x, y in _random_sensors(37, 1000, 100.0, 100.0)]
+        moves = {i: Point(x, y) for i, x, y in _random_sensors(41, 1000, 100.0, 100.0)[::2]}
+        moves = {1000 + i: target for i, target in moves.items()}
+        return make_field(100.0, 100.0, 3.16, stationary, mobile), 100_000, moves
+    if name == "stress":
+        # 2000 mobiles whose radius is the field's side; half of them move
+        return _stress_field()
     if name == "coarse-raster":
         # 2000 sites and 2000 samples: the pair budget leaves 1 x 2 cells
         # of side 100, each mixed and reached by many sites
@@ -743,10 +986,17 @@ def _edge_field(name):
     raise AssertionError(name)
 
 
+def _stress_field():
+    stationary = _random_sensors(43, 50, 100.0, 100.0)
+    mobile = [(100 + i, x, y, 100.0) for i, x, y in _random_sensors(47, 2000, 100.0, 100.0)]
+    moves = {100 + i: Point(x, y) for i, x, y in _random_sensors(53, 2000, 100.0, 100.0)[::2]}
+    return make_field(100.0, 100.0, 1.0, stationary, mobile), 50_000, moves
+
+
 @pytest.mark.parametrize(
     "name",
     ["one-stationary", "radius-wider-than-field", "radius-far-below-cell", "elongated",
-     "fewer-than-8-samples", "raster-at-cap", "coarse-raster"],
+     "fewer-than-8-samples", "raster-at-cap", "coarse-raster", "1000-mobiles", "stress"],
 )
 def test_mc_with_raster_matches_one_draw_on_edge_fields(name):
     field, samples, moves = _edge_field(name)
@@ -755,6 +1005,20 @@ def test_mc_with_raster_matches_one_draw_on_edge_fields(name):
     assert est.before == hits_before / samples
     assert est.after == hits_after / samples
     assert hits_before > 0
+
+
+def test_mc_memory_is_bounded_on_the_stress_field():
+    # 3000 disks that each reach every row: without the bound on the
+    # windows' rows, the segment table alone would take tens of MB
+    field, samples, moves = _stress_field()
+    mc_coverage_fraction(field, samples, seed=37, moves=moves)
+    tracemalloc.start()
+    try:
+        mc_coverage_fraction(field, samples, seed=37, moves=moves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # --- grid_region_uncovered ------------------------------------------------------
