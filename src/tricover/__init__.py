@@ -24,7 +24,6 @@ from .files import (
 )
 from .healing import HealingPlan, plan_relocation, rank_holes, select_targets
 from .holes import (
-    CaseLabel,
     HoleComputation,
     HoleReports,
     detect_holes,
@@ -45,7 +44,6 @@ from .render import render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaseLabel",
     "CoverageEstimate",
     "DegenerateGeometryError",
     "DuplicateSiteError",

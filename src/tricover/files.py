@@ -32,8 +32,6 @@ from typing import Any, Callable, Iterable, Sequence
 from .errors import InconsistentInputError, InvalidInputError
 from .field import MobileSensor, Sensor, SensorField
 from .geometry import Point
-from .healing import CIRCUMCENTER, INCENTER
-from .holes import CASE_FORMULA, EXACT_FALLBACK, CaseLabel
 
 SCHEMA_VERSION = 1
 
@@ -41,10 +39,31 @@ SCHEMA_VERSION = 1
 _FLOAT_DIGITS = 9
 _QUANTIZED = f".{_FLOAT_DIGITS}g"
 
-# The labels, routes and target kinds a report may hold; ``render`` writes
-# labels and kinds into SVG attributes and ``plan`` copies routes, so
-# nothing else may pass the reader.
-_CASES = frozenset(label.value for label in CaseLabel)
+# The strings a report holds, defined here once: ``holes`` writes the case
+# labels and routes and ``healing`` the target kinds. The case label of a
+# triangle describes its three vertex disks, by each side's relation to 2R
+# (shorter = overlapping pair, equal within the tangency tolerance =
+# tangent pair, longer = separated pair) plus a full-coverage test:
+#   A: all three sides longer than 2R
+#   B: all three sides equal to 2R (three tangent pairs)
+#   C: exactly two tangent pairs, none overlapping (computes like A)
+#   D: exactly one overlapping pair
+#   E: exactly two overlapping pairs
+#   F: triangle fully covered (zero hole)
+#   G: one overlapping pair plus a tangent pair (computes like D)
+#   H: one tangent pair, none overlapping (computes like A)
+#   I: all three pairs overlapping, triangle not fully covered
+CASE_LABELS = tuple("ABCDEFGHI")
+# The route that gave a cell's hole area.
+CASE_FORMULA = "case-formula"
+EXACT_FALLBACK = "exact-fallback"
+# The patch point a plan target takes.
+CIRCUMCENTER = "circumcenter"
+INCENTER = "incenter"
+
+# ``render`` writes labels and kinds into SVG attributes and ``plan`` copies
+# routes, so nothing else may pass the reader.
+_CASES = frozenset(CASE_LABELS)
 _METHODS = frozenset((CASE_FORMULA, EXACT_FALLBACK))
 _KINDS = frozenset((CIRCUMCENTER, INCENTER))
 

@@ -19,10 +19,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
 from .field import SensorField, check_length
+from .files import CIRCUMCENTER, INCENTER
 from .mesh import _hypot
-
-CIRCUMCENTER = "circumcenter"
-INCENTER = "incenter"
 
 
 @dataclass(frozen=True)

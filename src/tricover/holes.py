@@ -25,7 +25,6 @@ exact route specialises, live on as the tests' references in
 """
 from __future__ import annotations
 
-import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import acos, atan2, cos, hypot, isfinite, pi, sin, sqrt
@@ -34,6 +33,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
 from .field import check_length
+from .files import CASE_FORMULA, EXACT_FALLBACK
 from .geometry import _DEGENERACY_FACTOR
 from .mesh import TriMesh, _hypot
 
@@ -45,38 +45,6 @@ _HOLE_EPSILON_FACTOR = 1e-9
 _PREDICATE_SLACK = 1e-12
 
 _TWO_PI = 2.0 * pi
-
-CASE_FORMULA = "case-formula"
-EXACT_FALLBACK = "exact-fallback"
-
-
-class CaseLabel(enum.Enum):
-    """Coverage configuration of a triangle's three vertex disks.
-
-    Determined by each side's relation to twice the sensing radius
-    (shorter = overlapping pair, equal within tolerance = tangent pair,
-    longer = separated pair) plus a full-coverage test:
-
-    - A: all three sides longer than 2R
-    - B: all three sides equal to 2R (three tangent pairs)
-    - C: exactly two tangent pairs, none overlapping (computes like A)
-    - D: exactly one overlapping pair
-    - E: exactly two overlapping pairs
-    - F: triangle fully covered (zero hole)
-    - G: one overlapping pair plus a tangent pair (computes like D)
-    - H: one tangent pair, none overlapping (computes like A)
-    - I: all three pairs overlapping, triangle not fully covered
-    """
-
-    A = "A"
-    B = "B"
-    C = "C"
-    D = "D"
-    E = "E"
-    F = "F"
-    G = "G"
-    H = "H"
-    I = "I"
 
 
 @dataclass(frozen=True)
@@ -322,8 +290,9 @@ def _uncovered_area(xy: Sequence[float], R: float) -> float:
 # since ``np.hypot`` and ``np.arccos`` round some inputs differently
 # (``np.sqrt`` is correctly rounded, as ``math.sqrt`` is).
 
-# The ``CaseLabel`` of a cell that is not covered, as its docstring defines
-# it, by the cell's counts of overlapping (row) and tangent (column) sides.
+# The case label of a cell that is not covered, as ``files.CASE_LABELS``
+# defines it, by the cell's counts of overlapping (row) and tangent
+# (column) sides.
 _UNCOVERED_LABELS = np.array([list("AHCB"), list("DGGG"), list("EEEE"), list("IIII")])
 
 
@@ -425,8 +394,8 @@ def _detect_columns(mesh: TriMesh, radius: float, eps: float) -> HoleReports:
     two_r = 2.0 * radius
     overlapping = np.count_nonzero(sides < two_r - tol, axis=1)
     tangent = np.count_nonzero(np.abs(sides - two_r) <= tol, axis=1)
-    label = np.full(len(mesh.cells), CaseLabel.F.value)
-    label[live] = np.where(value < eps, CaseLabel.F.value, _UNCOVERED_LABELS[overlapping, tangent])
+    label = np.full(len(mesh.cells), "F")
+    label[live] = np.where(value < eps, "F", _UNCOVERED_LABELS[overlapping, tangent])
     s_h = np.zeros(len(mesh.cells))
     s_h[live] = value
     order = np.argsort(-s_h, kind="stable")  # ties keep ascending cell ids

@@ -380,6 +380,13 @@ class _Windows:
     hi: np.ndarray
 
 
+def _union(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Whether each of ``0`` to ``n - 1`` lies in some interval from ``lo[g]``
+    to ``hi[g] - 1``, ``0 <= lo[g] <= hi[g] <= n``, through a difference array."""
+    opened = np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1)
+    return np.cumsum(opened[:n]) > 0
+
+
 def _windows(disks: np.ndarray, tag: np.ndarray, raster: _Raster) -> _Windows:
     """The window segments on ``raster`` of the mobile ``disks``, rows ``(sx, sy, r)``.
 
@@ -452,14 +459,12 @@ def _windows(disks: np.ndarray, tag: np.ndarray, raster: _Raster) -> _Windows:
     inner = (first <= last) & covered(first) & covered(last)
     base = row * nx
     lo, hi = base + c0, base + c1 + 1
-    cells = nx * ny + 1
-    reached = np.cumsum(np.bincount(lo, minlength=cells) - np.bincount(hi, minlength=cells))
     return _Windows(
         centre=disks[:, :2].copy(),
         r2=r * r,
         before=tag != _ARRIVING,
         after=tag != _LEAVING,
-        reached=reached[:-1] > 0,
+        reached=_union(lo, hi, nx * ny),
         disk=disk,
         lo=lo,
         a=base + np.where(inner, first, c1 + 1).astype(np.intp),
@@ -488,17 +493,11 @@ def _mobile_masks(
     start = np.zeros(cells + 1, dtype=np.intp)
     np.cumsum(np.bincount(key, minlength=cells), out=start[1:])
     lo, a, b, hi = (start.take(k) for k in (windows.lo, windows.a, windows.b, windows.hi))
-    # The inner points: each point's count of the before (after) disks whose
-    # inner intervals hold it, in the low (high) 32 bits of one difference
-    # array. A count is below the number of disks, far below 2**31, and no
-    # prefix of a count is negative, so the halves never mix.
-    marks = np.zeros(n + 1, dtype=np.int64)
-    for shift, counts in ((0, windows.before), (32, windows.after)):
-        seg = counts.take(windows.disk)
-        opened = np.bincount(a[seg], minlength=n + 1)
-        marks += (opened - np.bincount(b[seg], minlength=n + 1)) << shift
-    inside = np.cumsum(marks[:n])
-    masks = (inside.astype(np.uint32) != 0, inside >= 1 << 32)
+    # the inner points of the before and of the after disks
+    masks = tuple(
+        _union(a[seg], b[seg], n)
+        for seg in (windows.before.take(windows.disk), windows.after.take(windows.disk))
+    )
     # the edge points: runs g and g + len(lo) are segment g's points before
     # and after its inner interval
     first = np.concatenate((lo, b))

@@ -368,8 +368,9 @@ def grid_region_uncovered(
 
 
 def case_label(tri: TriangleGeom, radius: float, covered: bool) -> str:
-    """The ``CaseLabel`` value of a triangle, given whether it is covered:
-    ``F`` if it is, else the letter of its overlapping and tangent sides."""
+    """The case label of a triangle (one of ``files.CASE_LABELS``), given
+    whether it is covered: ``F`` if it is, else the letter of its
+    overlapping and tangent sides."""
     if covered:
         return "F"
     tol = _TANGENCY_FACTOR * radius

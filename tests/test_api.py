@@ -50,7 +50,7 @@ def test_oracles_stay_out_of_the_package():
         "triangle_disks_covered_area", "exact_uncovered_area", "_require_analysable",
         "_ccw_vertices", "TriangleGeom", "triangle_from_vertices", "_require_finite",
         "circumcenter", "incenter", "select_target", "TargetLocation", "Assignment",
-        "plan_to_dict",
+        "plan_to_dict", "CaseLabel",
     )
     spaces = [
         importlib.import_module("tricover" if path.stem == "__init__" else f"tricover.{path.stem}")
@@ -64,6 +64,21 @@ def test_oracles_stay_out_of_the_package():
     assert not hasattr(tricover.TriMesh, "geoms")
     # the field's area, which no production line read
     assert not hasattr(tricover.SensorField, "area")
+
+
+def test_files_imports_no_computation_layer():
+    # the report's strings live in ``files``, which takes from the package
+    # only the errors, the field and the point type
+    tree = ast.parse((PACKAGE / "files.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "tricover" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            imported.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] != "tricover"
+    assert imported == {"errors", "field", "geometry"}
 
 
 def test_every_imported_name_is_used():

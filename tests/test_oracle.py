@@ -36,6 +36,7 @@ from tricover.oracle import (
     _reach,
     _stamp,
     _stationary_covered,
+    _union,
     _windows,
 )
 
@@ -457,6 +458,27 @@ def test_inner_intervals_hold_only_cells_the_stamp_covers():
             refused.append(int(windows.disk[g]))
     # only rows built to put an end cell on the edge are refused, some of them
     assert 0 < len(refused) < 300 and min(refused) >= 300
+
+
+@pytest.mark.parametrize(
+    "intervals, n",
+    [
+        ([], 5),
+        ([(0, 0), (3, 3), (5, 5)], 5),
+        ([(0, 5)], 5),
+        ([(4, 5), (2, 5), (5, 5)], 5),
+        ([(1, 4), (2, 6), (5, 7)], 9),
+        ([(0, 9), (2, 4), (3, 3), (2, 4)], 9),
+        ([(3, 4), (4, 6), (6, 7)], 8),
+        ([], 0),
+    ],
+)
+def test_union_equals_a_brute_force_scan(intervals, n):
+    # empty intervals, intervals that end on n, overlapping, nested and
+    # repeated ones, and runs that touch end to start
+    lo, hi = (np.array([iv[k] for iv in intervals], dtype=np.intp) for k in (0, 1))
+    expected = [any(a <= i < b for a, b in intervals) for i in range(n)]
+    assert _union(lo, hi, n).tolist() == expected
 
 
 # Disks that leave inner intervals on the unit raster, on a raster of

@@ -16,6 +16,7 @@ from tricover import (
     run_detect,
     run_plan,
 )
+from tricover.files import CASE_LABELS
 
 
 def equilateral_scenario(side=1.9, radius=1.0, mobiles=((3, 0.1, 3.9, 1.0),)):
@@ -153,3 +154,7 @@ def test_svg_without_plan_matches_pinned_digest(mode):
     report = run_detect(scenario) if mode == "detect" else None
     svg = render_svg(scenario, report)
     assert hashlib.sha256(svg.encode()).hexdigest() == PINNED_RENDERS[mode]
+
+
+def test_every_case_label_has_one_fill():
+    assert tuple(tricover.render._CASE_FILL) == CASE_LABELS
