@@ -136,6 +136,8 @@ def test_goldens_match_exact_fallback():
         (((0, 0), (2, 0), (0, 3)), "H"),
         (SIDE19_EQUILATERAL, "I"),
     ],
+    # The case ids the suite has always reported, from when labels were enum members.
+    ids=[f"pts{i}-CaseLabel.{c}" for i, c in enumerate("ABCDEFGHI")],
 )
 def test_classify_all_labels(pts, label):
     assert detected_label(pts, 1.0) == label
