@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, nextafter, sqrt
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -35,8 +35,10 @@ _Z99 = 2.5758293035489004
 # result.
 MC_CHUNK = 1 << 16
 
-# States of a stationary-coverage raster cell (see ``_stamp``).
-_UNCOVERED, _COVERED, _MIXED = 0, 1, 2
+# The codes of a raster cell that no one site names (see ``_stamp``), in this
+# order; a code >= 0 is the index of the one site that reaches the cell
+# without covering it.
+_UNCOVERED, _SHARED, _COVERED = -1, -2, -3
 
 # Half the diagonal of a unit cell, widened by 1e-9.
 _HALF_DIAGONAL = sqrt(0.5) * (1.0 + 1e-9)
@@ -45,11 +47,6 @@ _HALF_DIAGONAL = sqrt(0.5) * (1.0 + 1e-9)
 # ``_raster_layout``), about _STAMP_BLOCK at a time, which bounds memory.
 _STAMP_PAIRS = 8 * MC_CHUNK
 _STAMP_BLOCK = 8192
-
-# Tags of the mobile disks of one call (see ``_windows``): a disk that stays
-# counts before and after the moves, one that leaves before, and one that
-# arrives after.
-_STAYING, _LEAVING, _ARRIVING = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -67,32 +64,26 @@ class CoverageEstimate:
 
 
 @dataclass(frozen=True)
-class _Raster:
+class _Grid:
     """Square cells of side ``h``, ``nx`` by ``ny``, from the origin.
 
-    ``state[j * nx + i]`` is the state of the cell
-    ``[i * h, (i + 1) * h] x [j * h, (j + 1) * h]``, and ``site[j * nx + i]``
-    the index of the one site that reaches the cell if it is mixed and one
-    site alone reaches it, and -1 otherwise (see ``_stamp``); a layout
-    alone has ``state`` and ``site`` None.
+    The cell of key ``j * nx + i`` is ``[i * h, (i + 1) * h] x [j * h, (j + 1) * h]``.
     """
 
     h: float
     nx: int
     ny: int
-    state: np.ndarray | None
-    site: np.ndarray | None = None
 
 
-def _layout(cells: int, width: float, height: float) -> _Raster:
-    """About ``cells`` square cells over ``[0, width] x [0, height]``, without states.
+def _layout(cells: int, width: float, height: float) -> _Grid:
+    """About ``cells`` square cells over ``[0, width] x [0, height]``.
 
     ``nx`` columns near ``sqrt(cells * width / height)``, ``ny = cells // nx``
     rows, and side ``h = max(width / nx, height / ny)``.
     """
     nx = int(min(cells, max(1.0, sqrt(cells * (width / height)))))
     ny = cells // nx
-    return _Raster(max(width / nx, height / ny), nx, ny, None)
+    return _Grid(max(width / nx, height / ny), nx, ny)
 
 
 def _reach(radius: float, h: float) -> float:
@@ -100,53 +91,47 @@ def _reach(radius: float, h: float) -> float:
     return radius * (1.0 + 1e-9) + h * _HALF_DIAGONAL
 
 
-def _pair_bound(raster: _Raster, sites: int, radius: float) -> int:
-    """An upper bound on the (site, cell) pairs ``_stamp`` visits for ``sites`` sites of the field.
+def _span(grid: _Grid, radius: float | np.ndarray) -> float | np.ndarray:
+    """A bound on the columns, and on the rows, of the window of a disk of ``radius`` in the field.
 
-    A site's window spans fewer than ``2 * reach / h + 2`` columns, plus a
-    rounding far below one cell while the site lies within ``2**40 * h`` of
-    the origin, as every site of the field does: at most
+    A window (``_window``) spans fewer than ``2 * reach / h + 2`` columns,
+    plus a rounding far below one cell while the disk's centre lies within
+    ``2**40 * h`` of the origin, as every point of the field does: at most
     ``int(2 * reach / h + 3)`` columns, and as many rows.
     """
-    span = 2.0 * _reach(radius, raster.h) / raster.h + 3.0
-    return sites * int(min(raster.nx, span)) * int(min(raster.ny, span))
-
-
-def _window_rows(raster: _Raster, radii: np.ndarray) -> int:
-    """An upper bound on the window rows of disks of ``radii`` centred in the field.
-
-    A window spans at most ``int(2 * reach / h + 3)`` rows, as in
-    ``_pair_bound``, and at most all ``ny`` of them.
-    """
-    span = 2.0 * _reach(radii, raster.h) / raster.h + 3.0
-    return int(np.minimum(raster.ny, span).astype(np.int64).sum())
+    return 2.0 * _reach(radius, grid.h) / grid.h + 3.0
 
 
 def _raster_layout(
     width: float, height: float, samples: int, sites: int, radius: float, radii: np.ndarray
-) -> _Raster:
+) -> _Grid:
     """The layout ``mc_coverage_fraction`` stamps: the most cells, and at least one, such that
 
     - there are at most ``MC_CHUNK`` cells, so column and cell keys fit in
       16 bits;
     - there is at most one cell per two samples;
     - the stamp visits at most ``max(sites, min(_STAMP_PAIRS, 2 * samples))``
-      pairs (``_pair_bound``), so that an over-covered field, or a run of
-      few samples, stamps no more than the raster saves. A pair costs a few
-      float operations, about a twentieth of a kd query;
+      pairs (a site's ``_span`` of columns times its span of rows), so that
+      an over-covered field, or a run of few samples, stamps no more than
+      the raster saves. A pair costs a few float operations, about a
+      twentieth of a kd query;
     - the windows of the mobile disks, of radii ``radii``, hold at most
-      ``max(MC_CHUNK, len(radii))`` rows in all (``_window_rows``), which
-      bounds the segment table of the mobile pass (``_windows``).
+      ``max(MC_CHUNK, len(radii))`` rows in all (the sum of their spans),
+      which bounds the segment table of the mobile pass (``_windows``).
 
     The count is the cap if it fits, and otherwise the largest that a
     bisection finds below it; one cell always fits.
     """
-    budget = max(sites, min(_STAMP_PAIRS, 2 * samples))
+    pairs = max(sites, min(_STAMP_PAIRS, 2 * samples))
     rows = max(MC_CHUNK, len(radii))
 
     def fits(cells: int) -> bool:
-        layout = _layout(cells, width, height)
-        return _pair_bound(layout, sites, radius) <= budget and _window_rows(layout, radii) <= rows
+        grid = _layout(cells, width, height)
+        span = _span(grid, radius)
+        return (
+            sites * int(min(grid.nx, span)) * int(min(grid.ny, span)) <= pairs
+            and np.minimum(grid.ny, _span(grid, radii)).astype(np.int64).sum() <= rows
+        )
 
     lo, hi = 1, max(1, min(MC_CHUNK, samples // 2))
     if fits(hi):
@@ -161,41 +146,125 @@ def _raster_layout(
     return _layout(lo, width, height)
 
 
-def _stamp(raster: _Raster, sites: np.ndarray, radius: float) -> _Raster:
-    """Classify the cells of ``raster`` by the disks of radius ``radius`` about ``sites``.
+def _columns(x: np.ndarray, inv_h: float, n: int) -> np.ndarray:
+    """Raster column of each abscissa in ``x`` (or row of each ordinate), as uint16.
 
-    With ``R = radius``, ``δ = h * sqrt(1/2) * (1 + 1e-9)`` and the reach
-    ``B = R * (1 + 1e-9) + δ``, each site s visits the cells of its window:
-    the columns from ``_columns(s.x - B)`` to ``_columns(s.x + B)`` and the
-    rows from ``_columns(s.y - B)`` to ``_columns(s.y + B)``, the map that
-    places the samples, so the window is clipped to the raster. The windows'
-    (site, cell) pairs are visited in blocks of about ``_STAMP_BLOCK``:
-    sites in groups with that many window columns in all (or one site), and
-    as many window rows of a group at a time as keep the block in that
-    size (or one row). A pair has the distance
-    ``d = sqrt(dx * dx + dy * dy)`` from s to the cell centre
-    ``c = ((i + 0.5) * h, (j + 0.5) * h)``. A cell is *covered* if some
-    pair has ``d + δ <= R * (1 - 1e-9)``, *uncovered* if no pair has
-    ``d - δ < R * (1 + 1e-9)``, and *mixed* otherwise; a pair that meets the
-    second test *reaches* its cell. A pair left out of the windows has its
-    cell centre more than B plus nearly half a cell from the site along x
-    or y, so it would meet neither test: the windows change no state, and
-    the tests check the states against every site. The raster's ``site``
-    column names, for each mixed cell that one site alone reaches, that
-    site, and holds -1 for every other cell; a covering pair decides its
-    cell, so only the other reaching pairs are recorded.
+    The map ``trunc(clip(x * inv_h, 0, n - 1))`` never decreases as x
+    grows: the rounded product is monotone in x, and so are the clip and
+    the truncation. For x >= 0 it is ``min(floor(x * inv_h), n - 1)``.
+    Clipping in float before the cast keeps huge and infinite x in range,
+    and ``n <= MC_CHUNK = 2**16`` makes every column fit in 16 bits.
 
-    A point ``p`` of the field in a covered (uncovered) cell, as
-    ``_stationary_covered`` assigns it, passes (fails) the plain test
+    A point p of the field is thus placed in a cell whose centre c lies
+    within ``δ = h * _HALF_DIAGONAL`` of it, with ``_stamp``'s u and
+    lengths. ``x * (1/h)`` is within a relative 2.01u of x / h, and
+    x <= width <= nx * h * (1 + 1.01u), so x lies in its column widened by
+    2.02u * nx * h <= 2.02 * 2**-37 * h on each side (nx <= 2**16): a point
+    can land one cell off by a few ulps. The computed centre
+    ``(i + 0.5) * h`` is within u * nx * h <= 2**-37 * h of the true one.
+    So |x - cx| <= h/2 * (1 + 4.4e-11), likewise for y, and
+    |p - c| <= h/sqrt(2) * (1 + 4.4e-11). The computed δ is at least
+    h/sqrt(2) * (1 + 1e-9) * (1 - 4u), so |p - c| <= δ - 9.5e-10 * h/sqrt(2).
+    """
+    v = x * inv_h
+    return np.clip(v, 0.0, n - 1, out=v).astype(np.uint16)
+
+
+def _window(
+    x: np.ndarray, y: np.ndarray, radius: float | np.ndarray, grid: _Grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The first and last column and the first and last row of each disk's window on ``grid``.
+
+    The disks have centres ``(x, y)`` and one ``radius`` or one each. With
+    the reach ``B = _reach(radius, h)``, a window runs from column
+    ``_columns(x - B)`` to ``_columns(x + B)`` and from row
+    ``_columns(y - B)`` to ``_columns(y + B)``: the map that places the
+    samples clips it to the grid. Nothing outside a window passes a test of
+    its disk, of centre s (``_stamp``'s conditions and names, R = radius):
+
+    - A cell outside has its centre more than B plus nearly half a cell
+      from s along x or y: it passes neither ``_covers`` nor the reach test.
+    - A point p of the field placed outside, say in a column after the
+      window's: the column map never decreases as x grows and places p and
+      ``e = fl(s.x + B)`` through the same product, so p.x > e, and
+      p.x - s.x > B - u * (|s.x| + B) >= (R' + δ) * (1 - 3u) - 2**-13 * h
+      > R * (1 + 9.9e-10); the other three sides are alike. So p's computed
+      distance exceeds R * (1 + 9.8e-10): the kd query finds no site within
+      ``nextafter(R, inf)``. The rounded |dx| does too, and ``R * R`` and
+      ``dx * dx`` are normal floats rounded with relative error at most u;
+      as ``dy * dy >= 0`` and rounding is monotone, the computed
+      ``dx * dx + dy * dy`` is at least
+      ``dx * dx >= R**2 * (1 + 1.9e-9) * (1 - u) > R**2 * (1 + u) >= R * R``.
+    """
+    inv_h = 1.0 / grid.h
+    reach = _reach(radius, grid.h)
+    return tuple(
+        _columns(v, inv_h, n).astype(np.intp)
+        for v, n in ((x - reach, grid.nx), (x + reach, grid.nx), (y - reach, grid.ny), (y + reach, grid.ny))
+    )
+
+
+def _covers(d: np.ndarray, radius: float | np.ndarray, h: float) -> np.ndarray:
+    """Whether cells of side ``h`` lie inside a disk of ``radius``: ``d + δ <= radius * (1 - 1e-9)``.
+
+    ``d`` is the computed distance of a cell's centre c from the disk's
+    centre s, and ``δ = h * _HALF_DIAGONAL``. With ``_stamp``'s conditions
+    and R = radius, a point p of the field placed in such a cell passes
+    every test of the disk: |c - s| <= d * (1 + 3.01u) and |p - c| <= δ
+    (``_columns``), so |p - s| <= (d + δ) * (1 + 3.01u)
+    <= R * (1 - 1e-9) * (1 + u)**2 * (1 + 3.01u) < R * (1 - 1e-9 + 5.1u).
+    Its computed distance is below R * (1 - 1e-9 + 8.2u), far below the kd
+    query's bound, and its computed ``dx * dx + dy * dy`` at most
+    |p - s|**2 * (1 + u)**4 < R**2 * (1 - 1.9e-9) < R**2 * (1 - u) <= R * R
+    (a square that underflows adds at most 2**-1074, far below 1e-9 * R**2).
+    """
+    return d + h * _HALF_DIAGONAL <= radius * (1.0 - 1e-9)
+
+
+def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of ``lengths`` laid end to end, the run of each entry and its place in that run."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths).take(run)
+
+
+def _blocks(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive groups ``j`` to ``k - 1`` of the runs of ``lengths``, of at most
+    ``_STAMP_BLOCK`` entries in all or of one run, as ``(j, k)``."""
+    ends = np.cumsum(lengths)
+    j = 0
+    while j < len(lengths):
+        k = max(j + 1, int(np.searchsorted(ends, ends[j] - lengths[j] + _STAMP_BLOCK, side="right")))
+        yield j, k
+        j = k
+
+
+def _stamp(grid: _Grid, sites: np.ndarray, radius: float) -> np.ndarray:
+    """The code of each cell of ``grid`` for the disks of radius ``R = radius`` about ``sites``.
+
+    Each site visits the cells of its window (``_window``) in blocks of
+    about ``_STAMP_BLOCK`` (site, cell) pairs: sites in groups with that
+    many window columns in all, or one site (``_blocks``), and as many
+    window rows of a group at a time as keep the block in that size, or one
+    row. A pair *covers* its cell if the distance d from its site s to the
+    cell centre c = ``((i + 0.5) * h, (j + 0.5) * h)``, computed as
+    ``sqrt(dx * dx + dy * dy)``, passes ``_covers``, and *reaches* it if
+    ``d - δ < R * (1 + 1e-9)``, with ``δ = h * _HALF_DIAGONAL``. A cell's
+    code is ``_COVERED`` if a pair covers it; otherwise the index of the one
+    site that reaches it, ``_SHARED`` if several do, and ``_UNCOVERED`` if
+    none does. A pair outside the windows would neither cover nor reach its
+    cell (``_window``), so these are the codes of every site.
+
+    A point p of the field in a ``_COVERED`` (``_UNCOVERED``) cell, as
+    ``_stationary_covered`` places it, passes (fails) the plain test
     ``tree.query(p, distance_upper_bound=nextafter(R, inf))[0] <= R`` of a
-    kd-tree of the sites. In a mixed cell that one site s alone reaches,
-    the test ``sqrt(dx * dx + dy * dy) <= R`` against s gives the same
-    answer, but for the query's pruning within a relative 1e-12 of R. With
-    u = 2**-53 the unit roundoff, the field's sides and R in
-    [2**-400, 2**400] (no square below overflows, and one that underflows
-    moves a distance by at most 2**-537, far below 1e-11 * h), and the
-    sites within ``2**40 * h`` of the origin (a site of the field lies
-    within ``2**16.01 * h``):
+    kd-tree of the sites. In a cell that one site s alone reaches, the test
+    ``sqrt(dx * dx + dy * dy) <= R`` against s gives the same answer, but
+    for the query's pruning within a relative 1e-12 of R. The conditions
+    and names, with u = 2**-53 the unit roundoff: the field's sides and R
+    lie in [2**-400, 2**400] (no square below overflows, and one that
+    underflows moves a distance by at most 2**-537, far below 1e-11 * h);
+    the sites lie within ``2**40 * h`` of the origin (a site of the field
+    lies within ``2**16.01 * h``); R' is the rounded ``R * (1 + 1e-9)``.
 
     - A distance computed by numpy here or by scipy in the query (the root
       of a rounded sum of rounded squares of rounded differences) is within
@@ -203,74 +272,45 @@ def _stamp(raster: _Raster, sites: np.ndarray, radius: float) -> _Raster:
       computed distance below its bound; as it prunes on rounded rectangle
       distances, it can miss only a site whose computed distance is within
       a relative 1e-12 of the bound.
-    - ``_columns`` puts p in column ``min(floor(x * (1/h)), nx - 1)``.
-      ``x * (1/h)`` is within a relative 2.01u of x / h, and
-      x <= width <= nx * h * (1 + 1.01u), so x lies in the column widened by
-      2.02u * nx * h <= 2.02 * 2**-37 * h on each side (nx <= 2**16): a
-      point can land one cell off by a few ulps. The computed centre
-      ``(i + 0.5) * h`` is within u * nx * h <= 2**-37 * h of the true one.
-      So |x - cx| <= h/2 * (1 + 4.4e-11), likewise for y, and
-      |p - c| <= h/sqrt(2) * (1 + 4.4e-11). The computed δ is at least
-      h/sqrt(2) * (1 + 1e-9) * (1 - 4u), so |p - c| <= δ - 9.5e-10 * h/sqrt(2).
-    - Covered: some site s has computed distance d from c, so
-      |c - s| <= d * (1 + 3.01u) and |p - s| <= (d + δ) * (1 + 3.01u)
-      <= R * (1 - 1e-9) * (1 + u)**2 * (1 + 3.01u) < R * (1 - 1e-9 + 5.1u).
-      p's computed distance to s is below R * (1 - 1e-9 + 8.2u), far below
-      R and the bound, so the plain query finds a distance <= R.
-    - Uncovered, a site s whose window holds the cell: let R' be the
-      rounded ``R * (1 + 1e-9)``. The rounded ``d - δ`` is at least R', so
-      d - δ >= R' * (1 - u), and
+    - Covered: by ``_covers``, p's computed distance to the covering site
+      is far below R.
+    - Uncovered, a site s whose window holds the cell: the rounded
+      ``d - δ`` is at least R', so d - δ >= R' * (1 - u), and with |p - c|
+      from ``_columns``,
       |p - s| >= |c - s| - |p - c| >= d * (1 - 3.01u) - δ + 9.5e-10 * h/sqrt(2)
       >= R' * (1 - 4.02u) + h/sqrt(2) * (9.5e-10 - 3.1u) > R * (1 + 9.9e-10),
-      the middle expression being least at the least d.
-    - Uncovered, a site s whose window misses the cell, say p's column
-      lies after the window's: the column map never decreases as x grows
-      and places p and ``e = fl(s.x + B)`` through the same product, so
-      x > e. Then x - s.x > B - u * (|s.x| + B) >= (R' + δ) * (1 - 3u)
-      - 2**-13 * h > R * (1 + 9.9e-10); the other three sides are alike.
-    - In both uncovered cases p's computed distance to s exceeds
-      R * (1 + 9.8e-10), so the plain query finds no site within
+      the middle expression being least at the least d. So p's computed
+      distance to s exceeds R * (1 + 9.8e-10).
+    - Uncovered, a site whose window misses the cell: likewise, by
+      ``_window``. So the plain query finds no site within
       ``nextafter(R, inf)``.
-    - Mixed, one site s alone reaches the cell: no pair covers the cell,
-      and every other site's pair fails the reach test or lies outside its
-      window, so by the two uncovered bullets p's computed distance to
-      that site exceeds R * (1 + 9.8e-10). The plain query can then
-      return only s's computed distance, or nothing. scipy computes it as
-      numpy does here: the two rounded squares of the rounded
-      differences, summed x first, and a correctly rounded square root.
-      So the direct test and the query agree, except where the query's
-      pruning drops s within a relative 1e-12 of its bound (the first
-      bullet).
+    - One site s alone reaches the cell: no pair covers the cell, and every
+      other site's pair fails the reach test or lies outside its window, so
+      by the two uncovered bullets p's computed distance to that site
+      exceeds R * (1 + 9.8e-10). The plain query can then return only s's
+      computed distance, or nothing. scipy computes it as numpy does here:
+      the two rounded squares of the rounded differences, summed x first,
+      and a correctly rounded square root. So the direct test and the query
+      agree, except where the query's pruning drops s within a relative
+      1e-12 of its bound (the first bullet).
 
     The margin on R absorbs the rounding in terms of R's size; the widening
     of δ absorbs the cell-index rounding, which scales with h and matters on
     the uncovered side when R is far below h.
     """
-    h, nx, ny = raster.h, raster.nx, raster.ny
-    inv_h = 1.0 / h
+    h, nx = grid.h, grid.nx
     delta = h * _HALF_DIAGONAL
-    reach = _reach(radius, h)
     sx, sy = sites[:, 0], sites[:, 1]
-    x0 = _columns(sx - reach, inv_h, nx).astype(np.intp)
-    y0 = _columns(sy - reach, inv_h, ny).astype(np.intp)
-    w = _columns(sx + reach, inv_h, nx) - x0 + 1
-    rows = _columns(sy + reach, inv_h, ny) - y0 + 1
-    ends = np.cumsum(w)
-    starts = ends - w
+    x0, x1, y0, y1 = _window(sx, sy, radius, grid)
+    w = x1 - x0 + 1
+    rows = y1 - y0 + 1
     cx = (np.arange(nx) + 0.5) * h
-    cy = (np.arange(ny) + 0.5) * h
-    covered = np.zeros(nx * ny, dtype=bool)
-    # the last site seen to reach each cell without covering it, and
-    # whether another one did
-    site = np.full(nx * ny, -1, dtype=np.int32)
-    twice = np.zeros(nx * ny, dtype=bool)
-    a = 0
-    while a < len(sites):
-        # sites a to b - 1: at most _STAMP_BLOCK window columns in all, or one site
-        b = max(a + 1, int(np.searchsorted(ends, starts[a] + _STAMP_BLOCK, side="right")))
+    cy = (np.arange(grid.ny) + 0.5) * h
+    code = np.full(nx * grid.ny, _UNCOVERED, dtype=np.int32)
+    for a, b in _blocks(w):
         # one entry per (site, window column); k is the site's index in the group
-        k = np.repeat(np.arange(b - a), w[a:b])
-        col = np.arange(len(k)) - (starts[a:b] - starts[a]).take(k) + x0[a:b].take(k)
+        k, col = _runs(w[a:b])
+        col += x0[a:b].take(k)
         dx = cx.take(col) - sx[a:b].take(k)
         dx2 = dx * dx
         base = y0[a:b].take(k) * nx + col
@@ -286,33 +326,20 @@ def _stamp(raster: _Raster, sites: np.ndarray, radius: float) -> _Raster:
             d = np.sqrt(dx2 + (dy * dy).take(k, axis=1))
             live = dt < height
             cell = base + dt * nx
-            inner = live & (d + delta <= radius * (1.0 - 1e-9))
-            covered[cell[inner]] = True
-            # Each pair is visited once, so a cell reached in an earlier
-            # block, or twice in this one, is reached by two sites.
+            inner = live & _covers(d, radius, h)
+            code[cell[inner]] = _COVERED
+            # A pair that reaches a cell without covering it names its site
+            # in an _UNCOVERED cell, makes a cell that names a site _SHARED,
+            # and leaves a _SHARED or _COVERED one as it is (the lesser code).
+            # Each pair is visited once, so a cell that two pairs of this
+            # block name, where the last write wins, is _SHARED too.
             near = live & (d - delta < radius * (1.0 + 1e-9)) & ~inner
-            hit, who = cell[near], ids[: len(dt)][near]
-            seen = site.take(hit)
-            site[hit] = who
-            twice[hit[(seen >= 0) | (site.take(hit) != who)]] = True
-        a = b
-    state = np.where(site >= 0, _MIXED, _UNCOVERED).astype(np.int8)
-    state[covered] = _COVERED
-    site[twice | covered] = -1
-    return _Raster(h, nx, ny, state, site)
-
-
-def _columns(x: np.ndarray, inv_h: float, n: int) -> np.ndarray:
-    """Raster column of each abscissa in ``x`` (or row of each ordinate), as uint16.
-
-    The map ``trunc(clip(x * inv_h, 0, n - 1))`` never decreases as x
-    grows: the rounded product is monotone in x, and so are the clip and
-    the truncation. For x >= 0 it is ``min(floor(x * inv_h), n - 1)``.
-    Clipping in float before the cast keeps huge and infinite x in range,
-    and ``n <= MC_CHUNK = 2**16`` makes every column fit in 16 bits.
-    """
-    v = x * inv_h
-    return np.clip(v, 0.0, n - 1, out=v).astype(np.uint16)
+            hit = cell[near]
+            mark = code.take(hit)
+            mark = np.where(mark == _UNCOVERED, ids[: len(dt)][near], np.minimum(mark, _SHARED))
+            code[hit] = mark
+            code[hit[code.take(hit) != mark]] = _SHARED
+    return code
 
 
 def _stationary_covered(
@@ -320,39 +347,39 @@ def _stationary_covered(
     cell: np.ndarray,
     sites: np.ndarray,
     tree: cKDTree,
-    raster: _Raster,
+    code: np.ndarray,
     radius: float,
 ) -> np.ndarray:
     """Which of ``pts`` (points of the raster's field) lie within ``radius`` of one of ``sites``.
 
-    ``tree`` is a kd-tree of ``sites``, the sites ``raster`` was stamped
-    with, and ``cell`` holds the points' raster cell keys ``row * nx + col``
-    (``_columns`` of each coordinate), of an integer type. A point in a
-    covered or uncovered cell of ``raster`` takes the cell's state, and a
-    point in a mixed cell that one site alone reaches is tested with
-    ``sqrt(dx * dx + dy * dy) <= radius`` against that site; both are the
-    plain query's answer (see ``_stamp``). The points in mixed cells that
-    several sites reach are queried, in cell order, so that successive
-    queries search nearby parts of the tree. Each answer is the point's
-    own, whatever the order.
+    ``code`` is the code column ``_stamp`` made of ``sites``, ``tree`` a
+    kd-tree of them, and ``cell`` holds the points' raster cell keys
+    ``row * nx + col`` (``_columns`` of each coordinate), of an integer
+    type. A point in a ``_COVERED`` or ``_UNCOVERED`` cell takes that
+    answer, and a point in a cell that one site alone reaches is tested
+    with ``sqrt(dx * dx + dy * dy) <= radius`` against that site; both are
+    the plain query's answer (see ``_stamp``). The points in ``_SHARED``
+    cells are queried, in cell order, so that successive queries search
+    nearby parts of the tree. Each answer is the point's own, whatever the
+    order.
     """
-    state = raster.state.take(cell)
-    covered = state == _COVERED
-    mixed = np.flatnonzero(state == _MIXED)
-    site = raster.site.take(cell.take(mixed))
-    one = site >= 0
-    alone = mixed[one]
-    dx, dy = (pts.take(alone, axis=0) - sites.take(site[one], axis=0)).T
+    # The points' cells are random, so they first read a table that stays
+    # in cache: each cell's code as int8, with every site index as 0 (a
+    # gather of the int32 codes made verify_s 7% slower on verify-heavy).
+    kind = np.minimum(code, 0).astype(np.int8).take(cell)
+    covered = kind == _COVERED
+    alone = np.flatnonzero(kind == 0)
+    dx, dy = (pts.take(alone, axis=0) - sites.take(code.take(cell.take(alone)), axis=0)).T
     covered[alone] = np.sqrt(dx * dx + dy * dy) <= radius
-    mixed = mixed[~one]
-    if len(mixed):
+    shared = np.flatnonzero(kind == _SHARED)
+    if len(shared):
         # cell < MC_CHUNK = 2**16: a stable sort of 16-bit keys is a radix sort.
-        mixed = mixed.take(np.argsort(cell.take(mixed).astype(np.uint16), kind="stable"))
+        shared = shared.take(np.argsort(cell.take(shared).astype(np.uint16), kind="stable"))
         # cKDTree's bound is strict; the next float up keeps points at exactly R.
         dist, _ = tree.query(
-            pts.take(mixed, axis=0), distance_upper_bound=nextafter(radius, inf)
+            pts.take(shared, axis=0), distance_upper_bound=nextafter(radius, inf)
         )
-        covered[mixed] = dist <= radius
+        covered[shared] = dist <= radius
     return covered
 
 
@@ -387,84 +414,59 @@ def _union(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     return np.cumsum(opened[:n]) > 0
 
 
-def _windows(disks: np.ndarray, tag: np.ndarray, raster: _Raster) -> _Windows:
-    """The window segments on ``raster`` of the mobile ``disks``, rows ``(sx, sy, r)``.
+def _windows(disks: np.ndarray, before: np.ndarray, after: np.ndarray, grid: _Grid) -> _Windows:
+    """The window segments on ``grid`` of the mobile ``disks``, rows ``(sx, sy, r)``.
 
-    Each disk is tagged ``_STAYING``, ``_LEAVING`` or ``_ARRIVING`` in
-    ``tag``. A disk's window is the stamp's, with the reach
-    ``B = _reach(r, h)``: the columns from ``c0 = _columns(sx - B)`` to
-    ``c1 = _columns(sx + B)`` and the rows from ``_columns(sy - B)`` to
-    ``_columns(sy + B)``. Its segment in row j holds the cell keys
-    ``j * nx + c0`` to ``j * nx + c1``. Its inner interval is a run of
-    those columns, found thus: with ``δ`` the stamp's, ``t = r * (1 - 1e-9) - δ`` and
-    ``dy = (j + 0.5) * h - sy``, the columns i whose centre
-    ``(i + 0.5) * h`` lies within ``sqrt(t**2 - dy**2)`` of sx, clipped to
-    the window, are kept only if both end columns pass the stamp's covered
-    test ``sqrt(dx * dx + dy * dy) + δ <= r * (1 - 1e-9)``, with
-    ``dx = (i + 0.5) * h - sx``; otherwise the row has no inner cells. The
-    closed form only proposes the interval: the test decides it.
+    Disk k counts before the moves if ``before[k]`` and after them if
+    ``after[k]``. Row j of a disk's window (``_window``), from column c0 to
+    c1, is a segment of the cell keys ``j * nx + c0`` to ``j * nx + c1``.
+    Its inner interval is a run of those columns, found thus: with δ as in
+    ``_covers``, ``t = r * (1 - 1e-9) - δ`` and ``dy = (j + 0.5) * h - sy``,
+    the columns i whose centre ``(i + 0.5) * h`` lies within
+    ``sqrt(t**2 - dy**2)`` of sx, clipped to the window, are kept only if
+    both end columns pass ``_covers``; otherwise the row has no inner
+    cells. The closed form only proposes the interval: the test decides it.
 
-    A point of the field that ``_columns`` places outside a disk's window
-    fails the test ``dx * dx + dy * dy <= r * r``, and one that it places
-    in an inner cell passes it; so marking the inner cells and testing the
-    edge cells alone gives the mask of a test of every point. The centres
-    lie in the field and r in ``LENGTH_RANGE``, so ``_stamp``'s proof holds
-    with R = r. With u = 2**-53 the unit roundoff:
-
-    - Outside the window, say in a column after it: ``_columns`` is the
-      map of the "window misses" bullet, so |x - sx| > r * (1 + 9.9e-10).
-      ``dx = x - sx`` rounds with relative error at most u, so
-      |dx| > r * (1 + 9.8e-10). ``r * r`` and ``dx * dx`` are normal
-      floats, each rounded with relative error at most u; ``dy * dy >= 0``
-      and rounding is monotone, so the computed sum is at least
-      ``dx * dx >= r**2 * (1 + 1.9e-9) * (1 - u) > r**2 * (1 + u) >= r * r``.
-      ``_columns`` is the same monotone map for rows, so a point in a row
-      outside the window fails alike, with dx and dy swapped.
-    - Inner cells: the computed centre ``(i + 0.5) * h`` and so the computed
-      dx never decrease as i grows, so the computed ``dx * dx`` and the
-      distance fall and then rise along a row, and the largest distance of
-      an interval is at one of its ends. So every cell of the inner
-      interval passes the covered test, and by the stamp's covered bullet a
-      point p in it lies within r * (1 - 1e-9 + 5.1u) of the centre s.
-      p's computed ``dx * dx + dy * dy`` is at most
-      |p - s|**2 * (1 + u)**4 < r**2 * (1 - 1.9e-9) < r**2 * (1 - u)
-      <= r * r (a square that underflows adds at most 2**-1074, far below
-      1e-9 * r**2).
+    The centres lie in the field and r in ``LENGTH_RANGE``, so ``_stamp``'s
+    conditions hold with R = r. A point of the field that ``_columns``
+    places outside a disk's window fails the test ``dx * dx + dy * dy <= r * r``
+    (``_window``). The computed centre ``(i + 0.5) * h`` and so the computed
+    dx never decrease as i grows, so the computed ``dx * dx`` and the
+    distance fall and then rise along a row, and the largest distance of an
+    interval is at one of its ends: every cell of the inner interval passes
+    ``_covers``, and a point placed in it passes the test. So marking the
+    inner cells and testing the edge cells alone gives the mask of a test
+    of every point.
     """
-    h, nx, ny = raster.h, raster.nx, raster.ny
+    h, nx = grid.h, grid.nx
     inv_h = 1.0 / h
-    sx, sy, r = disks[:, 0], disks[:, 1], disks[:, 2]
-    reach = _reach(r, h)
-    y0 = _columns(sy - reach, inv_h, ny).astype(np.intp)
-    rows = _columns(sy + reach, inv_h, ny) - y0 + 1
+    sx, sy, radii = disks[:, 0], disks[:, 1], disks[:, 2]
+    c0, c1, r0, r1 = _window(sx, sy, radii, grid)
     # one segment per (disk, window row)
-    disk = np.repeat(np.arange(len(disks)), rows)
-    row = np.arange(len(disk)) - (np.cumsum(rows) - rows).take(disk) + y0.take(disk)
-    x = sx.take(disk)
-    c0 = _columns(sx - reach, inv_h, nx).astype(np.intp).take(disk)
-    c1 = _columns(sx + reach, inv_h, nx).astype(np.intp).take(disk)
+    disk, row = _runs(r1 - r0 + 1)
+    row += r0.take(disk)
+    x, r = sx.take(disk), radii.take(disk)
+    c0, c1 = c0.take(disk), c1.take(disk)
     dy = (row + 0.5) * h - sy.take(disk)
     dy2 = dy * dy
-    limit = (r * (1.0 - 1e-9)).take(disk)
-    delta = h * _HALF_DIAGONAL
-    t = limit - delta
+    t = r * (1.0 - 1e-9) - h * _HALF_DIAGONAL
     w = np.sqrt(np.maximum((t - np.abs(dy)) * (t + np.abs(dy)), 0.0))
     first = np.clip(np.ceil((x - w) * inv_h - 0.5), c0, c1 + 1)
     last = np.clip(np.floor((x + w) * inv_h - 0.5), c0 - 1, c1)
 
     def covered(col: np.ndarray) -> np.ndarray:
         dx = (col + 0.5) * h - x
-        return np.sqrt(dx * dx + dy2) + delta <= limit
+        return _covers(np.sqrt(dx * dx + dy2), r, h)
 
     inner = (first <= last) & covered(first) & covered(last)
     base = row * nx
     lo, hi = base + c0, base + c1 + 1
     return _Windows(
         centre=disks[:, :2].copy(),
-        r2=r * r,
-        before=tag != _ARRIVING,
-        after=tag != _LEAVING,
-        reached=_union(lo, hi, nx * ny),
+        r2=radii * radii,
+        before=before,
+        after=after,
+        reached=_union(lo, hi, nx * grid.ny),
         disk=disk,
         lo=lo,
         a=base + np.where(inner, first, c1 + 1).astype(np.intp),
@@ -485,9 +487,10 @@ def _mobile_masks(
     points of each segment's inner interval are marked through a
     difference array, with no distance test. The points of its edge cells,
     the runs before and after the interval, are expanded into (point, disk)
-    pairs in blocks of at most ``_STAMP_BLOCK`` pairs (or one run), each
-    tested with ``dx * dx + dy * dy <= r * r``. By ``_windows`` this gives
-    the mask of a test of every point against every disk.
+    pairs in blocks of at most ``_STAMP_BLOCK`` pairs, or one run
+    (``_blocks``), each tested with ``dx * dx + dy * dy <= r * r``. By
+    ``_windows`` this gives the mask of a test of every point against every
+    disk.
     """
     n, cells = len(pts), len(windows.reached)
     start = np.zeros(cells + 1, dtype=np.intp)
@@ -505,16 +508,11 @@ def _mobile_masks(
     run = np.flatnonzero(length)
     first, length = first.take(run), length.take(run)
     disk = windows.disk.take(run % len(lo))
-    ends = np.cumsum(length)
-    starts = ends - length
-    j = 0
-    while j < len(run):
-        # runs j to k - 1: at most _STAMP_BLOCK pairs in all, or one run
-        k = max(j + 1, int(np.searchsorted(ends, starts[j] + _STAMP_BLOCK, side="right")))
+    for j, k in _blocks(length):
         # one entry per (point, disk) pair
-        which = np.repeat(np.arange(j, k), length[j:k])
-        i = np.arange(starts[j], ends[k - 1]) - starts.take(which) + first.take(which)
-        d = disk.take(which)
+        which, i = _runs(length[j:k])
+        i += first[j:k].take(which)
+        d = disk[j:k].take(which)
         sq = pts.take(i, axis=0)
         sq -= windows.centre.take(d, axis=0)
         sq *= sq
@@ -522,7 +520,6 @@ def _mobile_masks(
         i, d = i.take(hit), d.take(hit)
         for mask, counts in zip(masks, (windows.before, windows.after)):
             mask[i[counts.take(d)]] = True
-        j = k
     return masks
 
 
@@ -550,25 +547,23 @@ def mc_coverage_fraction(
 
     1. Each sample gets its cell key ``row * nx + col`` in a raster of the
        field built once per call. Each stationary sensor stamps the cells
-       within its reach, a few float operations per (sensor, cell) pair in
-       place of a kd query per cell (``_stamp``). The cell count is the
-       largest that keeps the stamp's pairs, the mobile windows' rows, the
-       cells per sample and the 16-bit keys in bounds (``_raster_layout``).
-       A field without stationary sensors takes the same path: its raster
-       is all uncovered cells, and its empty kd-tree is never queried.
-    2. The stationary disks are decided first. Each sample in a covered
-       or uncovered cell takes the state of its cell. A sample in a mixed
-       cell that one sensor alone reaches is tested against that sensor,
-       ``sqrt(dx * dx + dy * dy) <= R``; the stamp records that sensor as it
-       visits the pairs. Only the samples in mixed cells that several
-       sensors reach are queried in the kd-tree, in cell order (``_stamp``
-       shows that the samples decided without it get the query's answer).
+       of its window, a few float operations per (sensor, cell) pair in
+       place of a kd query per cell, into one code per cell (``_stamp``).
+       The cell count is the largest that keeps the stamp's pairs, the
+       mobile windows' rows, the cells per sample and the 16-bit keys in
+       bounds (``_raster_layout``). A field without stationary sensors
+       takes the same path: its cells are all ``_UNCOVERED``, and its empty
+       kd-tree is never queried.
+    2. The stationary disks are decided first, each sample by its cell's
+       code (``_stationary_covered``): a covered or uncovered cell answers
+       for its samples, a sample in a cell that one sensor alone reaches is
+       tested against that sensor, and only the samples in cells that
+       several sensors reach are queried in the kd-tree, in cell order.
     3. If the field has mobiles, the samples the stationary disks leave
        uncovered in a cell that some mobile window reaches are kept and
        ordered by cell key (numpy's stable sort of 16-bit keys is a radix
-       sort). A mobile disk's window is the stamp's, with the stamp's
-       reach about its centre, and no sample outside it can pass the
-       disk's test (``_windows``).
+       sort). A mobile disk's window is the stamp's (``_window``), and no
+       sample outside it can pass the disk's test.
     4. The staying, leaving and arriving disks are applied together, one
        segment per (disk, window row), built once per call (``_windows``).
        The kept samples of a segment's inner interval, the cells wholly
@@ -600,17 +595,15 @@ def mc_coverage_fraction(
         + [(moves[m.id][0], moves[m.id][1], m.radius) for m in moved],
         dtype=float,
     ).reshape(-1, 3)
-    tag = np.repeat(
-        [_STAYING, _LEAVING, _ARRIVING], [len(field.mobile) - len(moved), len(moved), len(moved)]
-    )
+    # the staying, the leaving and the arriving disks
+    kinds = [len(field.mobile) - len(moved), len(moved), len(moved)]
     tree = cKDTree(sites)
-    raster = _stamp(
-        _raster_layout(field.width, field.height, samples, len(sites), radius, disks[:, 2]),
-        sites,
-        radius,
+    grid = _raster_layout(field.width, field.height, samples, len(sites), radius, disks[:, 2])
+    code = _stamp(grid, sites, radius)
+    windows = _windows(
+        disks, np.repeat([True, True, False], kinds), np.repeat([True, False, True], kinds), grid
     )
-    windows = _windows(disks, tag, raster)
-    inv_h = 1.0 / raster.h
+    inv_h = 1.0 / grid.h
     rng = np.random.default_rng(seed)
 
     def chunk_hits(size: int) -> tuple[int, int]:
@@ -620,10 +613,10 @@ def mc_coverage_fraction(
         pts[:, 0] *= field.width
         pts[:, 1] *= field.height
         # row * nx + col < MC_CHUNK = 2**16, built in place
-        cell = _columns(pts[:, 1], inv_h, raster.ny).astype(np.int32)
-        cell *= raster.nx
-        cell += _columns(pts[:, 0], inv_h, raster.nx)
-        covered = _stationary_covered(pts, cell, sites, tree, raster, radius)
+        cell = _columns(pts[:, 1], inv_h, grid.ny).astype(np.int32)
+        cell *= grid.nx
+        cell += _columns(pts[:, 0], inv_h, grid.nx)
+        covered = _stationary_covered(pts, cell, sites, tree, code, radius)
         hits = int(np.count_nonzero(covered))
         if not len(disks):
             return hits, hits

@@ -58,6 +58,7 @@ def generate_scenario(
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     check_field_size(width, height, sensing_radius)
+    check_mobile_radius(mobile_radius)
     rng = np.random.default_rng(seed)
     coords = rng.random((n_stationary + n_mobile, 2))
     coords[:, 0] *= width
@@ -84,8 +85,6 @@ def generate_scenario(
         stationary=stationary,
         mobile=mobile,
     )
-    # The field checks each mobile's radius; without mobiles, this does.
-    check_mobile_radius(mobile_radius)
     meta = {
         "seed": seed,
         "n_stationary": n_stationary,

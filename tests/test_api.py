@@ -130,6 +130,23 @@ def test_every_private_helper_is_used():
     assert [f"{module}: {name}" for module, name in defined if name not in loaded] == []
 
 
+# The public functions of package modules that ``__all__`` does not export:
+# the CLI's entry point and the length checks that several layers share.
+PUBLIC_HELPERS = {"cli.main", "field.check_length", "field.check_field_size", "healing.check_mobile_radius"}
+
+
+def test_layer_modules_keep_their_helpers_private():
+    # The benchmark's tracer wraps every public function of a layer module,
+    # so a helper made public by mistake would time each of its calls and
+    # add a span the benchmark does not know.
+    public = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                public.add(f"{path.stem}.{node.name}")
+    assert {name for name in public if name.split(".")[1] not in tricover.__all__} == PUBLIC_HELPERS
+
+
 def test_readme_names_only_attributes_that_exist():
     # every `module.name` or `module._name` the README cites whose module
     # is a package module names an attribute of that module

@@ -345,7 +345,7 @@ RANGE_TEXT = "must lie in [2^-200, 2^200], got "
         ("--width", "1e308", "field width"),
         ("--height", "1e-300", "field height"),
         ("--radius", "1e307", "sensing radius"),
-        ("--mobile-radius", "1e-61", "mobile sensor 5: radius"),
+        ("--mobile-radius", "1e-61", "mobile sensing radius"),
     ],
 )
 def test_generate_refuses_lengths_outside_the_range(tmp_path, capsys, flag, value, what):

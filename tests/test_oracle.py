@@ -19,19 +19,16 @@ from tricover import (
 )
 from tricover import oracle
 from tricover.oracle import (
-    _ARRIVING,
     _COVERED,
     _HALF_DIAGONAL,
-    _LEAVING,
-    _MIXED,
+    _SHARED,
     _STAMP_PAIRS,
-    _STAYING,
     _UNCOVERED,
     MC_CHUNK,
     _columns,
+    _Grid,
     _layout,
     _mobile_masks,
-    _Raster,
     _raster_layout,
     _reach,
     _stamp,
@@ -68,8 +65,8 @@ def test_mc_no_sensors_is_exactly_zero():
     field = make_field(2.0, 2.0, 1.0, [])
     est = mc_coverage_fraction(field, 10**4, seed=3)
     assert est.before == 0.0
-    raster = _verify_raster(np.empty((0, 2)), 1.0, 2.0, 2.0, 10**4)
-    assert np.all(raster.state == _UNCOVERED) and np.all(raster.site == -1)
+    _, code = _verify_raster(np.empty((0, 2)), 1.0, 2.0, 2.0, 10**4)
+    assert np.all(code == _UNCOVERED)
 
 
 def test_mc_mobile_radii_respected():
@@ -226,10 +223,16 @@ def _full_scan(pts, disk):
     return dx * dx + dy * dy <= radius * radius
 
 
+def _staying(disks, grid):
+    # the windows on grid of disks that all count before and after the moves
+    flags = np.ones(len(disks), dtype=bool)
+    return _windows(disks, flags, flags, grid)
+
+
 def _one_disk(disk, h, nx, ny):
     # one staying disk's windows on a raster of nx by ny cells of side h
     (cx, cy), r = disk
-    return _windows(np.array([(cx, cy, r)]), np.array([_STAYING]), _Raster(h, nx, ny, None))
+    return _staying(np.array([(cx, cy, r)]), _Grid(h, nx, ny))
 
 
 def _cell_roles(windows, cells):
@@ -412,10 +415,10 @@ def test_column_run_equals_full_scan_at_the_length_bounds(side, radius):
         assert tested[(pts >= 0.0).all(axis=1) & (pts <= side).all(axis=1)].all()
 
 
-def _stamp_covers(windows, raster, disks):
+def _stamp_covers(windows, grid, disks):
     # per segment, which columns of its row pass the stamp's covered test
     # against its disk, from the stamp's expressions, cell by cell
-    h, nx = raster.h, raster.nx
+    h, nx = grid.h, grid.nx
     delta = h * _HALF_DIAGONAL
     cx = (np.arange(nx) + 0.5) * h
     out = []
@@ -435,20 +438,20 @@ def test_inner_intervals_hold_only_cells_the_stamp_covers():
     # raster), where the test can fail by an ulp and the interval must then
     # be refused.
     rng = np.random.default_rng(61)
-    raster = _Raster(1.0, 64, 64, None)
+    grid = _Grid(1.0, 64, 64)
     disks = [tuple(d) for d in rng.uniform((0.0, 0.0, 0.2), (64.0, 64.0, 9.0), (300, 3)).tolist()]
     for r, side in zip(rng.uniform(1.5, 9.0, 300).tolist(), [-1.0, 1.0] * 150):
         k = int(rng.integers(20, 40))
         t = r * (1.0 - 1e-9) - _HALF_DIAGONAL
         disks.append(((k + 0.5) + side * sqrt(t * t), k - 9.5, r))
     disks = np.array(disks)
-    windows = _windows(disks, np.full(len(disks), _STAYING), raster)
+    windows = _staying(disks, grid)
     refused = []
-    for g, passes in enumerate(_stamp_covers(windows, raster, disks)):
-        base = int(windows.lo[g]) // raster.nx * raster.nx
+    for g, passes in enumerate(_stamp_covers(windows, grid, disks)):
+        base = int(windows.lo[g]) // grid.nx * grid.nx
         lo, a, b, hi = (int(v[g]) - base for v in (windows.lo, windows.a, windows.b, windows.hi))
-        assert 0 <= lo <= a <= b <= hi <= raster.nx and (a < b or a == b == hi)
-        inner = np.zeros(raster.nx, dtype=bool)
+        assert 0 <= lo <= a <= b <= hi <= grid.nx and (a < b or a == b == hi)
+        inner = np.zeros(grid.nx, dtype=bool)
         inner[a:b] = True
         assert not (inner & ~passes).any(), g
         # the covered cells of a row are a run inside the window
@@ -551,14 +554,14 @@ def test_gap_masks_match_one_draw_where_stationary_sensors_crowd():
     side, radius = 50.0, 5.0 * sqrt(50.0 / 300)
     stationary = _random_sensors(43, 300, side, side)
     samples = 3 * MC_CHUNK + 5
-    raster = _verify_raster(np.array([(x, y) for _, x, y in stationary]), radius, side, side, samples)
+    grid, code = _verify_raster(np.array([(x, y) for _, x, y in stationary]), radius, side, side, samples)
     centres = []
-    for state in (_COVERED, _MIXED, _UNCOVERED):
-        cells = np.flatnonzero(raster.state == state)
+    for where in (code == _COVERED, (code >= 0) | (code == _SHARED), code == _UNCOVERED):
+        cells = np.flatnonzero(where)
         assert len(cells) >= 10
         for c in rng.choice(cells, size=10, replace=False):
-            j, i = divmod(int(c), raster.nx)
-            centres.append(((i + 0.5) * raster.h, (j + 0.5) * raster.h))
+            j, i = divmod(int(c), grid.nx)
+            centres.append(((i + 0.5) * grid.h, (j + 0.5) * grid.h))
     centres += [(0.0, 20.0), (side, 31.0), (12.0, 0.0), (37.0, side),
                 (0.0, 0.0), (side, side), (0.0, side), (side, 0.0), (0.1, 44.0), (49.95, 3.0)]
     radii = [0.3, 1.0, radius, 4.0, 0.05]
@@ -581,10 +584,10 @@ def test_gap_masks_match_one_draw_where_stationary_sensors_crowd():
 
 
 def _verify_raster(sites, radius, width, height, samples, radii=()):
-    # the raster mc_coverage_fraction builds for these stationary sites and
-    # mobile disks of radii ``radii``
-    radii = np.array(radii, dtype=float)
-    return _stamp(_raster_layout(width, height, samples, len(sites), radius, radii), sites, radius)
+    # the layout and the codes mc_coverage_fraction builds for these
+    # stationary sites and mobile disks of radii ``radii``
+    grid = _raster_layout(width, height, samples, len(sites), radius, np.array(radii, dtype=float))
+    return grid, _stamp(grid, sites, radius)
 
 
 def _plain_covered(tree, pts, radius):
@@ -593,14 +596,14 @@ def _plain_covered(tree, pts, radius):
 
 
 def _raster_matches_plain_query(sensors, radius, layout, pts):
-    """The answer of ``layout`` stamped by ``sensors`` for ``pts`` equals the plain query's; returns the raster."""
+    """The answer of ``layout`` stamped by ``sensors`` for ``pts`` equals the plain query's; returns the codes."""
     sites = np.array(sensors, dtype=float)
     tree = cKDTree(sites)
-    raster = _stamp(layout, sites, radius)
+    code = _stamp(layout, sites, radius)
     pts = np.array(pts, dtype=float)
-    got = _stationary_covered(pts, _cells(raster, pts), sites, tree, raster, radius)
+    got = _stationary_covered(pts, _cells(layout, pts), sites, tree, code, radius)
     assert np.array_equal(got, _plain_covered(tree, pts, radius))
-    return raster
+    return code
 
 
 def _cell_points(h, i, j, width, height):
@@ -619,8 +622,8 @@ def _ulp_steps(v, k=3):
     return out
 
 
-def _state_of(raster, i, j):
-    return int(raster.state[j * raster.nx + i])
+def _code_of(code, layout, i, j):
+    return int(code[j * layout.nx + i])
 
 
 # An 8 x 8 field and 64 cells give an 8 x 8 raster of unit cells.
@@ -651,17 +654,18 @@ def test_raster_matches_plain_query_at_the_thresholds(offset, side):
         bare = d0 - delta
         radii = _ulp_steps(bare) + _ulp_steps(bare / (1.0 + 1e-9))
     pts = _cell_points(h, 5, 5, UNIT["width"], UNIT["height"])
-    states = set()
+    codes = set()
     for radius in radii:
         # points at sensor distance R * (1 +/- k * 2**-53) on the diagonal
         for scale in _ulp_steps(radius / sqrt(2.0)):
             t = sensor + scale if side == "covered" else sensor - scale
             if 0.0 <= t <= UNIT["width"]:
                 pts.append((t, t))
-        raster = _raster_matches_plain_query([(sensor, sensor)], radius, UNIT_LAYOUT, pts)
-        assert raster.h == h
-        states.add(_state_of(raster, 5, 5))
-    assert states == {_MIXED, _COVERED if side == "covered" else _UNCOVERED}
+        code = _raster_matches_plain_query([(sensor, sensor)], radius, UNIT_LAYOUT, pts)
+        codes.add(_code_of(code, UNIT_LAYOUT, 5, 5))
+    # the one sensor's index where it reaches the cell without deciding it
+    assert UNIT_LAYOUT.h == h
+    assert codes == {0, _COVERED if side == "covered" else _UNCOVERED}
 
 
 def test_raster_matches_plain_query_one_cell_off():
@@ -671,14 +675,15 @@ def test_raster_matches_plain_query_one_cell_off():
     # corner and a tiny radius: the corner is covered, and the cell is
     # decided only if δ is wide enough to reach past the corner.
     width = height = 3.0
-    raster = _raster_matches_plain_query(
-        [(width, height)], 1e-100, _layout(10000, width, height),
+    layout = _layout(10000, width, height)
+    code = _raster_matches_plain_query(
+        [(width, height)], 1e-100, layout,
         _cell_points(0.03, 99, 99, width, height) + [(width, height)],
     )
-    assert raster.nx == raster.ny == 100
-    assert Fraction(width) > 100 * Fraction(raster.h)
-    assert _state_of(raster, 99, 99) == _MIXED
-    assert _state_of(raster, 97, 97) == _UNCOVERED
+    assert layout.nx == layout.ny == 100
+    assert Fraction(width) > 100 * Fraction(layout.h)
+    assert _code_of(code, layout, 99, 99) == 0
+    assert _code_of(code, layout, 97, 97) == _UNCOVERED
 
 
 @pytest.mark.parametrize("radius", [0.3, 0.9, 1.7, 3.5])
@@ -695,20 +700,20 @@ def test_raster_matches_plain_query_on_cell_edges_and_corners(radius):
         for r in _ulp_steps(radius):
             pts += [(sx + r, sy), (sx - r, sy), (sx, sy + r), (sx, sy - r)]
     pts = [(x, y) for x, y in pts if 0.0 <= x <= 8.0 and 0.0 <= y <= 8.0]
-    raster = _raster_matches_plain_query(sensors, radius, UNIT_LAYOUT, pts)
-    decided = np.count_nonzero(raster.state != _MIXED)
+    code = _raster_matches_plain_query(sensors, radius, UNIT_LAYOUT, pts)
+    decided = np.count_nonzero((code == _COVERED) | (code == _UNCOVERED))
     assert decided > 0
 
 
-def _stamped_pairs(raster, sites, radius):
+def _stamped_pairs(grid, sites, radius):
     # The (site, cell) pairs the stamp visits: each site's window, from the
     # column (row) of its coordinate minus the reach to that of it plus the
     # reach.
-    inv_h = 1.0 / raster.h
-    reach = radius * (1.0 + 1e-9) + raster.h * _HALF_DIAGONAL
+    inv_h = 1.0 / grid.h
+    reach = radius * (1.0 + 1e-9) + grid.h * _HALF_DIAGONAL
     spans = [
         _columns(v + reach, inv_h, n).astype(np.int64) - _columns(v - reach, inv_h, n) + 1
-        for v, n in ((sites[:, 0], raster.nx), (sites[:, 1], raster.ny))
+        for v, n in ((sites[:, 0], grid.nx), (sites[:, 1], grid.ny))
     ]
     return int(np.sum(spans[0] * spans[1]))
 
@@ -732,29 +737,30 @@ def test_raster_size_is_bounded_and_covers_the_field(width, height, samples):
     for sites in (one, many):
         for radius in (1.0, 10.0 * diagonal, 2.0**200, 2.0**-200):
             for disks in mobiles:
-                raster = _verify_raster(sites, radius, width, height, samples, disks[:, 2])
-                assert raster.state.size == raster.nx * raster.ny
+                grid, code = _verify_raster(sites, radius, width, height, samples, disks[:, 2])
+                assert code.size == grid.nx * grid.ny
                 # the cell cap, one cell per two samples, and the stamp's pair budget
-                assert 1 <= raster.state.size <= min(MC_CHUNK, max(1, samples // 2))
-                pairs = _stamped_pairs(raster, sites, radius)
+                assert 1 <= code.size <= min(MC_CHUNK, max(1, samples // 2))
+                pairs = _stamped_pairs(grid, sites, radius)
                 assert pairs <= max(len(sites), min(_STAMP_PAIRS, 2 * samples))
                 # the mobile windows' rows
-                windows = _windows(disks, np.full(len(disks), _STAYING), raster)
-                assert len(windows.disk) <= max(MC_CHUNK, len(disks))
-                assert raster.nx * raster.h >= width * (1.0 - 2.0**-52)
-                assert raster.ny * raster.h >= height * (1.0 - 2.0**-52)
+                assert len(_staying(disks, grid).disk) <= max(MC_CHUNK, len(disks))
+                assert grid.nx * grid.h >= width * (1.0 - 2.0**-52)
+                assert grid.ny * grid.h >= height * (1.0 - 2.0**-52)
 
 
 def _mobile_disks(field, moves):
-    # mc_coverage_fraction's disks (x, y, r) and their tags: the staying
-    # mobiles, then the moved ones where they were and where they go
+    # mc_coverage_fraction's disks (x, y, r), and whether each counts before
+    # and after the moves: the staying mobiles, then the moved ones where
+    # they were and where they go
     moved = [m for m in field.mobile if m.id in moves]
     disks = [(m.position.x, m.position.y, m.radius) for m in field.mobile if m.id not in moves]
     disks += [(m.position.x, m.position.y, m.radius) for m in moved]
     disks += [(moves[m.id][0], moves[m.id][1], m.radius) for m in moved]
-    tags = [_STAYING] * (len(field.mobile) - len(moved))
-    tags += [_LEAVING] * len(moved) + [_ARRIVING] * len(moved)
-    return np.array(disks).reshape(-1, 3), np.array(tags, dtype=int)
+    staying = len(field.mobile) - len(moved)
+    before = [True] * (staying + len(moved)) + [False] * len(moved)
+    after = [True] * staying + [False] * len(moved) + [True] * len(moved)
+    return np.array(disks).reshape(-1, 3), np.array(before), np.array(after)
 
 
 def test_workload_rasters_do_not_depend_on_the_mobiles(
@@ -764,7 +770,7 @@ def test_workload_rasters_do_not_depend_on_the_mobiles(
     # and so every stationary decision, they would have without mobiles
     for (name, seed), scenario in sorted(workload_scenarios.items()):
         field, samples = scenario.field, workload_samples[name]
-        disks, _ = _mobile_disks(field, workload_moves[name, seed])
+        disks, _, _ = _mobile_disks(field, workload_moves[name, seed])
         args = (field.width, field.height, samples, len(field.stationary), field.sensing_radius)
         with_mobiles = _raster_layout(*args, disks[:, 2])
         without = _raster_layout(*args, np.empty(0))
@@ -772,32 +778,30 @@ def test_workload_rasters_do_not_depend_on_the_mobiles(
         assert (without.nx, without.ny) == (256, 256), (name, seed)
 
 
-def _every_site_states(raster, sites, radius):
-    # Each cell's state from every site's distance to its centre, computed
-    # with the stamp's expressions, without windows; with each cell's count
-    # of reaching sites, and the index of the one where there is one (-1
-    # otherwise).
-    cx = (np.arange(raster.nx) + 0.5) * raster.h
-    cy = (np.arange(raster.ny) + 0.5) * raster.h
-    delta = raster.h * _HALF_DIAGONAL
+def _every_site_codes(layout, sites, radius):
+    # Each cell's code from every site's distance to its centre, computed
+    # with the stamp's expressions, without windows: covered if some site
+    # covers it, and otherwise the index of the one site that reaches it,
+    # shared if several do, and uncovered if none does.
+    cx = (np.arange(layout.nx) + 0.5) * layout.h
+    cy = (np.arange(layout.ny) + 0.5) * layout.h
+    delta = layout.h * _HALF_DIAGONAL
     dx = cx[:, np.newaxis] - sites[:, 0]
-    rows, counts, ones = [], [], []
+    rows = []
     for y in cy:
         dy = y - sites[:, 1]
         d = np.sqrt(dx * dx + dy * dy)
         covered = (d + delta <= radius * (1.0 - 1e-9)).any(axis=1)
         reach = d - delta < radius * (1.0 + 1e-9)
         count = reach.sum(axis=1)
-        rows.append(np.where(covered, _COVERED, np.where(count > 0, _MIXED, _UNCOVERED)))
-        counts.append(count)
-        ones.append(np.where(count == 1, reach.argmax(axis=1), -1))
-    return np.concatenate(rows), np.concatenate(counts), np.concatenate(ones)
+        one = np.where(count == 1, reach.argmax(axis=1), np.where(count > 1, _SHARED, _UNCOVERED))
+        rows.append(np.where(covered, _COVERED, one))
+    return np.concatenate(rows)
 
 
-def _one_site_column(states, counts, ones):
-    # the stamp's site column, from every site: the one site of a mixed cell
-    # that one site alone reaches, and -1 elsewhere
-    return np.where((states == _MIXED) & (counts == 1), ones, -1)
+def _kinds(code):
+    # the kinds of cell in a code column, with every one-site code as 0
+    return set(np.unique(np.minimum(code, 0)).tolist())
 
 
 def _grid_sites(layout, width, height, seed, n):
@@ -841,12 +845,10 @@ def test_stamped_states_equal_every_site_classification(name, layout, width, hei
     for seed, n in ((7, 5), (8, 60)):
         sites = _grid_sites(layout, width, height, seed, n)
         for radius in radii:
-            raster = _stamp(layout, sites, radius)
-            every = _every_site_states(layout, sites, radius)
-            assert np.array_equal(raster.state, every[0]), radius
-            assert np.array_equal(raster.site, _one_site_column(*every)), radius
-            seen |= set(np.unique(raster.state).tolist())
-    assert seen == {_COVERED, _MIXED, _UNCOVERED} or name.startswith("far-")
+            code = _stamp(layout, sites, radius)
+            assert np.array_equal(code, _every_site_codes(layout, sites, radius)), radius
+            seen |= _kinds(code)
+    assert seen == {_COVERED, _SHARED, 0, _UNCOVERED} or name.startswith("far-")
 
 
 @pytest.mark.parametrize("radius", [0.05, 0.4, 1.58, 3.16])
@@ -854,21 +856,19 @@ def test_stamped_states_equal_every_site_classification_on_budgeted_layouts(radi
     # the layouts verify picks, on seeded fields of 300 sites
     sites = np.random.default_rng(59).random((300, 2)) * (50.0, 40.0)
     for samples in (2000, 10**5, 10**6):
-        raster = _verify_raster(sites, radius, 50.0, 40.0, samples)
-        every = _every_site_states(raster, sites, radius)
-        assert np.array_equal(raster.state, every[0])
-        assert np.array_equal(raster.site, _one_site_column(*every))
+        grid, code = _verify_raster(sites, radius, 50.0, 40.0, samples)
+        assert np.array_equal(code, _every_site_codes(grid, sites, radius))
 
 
 def _sites_of(field):
     return np.array([[s.position.x, s.position.y] for s in field.stationary]).reshape(-1, 2)
 
 
-def _cells(raster, pts):
+def _cells(grid, pts):
     # each point's cell key row * nx + col, as mc_coverage_fraction computes it
-    inv_h = 1.0 / raster.h
-    row = _columns(pts[:, 1], inv_h, raster.ny).astype(np.intp)
-    return row * raster.nx + _columns(pts[:, 0], inv_h, raster.nx)
+    inv_h = 1.0 / grid.h
+    row = _columns(pts[:, 1], inv_h, grid.ny).astype(np.intp)
+    return row * grid.nx + _columns(pts[:, 0], inv_h, grid.nx)
 
 
 def test_mobile_pass_equals_a_full_scan_on_every_workload_draw(
@@ -882,19 +882,19 @@ def test_mobile_pass_equals_a_full_scan_on_every_workload_draw(
         field, samples = scenario.field, workload_samples[name]
         moves = workload_moves[name, seed]
         radius, sites = field.sensing_radius, _sites_of(field)
-        disks, tags = _mobile_disks(field, moves)
-        raster = _verify_raster(sites, radius, field.width, field.height, samples, disks[:, 2])
+        disks, counts_before, counts_after = _mobile_disks(field, moves)
+        grid, code = _verify_raster(sites, radius, field.width, field.height, samples, disks[:, 2])
         pts = _draw(field, samples, seed)
-        cell = _cells(raster, pts)
-        gap = np.flatnonzero(~_stationary_covered(pts, cell, sites, cKDTree(sites), raster, radius))
+        cell = _cells(grid, pts)
+        gap = np.flatnonzero(~_stationary_covered(pts, cell, sites, cKDTree(sites), code, radius))
         pts, cell = pts[gap], cell[gap]
         before = np.zeros(len(pts), dtype=bool)
         after = before.copy()
-        for (x, y, r), tag in zip(disks, tags):
+        for (x, y, r), b, a in zip(disks, counts_before, counts_after):
             hit = _full_scan(pts, (Point(x, y), r))
-            before |= hit & (tag != _ARRIVING)
-            after |= hit & (tag != _LEAVING)
-        windows = _windows(disks, tags, raster)
+            before |= hit & b
+            after |= hit & a
+        windows = _windows(disks, counts_before, counts_after, grid)
         kept = windows.reached.take(cell)
         assert not (before | after)[~kept].any(), (name, seed)
         kept = np.flatnonzero(kept)
@@ -904,7 +904,7 @@ def test_mobile_pass_equals_a_full_scan_on_every_workload_draw(
         assert np.array_equal(got[0], before[kept]), (name, seed)
         assert np.array_equal(got[1], after[kept]), (name, seed)
         # both the inner marking and the pair test decided samples
-        inner, edge = _cell_roles(windows, raster.nx * raster.ny)
+        inner, edge = _cell_roles(windows, grid.nx * grid.ny)
         assert np.count_nonzero(inner.take(key)) > 0 and np.count_nonzero(edge.take(key)) > 0
 
 
@@ -917,12 +917,31 @@ def test_stationary_covered_equals_the_plain_query_on_every_workload_draw(
         field, samples = scenario.field, workload_samples[name]
         radius, sites = field.sensing_radius, _sites_of(field)
         tree = cKDTree(sites)
-        raster = _verify_raster(sites, radius, field.width, field.height, samples)
+        grid, code = _verify_raster(sites, radius, field.width, field.height, samples)
         pts = _draw(field, samples, seed)
-        cell = _cells(raster, pts)
-        got = _stationary_covered(pts, cell, sites, tree, raster, radius)
+        cell = _cells(grid, pts)
+        got = _stationary_covered(pts, cell, sites, tree, code, radius)
         assert np.array_equal(got, _plain_covered(tree, pts, radius)), (name, seed)
-        assert np.count_nonzero(raster.site.take(cell) >= 0) > 0, (name, seed)
+        assert np.count_nonzero(code.take(cell) >= 0) > 0, (name, seed)
+
+
+def test_estimate_does_not_depend_on_the_raster_layout(
+    workload_scenarios, workload_moves, monkeypatch
+):
+    # The proofs of the stamp and of the windows make every count
+    # independent of how the cells are laid out: one cell, six, 2500, and
+    # the layout the estimator picks give the brute-force counts.
+    samples = MC_CHUNK + 5
+    picked = oracle._raster_layout
+    for name in ("dense-field", "sparse-field", "verify-heavy"):
+        field, moves = workload_scenarios[name, 42].field, workload_moves[name, 42]
+        hits_before, hits_after = _unchunked_hits(field, samples, 42, moves)
+        for cells in (1, 6, 2500, None):
+            layout = picked if cells is None else lambda width, height, *_: _layout(cells, width, height)
+            monkeypatch.setattr(oracle, "_raster_layout", layout)
+            est = mc_coverage_fraction(field, samples, seed=42, moves=moves)
+            assert est.before == hits_before / samples, (name, cells)
+            assert est.after == hits_after / samples, (name, cells)
 
 
 class _CountingTree:
@@ -953,14 +972,13 @@ def test_only_samples_in_cells_several_sites_reach_are_queried(monkeypatch):
         assert est.before == _unchunked_hits(field, samples, 53, {})[0] / samples
         (tree,) = made
         made.clear()
-        # the samples in mixed cells that two or more sites reach, from every site
+        # the samples in cells that two or more sites reach without one
+        # covering them, from every site
         radius, sites = field.sensing_radius, _sites_of(field)
         layout = _raster_layout(field.width, field.height, samples, len(sites), radius, np.empty(0))
-        states, counts, _ = _every_site_states(layout, sites, radius)
-        cell = _cells(layout, _draw(field, samples, 53))
-        mixed = states.take(cell) == _MIXED
-        assert tree.points == np.count_nonzero(mixed & (counts.take(cell) >= 2))
-        assert (tree.points > 0) == several and np.count_nonzero(mixed) > tree.points
+        code = _every_site_codes(layout, sites, radius).take(_cells(layout, _draw(field, samples, 53)))
+        assert tree.points == np.count_nonzero(code == _SHARED)
+        assert (tree.points > 0) == several and np.count_nonzero(code >= 0) > 0
 
 
 def _random_sensors(seed, n, width, height):
