@@ -59,6 +59,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once, on import: every call of ``main`` parses with the same parser.
+_PARSER = _build_parser()
+
+
 def _cmd_generate(args: argparse.Namespace) -> None:
     doc = generate_scenario(
         width=args.width,
@@ -108,9 +112,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         _COMMANDS[args.command](args)
     except TricoverError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)

@@ -12,8 +12,22 @@ scenario (formatting-insensitive).
 every float quantized, tuples as lists and keys as ``str(key)``. It is
 written in one direct pass by ``_encode``, except that a list of like
 records (the sensors of a scenario, the triangles of a report) is written
-from one row template by ``_rows``, a column at a time, with the same
-bytes.
+by ``_rows`` a column at a time, as one join of the columns' texts and the
+constant pieces between them, with the same bytes.
+
+A float column is formatted with ``.9g`` once. A text in plain notation
+with a point is kept: it is the decimal of at most nine digits nearest
+the value, and no other decimal of at most nine digits lies within an ulp
+of the float it names (two such decimals differ by far more than an ulp of
+a normal float), so ``float.__repr__`` of the quantized float, the
+shortest text that reads back to it, prints the same characters. The other
+texts (zeros, integral values, e-notation, where the two notations part)
+are read back and printed by ``float.__repr__``.
+
+The readers check the long record lists (sensors, triangle entries) a
+column at a time; only when a column check fails are the records walked
+by ``_check_record``, the one place that words an error, so the error
+names the first bad record.
 """
 from __future__ import annotations
 
@@ -22,7 +36,7 @@ import json
 import reprlib
 import sys
 from dataclasses import dataclass, field as dc_field
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import itemgetter
@@ -107,8 +121,8 @@ _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     float: _number_text,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
 }
 
 
@@ -157,7 +171,11 @@ def _column(values: Sequence[Any]) -> list[str] | None:
     if kind is float:  # ``_number_text``, a column at a time
         if not all(map(isfinite, values)):
             return None
-        return list(map(float.__repr__, map(float, map(format, values, repeat(_QUANTIZED)))))
+        # A ``.9g`` text in plain notation with a point is already the text
+        # of its quantized float (see the module docstring); zeros, integral
+        # values and e-notation are repaired through the float.
+        texts = list(map(format, values, repeat(_QUANTIZED)))
+        return [t if "." in t and "e" not in t else float.__repr__(float(t)) for t in texts]
     text = _SCALAR_TEXT.get(kind)
     try:
         return None if text is None else list(map(text, values))
@@ -166,16 +184,18 @@ def _column(values: Sequence[Any]) -> list[str] | None:
 
 
 def _rows(records: Sequence[Any], indent: str) -> str | None:
-    """The canonical text of ``records``, written from one row template, or
+    """The canonical text of ``records``, written a column at a time, or
     ``None`` unless they are rows of one layout.
 
     Rows of one layout are dicts with the same non-empty set of ``str``
     keys. Each key holds values of one exact scalar type, or lists of one
     non-zero length whose items, place by place, are of one exact scalar
     type. The layout is read from the records, so each document's
-    ``to_dict`` stays the one owner of its layout. On ``None`` the list
-    takes the recursive encoder, which reports the first bad value in
-    record order.
+    ``to_dict`` stays the one owner of its layout. The text is one join of
+    the columns' texts, interleaved with the constant pieces (keys,
+    separators, brackets) that ``_block`` would put between them. On
+    ``None`` the list takes the recursive encoder, which reports the first
+    bad value in record order.
     """
     first = records[0]
     if not (
@@ -183,30 +203,42 @@ def _rows(records: Sequence[Any], indent: str) -> str | None:
         and set(map(len, records)) == {len(first)}
     ):
         return None
-    key_indent = indent + "    "
-    fields, columns = [], []
-    for key in sorted(first):
+    row = "\n" + indent + "  "  # before each record; the keys and the places
+    key, place = row + "  ", row + "    "  # of a list are nested one and two deeper
+    # ``pieces[j]`` precedes ``columns[j]`` in every record; ``after`` follows
+    # the last column of a key: nothing, or the close of its list.
+    pieces, columns, after = [], [], ""
+    for name in sorted(first):
         try:
-            values = list(map(itemgetter(key), records))
+            values = list(map(itemgetter(name), records))
         except KeyError:  # a record with as many keys, but other ones
             return None
-        name = (encode_basestring_ascii(key) + ": ").replace("%", "%%")
+        opening = (after + "," if pieces else "{") + key + encode_basestring_ascii(name) + ": "
         width = len(values[0]) if type(values[0]) is list else 0
         if width:
             if set(map(type, values)) != {list} or set(map(len, values)) != {width}:
                 return None
-            fields.append(name + _block("[]", ["%s"] * width, key_indent))
+            pieces += [opening + "[" + place, *repeat("," + place, width - 1)]
             places = zip(*values)
+            after = row + "  ]"
         else:
-            fields.append(name + "%s")
+            pieces.append(opening)
             places = [values]
-        for place in places:
-            texts = _column(place)
+            after = ""
+        for column in places:
+            texts = _column(column)
             if texts is None:
                 return None
             columns.append(texts)
-    template = _block("{}", fields, indent + "  ")
-    return _block("[]", map(template.__mod__, zip(*columns)), indent)
+    close = after + row + "}"
+    lead, pieces[0] = pieces[0], close + "," + row + pieces[0]
+    n, step = len(records), 2 * len(columns)
+    text = [""] * (n * step + 1)
+    for j, (piece, texts) in enumerate(zip(pieces, columns)):
+        text[2 * j : n * step : step] = repeat(piece, n)
+        text[2 * j + 1 : n * step : step] = texts
+    text[0], text[-1] = "[" + row + lead, close + "\n" + indent + "]"
+    return "".join(text)
 
 
 def _too_long(value: int) -> bool:
@@ -292,11 +324,30 @@ def _get(doc: dict, key: str, what: str) -> Any:
 
 
 # JSON values are checked by exact type, so ``true`` is not a number.
-def _is_finite(value: Any) -> bool:
+def _of_types(values: Iterable[Any], *types: type) -> bool:
+    return set(map(type, values)).issubset(types)
+
+
+def _all_finite(values: Sequence[Any]) -> bool:
     try:
-        return type(value) in (int, float) and isfinite(value)
+        return _of_types(values, int, float) and all(map(isfinite, values))
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def _is_finite(value: Any) -> bool:
+    return _all_finite((value,))
+
+
+def _columns(records: list, keys: Sequence[str]) -> list[list] | None:
+    """The values of ``keys`` in ``records``, a list a key, or ``None``
+    unless every record is a dict that holds every key."""
+    if not _of_types(records, dict):
+        return None
+    try:
+        return [list(map(itemgetter(key), records)) for key in keys]
+    except KeyError:
+        return None
 
 
 def _check_record(record: Any, valid: Callable[[dict], bool], what: str) -> None:
@@ -359,24 +410,42 @@ def _valid_mobile(m: dict) -> bool:
     return _valid_sensor(m) and _is_finite(m["sensing_radius"])
 
 
+def _sensor_columns(
+    records: list, keys: Sequence[str], valid: Callable[[dict], bool], what: str
+) -> list[list]:
+    """The columns of ``keys`` (an id, then numbers) in the sensor
+    ``records``, checked a column at a time. Only if a column check fails
+    are the records walked by ``valid``, which accepts the same records, so
+    the walk raises, naming the first bad one."""
+    columns = _columns(records, keys)
+    if columns is None or not (
+        _of_types(columns[0], int) and all(map(_all_finite, columns[1:]))
+    ):
+        for record in records:
+            _check_record(record, valid, what)
+    return columns
+
+
 def scenario_from_dict(doc: dict) -> ScenarioDoc:
     _check_schema_version(doc, "scenario")
     fd = _get(doc, "field", "scenario")
     _check_record(fd, _valid_field, "scenario field")
-    stationary, mobile = fd["stationary"], fd.get("mobile", [])
-    for s in stationary:
-        _check_record(s, _valid_sensor, "scenario stationary sensor")
-    for m in mobile:
-        _check_record(m, _valid_mobile, "scenario mobile sensor")
+    ids, xs, ys = _sensor_columns(
+        fd["stationary"], ("id", "x", "y"), _valid_sensor, "scenario stationary sensor"
+    )
+    mobile_ids, mobile_xs, mobile_ys, radii = _sensor_columns(
+        fd.get("mobile", []), ("id", "x", "y", "sensing_radius"), _valid_mobile,
+        "scenario mobile sensor",
+    )
     sensor_field = SensorField(
         width=float(fd["width"]),
         height=float(fd["height"]),
         sensing_radius=float(fd["sensing_radius"]),
-        stationary=tuple(Sensor(s["id"], Point(float(s["x"]), float(s["y"]))) for s in stationary),
-        mobile=tuple(
-            MobileSensor(m["id"], Point(float(m["x"]), float(m["y"])), float(m["sensing_radius"]))
-            for m in mobile
-        ),
+        stationary=tuple(map(Sensor, ids, map(Point, map(float, xs), map(float, ys)))),
+        mobile=tuple(map(
+            MobileSensor, mobile_ids, map(Point, map(float, mobile_xs), map(float, mobile_ys)),
+            map(float, radii),
+        )),
     )
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
@@ -446,10 +515,10 @@ class ReportDoc:
             )
         if self.triangles is not None:
             stationary = {s.id for s in field.stationary}
-            for entry in self.triangles:
-                for v in entry["vertices"]:
-                    if v not in stationary:
-                        raise InconsistentInputError(f"report references unknown sensor id {v}")
+            vertices = list(chain.from_iterable(map(itemgetter("vertices"), self.triangles)))
+            if not stationary.issuperset(vertices):
+                v = next(v for v in vertices if v not in stationary)
+                raise InconsistentInputError(f"report references unknown sensor id {v}")
         if self.plan is None:
             return
         mobiles = {m.id for m in field.mobile}
@@ -499,6 +568,31 @@ def _valid_triangle(t: dict) -> bool:
     )
 
 
+_TRIANGLE_KEYS = ("id", "vertices", "case", "method", "s_h", "is_hole")
+
+
+def _triangle_ids(entries: list) -> set[int] | None:
+    """The ids of the triangle ``entries``, or ``None`` unless every entry
+    passes ``_valid_triangle`` and no id comes twice; checked a column at a
+    time."""
+    columns = _columns(entries, _TRIANGLE_KEYS)
+    if columns is None:
+        return None
+    ids, vertices, cases, methods, s_h, holes = columns
+    if not (
+        _of_types(ids, int)
+        and _of_types(vertices, list) and set(map(len, vertices)).issubset((3,))
+        and _of_types(chain.from_iterable(vertices), int)
+        and _of_types(cases, str) and _CASES.issuperset(cases)
+        and _of_types(methods, str) and _METHODS.issuperset(methods)
+        and _all_finite(s_h) and min(s_h, default=0) >= 0
+        and _of_types(holes, bool)
+    ):
+        return None
+    cell_ids = set(ids)
+    return cell_ids if len(cell_ids) == len(ids) else None
+
+
 def _valid_mesh(m: dict) -> bool:
     return all(type(m[k]) is int and m[k] >= 0 for k in ("sites", "triangles"))
 
@@ -515,7 +609,7 @@ def _valid_verify(v: dict) -> bool:
 def _valid_plan(p: dict) -> bool:
     return (
         type(p["assignments"]) is type(p["unserved"]) is list
-        and all(type(cid) is int for cid in p["unserved"])
+        and _of_types(p["unserved"], int)
         and _is_finite(p["total_movement"]) and p["total_movement"] >= 0
         and _is_finite(p["mobile_radius"]) and p["mobile_radius"] > 0
     )
@@ -542,11 +636,15 @@ def _validate_report(report: ReportDoc) -> None:
     if report.triangles is not None:
         if not isinstance(report.triangles, list):
             raise InvalidInputError("report 'triangles' must be a list")
-        for entry in report.triangles:
-            _check_record(entry, _valid_triangle, "report triangle entry")
-            if entry["id"] in cell_ids:
-                raise InvalidInputError(f"report lists triangle id {_brief(entry['id'])} twice")
-            cell_ids.add(entry["id"])
+        ids = _triangle_ids(report.triangles)
+        if ids is not None:
+            cell_ids = ids
+        else:  # the walk names the first bad entry
+            for entry in report.triangles:
+                _check_record(entry, _valid_triangle, "report triangle entry")
+                if entry["id"] in cell_ids:
+                    raise InvalidInputError(f"report lists triangle id {_brief(entry['id'])} twice")
+                cell_ids.add(entry["id"])
         if report.mesh is not None and report.mesh["triangles"] != len(report.triangles):
             raise InvalidInputError(
                 f"report mesh counts {report.mesh['triangles']} triangles, "
@@ -558,11 +656,9 @@ def _validate_report(report: ReportDoc) -> None:
             _check_record(a, _valid_assignment, "report plan assignment")
         referenced = [a["cell_id"] for a in report.plan["assignments"]]
         referenced.extend(report.plan["unserved"])
-        for cid in referenced:
-            if report.triangles is not None and cid not in cell_ids:
-                raise InvalidInputError(
-                    f"plan references unknown cell id {cid}"
-                )
+        if report.triangles is not None and not cell_ids.issuperset(referenced):
+            cid = next(cid for cid in referenced if cid not in cell_ids)
+            raise InvalidInputError(f"plan references unknown cell id {cid}")
 
 
 def load_report(path: str | Path) -> ReportDoc:

@@ -98,9 +98,8 @@ def render_svg(scenario: ScenarioDoc, report: ReportDoc | None = None) -> str:
         parts.append('<g class="mesh">')
         edges = set()
         for entry in entries:
-            ids = entry["vertices"]
-            for a, b in ((ids[0], ids[1]), (ids[0], ids[2]), (ids[1], ids[2])):
-                edges.add((min(a, b), max(a, b)))
+            a, b, c = sorted(entry["vertices"])
+            edges.update(((a, b), (a, c), (b, c)))
         for a, b in sorted(edges):
             (x1, y1), (x2, y2) = at[a], at[b]
             parts.append(

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fields import make_field
 from tricover import (
+    InconsistentInputError,
     InvalidInputError,
     ReportDoc,
     ScenarioDoc,
@@ -198,6 +199,14 @@ EDGE_CASES = {
     "top-level-float": 2.0,
     "top-level-none": None,
     "top-level-true": True,
+    # Each ``.9g`` text kept or repaired by the row writer's float column.
+    "float-notation-boundaries": [
+        {"v": v}
+        for v in (
+            0.0, -0.0, 37.0, 2.5, 1e-05, 0.0001, 0.000123456789, 123456789.0, 1234567891.0,
+            1e15, 1e16, 1e22, 1 / 3, 5e-324, 1.7976931348623157e308,
+        )
+    ],
 }
 
 
@@ -543,6 +552,169 @@ def test_report_doc_to_dict_shape():
         "meta",
     }
     assert d["schema_version"] == 1
+
+
+# --- reader error messages ----------------------------------------------------
+
+
+def shown(record):
+    """A short record as an error message echoes it: keys sorted."""
+    return "{" + ", ".join(f"{k!r}: {v!r}" for k, v in sorted(record.items())) + "}"
+
+
+def _drop(key):
+    return lambda r: {k: v for k, v in r.items() if k != key}
+
+
+def _set(key, value):
+    return lambda r: dict(r, **{key: value})
+
+
+def _malformed(what):
+    return lambda r: f"malformed {what}: {shown(r)}"
+
+
+TRIANGLE = {"id": 0, "vertices": [0, 1, 2], "case": "A", "s_h": 0.5, "method": "case-formula",
+            "is_hole": True}
+# mutation -> (what it makes of triangle record i, the message naming that record)
+TRIANGLE_MUTATIONS = {
+    "not a dict": (lambda r: [r], lambda r: "report triangle entry must be an object"),
+    **{
+        f"no {key}": (_drop(key), lambda r, key=key: f"report triangle entry is missing key {key!r}")
+        for key in TRIANGLE
+    },
+    "bool id": (_set("id", True), _malformed("report triangle entry")),
+    "float vertex": (_set("vertices", [0, 1.0, 2]), _malformed("report triangle entry")),
+    "two vertices": (_set("vertices", [0, 1]), _malformed("report triangle entry")),
+    "unknown case": (_set("case", "Z"), _malformed("report triangle entry")),
+    "unknown method": (_set("method", "guess"), _malformed("report triangle entry")),
+    "negative s_h": (_set("s_h", -0.5), _malformed("report triangle entry")),
+    "s_h beyond float range": (
+        _set("s_h", 10**400),
+        lambda r: (
+            f"malformed report triangle entry: {{'case': 'A', 'id': {r['id']}, 'is_hole': True, "
+            "'method': 'case-formula', 's_h': 100000000000000000...0000000000000000000, "
+            "'vertices': [0, 1, 2]}"
+        ),
+    ),
+    "int is_hole": (_set("is_hole", 1), _malformed("report triangle entry")),
+    # the id of the next record, or of the one before for the last: the later of
+    # the two is named
+    "duplicate id": (None, lambda r: f"report lists triangle id {r['id']} twice"),
+}
+N_RECORDS = 5
+
+
+def mutated(records, i, mutation, mutations):
+    mutate, message = mutations[mutation]
+    if mutate is None:  # a duplicate id
+        j = i + 1 if i + 1 < len(records) else i - 1
+        records[i] = dict(records[i], id=records[j]["id"])
+        return message(records[max(i, j)])
+    records[i] = mutate(records[i])
+    return message(records[i])
+
+
+def triangles_report(triangles):
+    return {"schema_version": 1, "scenario_hash": "ab" * 32, "triangles": triangles}
+
+
+@pytest.mark.parametrize("i", [0, N_RECORDS // 2, N_RECORDS - 1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("mutation", sorted(TRIANGLE_MUTATIONS))
+def test_report_reader_names_the_bad_triangle_entry(mutation, i):
+    triangles = [dict(TRIANGLE, id=10 * k) for k in range(N_RECORDS)]
+    message = mutated(triangles, i, mutation, TRIANGLE_MUTATIONS)
+    assert error_of(report_from_dict, triangles_report(triangles)) == message
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("negative s_h", "not a dict"), ("no case", "duplicate id"), ("duplicate id", "bool id"),
+     ("s_h beyond float range", "no vertices")],
+)
+def test_report_reader_names_the_earlier_of_two_bad_triangle_entries(first, second):
+    triangles = [dict(TRIANGLE, id=10 * k) for k in range(N_RECORDS)]
+    message = mutated(triangles, 1, first, TRIANGLE_MUTATIONS)
+    mutated(triangles, 3, second, TRIANGLE_MUTATIONS)
+    assert error_of(report_from_dict, triangles_report(triangles)) == message
+
+
+SENSOR = {"id": 0, "x": 1.0, "y": 2.0}
+MOBILE = dict(SENSOR, sensing_radius=0.75)
+
+
+def sensor_mutations(record, what):
+    numbers = [key for key in record if key != "id"]
+    return {
+        "not a dict": (lambda r: None, lambda r: f"{what} must be an object"),
+        **{
+            f"no {key}": (_drop(key), lambda r, key=key: f"{what} is missing key {key!r}")
+            for key in record
+        },
+        "bool id": (_set("id", True), _malformed(what)),
+        "float id": (_set("id", 1.5), _malformed(what)),
+        **{f"text {key}": (_set(key, "1"), _malformed(what)) for key in numbers},
+        **{f"bool {key}": (_set(key, False), _malformed(what)) for key in numbers},
+        **{f"nan {key}": (_set(key, math.nan), _malformed(what)) for key in numbers},
+    }
+
+
+SENSOR_MUTATIONS = {
+    "stationary": sensor_mutations(SENSOR, "scenario stationary sensor"),
+    "mobile": sensor_mutations(MOBILE, "scenario mobile sensor"),
+}
+SENSOR_CASES = [(kind, m) for kind in sorted(SENSOR_MUTATIONS) for m in sorted(SENSOR_MUTATIONS[kind])]
+
+
+def sensors_scenario(kind, records):
+    doc = ScenarioDoc(field=sample_field(), meta={}).to_dict()
+    doc["field"][kind] = records
+    return doc
+
+
+@pytest.mark.parametrize("i", [0, N_RECORDS // 2, N_RECORDS - 1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind, mutation", SENSOR_CASES)
+def test_scenario_reader_names_the_bad_sensor(kind, mutation, i):
+    record = SENSOR if kind == "stationary" else MOBILE
+    records = [dict(record, id=10 + k) for k in range(N_RECORDS)]
+    message = mutated(records, i, mutation, SENSOR_MUTATIONS[kind])
+    assert error_of(scenario_from_dict, sensors_scenario(kind, records)) == message
+
+
+@pytest.mark.parametrize("kind", sorted(SENSOR_MUTATIONS))
+def test_scenario_reader_names_the_earlier_of_two_bad_sensors(kind):
+    record = SENSOR if kind == "stationary" else MOBILE
+    records = [dict(record, id=10 + k) for k in range(N_RECORDS)]
+    message = mutated(records, 1, "nan x", SENSOR_MUTATIONS[kind])
+    mutated(records, 3, "not a dict", SENSOR_MUTATIONS[kind])
+    assert error_of(scenario_from_dict, sensors_scenario(kind, records)) == message
+
+
+@pytest.mark.parametrize(
+    "unknown, named",
+    [({(0, 0): 7}, 7), ({(2, 1): 7}, 7), ({(4, 2): 7}, 7), ({(1, 2): 8, (3, 0): 7}, 8),
+     ({(2, 0): 9, (2, 1): 8}, 9)],
+    ids=["first", "middle", "last", "earlier-entry", "earlier-vertex"],
+)
+def test_check_scenario_names_the_first_unknown_vertex(unknown, named):
+    scenario = ScenarioDoc(field=sample_field(), meta={})
+    triangles = [dict(TRIANGLE, id=k, vertices=[0, 1, 2]) for k in range(N_RECORDS)]
+    for (k, place), v in unknown.items():
+        triangles[k]["vertices"][place] = v
+    report = report_from_dict(dict(triangles_report(triangles), scenario_hash=scenario.hash()))
+    with pytest.raises(InconsistentInputError) as info:
+        report.check_scenario(scenario)
+    assert str(info.value) == f"report references unknown sensor id {named}"
+
+
+def test_report_reader_names_the_first_unknown_plan_cell():
+    doc = sample_report_dict()
+    doc["plan"]["assignments"][0]["cell_id"] = 42
+    doc["plan"]["unserved"] = [17, 0, 5]
+    assert error_of(report_from_dict, doc) == "plan references unknown cell id 42"
+    doc = sample_report_dict()
+    doc["plan"]["unserved"] = [0, 17, 5]
+    assert error_of(report_from_dict, doc) == "plan references unknown cell id 17"
 
 
 # --- files written by the stages ---------------------------------------------
