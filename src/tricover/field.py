@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from math import isfinite
+
+import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import Point
@@ -68,19 +71,28 @@ class SensorField:
         object.__setattr__(self, "stationary", tuple(self.stationary))
         object.__setattr__(self, "mobile", tuple(self.mobile))
         check_field_size(self.width, self.height, self.sensing_radius)
-        seen: set[int] = set()
-        for sensor in (*self.stationary, *self.mobile):
-            if sensor.id in seen:
-                raise InvalidInputError(f"duplicate sensor id {sensor.id}")
-            seen.add(sensor.id)
-            p = sensor.position
-            if not (isfinite(p.x) and isfinite(p.y)):
-                raise InvalidInputError(f"sensor {sensor.id}: non-finite position")
-            if not (0.0 <= p.x <= self.width and 0.0 <= p.y <= self.height):
-                raise InvalidInputError(
-                    f"sensor {sensor.id} at ({p.x}, {p.y}) lies outside the "
-                    f"{self.width} x {self.height} field"
-                )
+        # The ids and coordinates as columns. A float strictly inside the
+        # field rounds from a value strictly inside it, so the columns pass no
+        # sensor the walk below refuses; the walk words the first error, and
+        # passes a sensor on the field's edge.
+        sensors = (*self.stationary, *self.mobile)
+        xy = chain.from_iterable([sensor.position for sensor in sensors])
+        xy = np.fromiter(xy, float, 2 * len(sensors)).reshape(-1, 2)
+        inside = (0.0 < xy) & (xy < (self.width, self.height))
+        if len({sensor.id for sensor in sensors}) < len(sensors) or not inside.all():
+            seen: set[int] = set()
+            for sensor in sensors:
+                if sensor.id in seen:
+                    raise InvalidInputError(f"duplicate sensor id {sensor.id}")
+                seen.add(sensor.id)
+                p = sensor.position
+                if not (isfinite(p.x) and isfinite(p.y)):
+                    raise InvalidInputError(f"sensor {sensor.id}: non-finite position")
+                if not (0.0 <= p.x <= self.width and 0.0 <= p.y <= self.height):
+                    raise InvalidInputError(
+                        f"sensor {sensor.id} at ({p.x}, {p.y}) lies outside the "
+                        f"{self.width} x {self.height} field"
+                    )
         for m in self.mobile:
             check_length(f"mobile sensor {m.id}: radius", m.radius)
 

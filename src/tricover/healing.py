@@ -11,7 +11,7 @@ time, lives on as the tests' reference in ``tests/oracles.py``, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import hypot, pi
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import InvalidInputError
 from .field import SensorField, check_length
 from .files import CIRCUMCENTER, INCENTER
-from .mesh import _hypot
+from .geometry import _mapped
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def plan_relocation(
         return HealingPlan(assignments=(), total_movement=0.0, unserved=unserved)
     at = np.array([m.position for m in mobiles], dtype=float)
     dx, dy = (at[:, k, None] - points[:, k] for k in (0, 1))
-    cost = _hypot(dx.ravel(), dy.ravel()).reshape(dx.shape)
+    cost = _mapped(hypot, dx, dy)
     # The row indices come back ascending, so the rows are in mobile-id order.
     rows, cols = linear_sum_assignment(cost)
     ids, kinds = list(cell_ids), np.asarray(kinds).tolist()

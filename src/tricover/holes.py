@@ -16,26 +16,25 @@ both routes are exact on their domains. The predicate alone picks each
 cell's route; there is no override.
 
 :func:`detect_holes` evaluates the predicate, the case formula and the
-labels on every cell of a mesh at once, over its columns; only the cells
-the predicate sends to the exact fallback go through :func:`hole_area`,
-the exact route, one by one, as plain floats from the same columns. The
-scalar predicate and case formula, and the general n-disk integral the
-exact route specialises, live on as the tests' references in
-``tests/oracles.py``, which this module matches bit for bit.
+labels on every cell of a mesh at once, over its columns; the cells the
+predicate sends to the exact fallback go through :func:`hole_area`, the
+exact route, in one call, as rows of the same columns, in blocks of a fixed
+number of rows. The scalar predicate and case formula, and the general
+n-disk integral the exact route specialises, live on as the tests'
+references in ``tests/oracles.py``, which this module matches bit for bit.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from math import acos, atan2, cos, hypot, isfinite, pi, sin, sqrt
+from math import acos, atan2, cos, hypot, isfinite, pi, sin
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
-from .field import check_length
+from .field import LENGTH_RANGE, check_length
 from .files import CASE_FORMULA, EXACT_FALLBACK
-from .geometry import _DEGENERACY_FACTOR
-from .mesh import TriMesh, _hypot
+from .geometry import _DEGENERACY_FACTOR, _mapped
+from .mesh import TriMesh
 
 # |d - 2R| <= _TANGENCY_FACTOR * R counts as a tangent (zero-lens) pair.
 _TANGENCY_FACTOR = 1e-9
@@ -49,9 +48,9 @@ _TWO_PI = 2.0 * pi
 
 @dataclass(frozen=True)
 class HoleComputation:
-    """A hole-area evaluation; ``method`` records which route produced ``s_h``."""
+    """Hole areas of a batch of cells; ``method`` records which route produced ``s_h``."""
 
-    s_h: float
+    s_h: np.ndarray
     method: str
 
 
@@ -75,46 +74,94 @@ def hole_epsilon(radius: float) -> float:
 # --- hole area --------------------------------------------------------------
 
 
-def hole_area(xy: Sequence[float], radius: float) -> HoleComputation:
-    """The exact route: the uncovered area of a mesh cell under disks of
-    ``radius`` at its three vertices, by the exact boundary integral, in
-    ``[0, area]``.
+def hole_area(xy: np.ndarray, radius: float | np.ndarray) -> HoleComputation:
+    """The exact route: the uncovered area of each cell of the ``(N, 6)``
+    mesh rows ``xy`` under disks of its radius at its three vertices, by the
+    exact boundary integral, in ``[0, area]``, as an ``(N,)`` column.
 
-    ``xy`` is the cell's six vertex coordinates ``(x1, y1, x2, y2, x3, y3)``
-    in mesh order, a row of ``mesh.xy`` flattened. The cell's area is taken
-    from them by the float operations that give ``mesh.area``, so it is that
-    value. A radius that is not a length (``field.check_length``), and a
-    cell whose sides or area are not finite, are ``invalid-input``; a cell that
-    ``triangulate`` marks degenerate, by its three side lengths and area, is
-    ``degenerate-geometry``.
+    A row is a cell's six vertex coordinates ``(x1, y1, x2, y2, x3, y3)`` in
+    mesh order, a row of ``mesh.xy`` flattened; ``radius`` is one length or
+    one per row. Each cell's area is taken from its row by the float
+    operations that give ``mesh.area``, so it is that value. A radius that is
+    not a length (``field.check_length``), and a cell whose sides or area are
+    not finite, are ``invalid-input``; a cell that ``triangulate`` marks
+    degenerate, by its three side lengths and area, is
+    ``degenerate-geometry``. The error names the first such radius or row.
 
-    :func:`detect_holes` calls it once per cell whose validity predicate
-    fails, and on no other cell. It returns a :class:`HoleComputation`
-    rather than a float because ``perfbench/tracer.py`` buckets each call by
-    its ``method`` and ``perfbench/test_perfbench.py`` needs these calls; a
-    tracer that reads detect's route column would retire both.
+    :func:`detect_holes` calls it once, on its exact-route cells in cell
+    order. It returns a :class:`HoleComputation` because
+    ``perfbench/tracer.py`` buckets each call by its ``method`` and
+    ``perfbench/test_perfbench.py`` needs these calls.
     """
-    check_length("sensing radius", radius)
-    return HoleComputation(s_h=_uncovered_area(xy, radius), method=EXACT_FALLBACK)
+    radii = np.asarray(radius, dtype=float)
+    if not ((radii >= LENGTH_RANGE[0]) & (radii <= LENGTH_RANGE[1])).all():
+        for value in radii.ravel().tolist():
+            check_length("sensing radius", value)
+    rows = np.asarray(xy, dtype=float).reshape(-1, 6)
+    radii = np.broadcast_to(radii, len(rows))
+    s_h = np.zeros(len(rows))
+    with np.errstate(all="ignore"):  # Python's float arithmetic does not warn
+        for i in range(0, len(rows), _BLOCK):
+            s_h[i : i + _BLOCK] = _uncovered_area(rows[i : i + _BLOCK], radii[i : i + _BLOCK])
+    return HoleComputation(s_h=s_h, method=EXACT_FALLBACK)
 
 
-def _uncovered_area(xy: Sequence[float], R: float) -> float:
-    """The area of a cell outside its three vertex disks of radius ``R``, by
-    Green's theorem over the boundary of the covered part.
+# Rows per pass of the exact route's kernel: enough to spread numpy's cost
+# per call, few enough that detect does not set the process's peak memory.
+_BLOCK = 512
+# The empty piece of a set of ``(lo, hi)`` pieces: it sorts after every
+# piece, and its intersection with any piece is empty.
+_EMPTY = (np.inf, -np.inf)
 
-    The boundary consists of (a) the pieces of the triangle's edges inside a
-    disk and (b) the arcs of each circle inside the triangle and outside the
-    other two disks. Both are 1-D interval computations. Angle sets are
-    sorted lists of ``(lo, hi)`` intervals on ``[0, 2*pi]``: an arc of length
-    in ``(0, 2*pi)`` starting at ``lo`` is one interval, or two when it wraps
-    past ``2*pi``, and two sets intersect piece by piece, keeping the pieces
-    of positive length.
 
-    This is ``triangle_disks_covered_area`` of ``tests/oracles.py`` on the
-    three vertex disks, whose every value it computes by the same float
-    operations in the same order; the tests hold the two to the same bits.
-    It computes fewer values, because the disks sit on the vertices and share
-    one radius:
+def _ordered(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Two columns of ``(lo, hi)`` pieces, compare-swapped into tuple order."""
+    swap = (a[0] > b[0]) | ((a[0] == b[0]) & (a[1] > b[1]))
+    first = tuple(np.where(swap, q, p) for p, q in zip(a, b))
+    return first, tuple(np.where(swap, p, q) for p, q in zip(a, b))
+
+
+def _pieces(keep: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The piece ``(lo, hi)`` where ``keep`` holds, else the empty piece."""
+    return np.where(keep, lo, _EMPTY[0]), np.where(keep, hi, _EMPTY[1])
+
+
+def _arc(keep: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple]:
+    """The arc from ``lo`` to ``hi < lo + 2*pi`` as two pieces on
+    ``[0, 2*pi]``: the arc and an empty piece, or its two parts if it wraps."""
+    wraps = hi > _TWO_PI
+    first = _pieces(keep, np.where(wraps, 0.0, lo), np.where(wraps, hi - _TWO_PI, hi))
+    return [first, _pieces(keep & wraps, lo, _TWO_PI)]
+
+
+def _compact(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, k)`` pieces of positive length in ascending order, in as
+    many columns as the fullest row needs."""
+    lo, hi = _pieces(hi > lo, lo, hi)
+    order = np.argsort(lo, axis=1)[:, : max(1, np.count_nonzero(lo < np.inf, axis=1).max(initial=0))]
+    rows = np.arange(len(lo))[:, None]
+    return lo[rows, order], hi[rows, order]
+
+
+def _uncovered_area(xy: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The area of each cell of the rows ``xy`` outside its three vertex
+    disks of radius ``R``, by Green's theorem over the boundary of the
+    covered part: (a) the pieces of the triangle's edges inside a disk and
+    (b) the arcs of each circle inside the triangle and outside the other
+    two disks. Both are 1-D interval computations, on sets of ``(lo, hi)``
+    pieces held as a few padded columns, an empty piece in each unused one.
+    An arc of length in ``(0, 2*pi)`` starting at ``lo`` is one piece of
+    ``[0, 2*pi]``, or two when it wraps past ``2*pi``, and two sets
+    intersect piece by piece, keeping the pieces of positive length.
+
+    This is ``triangle_disks_covered_area`` of ``tests/oracles.py`` on each
+    row's three vertex disks. It computes every value it keeps by the same
+    float operations and adds the pieces to each row's total in the same
+    order, so the tests hold the two to the same bits: ``hypot``, ``atan2``,
+    ``acos``, ``sin`` and ``cos`` are ``math``'s, mapped over columns, and
+    numpy's ``%`` on floats is Python's. An empty piece adds +0.0 to a total
+    that is never -0.0, which leaves it unchanged. It computes fewer values,
+    because the disks sit on the vertices and share one radius:
 
     - Edge i runs from vertex i to vertex i + 1 of the counter-clockwise
       triangle. For the disk at its start, ``u - c = 0``, so ``B = 0`` and
@@ -129,156 +176,149 @@ def _uncovered_area(xy: Sequence[float], R: float) -> float:
       taken from the coordinates, as negating a zero would flip ``atan2``.
     - The exposed arcs of a circle are its gaps (outside the other disks)
       cut by each line's arc in turn. Every piece of an intersection has the
-      largest of its pieces' starts and the least of their ends, and lies in
-      one piece of each set, so the order of the cuts does not change the
-      pieces. A circle's gaps lie mostly outside its corner of the triangle,
-      so it cuts them by the lines of the two edges at its center first, and
-      stops when nothing is left.
+      largest of its pieces' starts and the least of their ends, so the order
+      of the cuts does not change the pieces. A circle cuts its gaps by the
+      lines of the two edges at its center first; a row with no piece left
+      drops out of later cuts.
+    - The at most three spans of an edge and four covered pieces of a circle
+      are sorted by compare-swap networks, as the oracle sorts its lists.
     """
-    two_pi = _TWO_PI
-    x1, y1, x2, y2, x3, y3 = xy
-    # The area as ``mesh._columns`` takes it; the vertices counter-clockwise,
-    # and the place there of each vertex in mesh order, the order in which
-    # the circles' arcs are summed.
+    n = len(xy)
+    x1, y1, x2, y2, x3, y3 = xy.T
+    # The area as ``mesh._columns`` takes it; the vertices counter-clockwise.
     cross = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-    area = 0.5 * abs(cross)
-    if cross < 0.0:
-        x2, y2, x3, y3 = x3, y3, x2, y2
-        places = (0, 2, 1)
-    else:
-        places = (0, 1, 2)
-    ring = ((x1, y1), (x2, y2), (x3, y3))
-    edges = ((x1, y1, x2 - x1, y2 - y1), (x2, y2, x3 - x2, y3 - y2), (x3, y3, x1 - x3, y1 - y3))
-    lengths = (hypot(x2 - x1, y2 - y1), hypot(x3 - x2, y3 - y2), hypot(x1 - x3, y1 - y3))
-    if not isfinite(lengths[0] + lengths[1] + lengths[2] + area):
-        raise InvalidInputError(f"cell sides and area must be finite, got {list(xy)}")
-    longest = max(lengths)
-    if longest <= 0.0 or area < _DEGENERACY_FACTOR * longest * longest:
+    area = 0.5 * np.abs(cross)
+    flip = cross < 0.0
+    # The three edges, and the three circles, as one column of 3n rows:
+    # block i holds edge i, from vertex i (u) to vertex i + 1 of the
+    # counter-clockwise ring, and the circle about u.
+    ux = np.concatenate([x1, np.where(flip, x3, x2), np.where(flip, x2, x3)])
+    uy = np.concatenate([y1, np.where(flip, y3, y2), np.where(flip, y2, y3)])
+    after = np.arange(3 * n) - 2 * n  # the row of the next block; a negative index wraps
+    dx, dy = ux[after] - ux, uy[after] - uy
+    D = _mapped(hypot, dx, dy)
+    sides = D.reshape(3, n)
+    finite = np.isfinite(sides[0] + sides[1] + sides[2] + area)
+    longest = np.maximum(np.maximum(sides[0], sides[1]), sides[2])
+    bad = ~finite | (longest <= 0.0) | (area < _DEGENERACY_FACTOR * longest * longest)
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        if not finite[first]:
+            raise InvalidInputError(f"cell sides and area must be finite, got {xy[first].tolist()}")
         raise DegenerateGeometryError("triangle is degenerate")
+    R = np.tile(R, 3)
+    spans = _span_terms(ux, uy, dx, dy, R).reshape(3, n, -1)
+    arcs = _arc_terms(ux, uy, dx, dy, D, R).reshape(3, n, -1)
+    # Each edge's pieces, then each circle's, the circles in mesh order.
+    second, third = np.where(flip[:, None], arcs[2], arcs[1]), np.where(flip[:, None], arcs[1], arcs[2])
+    total = np.zeros(n)
+    for column in np.hstack([*spans, arcs[0], second, third]).T:
+        total = total + column
+    total = np.where(0.0 > total, 0.0, total)  # max(total, 0.0)
+    return area - np.where(area < total, area, total)  # min(total, area)
+
+
+def _span_terms(ux: np.ndarray, uy: np.ndarray, dx: np.ndarray, dy: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """(a) The terms of each edge's pieces inside the union of the disks,
+    in ascending order: spans of the edge parameter t in [0, 1], merged
+    where they overlap or touch."""
+
+    def term(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        px, py, qx, qy = ux + lo * dx, uy + lo * dy, ux + hi * dx, uy + hi * dy
+        return 0.5 * (px * qy - py * qx)
+
+    before = np.arange(len(ux)) - len(ux) // 3  # the row of the previous block
     rr = R * R
-    total = 0.0
+    A = dx * dx + dy * dy
+    disc = A * rr  # the disk at the start
+    t2 = np.sqrt(disc) / A
+    t2 = np.where(t2 > 1.0, 1.0, t2)
+    start = _pieces((disc > 0.0) & (t2 > 0.0), 0.0, t2)
+    disc = A * A - A * (A - rr)  # the disk at the end
+    t1 = (A - np.sqrt(disc)) / A
+    t1 = np.where(t1 < 0.0, 0.0, t1)
+    end = _pieces((disc > 0.0) & (t1 < 1.0), t1, 1.0)
+    wx, wy = ux - ux[before], uy - uy[before]  # the disk at the third vertex
+    B = wx * dx + wy * dy
+    disc = B * B - A * (wx * wx + wy * wy - rr)
+    t1, t2 = (-B - np.sqrt(disc)) / A, (-B + np.sqrt(disc)) / A
+    t1, t2 = np.where(t1 < 0.0, 0.0, t1), np.where(t2 > 1.0, 1.0, t2)
+    first, second = _ordered(start, end)
+    second, last = _ordered(second, _pieces((disc > 0.0) & (t2 > t1), t1, t2))
+    (lo, hi), second = _ordered(first, second)
+    terms = []
+    for nlo, nhi in (second, last):  # the non-empty pieces come first
+        joins = (nlo < np.inf) & (nlo <= hi)
+        emits = (nlo < np.inf) & ~joins
+        terms.append(np.where(emits, term(lo, hi), 0.0))
+        hi = np.where(joins & (nhi > hi), nhi, hi)
+        lo, hi = np.where(emits, nlo, lo), np.where(emits, nhi, hi)
+    terms.append(np.where(lo < np.inf, term(lo, hi), 0.0))
+    return np.stack(terms, axis=1)
 
-    lines, covers = [], []
-    for i, (ux, uy, dx, dy) in enumerate(edges):
-        # (a) The edge's pieces inside the union of the disks: spans of the
-        # edge parameter t in [0, 1], merged where they overlap or touch.
-        A = dx * dx + dy * dy
-        spans = []
-        disc = A * rr  # the disk at the start
-        if disc > 0.0:
-            t2 = sqrt(disc) / A
-            if t2 > 1.0:
-                t2 = 1.0
-            if t2 > 0.0:
-                spans.append((0.0, t2))
-        disc = A * A - A * (A - rr)  # the disk at the end
-        if disc > 0.0:
-            t1 = (A - sqrt(disc)) / A
-            if t1 < 0.0:
-                t1 = 0.0
-            if t1 < 1.0:
-                spans.append((t1, 1.0))
-        cx, cy = ring[i - 1]  # the disk at the opposite vertex
-        wx, wy = ux - cx, uy - cy
-        B = wx * dx + wy * dy
-        disc = B * B - A * (wx * wx + wy * wy - rr)
-        if disc > 0.0:
-            sq = sqrt(disc)
-            t1 = (-B - sq) / A
-            if t1 < 0.0:
-                t1 = 0.0
-            t2 = (-B + sq) / A
-            if t2 > 1.0:
-                t2 = 1.0
-            if t2 > t1:
-                spans.append((t1, t2))
-        spans.sort()
-        merged: list[tuple[float, float]] = []
-        for lo, hi in spans:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        for lo, hi in merged:
-            px, py = ux + lo * dx, uy + lo * dy
-            qx, qy = ux + hi * dx, uy + hi * dy
-            total += 0.5 * (px * qy - py * qx)
 
-        # The edge's line, as its outward unit normal (right of travel), the
-        # normal's angle and the line's offset; and where the disk at each
-        # end of the edge covers the other's circle: an arc of angle 2*beta
-        # starting at ``ahead`` (the start's circle) or ``behind`` (the end's),
-        # or nothing when beta is None.
-        D = lengths[i]
-        nx, ny = dy / D, -dx / D
-        w = (D * D + rr - rr) / (2.0 * R * D)
-        if w < 1.0:
-            beta = acos(w)
-            vx, vy = ring[i - 2]  # the end
-            ahead = (atan2(dy, dx) - beta) % two_pi
-            behind = (atan2(uy - vy, ux - vx) - beta) % two_pi
-        else:
-            beta = ahead = behind = None
-        lines.append((nx, ny, atan2(ny, nx), nx * ux + ny * uy))
-        covers.append((beta, ahead, behind))
+def _arc_terms(
+    ux: np.ndarray, uy: np.ndarray, dx: np.ndarray, dy: np.ndarray, D: np.ndarray, R: np.ndarray
+) -> np.ndarray:
+    """(b) The terms of each circle's arcs inside the triangle and outside
+    the other disks, in ascending order."""
+    n, rr = len(ux) // 3, R * R
+    before, after = np.arange(3 * n) - n, np.arange(3 * n) - 2 * n
+    # Each edge's line, as its outward unit normal (right of travel), the
+    # normal's angle and the line's offset; and where ``overlap`` holds, the
+    # arc of angle 2*beta that the disk at each end of the edge covers of the
+    # other's circle, from ``ahead`` (the start's circle) or ``behind``.
+    nx, ny = dy / D, -dx / D
+    phi, offset = _mapped(atan2, ny, nx), nx * ux + ny * uy
+    w = (D * D + rr - rr) / (2.0 * R * D)
+    overlap = w < 1.0
+    beta, ahead, behind = np.zeros((3, 3 * n))
+    beta[overlap] = _mapped(acos, w[overlap])
+    ahead[overlap] = (_mapped(atan2, dy[overlap], dx[overlap]) - beta[overlap]) % _TWO_PI
+    back = _mapped(atan2, (uy - uy[after])[overlap], (ux - ux[after])[overlap])
+    behind[overlap] = (back - beta[overlap]) % _TWO_PI
 
-    # (b) Each circle's arcs inside the triangle and outside the other disks.
-    for r in places:
-        cx, cy = ring[r]
-        # The gaps between the arcs the other two disks cover.
-        beta1, ahead, _ = covers[r]
-        beta2, _, behind = covers[r - 1]
-        covered = []
-        for beta, lo in ((beta1, ahead), (beta2, behind)):
-            if beta is None:
-                continue
-            hi = lo + 2.0 * beta
-            if hi <= two_pi:
-                covered.append((lo, hi))
-            else:
-                covered += ((0.0, hi - two_pi), (lo, two_pi))
-        covered.sort()
-        exposed = []
-        end = 0.0
-        for lo, hi in covered:
-            if lo > end:
-                exposed.append((end, lo))
-            if hi > end:
-                end = hi
-        if end < two_pi:
-            exposed.append((end, two_pi))
+    # The gaps between the arcs covered by the disks at the ends of edge i
+    # and of edge i - 1, a block back.
+    p = _arc(overlap, ahead, ahead + 2.0 * beta)
+    p += _arc(*(col[before] for col in (overlap, behind, behind + 2.0 * beta)))
+    for j, k in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        p[j], p[k] = _ordered(p[j], p[k])
+    gaps, end = [], np.zeros(3 * n)
+    for lo, hi in p:
+        gaps.append(_pieces((lo < np.inf) & (lo > end), end, lo))
+        end = np.where(hi > end, hi, end)
+    gaps.append(_pieces(end < _TWO_PI, end, _TWO_PI))
+    lo, hi = _compact(*(np.stack(col, axis=1) for col in zip(*gaps)))
 
-        # Of those, the angles inside the triangle: in each edge's inner
-        # half-plane, the angles theta with cos(theta - phi) <= s.
-        for nx, ny, phi, off in (lines[r], lines[r - 1], lines[r - 2]):
-            if not exposed:
-                break
-            s = (off - (nx * cx + ny * cy)) / R
-            if s >= 1.0:
-                continue  # the whole circle: the set is unchanged
-            if s <= -1.0:
-                exposed = []
-                break
-            alpha = acos(s)  # in (0, pi): the arc's length lies in (0, 2*pi)
-            lo = (phi + alpha) % two_pi
-            hi = lo + (two_pi - 2.0 * alpha)
-            arc = [(lo, hi)] if hi <= two_pi else [(0.0, hi - two_pi), (lo, two_pi)]
-            cut = []
-            for a0, a1 in exposed:
-                for b0, b1 in arc:
-                    lo = b0 if b0 > a0 else a0
-                    hi = b1 if b1 < a1 else a1
-                    if hi > lo:
-                        cut.append((lo, hi))
-            exposed = cut
-        exposed.sort()
-        for th1, th2 in exposed:
-            total += 0.5 * (
-                R * cx * (sin(th2) - sin(th1)) - R * cy * (cos(th2) - cos(th1)) + rr * (th2 - th1)
-            )
+    # Of those, the angles inside the triangle: in each edge's inner
+    # half-plane, those with cos(theta - phi) <= s; the lines of edges i,
+    # i - 1 and i - 2, a block back each time.
+    rows = np.arange(3 * n)
+    for shift in (0, n, 2 * n):
+        live = lo[:, 0] < np.inf
+        rows, lo, hi = rows[live], lo[live], hi[live]
+        line = (rows - shift) % (3 * n)
+        s = (offset[line] - (nx[line] * ux[rows] + ny[line] * uy[rows])) / R[rows]
+        cuts, whole = (s < 1.0) & (s > -1.0), s >= 1.0  # s <= -1 empties the set
+        alpha = np.zeros(len(rows))
+        alpha[cuts] = _mapped(acos, s[cuts])  # in (0, pi): the arc's length lies in (0, 2*pi)
+        start = np.where(whole, 0.0, (phi[line] + alpha) % _TWO_PI)  # the whole circle: [0, 2*pi]
+        arc = _arc(cuts | whole, start, start + (_TWO_PI - 2.0 * alpha))
+        cut_lo = np.hstack([np.where(b0[:, None] > lo, b0[:, None], lo) for b0, _ in arc])
+        cut_hi = np.hstack([np.where(b1[:, None] < hi, b1[:, None], hi) for _, b1 in arc])
+        lo, hi = _compact(cut_lo, cut_hi)
 
-    return area - min(max(total, 0.0), area)
+    i, j = np.nonzero(lo < np.inf)
+    th1, th2, rows = lo[i, j], hi[i, j], rows[i]
+    R, cx, cy = R[rows], ux[rows], uy[rows]
+    terms = np.zeros((3 * n, lo.shape[1]))
+    terms[rows, j] = 0.5 * (
+        R * cx * (_mapped(sin, th2) - _mapped(sin, th1))
+        - R * cy * (_mapped(cos, th2) - _mapped(cos, th1))
+        + R * R * (th2 - th1)
+    )
+    return terms
 
 
 # --- the detect kernel --------------------------------------------------------
@@ -307,7 +347,7 @@ def _half_lenses(radius: float, d: np.ndarray) -> np.ndarray:
         ratio = np.where(ratio < -1.0, -1.0, np.where(ratio > 1.0, 1.0, ratio))
         radicand = rr - h * h
         radicand = np.where(radicand < 0.0, 0.0, radicand)
-        return rr * np.array(list(map(acos, ratio.tolist()))) - h * np.sqrt(radicand)
+        return rr * _mapped(acos, ratio) - h * np.sqrt(radicand)
 
     x = (d * d - rr + rr) / (2.0 * d)
     area = segment(x) + segment(d - x)
@@ -345,7 +385,7 @@ def _case_route(xy: np.ndarray, sides: np.ndarray, area: np.ndarray, radius: flo
         seg2 = vx * vx + vy * vy
         t = np.where(seg2 == 0.0, 0.0, (wx * vx + wy * vy) / seg2)
         t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
-        holds &= ~(radius > _hypot(wx - t * vx, wy - t * vy) + slack)
+        holds &= ~(radius > _mapped(hypot, wx - t * vx, wy - t * vy) + slack)
     # the radius of the smallest circle about the three vertices
     a2, b2, c2 = a * a, b * b, c * c
     longest2 = np.maximum(np.maximum(a2, b2), c2)
@@ -374,7 +414,7 @@ def _detect_columns(mesh: TriMesh, radius: float, eps: float) -> HoleReports:
 
     The validity predicate, the case formula, the clamp and the labels run
     on every cell at once; the cells the predicate sends to the exact
-    fallback go through ``hole_area`` one by one.
+    fallback go through one ``hole_area`` call, in cell order.
     """
     live = np.flatnonzero(~mesh.degenerate)
     sides, area = mesh.sides[live], mesh.area[live]
@@ -386,8 +426,7 @@ def _detect_columns(mesh: TriMesh, radius: float, eps: float) -> HoleReports:
         value = np.where(area < value, area, value)  # min(value, area)
     exact = np.zeros(len(mesh.cells), dtype=bool)
     exact_cells = live[~case]
-    rows = mesh.xy[exact_cells].reshape(-1, 6).tolist()
-    value[~case] = [hole_area(xy, radius).s_h for xy in rows]
+    value[~case] = hole_area(mesh.xy[exact_cells].reshape(-1, 6), radius).s_h
     exact[exact_cells] = True
 
     tol = _TANGENCY_FACTOR * radius

@@ -22,7 +22,7 @@ from scipy.spatial import QhullError
 
 from .errors import DuplicateSiteError, InsufficientSitesError
 from .field import Sensor, SensorField
-from .geometry import _DEGENERACY_FACTOR
+from .geometry import _DEGENERACY_FACTOR, _mapped
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,12 +51,6 @@ class TriMesh:
         return {"sites": len(self.sites), "triangles": len(self.cells)}
 
 
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``math.hypot`` of each pair, whose rounding ``np.hypot`` does not
-    always match."""
-    return np.array(list(map(hypot, x.tolist(), y.tolist())))
-
-
 def _columns(xy: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """Vertex coordinates, sides, area and degeneracy of every row of
     indices into the site coordinates ``xy``, a column at a time.
@@ -70,7 +64,7 @@ def _columns(xy: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     verts = xy[rows]  # (T, 3, 2)
     p1, p2, p3 = verts[:, 0], verts[:, 1], verts[:, 2]
     d23, d13, d12 = p2 - p3, p1 - p3, p1 - p2
-    sides = np.stack([_hypot(d[:, 0], d[:, 1]) for d in (d23, d13, d12)], axis=1)
+    sides = np.stack([_mapped(hypot, d[:, 0], d[:, 1]) for d in (d23, d13, d12)], axis=1)
     a, b, c = sides[:, 0], sides[:, 1], sides[:, 2]
     e2, e3 = p2 - p1, p3 - p1
     area = 0.5 * np.abs(e2[:, 0] * e3[:, 1] - e2[:, 1] * e3[:, 0])

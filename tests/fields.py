@@ -145,5 +145,6 @@ def cell_xy(tri: TriangleGeom) -> list[float]:
 
 
 def exact_route(tri: TriangleGeom, radius: float) -> float:
-    """The hole area of ``tri`` by the exact route, ``hole_area``."""
-    return hole_area(cell_xy(tri), radius).s_h
+    """The hole area of ``tri`` by the exact route, ``hole_area``, on its
+    one row."""
+    return hole_area([cell_xy(tri)], radius).s_h.tolist()[0]

@@ -29,6 +29,7 @@ from tricover import (
     triangulate,
 )
 from tricover.field import LENGTH_RANGE
+from tricover.holes import _BLOCK
 
 SWEEP_SEED = 20261019
 SWEEP_SIZE = 20_000
@@ -45,10 +46,13 @@ def is_length(radius):
     return low <= radius <= high
 
 
-def bits(t, radius):
-    """The exact route's and the oracle's value on ``t``, as ``float.hex``."""
-    got = hole_area(cell_xy(t), radius).s_h
-    return got.hex(), uncovered_by_vertex_disks(t, radius).hex()
+def bits(cases):
+    """The exact route's and the oracle's values on ``(triangle, radius)``
+    cases, as ``float.hex``: the exact route in one call, one radius per row."""
+    xy = np.array([cell_xy(t) for t, _ in cases]).reshape(-1, 6)
+    got = hole_area(xy, np.array([radius for _, radius in cases])).s_h
+    want = [uncovered_by_vertex_disks(t, radius).hex() for t, radius in cases]
+    return [v.hex() for v in got.tolist()], want
 
 
 def angle_kind(t):
@@ -109,21 +113,26 @@ def test_exact_route_matches_the_general_integral_bit_for_bit():
     cases = sweep_cases(rng)
     seen = {"acute": 0, "right": 0, "obtuse": 0, "holes": 0, "covered": 0}
     families = dict.fromkeys(("random", "right", "grid", "thin", "small", "large"), 0)
-    mismatches = []
+    checked = []
     refused = 0
     for _ in range(SWEEP_SIZE):
         family, t, radius = next(cases)
         families[family] += 1
         if not is_length(radius):  # a small cell's radius can fall below the range
             with pytest.raises(InvalidInputError, match="must lie in"):
-                hole_area(cell_xy(t), radius)
+                hole_area([cell_xy(t)], radius)
             refused += 1
             continue
         seen[angle_kind(t)] += 1
-        got, want = bits(t, radius)
-        if got != want:
-            mismatches.append((family, t.vertices, radius, got, want))
-        seen["holes" if float.fromhex(want) > 1e-9 * radius * radius else "covered"] += 1
+        checked.append((family, t, radius))
+    got, want = bits([(t, radius) for _, t, radius in checked])
+    mismatches = [
+        (family, t.vertices, radius, g, w)
+        for (family, t, radius), g, w in zip(checked, got, want)
+        if g != w
+    ]
+    for (_, _, radius), w in zip(checked, want):
+        seen["holes" if float.fromhex(w) > 1e-9 * radius * radius else "covered"] += 1
     assert mismatches == []
     assert min(families.values()) >= SWEEP_SIZE // 7
     assert min(seen.values()) > 500, seen
@@ -145,14 +154,15 @@ def test_exact_route_bits_on_grid_and_jittered_triangles(pts, scale, fraction, j
     moved = [(x0 + 0.1 * jitter, y0)] + rest
     t = tri([(ldexp(x, scale), ldexp(y, scale)) for x, y in moved])
     assume(not t.degenerate)
-    got, want = bits(t, fraction * max(t.sides))
+    got, want = bits([(t, fraction * max(t.sides))])
     assert got == want
 
 
 def test_exact_route_refuses_exactly_the_degenerate_cells():
     # apex heights around the bound area = 1e-12 * base^2, on either side
     rng = np.random.default_rng(SWEEP_SEED + 1)
-    refused = kept = 0
+    kept = []
+    refused = 0
     for _ in range(400):
         base = float(rng.uniform(0.5, 8.0))
         height = 2e-12 * base * (1.0 + float(rng.uniform(-1e-3, 1e-3)))
@@ -160,41 +170,45 @@ def test_exact_route_refuses_exactly_the_degenerate_cells():
         if t.degenerate:
             refused += 1
             with pytest.raises(DegenerateGeometryError):
-                hole_area(cell_xy(t), base)
+                hole_area([cell_xy(t)], base)
         else:
-            kept += 1
-            got, want = bits(t, base)
-            assert got == want
-    assert refused > 100 and kept > 100
+            kept.append((t, base))
+    got, want = bits(kept)
+    assert got == want
+    assert refused > 100 and len(kept) > 100
 
 
-@pytest.mark.parametrize(
-    "xy",
-    [
-        [nan, 0.0, 1.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 1.0, 0.0, nan, 1.0],  # only two of the sides are NaN
-        [0.0, 0.0, 1.0, 0.0, 0.0, inf],
-        [-1e308, 0.0, 1e308, 0.0, 0.0, 1.0],  # a side overflows
-    ],
-)
+NON_FINITE_ROWS = [
+    [nan, 0.0, 1.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, 1.0, 0.0, nan, 1.0],  # only two of the sides are NaN
+    [0.0, 0.0, 1.0, 0.0, 0.0, inf],
+    [-1e308, 0.0, 1e308, 0.0, 0.0, 1.0],  # a side overflows
+]
+
+
+@pytest.mark.parametrize("xy", NON_FINITE_ROWS)
 def test_exact_route_refuses_non_finite_cells(xy):
     with pytest.raises(InvalidInputError, match="sides and area must be finite"):
-        hole_area(xy, 1.0)
+        hole_area([xy], 1.0)
 
 
 def test_exact_route_never_exceeds_the_cell_area():
     # the area comes from the vertices, so no call can claim a larger cell
-    assert hole_area([0.0, 0.0, 1.0, 0.0, 0.0, 1.0], 0.1).s_h <= 0.5
+    assert hole_area([[0.0, 0.0, 1.0, 0.0, 0.0, 1.0]], 0.1).s_h[0] <= 0.5
     rng = np.random.default_rng(SWEEP_SEED + 2)
     cases = sweep_cases(rng)
+    kept = []
     for _ in range(2000):
         _, t, radius = next(cases)
         for scale in (1.0, 1e-3):  # and radii far below the sides
             if is_length(scale * radius):
-                assert 0.0 <= hole_area(cell_xy(t), scale * radius).s_h <= t.area
+                kept.append((t, scale * radius))
             else:
                 with pytest.raises(InvalidInputError, match="must lie in"):
-                    hole_area(cell_xy(t), scale * radius)
+                    hole_area([cell_xy(t)], scale * radius)
+    xy = np.array([cell_xy(t) for t, _ in kept])
+    s_h = hole_area(xy, np.array([radius for _, radius in kept])).s_h
+    assert ((0.0 <= s_h) & (s_h <= np.array([t.area for t, _ in kept]))).all()
 
 
 def test_exact_route_bits_on_every_workload_cell(workload_scenarios):
@@ -211,3 +225,69 @@ def test_exact_route_bits_on_every_workload_cell(workload_scenarios):
         assert got == want, (name, seed)
         checked += len(cells)
     assert checked > 15_000
+
+
+def test_exact_route_bits_do_not_depend_on_the_batch(workload_scenarios):
+    """A row's value is the same alone, in any sub-batch and in the full
+    batch, wherever the row falls among the kernel's blocks."""
+    rng = np.random.default_rng(SWEEP_SEED + 3)
+    for (name, seed), scenario in workload_scenarios.items():
+        radius = scenario.field.sensing_radius
+        mesh = triangulate(scenario.field)
+        reports = detect_holes(mesh, radius)
+        cells = np.sort(reports.cell_id[reports.method == "exact-fallback"])
+        rows = mesh.xy[cells].reshape(-1, 6)
+        full = hole_area(rows, radius).s_h
+        assert len(rows) > _BLOCK, (name, seed)
+        if seed == 42:  # each row alone, once per workload
+            alone = [hole_area(row[None], radius).s_h[0] for row in rows]
+            assert np.array_equal(alone, full), (name, seed)
+        order = rng.permutation(len(rows))
+        # sub-batches of odd sizes on either side of the block size
+        for size in (_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK // 2 + 7):
+            for start in range(0, len(rows), size):
+                part = order[start : start + size]
+                assert np.array_equal(hole_area(rows[part], radius).s_h, full[part]), (name, seed)
+        # and the full batch shuffled, with one radius per row
+        got = hole_area(rows[order], np.full(len(rows), radius)).s_h
+        assert np.array_equal(got, full[order]), (name, seed)
+
+
+def test_exact_route_takes_an_empty_batch():
+    for xy in ([], np.zeros((0, 6))):
+        s_h = hole_area(xy, 1.0).s_h
+        assert s_h.shape == (0,) and s_h.dtype == float
+
+
+@pytest.mark.parametrize(
+    "bad, error, match",
+    [(xy, InvalidInputError, "sides and area must be finite") for xy in NON_FINITE_ROWS]
+    + [
+        ([0.0, 0.0, 1.0, 1.0, 2.0, 2.0], DegenerateGeometryError, "triangle is degenerate"),
+        ([0.0, 0.0, 1.0, 0.0, 0.5, 1e-14], DegenerateGeometryError, "triangle is degenerate"),
+    ],
+)
+def test_exact_route_names_the_bad_row_of_a_batch(bad, error, match):
+    # the error a batch raises is the one the bad row raises alone
+    with pytest.raises(error, match=match) as alone:
+        hole_area([bad], 1.0)
+    good = np.tile([0.0, 0.0, 1.0, 0.0, 0.0, 1.0], (2 * _BLOCK + 3, 1))
+    for at in (0, 5, _BLOCK, len(good)):
+        rows = np.insert(good, at, bad, axis=0)
+        with pytest.raises(error) as batch:
+            hole_area(rows, 1.0)
+        assert str(batch.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("earlier, later", [(0, 1), (1, 4), (4, 0), (5, 2)])
+@pytest.mark.parametrize("gap", [4, _BLOCK], ids=["same-block", "next-block"])
+def test_exact_route_names_the_earlier_of_two_bad_rows(earlier, later, gap):
+    # the error of a batch with two bad rows is the earlier row's
+    bad = NON_FINITE_ROWS + [[0.0, 0.0, 1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 1.0, 0.0, 0.5, 1e-14]]
+    with pytest.raises((InvalidInputError, DegenerateGeometryError)) as alone:
+        hole_area([bad[earlier]], 1.0)
+    rows = np.tile([0.0, 0.0, 1.0, 0.0, 0.0, 1.0], (2 * _BLOCK, 1))
+    rows[3], rows[3 + gap] = bad[earlier], bad[later]
+    with pytest.raises(type(alone.value)) as batch:
+        hole_area(rows, 1.0)
+    assert str(batch.value) == str(alone.value)

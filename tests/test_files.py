@@ -690,6 +690,37 @@ def test_scenario_reader_names_the_earlier_of_two_bad_sensors(kind):
     assert error_of(scenario_from_dict, sensors_scenario(kind, records)) == message
 
 
+FIELD_SENSOR_ERRORS = {
+    "duplicate id": ((11, 1.0, 1.0), "duplicate sensor id 11"),
+    "nan x": ((17, math.nan, 1.0), "sensor 17: non-finite position"),
+    "inf y": ((17, 1.0, math.inf), "sensor 17: non-finite position"),
+    "outside": ((17, 4.5, 1.0), "sensor 17 at (4.5, 1.0) lies outside the 4.0 x 3.0 field"),
+    "below": ((17, 1.0, -1e-300), "sensor 17 at (1.0, -1e-300) lies outside the 4.0 x 3.0 field"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FIELD_SENSOR_ERRORS))
+@pytest.mark.parametrize("mobile", [False, True], ids=["stationary", "mobile"])
+def test_field_names_the_first_bad_sensor(fault, mobile):
+    # The field checks its sensors as columns and walks them only to word
+    # the first error: a bad sensor after a good one, then before another bad one.
+    bad, message = FIELD_SENSOR_ERRORS[fault]
+    stationary = [(10, 0.5, 0.5), (11, 1.5, 0.5), (12, 1.0, 2.0)]
+    later_bad = (18, math.nan, math.nan)
+    if mobile:
+        mobiles = [(*bad, 1.0), (*later_bad, 1.0)]
+    else:
+        stationary, mobiles = stationary + [bad, later_bad], []
+    with pytest.raises(InvalidInputError) as info:
+        make_field(4.0, 3.0, 1.0, stationary, mobiles)
+    assert str(info.value) == message
+
+
+def test_field_takes_sensors_on_its_edges():
+    corners = [(0, 0.0, 0.0), (1, 4.0, 0.0), (2, 4.0, 3.0), (3, 0.0, 3.0), (4, -0.0, 1.0)]
+    assert len(make_field(4.0, 3.0, 1.0, corners).stationary) == 5
+
+
 @pytest.mark.parametrize(
     "unknown, named",
     [({(0, 0): 7}, 7), ({(2, 1): 7}, 7), ({(4, 2): 7}, 7), ({(1, 2): 8, (3, 0): 7}, 8),

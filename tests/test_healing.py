@@ -31,7 +31,7 @@ def tri(pts):
 
 def hole_for(pts, radius):
     t = tri(pts)
-    return t, hole_area(cell_xy(t), radius).s_h
+    return t, hole_area([cell_xy(t)], radius).s_h.tolist()[0]
 
 
 # A field no test point lies outside of.

@@ -291,11 +291,11 @@ def test_validity_predicate_parts():
 def test_degenerate_and_bad_radius_errors():
     line = tri(((0, 0), (1, 1), (2, 2)))
     with pytest.raises(DegenerateGeometryError):
-        hole_area(cell_xy(line), 1.0)
+        hole_area([cell_xy(line)], 1.0)
     good = tri(RIGHT_345)
     for radius in (0.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInputError):
-            hole_area(cell_xy(good), radius)
+            hole_area([cell_xy(good)], radius)
 
 
 # --- detect_holes ----------------------------------------------------------------
@@ -359,7 +359,7 @@ def test_hole_area_and_detect_refuse_a_radius_outside_the_length_range(radius):
     # The radius rule of the field and the file reader (``check_length``).
     message = r"^sensing radius must lie in \[2\^-200, 2\^200\], got "
     with pytest.raises(InvalidInputError, match=message):
-        hole_area(cell_xy(tri(RIGHT_345)), radius)
+        hole_area([cell_xy(tri(RIGHT_345))], radius)
     field = make_field(
         4.0, 4.0, 1.0, [(0, 0.5, 0.5), (1, 3.5, 0.5), (2, 2.0, 0.5 + 3 * sqrt(3) / 2)]
     )
@@ -370,14 +370,14 @@ def test_hole_area_and_detect_refuse_a_radius_outside_the_length_range(radius):
 def test_hole_area_is_scale_invariant_or_refused():
     # Inside the length range a power-of-two scale scales the hole exactly;
     # at s = 2^-300 the old radius check returned 0.5 * s^2, the whole cell.
-    unit = hole_area([0.0, 0.0, 1.0, 0.0, 0.0, 1.0], 0.3).s_h
+    unit = hole_area([[0.0, 0.0, 1.0, 0.0, 0.0, 1.0]], 0.3).s_h[0]
     assert unit == pytest.approx(0.3586283305884593, rel=1e-15)
     for k in (-100, 100):
         s = 2.0**k
-        assert hole_area([0.0, 0.0, s, 0.0, 0.0, s], 0.3 * s).s_h == unit * s * s
+        assert hole_area([[0.0, 0.0, s, 0.0, 0.0, s]], 0.3 * s).s_h[0] == unit * s * s
     s = 2.0**-300
     with pytest.raises(InvalidInputError):
-        hole_area([0.0, 0.0, s, 0.0, 0.0, s], 0.3 * s)
+        hole_area([[0.0, 0.0, s, 0.0, 0.0, s]], 0.3 * s)
 
 
 # --- the detect kernel against the scalar path --------------------------------------

@@ -122,18 +122,18 @@ def test_run_detect_report_shape():
 
 def test_detect_runs_exact_integral_once_per_exact_route_cell(monkeypatch):
     doc = generate_scenario(100.0, 100.0, 200, 0, 5.0, 5.0, seed=42)
-    calls = []
+    rows = []
     original = tricover.holes._uncovered_area
 
-    def counted(xy, radius):
-        calls.append(1)
+    def counted(xy, radius):  # a block of rows
+        rows.extend(xy.tolist())
         return original(xy, radius)
 
     monkeypatch.setattr(tricover.holes, "_uncovered_area", counted)
     report = run_detect(doc)
     exact_cells = sum(1 for e in report.triangles if e["method"] == "exact-fallback")
     assert 0 < exact_cells < len(report.triangles)
-    assert len(calls) == exact_cells
+    assert len(rows) == exact_cells
 
 
 def test_detect_builds_lens_terms_only_on_the_case_route(monkeypatch):
@@ -158,10 +158,11 @@ def test_detect_builds_lens_terms_only_on_the_case_route(monkeypatch):
 
 def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch):
     """One kernel call per ``detect_holes`` call picks every cell's route;
-    ``hole_area``, the exact route, runs once per exact-route cell and on
-    no other."""
+    one ``hole_area`` call, the exact route, takes the exact-route cells'
+    rows of ``mesh.xy``, in cell order, and no other."""
     doc = generate_scenario(100.0, 100.0, 200, 0, 5.0, 5.0, seed=42)
     calls = {"kernel": 0, "hole_area": 0}
+    passed = []
     kernel, hole_area = tricover.holes._detect_columns, tricover.holes.hole_area
 
     def counted_kernel(*args):
@@ -170,14 +171,17 @@ def test_detect_evaluates_validity_only_where_it_picks_the_route(monkeypatch):
 
     def counted_hole_area(xy, radius):
         calls["hole_area"] += 1
+        passed.append(np.array(xy))
         return hole_area(xy, radius)
 
     monkeypatch.setattr(tricover.holes, "_detect_columns", counted_kernel)
     monkeypatch.setattr(tricover.holes, "hole_area", counted_hole_area)
     report = run_detect(doc)
-    exact_cells = sum(1 for e in report.triangles if e["method"] == "exact-fallback")
-    assert 0 < exact_cells < len(report.triangles)
-    assert calls == {"kernel": 1, "hole_area": exact_cells}
+    exact_cells = sorted(e["id"] for e in report.triangles if e["method"] == "exact-fallback")
+    assert 0 < len(exact_cells) < len(report.triangles)
+    assert calls == {"kernel": 1, "hole_area": 1}
+    mesh = triangulate(doc.field)
+    assert np.array_equal(passed[0], mesh.xy[exact_cells].reshape(-1, 6))
 
 
 def test_detect_builds_no_triangle_objects(monkeypatch):
